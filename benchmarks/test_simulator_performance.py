@@ -283,12 +283,12 @@ def test_fleet_10k_requests_telemetry(benchmark):
 
 
 def test_fleet_1m_requests_columnar(benchmark):
-    """A million-user day through the columnar engine (bench-1m).
+    """A million-user day through the fleet engine (bench-1m).
 
     The tentpole number: ~1M Poisson arrivals over 24 simulated hours
     on one batched A100 pool at ~70% utilisation, generated as a
     :class:`RequestBatch` (columnar stream, no per-request objects)
-    and simulated with ``engine="columnar"``.  Gated like every other
+    and simulated without a copy.  Gated like every other
     entry by ``tools/check_bench_regression.py``; the acceptance bar
     is interactive speed — well under a minute wall-clock.  Reports
     ``requests_per_s`` in the bench artifact's ``extra_info``.
@@ -329,7 +329,6 @@ def test_fleet_1m_requests_columnar(benchmark):
     report = benchmark.pedantic(
         simulate_fleet,
         args=(requests, pools),
-        kwargs={"engine": "columnar"},
         rounds=1,
         iterations=1,
     )
@@ -346,7 +345,7 @@ def test_fleet_1m_requests_client_structured(benchmark):
 
     The traffic-layer counterpart of ``test_fleet_1m_requests_columnar``:
     2000 Pareto-rated clients with on/off bursts over 24 simulated
-    hours yield ~1M arrivals which feed the columnar engine directly
+    hours yield ~1M arrivals which feed the fleet engine directly
     (the trace's ``RequestBatch`` is consumed zero-copy).  Unlike the
     Poisson bench, the measured span includes generation itself — the
     gate covers the per-client burst/thinning loops, not just the
@@ -399,7 +398,7 @@ def test_fleet_1m_requests_client_structured(benchmark):
             population, duration_s=86_400.0, seed=7
         )
         assert len(trace) >= 1_000_000
-        return simulate_fleet(trace, pools, engine="columnar")
+        return simulate_fleet(trace, pools)
 
     report = benchmark.pedantic(
         generate_and_simulate, rounds=1, iterations=1
@@ -501,7 +500,7 @@ def test_fleet_10k_requests_resilient(benchmark):
     )
     assert report.offered >= 10_000
     assert report.offered == (
-        len(report.completed) + len(report.failed) + len(report.shed)
+        report.completed_count + report.failed_count + report.shed_count
     )
 
 
@@ -587,5 +586,5 @@ def test_fleet_10k_requests_chaos_campaign(benchmark):
     )
     assert report.offered >= 10_000
     assert report.offered == (
-        len(report.completed) + len(report.failed) + len(report.shed)
+        report.completed_count + report.failed_count + report.shed_count
     )

@@ -119,7 +119,7 @@ def _run_fleet() -> dict[str, float]:
         slo = slo_report(report, FLEET_DEADLINE_S)
         metrics[f"{label}_goodput"] = slo.goodput
         metrics[f"{label}_p95_s"] = slo.per_model[0].p95_s
-        metrics[f"{label}_completed"] = float(len(report.completed))
+        metrics[f"{label}_completed"] = float(report.completed_count)
     return metrics
 
 

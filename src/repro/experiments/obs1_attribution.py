@@ -231,11 +231,7 @@ def run() -> ExperimentResult:
             f"{log.series_named('pool.a100.queue_depth').peak:.0f}",
         ])
 
-    inert = (
-        blind_report.completed == flappy_report.completed
-        and blind_report.failed == flappy_report.failed
-        and blind_report.shed == flappy_report.shed
-    )
+    inert = blind_report == flappy_report
 
     tuned_sd_p99 = {
         m.model: m for m in tuned_slo.per_model
@@ -288,7 +284,7 @@ def run() -> ExperimentResult:
             paper="observability must not perturb the system "
             "under observation",
             measured=(
-                f"{len(flappy_report.completed)} completions "
+                f"{flappy_report.completed_count} completions "
                 f"compare {'equal' if inert else 'UNEQUAL'}"
             ),
             holds=inert,

@@ -149,7 +149,7 @@ def run() -> ExperimentResult:
     rows: list[list[object]] = []
     fleet_p95: dict[str, float] = {}
     for label, injected, report, slo in scenarios:
-        latencies = [record.latency_s for record in report.completed]
+        latencies = report.latency_s.tolist()
         fleet_p95[label] = percentile(latencies, 95.0)
         utilization = ", ".join(
             f"{stats.name} {stats.utilization * 100:.0f}%"

@@ -220,7 +220,7 @@ def run() -> ExperimentResult:
     by_label: dict[str, tuple[FleetReport, SloReport]] = {}
     for label, report, slo in scenarios:
         by_label[label] = (report, slo)
-        latencies = [record.latency_s for record in report.completed]
+        latencies = report.latency_s.tolist()
         p99[label] = percentile(latencies, 99.0)
         stats = report.resilience
         rows.append(
@@ -231,8 +231,8 @@ def run() -> ExperimentResult:
                 f"{p99[label]:.2f}",
                 f"{slo.goodput * 100:.1f}%",
                 f"{slo.burn_rate(0.9):.1f}x",
-                len(report.shed),
-                len(report.failed),
+                report.shed_count,
+                report.failed_count,
                 f"{stats.hedge_wins}/{stats.hedges_launched}",
                 stats.degraded_completions,
                 f"{slo.quality_debt:.1f}",
@@ -243,11 +243,11 @@ def run() -> ExperimentResult:
     all_report, all_slo = by_label["all-on"]
     conservation_ok = all(
         report.offered
-        == len(report.completed) + len(report.failed) + len(report.shed)
+        == report.completed_count + report.failed_count + report.shed_count
         for _, report, _ in scenarios
     )
     rung_ok = all(
-        sum(report.resilience.rung_completions) == len(report.completed)
+        sum(report.resilience.rung_completions) == report.completed_count
         for _, report, _ in scenarios
     )
     brown_report, _ = by_label["brownout-only"]

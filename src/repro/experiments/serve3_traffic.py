@@ -270,7 +270,7 @@ def run() -> ExperimentResult:
 
     conservation_ok = all(
         report.offered
-        == len(report.completed) + len(report.failed) + len(report.shed)
+        == report.completed_count + report.failed_count + report.shed_count
         for _, _, report, _ in scenarios
     )
     equal_load = len(client_trace) == len(poisson_trace) and (
@@ -341,9 +341,9 @@ def run() -> ExperimentResult:
                 f"{total_offered} offered"
             ),
             holds=conservation_ok and total_offered == (
-                len(by_key[("client", "no-admission")][0].completed)
-                + len(by_key[("client", "no-admission")][0].failed)
-                + len(by_key[("client", "no-admission")][0].shed)
+                by_key[("client", "no-admission")][0].completed_count
+                + by_key[("client", "no-admission")][0].failed_count
+                + by_key[("client", "no-admission")][0].shed_count
             ),
         ),
     ]

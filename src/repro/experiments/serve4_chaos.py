@@ -22,12 +22,10 @@ guessed scalar).  Four arms:
    detection time and the zone is re-admitted server-by-server with a
    stagger that spreads the thundering herd.
 
-Every arm runs on *both* fleet engines and the reports must agree
-bit-for-bit — chaos campaigns are part of the engine-equivalence
-contract, not an oracle-only feature.  Every report must also pass
-the chaos invariant checker (terminal-state uniqueness, conservation,
-clock monotonicity, bounded quality debt): correlated failures may
-degrade service arbitrarily but must never corrupt the accounting.
+Every report must pass the chaos invariant checker (terminal-state
+uniqueness, conservation, clock monotonicity, bounded quality debt):
+correlated failures may degrade service arbitrarily but must never
+corrupt the accounting.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from repro.experiments.serve2_resilience import (
 from repro.experiments.suite_cache import all_profiles, model_instance
 from repro.profiler.distributed import profile_sharded
 from repro.serving.chaos import check_invariants
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.domains import (
     DegradedLink,
     OrchestrationConfig,
@@ -160,12 +157,11 @@ def _resilience(deadlines: dict[str, float]) -> ResilienceConfig:
 
 
 def _run_scenarios():
-    """All four arms on both engines, with invariant verdicts.
+    """All four arms, with invariant verdicts.
 
     Returns ``(scenarios, deadlines)`` where each scenario is a dict
-    with the arm label, the (oracle) report, its SLO and domain
-    reports, the engine bit-equality flag, and both engines'
-    invariant verdicts.
+    with the arm label, the report, its SLO and domain reports, and
+    its invariant verdict.
     """
     service = _flash_service_times()
     deadlines = {name: 3.0 * service[name] for name in MODELS}
@@ -202,22 +198,16 @@ def _run_scenarios():
         )
         if faults is not None:
             kwargs["faults"] = faults
-        oracle = simulate_fleet(requests, pools, **kwargs)
-        columnar = simulate_fleet_columnar(
-            requests, pools, **kwargs
-        ).to_report()
-        brownout = resilience.brownout
+        report = simulate_fleet(requests, pools, **kwargs)
         scenarios.append({
             "label": label,
-            "report": oracle,
-            "slo": slo_report(oracle, deadlines),
+            "report": report,
+            "slo": slo_report(report, deadlines),
             "domains": domain_slo_report(
-                oracle, compiled if compiled is not None else empty
+                report, compiled if compiled is not None else empty
             ),
-            "engines_identical": oracle == columnar,
-            "invariants": tuple(
-                check_invariants(requests, rep, brownout=brownout)
-                for rep in (oracle, columnar)
+            "invariants": check_invariants(
+                requests, report, brownout=resilience.brownout
             ),
         })
     return scenarios, deadlines
@@ -231,9 +221,7 @@ def run() -> ExperimentResult:
     p99: dict[str, float] = {}
     for entry in scenarios:
         report = entry["report"]
-        latencies = [
-            record.latency_s for record in report.completed
-        ]
+        latencies = report.latency_s.tolist()
         p99[entry["label"]] = percentile(latencies, 99.0)
         zone0 = entry["domains"].domain("zone:0")
         rows.append([
@@ -241,9 +229,9 @@ def run() -> ExperimentResult:
             f"{percentile(latencies, 50.0):.2f}",
             f"{p99[entry['label']]:.2f}",
             f"{entry['slo'].goodput * 100:.1f}%",
-            len(report.completed),
-            len(report.shed),
-            len(report.failed),
+            report.completed_count,
+            report.shed_count,
+            report.failed_count,
             f"{zone0.availability * 100:.2f}%",
             (
                 "—" if zone0.mttr_s is None
@@ -255,14 +243,7 @@ def run() -> ExperimentResult:
     storm = by_label["unprotected"]
     protected = by_label["all-on"]
     managed = by_label["all-on+orchestration"]
-    engines_ok = all(
-        entry["engines_identical"] for entry in scenarios
-    )
-    invariants_ok = all(
-        verdict.ok
-        for entry in scenarios
-        for verdict in entry["invariants"]
-    )
+    invariants_ok = all(entry["invariants"].ok for entry in scenarios)
     zone0_managed = managed["domains"].domain("zone:0")
     claims = [
         ClaimCheck(
@@ -273,8 +254,8 @@ def run() -> ExperimentResult:
             measured=(
                 f"goodput {baseline['slo'].goodput * 100:.1f}% -> "
                 f"{storm['slo'].goodput * 100:.1f}%, "
-                f"failed {len(baseline['report'].failed)} -> "
-                f"{len(storm['report'].failed)}, p99 "
+                f"failed {baseline['report'].failed_count} -> "
+                f"{storm['report'].failed_count}, p99 "
                 f"{p99['no-chaos']:.1f}s -> {p99['unprotected']:.1f}s"
             ),
             holds=(
@@ -299,23 +280,11 @@ def run() -> ExperimentResult:
             ),
         ),
         ClaimCheck(
-            claim="both engines replay every chaos arm "
-            "bit-identically — correlated campaigns and recovery "
-            "plans are inside the engine-equivalence contract",
-            paper="columnar-engine contract (bit-exact oracle parity)",
-            measured=(
-                f"{len(scenarios)} arms compared, "
-                f"{'all' if engines_ok else 'NOT all'} bit-identical"
-            ),
-            holds=engines_ok,
-        ),
-        ClaimCheck(
-            claim="the invariant checker passes on every arm and "
-            "engine: chaos degrades service, never the accounting",
+            claim="the invariant checker passes on every arm: "
+            "chaos degrades service, never the accounting",
             paper="simulator invariant (no lost or invented requests)",
             measured=(
-                f"{sum(len(e['invariants']) for e in scenarios)} "
-                f"reports checked, "
+                f"{len(scenarios)} reports checked, "
                 f"{'0' if invariants_ok else 'some'} violations"
             ),
             holds=invariants_ok,
@@ -359,8 +328,8 @@ def run() -> ExperimentResult:
             "The retry policy is deliberately aggressive (4 retries, "
             "0.5s base backoff) so synchronized recovery produces a "
             "visible thundering herd.",
-            "Every arm runs on both fleet engines; reports must be "
-            "bit-identical and pass the chaos invariant checker.",
+            "Every arm's report must pass the chaos invariant "
+            "checker.",
             "The overload-tuned protection stack alone can *hurt* "
             "under correlated recovery (hedges and brownout react to "
             "the backlog but not to its cause); pairing it with "

@@ -1,12 +1,12 @@
 """Fleet observability: spans, metrics, exporters and alerts.
 
-The fleet engines (:mod:`repro.serving.fleet` and
-:mod:`repro.serving.columnar`) are deterministic black boxes between
+The fleet engine (:func:`repro.serving.fleet.simulate_fleet`) is a
+deterministic black box between
 "workload in" and "FleetReport out" — admission decisions, breaker
 trips, hedge cancellations, brownout rung changes and autoscaler
 actions all happen invisibly.  This package is the flight recorder:
 
-* :class:`Telemetry` — the collector both engines emit into when a
+* :class:`Telemetry` — the collector the engine emits into when a
   ``simulate_fleet(..., telemetry=...)`` kwarg is passed.  Zero
   overhead when absent (every hook is an ``if telemetry is None``
   guard) and **purely observational** when present: a telemetry-on

@@ -1,4 +1,4 @@
-"""The telemetry collector both fleet engines emit into.
+"""The telemetry collector the fleet engine emits into.
 
 Pass a fresh :class:`Telemetry` to ``simulate_fleet(...,
 telemetry=...)``; after the run, :meth:`Telemetry.log` returns the
@@ -12,14 +12,12 @@ histograms).  The collector is **purely observational**:
 * it only ever *reads* engine state, through a sampler closure the
   engine binds at start;
 * record methods normalize everything to plain ints/floats/strings,
-  so the oracle and columnar engines — which call them with
-  ``bool``/``bytearray``-flavored values — produce byte-identical
-  logs for the same simulation.
+  so the engine's ``bool``/``bytearray``-flavored values serialize to
+  the same bytes the recorded fleet corpus pins.
 
 Both properties are pinned: a hypothesis suite asserts telemetry-on
-vs telemetry-off runs produce identical ``FleetCompletion`` streams
-on both engines, and a subprocess test asserts telemetry bytes are
-deterministic across fresh interpreters.
+vs telemetry-off runs produce equal reports, and a subprocess test
+asserts telemetry bytes are deterministic across fresh interpreters.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ class TelemetryLog:
     sorted by name.  The log is a pure value: exporters
     (:mod:`repro.obs.export`, :mod:`repro.obs.perfetto`) and alert
     evaluation (:mod:`repro.obs.alerts`) consume it without touching
-    the engines.
+    the engine.
     """
 
     pools: tuple[str, ...]
@@ -244,7 +242,7 @@ class Telemetry:
     Construct with the sampling interval and histogram edges, pass to
     ``simulate_fleet(..., telemetry=...)``, then read :meth:`log`.
     The engine-facing half (:meth:`begin` / :meth:`advance` /
-    ``record_*`` / :meth:`finish`) is called by the fleet engines
+    ``record_*`` / :meth:`finish`) is called by the fleet engine
     only; user code never needs it.
     """
 

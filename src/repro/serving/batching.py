@@ -9,12 +9,12 @@ server launches a batch whenever it is free, taking up to
 batch-latency function measured with the profiler, closing the loop
 between the kernel model and serving behaviour.
 
-Engine compatibility: :data:`BatchLatencyFn` is the latency interface
-of **both** fleet engines; the columnar engine memoizes results per
-(pool, model, rung, batch size), so a latency function must be *pure*
-— every function this module builds is.
+:data:`BatchLatencyFn` is the fleet engine's latency interface; the
+engine prices each (pool, model, rung, batch size) once and memoizes
+it, so a latency function must be *pure* — every function this module
+builds is — and must return finite, non-negative seconds.
 :func:`simulate_batching_server` itself is a standalone single-server
-simulator, independent of the fleet engine selection.  All times are
+simulator that shares no code with the fleet engine.  All times are
 seconds (``_s`` suffix).
 """
 

@@ -23,8 +23,9 @@ provides the harness around them:
   campaign comes back as the two events that actually trigger it.
 
 Run ``python -m repro.serving.chaos`` for a self-contained smoke
-campaign (generate, compile, run both engines, assert bit-equality
-and invariants) — the CI chaos gate.
+campaign (generate, round-trip the campaign file, compile, simulate
+unorchestrated and orchestrated, assert the invariants) — the CI
+chaos gate.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.serving.domains import (
     CampaignEvent,
@@ -47,7 +50,9 @@ from repro.serving.domains import (
     compile_campaign,
     event_domain,
 )
+from repro.serving.fleet import FleetReport
 from repro.serving.resilience import BrownoutConfig
+from repro.serving.workload import as_request_batch
 
 CAMPAIGN_SCHEMA = "repro-chaos-campaign"
 """Schema identifier stamped into every campaign file header."""
@@ -396,16 +401,9 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-def _request_ids(requests) -> list[int]:
-    ids = getattr(requests, "request_ids", None)
-    if ids is not None:
-        return [int(i) for i in ids]
-    return [req.request_id for req in requests]
-
-
 def check_invariants(
     requests,
-    report,
+    report: FleetReport,
     *,
     brownout: BrownoutConfig | None = None,
 ) -> InvariantReport:
@@ -432,31 +430,28 @@ def check_invariants(
        completion total, utilization stays in ``[0, 1]``, and pool
        shed counts never exceed the shed total.
 
-    Accepts a ``FleetReport`` or a ``ColumnarFleetReport`` (converted
-    via ``to_report()``), plus the submitted requests (a ``Request``
-    sequence or a ``RequestBatch``).
+    ``requests`` is what was submitted (a ``Request`` sequence, a
+    ``RequestBatch`` or a ``TrafficTrace``).  The checks run over the
+    report's columns; no per-request records are built.
     """
-    if hasattr(report, "to_report"):
-        report = report.to_report()
     violations: list[str] = []
-    submitted = _request_ids(requests)
+    submitted = as_request_batch(requests).request_ids
+    rids = report.req_request_ids
+    arrival = report.req_arrival_s
+    completed = report.completed_count
+    failed = report.failed_count
+    shed = report.shed_count
 
-    terminal: dict[int, int] = {}
-    for record in report.completed:
-        rid = record.request.request_id
-        terminal[rid] = terminal.get(rid, 0) + 1
-    for record in report.failed:
-        rid = record.request.request_id
-        terminal[rid] = terminal.get(rid, 0) + 1
-    for record in report.shed:
-        rid = record.request.request_id
-        terminal[rid] = terminal.get(rid, 0) + 1
-    submitted_set = set(submitted)
-    multi = sorted(
-        rid for rid, count in terminal.items() if count != 1
+    terminal_ids, counts = np.unique(
+        np.concatenate([
+            rids[report.comp_req], rids[report.fail_req],
+            rids[report.shed_req],
+        ]),
+        return_counts=True,
     )
-    missing = sorted(submitted_set - set(terminal))
-    unknown = sorted(set(terminal) - submitted_set)
+    multi = terminal_ids[counts != 1].tolist()
+    missing = np.setdiff1d(submitted, terminal_ids).tolist()
+    unknown = np.setdiff1d(terminal_ids, submitted).tolist()
     if multi:
         violations.append(
             f"terminal_exactly_once: ids with multiple terminal "
@@ -473,9 +468,7 @@ def check_invariants(
             f"{unknown[:5]}"
         )
 
-    total = (
-        len(report.completed) + len(report.failed) + len(report.shed)
-    )
+    total = completed + failed + shed
     if report.offered != total:
         violations.append(
             f"conservation: offered={report.offered} but "
@@ -486,92 +479,73 @@ def check_invariants(
             f"conservation: offered={report.offered} but "
             f"{len(submitted)} requests submitted"
         )
-    if report.resilience.shed != len(report.shed):
+    if report.resilience.shed != shed:
         violations.append(
             f"conservation: resilience.shed="
-            f"{report.resilience.shed} but {len(report.shed)} shed "
-            f"records"
+            f"{report.resilience.shed} but {shed} shed records"
         )
 
-    for record in report.completed:
-        arrival = record.request.arrival_s
-        if not (
-            arrival
-            <= record.queued_since_s
-            <= record.start_s
-            <= record.finish_s
-        ):
+    comp_arrival = arrival[report.comp_req]
+    queued = report.comp_queued_since_s
+    start = report.comp_start_s
+    finish = report.comp_finish_s
+    disordered = ~(
+        (comp_arrival <= queued) & (queued <= start) & (start <= finish)
+    )
+    for row in np.flatnonzero(disordered).tolist():
+        violations.append(
+            f"clock_monotone: request {rids[report.comp_req[row]]}"
+            f" arrival={comp_arrival[row]} queued={queued[row]} "
+            f"start={start[row]} finish={finish[row]}"
+        )
+    for kind, req, at in (
+        ("failed", report.fail_req, report.fail_at_s),
+        ("shed", report.shed_req, report.shed_at_s),
+    ):
+        for row in np.flatnonzero(at < arrival[req]).tolist():
             violations.append(
-                f"clock_monotone: request {record.request.request_id}"
-                f" arrival={arrival} queued={record.queued_since_s} "
-                f"start={record.start_s} finish={record.finish_s}"
-            )
-    for record in report.failed:
-        if record.failed_at_s < record.request.arrival_s:
-            violations.append(
-                f"clock_monotone: request "
-                f"{record.request.request_id} failed at "
-                f"{record.failed_at_s} before arrival "
-                f"{record.request.arrival_s}"
-            )
-    for record in report.shed:
-        if record.shed_at_s < record.request.arrival_s:
-            violations.append(
-                f"clock_monotone: request "
-                f"{record.request.request_id} shed at "
-                f"{record.shed_at_s} before arrival "
-                f"{record.request.arrival_s}"
+                f"clock_monotone: request {rids[req[row]]} {kind} at "
+                f"{at[row]} before arrival {arrival[req[row]]}"
             )
 
     makespan = report.makespan_s
-    for record in report.completed:
-        if record.finish_s > makespan:
+    for kind, req, at in (
+        ("completion", report.comp_req, finish),
+        ("failure", report.fail_req, report.fail_at_s),
+        ("shed", report.shed_req, report.shed_at_s),
+    ):
+        for row in np.flatnonzero(at > makespan).tolist():
             violations.append(
-                f"no_post_makespan_events: completion of "
-                f"{record.request.request_id} at {record.finish_s} "
-                f"> makespan {makespan}"
-            )
-    for record in report.failed:
-        if record.failed_at_s > makespan:
-            violations.append(
-                f"no_post_makespan_events: failure of "
-                f"{record.request.request_id} at "
-                f"{record.failed_at_s} > makespan {makespan}"
-            )
-    for record in report.shed:
-        if record.shed_at_s > makespan:
-            violations.append(
-                f"no_post_makespan_events: shed of "
-                f"{record.request.request_id} at {record.shed_at_s} "
-                f"> makespan {makespan}"
+                f"no_post_makespan_events: {kind} of {rids[req[row]]} "
+                f"at {at[row]} > makespan {makespan}"
             )
 
     ladder = brownout.rungs if brownout is not None else ()
-    for record in report.completed:
-        if record.rung < 0 or record.rung > len(ladder):
+    rung = report.comp_rung
+    outside = (rung < 0) | (rung > len(ladder))
+    rung_quality = np.array(
+        [1.0] + [step.quality for step in ladder], dtype=np.float64
+    )
+    expected = rung_quality[np.clip(rung, 0, len(ladder))]
+    wrong = ~outside & (report.comp_quality != expected)
+    for row in np.flatnonzero(outside | wrong).tolist():
+        rid = rids[report.comp_req[row]]
+        if outside[row]:
             violations.append(
-                f"quality_debt_bounded: request "
-                f"{record.request.request_id} served at rung "
-                f"{record.rung} outside ladder of {len(ladder)}"
+                f"quality_debt_bounded: request {rid} served at rung "
+                f"{rung[row]} outside ladder of {len(ladder)}"
             )
-            continue
-        expected = (
-            1.0 if record.rung == 0
-            else ladder[record.rung - 1].quality
-        )
-        if record.quality != expected:
+        else:
             violations.append(
-                f"quality_debt_bounded: request "
-                f"{record.request.request_id} quality "
-                f"{record.quality} != rung-{record.rung} quality "
-                f"{expected}"
+                f"quality_debt_bounded: request {rid} quality "
+                f"{report.comp_quality[row]} != rung-{rung[row]} "
+                f"quality {expected[row]}"
             )
     rung_counts = report.resilience.rung_completions
-    if sum(rung_counts) != len(report.completed):
+    if sum(rung_counts) != completed:
         violations.append(
             f"quality_debt_bounded: rung_completions sum to "
-            f"{sum(rung_counts)} but {len(report.completed)} "
-            f"completions"
+            f"{sum(rung_counts)} but {completed} completions"
         )
     if len(rung_counts) > len(ladder) + 1 and any(
         count for count in rung_counts[len(ladder) + 1:]
@@ -582,11 +556,10 @@ def check_invariants(
         )
 
     pool_completed = sum(stats.completed for stats in report.pools)
-    if pool_completed != len(report.completed):
+    if pool_completed != completed:
         violations.append(
             f"pool_accounting: pool completed counts sum to "
-            f"{pool_completed} but {len(report.completed)} "
-            f"completions"
+            f"{pool_completed} but {completed} completions"
         )
     for stats in report.pools:
         if not 0.0 <= stats.utilization <= 1.0:
@@ -595,10 +568,10 @@ def check_invariants(
                 f"{stats.utilization} outside [0, 1]"
             )
     pool_shed = sum(stats.shed for stats in report.pools)
-    if pool_shed > len(report.shed):
+    if pool_shed > shed:
         violations.append(
             f"pool_accounting: pool shed counts sum to {pool_shed} "
-            f"> {len(report.shed)} shed records"
+            f"> {shed} shed records"
         )
 
     return InvariantReport(
@@ -646,8 +619,7 @@ def shrink_campaign(
 
 
 def _smoke(seed: int, duration_s: float) -> int:
-    """Generate a campaign, run both engines, check everything."""
-    from repro.serving.columnar import simulate_fleet_columnar
+    """Generate a campaign, simulate both arms, check invariants."""
     from repro.serving.domains import topology_for_pools
     from repro.serving.faults import RetryPolicy
     from repro.serving.fleet import (
@@ -693,28 +665,20 @@ def _smoke(seed: int, duration_s: float) -> int:
         compiled = campaign.compile(
             pools=pools, orchestration=orchestration
         )
-        oracle = simulate_fleet(
-            requests, pools, faults=compiled.faults, retry=retry,
-            plan=compiled.plan, engine="oracle",
-        )
-        columnar = simulate_fleet_columnar(
+        report = simulate_fleet(
             requests, pools, faults=compiled.faults, retry=retry,
             plan=compiled.plan,
-        ).to_report()
-        if oracle != columnar:
-            print(f"FAIL [{arm}]: engines diverged")
+        )
+        verdict = check_invariants(requests, report)
+        if not verdict.ok:
+            print(f"FAIL [{arm}]: {verdict.render()}")
             status = 1
-        for engine, rep in (("oracle", oracle), ("columnar", columnar)):
-            verdict = check_invariants(requests, rep)
-            if not verdict.ok:
-                print(f"FAIL [{arm}/{engine}]: {verdict.render()}")
-                status = 1
         print(
             f"[{arm}] events={len(campaign.events)} "
-            f"completed={len(oracle.completed)} "
-            f"failed={len(oracle.failed)} "
-            f"makespan={oracle.makespan_s:.1f}s "
-            f"engines=bit-identical invariants=ok"
+            f"completed={report.completed_count} "
+            f"failed={report.failed_count} "
+            f"makespan={report.makespan_s:.1f}s "
+            f"invariants={'ok' if verdict.ok else 'VIOLATED'}"
         )
     return status
 
@@ -725,8 +689,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         description=(
-            "chaos smoke: seeded campaign, both engines, "
-            "bit-equality + invariants"
+            "chaos smoke: seeded campaign, round trip, "
+            "simulation + invariants"
         )
     )
     parser.add_argument("--seed", type=int, default=0)

@@ -1,11 +1,8 @@
-"""Columnar (struct-of-arrays) fleet engine.
+"""The fleet engine: struct-of-arrays state, one merged event loop.
 
-The event-at-a-time simulator in :mod:`repro.serving.fleet` is the
-*oracle*: one Python object per queued request, one heap entry per
-arrival, a linear scan over servers per dispatch.  Correct, legible —
-and ~45 s per million requests, which makes the paper's fleet-scale
-questions (a million-user day, ServeGen-style trace replay) painful.
-This module is the same simulation re-laid-out for speed:
+:func:`repro.serving.fleet.simulate_fleet` runs this engine; nothing
+here is public.  The layout is chosen so that ServeGen-style
+million-request client traces replay in seconds:
 
 * **Struct-of-arrays state.**  Requests live as four aligned columns
   (:class:`repro.serving.workload.RequestBatch`); queue entries,
@@ -16,79 +13,51 @@ This module is the same simulation re-laid-out for speed:
   list indexing, which beats numpy scalar access for this access
   pattern.
 * **No heap traffic for arrivals.**  Arrivals are a pre-sorted column
-  merged against the (much smaller) runtime event heap, removing the
-  dominant ``heappush``/``heappop`` cost of the oracle.
-* **Epoch-free exactness.**  Control decisions (admission control,
-  circuit breakers, brownout, autoscaler ticks) fire at exactly the
-  same simulated instants as in the oracle — the merge preserves the
-  oracle's global ``(time, seq)`` event order, so "epoch chunking" here
-  means *batched bookkeeping between decision points*, never deferred
-  decisions (see ``docs/FLEET_CORE.md``).
+  merged against the (much smaller) runtime event heap; they still
+  take their place in the global ``(time, seq)`` event order, so
+  control decisions (admission control, circuit breakers, brownout,
+  autoscaler ticks) fire at exact simulated instants, never deferred
+  (see ``docs/FLEET_CORE.md``).
 * **Memoized latency curves, indexed free-server heaps, maintained
-  sorted hedge samples** — pure-speed replacements for the oracle's
-  per-event recomputation, each preserving float-op order bit-exactly.
+  sorted hedge samples** — no per-event recomputation.  Batch-latency
+  functions must therefore be *pure*: each (pool, model, rung, batch
+  size) is priced once, and a non-finite or negative price is rejected
+  there with the pool, model, rung and batch size named.
 
-The contract (pinned by ``tests/serving/test_engine_equivalence.py``):
-:func:`simulate_fleet_columnar` produces a report whose
-:meth:`ColumnarFleetReport.to_report` compares **equal** — every float
-bit-identical — to the oracle's
-:class:`repro.serving.fleet.FleetReport` for the same inputs.  One
-assumption the oracle does not make: batch-latency functions must be
-*pure* (the engine caches ``fn(batch_size)`` per pool/model/rung).
-
-All times are **seconds** of simulation time.  Engine compatibility of
-everything in this module: columnar-only (the oracle neither produces
-nor consumes these types).
+The recorded corpus (``tests/golden/fleet_corpus.json``, checked by
+``tests/serving/test_fleet_corpus.py``) pins the engine's output bit
+for bit.  All times are **seconds** of simulation time.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import insort
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
 
-from repro.serving.faults import (
-    FAULT_FREE,
-    NO_RETRIES,
-    FaultSchedule,
-    RecoveryPlan,
-    RetryPolicy,
-)
+from repro.serving.faults import FaultSchedule, RecoveryPlan, RetryPolicy
 from repro.serving.fleet import (
+    REASON_LABELS,
     AutoscalerConfig,
-    FailedRequest,
-    FleetCompletion,
     FleetReport,
     PoolSpec,
     PoolStats,
-    _validate_pools,
 )
 from repro.serving.policies import (
     FifoPolicy,
     ModelAffinityPolicy,
     ShortestJobFirst,
 )
-from repro.serving.resilience import (
-    RESILIENCE_OFF,
-    ResilienceConfig,
-    ResilienceStats,
-    ShedRequest,
-)
+from repro.serving.resilience import ResilienceConfig, ResilienceStats
 from repro.serving.workload import Request, RequestBatch
 
-# Terminal-state reason codes, interned once; columnar reports store
-# the small ints and materialize the strings on demand.
-REASON_LABELS = (
-    "unroutable", "crash", "timeout",
-    "shed-rate", "shed-depth", "shed-wait",
-)
+# Indices into REASON_LABELS.
 _R_UNROUTABLE, _R_CRASH, _R_TIMEOUT = 0, 1, 2
 _R_SHED_RATE, _R_SHED_DEPTH, _R_SHED_WAIT = 3, 4, 5
 
@@ -97,203 +66,6 @@ _R_SHED_RATE, _R_SHED_DEPTH, _R_SHED_WAIT = 3, 4, 5
 _RETRY, _FREE, _CRASH, _RECOVER, _TIMEOUT = 0, 1, 2, 3, 4
 _ACTIVATE, _TICK, _HEDGE, _PROBE, _BROWNOUT = 5, 6, 7, 8, 9
 _CORDON, _UNCORDON, _MARKER = 10, 11, 12
-
-
-@dataclass(frozen=True, eq=False)
-class ColumnarFleetReport:
-    """Fleet-simulation output as aligned numpy columns.
-
-    The columnar twin of :class:`repro.serving.fleet.FleetReport`:
-    completions / failures / sheds are parallel arrays (sorted by
-    finish / failure / shed time with stable tie-break, exactly like
-    the oracle's tuples), and :meth:`to_report` materializes the
-    object form bit-identically.  :func:`repro.serving.slo.slo_report`
-    consumes this type directly through its vectorized path — for
-    large runs, never materialize just to compute SLOs.
-
-    All times are seconds.  ``comp_req``/``fail_req``/``shed_req``
-    index the request table columns (``req_*``); ``*_pool`` columns
-    hold indices into ``pool_names`` (−1 encodes the oracle's ``""``
-    pool on unroutable failures and rate-limit sheds); ``fail_reason``
-    / ``shed_reason`` hold indices into :data:`REASON_LABELS`.
-    """
-
-    models: tuple[str, ...]
-    pool_names: tuple[str, ...]
-    req_arrival_s: np.ndarray
-    req_service_s: np.ndarray
-    req_model_ids: np.ndarray
-    req_request_ids: np.ndarray
-    comp_req: np.ndarray
-    comp_pool: np.ndarray
-    comp_server: np.ndarray
-    comp_queued_since_s: np.ndarray
-    comp_start_s: np.ndarray
-    comp_finish_s: np.ndarray
-    comp_attempts: np.ndarray
-    comp_hedged: np.ndarray
-    comp_rung: np.ndarray
-    comp_quality: np.ndarray
-    fail_req: np.ndarray
-    fail_pool: np.ndarray
-    fail_attempts: np.ndarray
-    fail_reason: np.ndarray
-    fail_at_s: np.ndarray
-    shed_req: np.ndarray
-    shed_pool: np.ndarray
-    shed_attempts: np.ndarray
-    shed_reason: np.ndarray
-    shed_at_s: np.ndarray
-    pools: tuple[PoolStats, ...]
-    makespan_s: float
-    offered: int
-    resilience: ResilienceStats
-
-    def __len__(self) -> int:
-        return int(len(self.comp_req))
-
-    @property
-    def completed_count(self) -> int:
-        """Number of successfully served requests."""
-        return int(len(self.comp_req))
-
-    @property
-    def completion_rate(self) -> float:
-        """Fraction of offered requests that eventually completed."""
-        if self.offered == 0:
-            return 0.0
-        return len(self.comp_req) / self.offered
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of offered requests rejected by admission."""
-        if self.offered == 0:
-            return 0.0
-        return len(self.shed_req) / self.offered
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        """Client-observed latency per completion (finish − arrival)."""
-        return self.comp_finish_s - self.req_arrival_s[self.comp_req]
-
-    @property
-    def service_s(self) -> np.ndarray:
-        """Final-attempt GPU time per completion (finish − start)."""
-        return self.comp_finish_s - self.comp_start_s
-
-    @property
-    def queueing_s(self) -> np.ndarray:
-        """Per-completion non-service latency (latency − service)."""
-        return self.latency_s - self.service_s
-
-    def _request(self, index: int) -> Request:
-        return Request(
-            request_id=int(self.req_request_ids[index]),
-            arrival_s=float(self.req_arrival_s[index]),
-            model=self.models[int(self.req_model_ids[index])],
-            service_s=float(self.req_service_s[index]),
-        )
-
-    @cached_property
-    def _pools_by_name(self) -> Mapping[str, PoolStats]:
-        return {stats.name: stats for stats in self.pools}
-
-    def pool_stats(self, name: str) -> PoolStats:
-        """Stats for one pool by name (same lookup as FleetReport)."""
-        try:
-            return self._pools_by_name[name]
-        except KeyError:
-            known = ", ".join(stats.name for stats in self.pools)
-            raise ValueError(
-                f"unknown pool {name!r}; known pools: {known}"
-            ) from None
-
-    def to_report(self) -> FleetReport:
-        """Materialize the bit-identical object-form ``FleetReport``.
-
-        Allocates one ``Request``/``FleetCompletion`` per record — fine
-        for inspection and small runs, deliberately avoided by the
-        vectorized SLO path for million-request outputs.
-        """
-        pool_of = self.pool_names
-        completed = tuple(
-            FleetCompletion(
-                request=self._request(req),
-                pool=pool_of[pool],
-                server=server,
-                queued_since_s=queued,
-                start_s=start,
-                finish_s=finish,
-                attempts=attempts,
-                hedged=hedged,
-                rung=rung,
-                quality=quality,
-            )
-            for req, pool, server, queued, start, finish, attempts,
-            hedged, rung, quality in zip(
-                self.comp_req.tolist(), self.comp_pool.tolist(),
-                self.comp_server.tolist(),
-                self.comp_queued_since_s.tolist(),
-                self.comp_start_s.tolist(), self.comp_finish_s.tolist(),
-                self.comp_attempts.tolist(), self.comp_hedged.tolist(),
-                self.comp_rung.tolist(), self.comp_quality.tolist(),
-            )
-        )
-        failed = tuple(
-            FailedRequest(
-                request=self._request(req),
-                pool=pool_of[pool] if pool >= 0 else "",
-                attempts=attempts,
-                reason=REASON_LABELS[reason],
-                failed_at_s=at,
-            )
-            for req, pool, attempts, reason, at in zip(
-                self.fail_req.tolist(), self.fail_pool.tolist(),
-                self.fail_attempts.tolist(), self.fail_reason.tolist(),
-                self.fail_at_s.tolist(),
-            )
-        )
-        shed = tuple(
-            ShedRequest(
-                request=self._request(req),
-                pool=pool_of[pool] if pool >= 0 else "",
-                attempts=attempts,
-                reason=REASON_LABELS[reason],
-                shed_at_s=at,
-            )
-            for req, pool, attempts, reason, at in zip(
-                self.shed_req.tolist(), self.shed_pool.tolist(),
-                self.shed_attempts.tolist(), self.shed_reason.tolist(),
-                self.shed_at_s.tolist(),
-            )
-        )
-        return FleetReport(
-            completed=completed,
-            failed=failed,
-            pools=self.pools,
-            makespan_s=self.makespan_s,
-            offered=self.offered,
-            shed=shed,
-            resilience=self.resilience,
-        )
-
-
-def _request_columns(
-    requests: Sequence[Request] | RequestBatch,
-) -> RequestBatch:
-    """Normalize any request representation to columns.
-
-    Accepts a ``Sequence[Request]``, a :class:`RequestBatch`, or a
-    :class:`repro.serving.traffic.TrafficTrace` (whose ``batch`` is
-    already columnar — a zero-copy handoff).
-    """
-    from repro.serving.traffic import TrafficTrace
-
-    if isinstance(requests, TrafficTrace):
-        return requests.batch
-    if isinstance(requests, RequestBatch):
-        return requests
-    return RequestBatch.from_requests(requests)
 
 
 class _QueueProxy:
@@ -311,7 +83,7 @@ class _QueueProxy:
 
 
 class _ColPool:
-    """Mutable per-pool engine state (columnar counterpart of _Pool)."""
+    """Mutable per-pool engine state."""
 
     __slots__ = (
         "spec", "index", "queue", "sid0", "nserv", "last_scale_at",
@@ -349,13 +121,7 @@ class _ColPool:
 
 
 class _ColumnarState:
-    """The merged arrival/event loop behind the columnar engine.
-
-    Mirrors :class:`repro.serving.fleet._FleetState` handler for
-    handler; every divergence is a data-structure substitution with a
-    proof obligation of bit-exactness (catalogued in
-    ``docs/FLEET_CORE.md``).
-    """
+    """The merged arrival/event loop behind ``simulate_fleet``."""
 
     def __init__(
         self,
@@ -452,7 +218,7 @@ class _ColumnarState:
         ]
 
         # Stragglers split per sid, preserving global schedule order so
-        # "first matching window" scans agree with the oracle.
+        # "first matching window" wins when windows overlap.
         self.straggler_by_sid: dict[int, list[tuple[float, float, float]]]
         self.straggler_by_sid = {}
         for window in faults.stragglers:
@@ -479,7 +245,7 @@ class _ColumnarState:
         self.e_cancelled = bytearray()
         self.e_done = bytearray()
 
-        # Terminal-record buffers (append order == oracle append order).
+        # Terminal-record buffers (append order breaks sort ties).
         self.c_req: list[int] = []
         self.c_pool: list[int] = []
         self.c_server: list[int] = []
@@ -573,7 +339,7 @@ class _ColumnarState:
 
     # -- run loop ------------------------------------------------------
 
-    def run(self) -> ColumnarFleetReport:
+    def run(self) -> FleetReport:
         """Merge the arrival column with the event heap to completion."""
         n = len(self.r_arrival)
         offered = n
@@ -587,16 +353,16 @@ class _ColumnarState:
         else:
             arr_times = []
             order_list = []
-        # The oracle pushes every arrival first, consuming seqs 1..n in
-        # input order; replicate the counter without the pushes.
+        # Arrivals own seqs 1..n in input order (the tie-break at equal
+        # times); reserve them without pushing.
         self.seq = n
         for crash in self.faults.crashes:
             if crash.server < self.nserv_total:
                 self._push(
                     crash.at_s, _CRASH, (crash.server, crash.recover_s)
                 )
-        # Plan events consume seqs at the oracle's exact positions:
-        # after crashes, before the autoscaler/brownout ticks.
+        # Seed order at equal times: crashes, plan events, then the
+        # autoscaler and brownout ticks.
         if self.plan is not None:
             for action in self.plan.actions:
                 if action.server < self.nserv_total:
@@ -621,7 +387,14 @@ class _ColumnarState:
             )
 
         heap = self.heap
-        handle = self._handle
+        # Indexed by event kind (``_RETRY`` .. ``_MARKER``).
+        handlers = (
+            self._on_retry, self._on_free, self._on_crash,
+            self._on_recover, self._on_timeout, self._on_activate,
+            self._on_tick, self._on_hedge, self._on_probe,
+            self._on_brownout, self._on_cordon, self._on_uncordon,
+            self._on_marker,
+        )
         ai = 0
         pop = heapq.heappop
         while True:
@@ -636,7 +409,7 @@ class _ColumnarState:
                         now, _, kind, payload = pop(heap)
                         if tel is not None:
                             tel.advance(now)
-                        handle(kind, now, payload)
+                        handlers[kind](now, payload)
                         continue
                 ridx = order_list[ai]
                 ai += 1
@@ -647,7 +420,7 @@ class _ColumnarState:
                 now, _, kind, payload = pop(heap)
                 if tel is not None:
                     tel.advance(now)
-                handle(kind, now, payload)
+                handlers[kind](now, payload)
             else:
                 break
         return self._build_report(offered)
@@ -674,35 +447,7 @@ class _ColumnarState:
             ))
         return rows
 
-    def _handle(self, kind: int, now: float, payload: object) -> None:
-        if kind == _FREE:
-            self._on_free(now, payload)
-        elif kind == _TIMEOUT:
-            self._on_timeout(now, payload)
-        elif kind == _RETRY:
-            self._on_retry(now, payload)
-        elif kind == _HEDGE:
-            self._on_hedge(now, payload)
-        elif kind == _CRASH:
-            self._on_crash(now, payload)
-        elif kind == _RECOVER:
-            self._on_recover(now, payload)
-        elif kind == _TICK:
-            self._on_tick(now)
-        elif kind == _BROWNOUT:
-            self._on_brownout(now)
-        elif kind == _ACTIVATE:
-            self._on_activate(now, payload)
-        elif kind == _PROBE:
-            self._on_probe(now, payload)
-        elif kind == _CORDON:
-            self._on_cordon(now, payload)
-        elif kind == _UNCORDON:
-            self._on_uncordon(now, payload)
-        else:
-            self._on_marker(now, payload)
-
-    # -- event handlers (oracle handlers, SoA state) -------------------
+    # -- event handlers ------------------------------------------------
 
     def _on_arrival(self, now: float, ridx: int) -> None:
         if self.tel is not None:
@@ -843,7 +588,7 @@ class _ColumnarState:
         self._mark_maybe_free(sid)
         self._dispatch(pool, now)
 
-    def _on_tick(self, now: float) -> None:
+    def _on_tick(self, now: float, _payload: None) -> None:
         config = self.autoscaler
         for pool in self.pools:
             if now - pool.last_scale_at < config.cooldown_s:
@@ -946,7 +691,13 @@ class _ColumnarState:
             or self.e_twin[eid] != -1
         ):
             return
-        pool = self._route_hedge(eid)
+        # The hedge goes to a different pool when one is eligible.
+        eligible = self.route_pools[self.r_model[self.e_req[eid]]]
+        home = self.e_pool[eid]
+        pool = self._least_loaded(
+            [other for other in eligible if other.index != home]
+            or eligible
+        )
         if pool is None:
             return
         copy = self._new_entry(
@@ -981,7 +732,7 @@ class _ColumnarState:
         self._mark_maybe_free(sid)
         self._dispatch(self.pools[self.s_pool[sid]], now)
 
-    def _on_brownout(self, now: float) -> None:
+    def _on_brownout(self, now: float, _payload: None) -> None:
         config = self.res.brownout
         for pool in self.pools:
             backlog = len(pool.queue) / max(1, pool.active_count)
@@ -1023,15 +774,15 @@ class _ColumnarState:
             / max(1, pool.active_count)
         )
 
-    def _route(self, mid: int) -> _ColPool | None:
-        eligible = self.route_pools[mid]
-        if not eligible:
+    def _least_loaded(self, pools: list[_ColPool]) -> _ColPool | None:
+        """The first pool with the lowest load (``None`` if empty)."""
+        if not pools:
             return None
-        best = eligible[0]
-        if len(eligible) == 1:
+        best = pools[0]
+        if len(pools) == 1:
             return best
         best_load = self._load(best)
-        for pool in eligible[1:]:
+        for pool in pools[1:]:
             load = self._load(pool)
             if load < best_load:
                 best = pool
@@ -1050,7 +801,7 @@ class _ColumnarState:
             self._shed(now, eid, reason=_R_SHED_RATE, pool=-1)
             return
         mid = self.r_model[ridx]
-        pool = self._route(mid)
+        pool = self._least_loaded(self.route_pools[mid])
         if pool is None:
             self.f_req.append(ridx)
             self.f_pool.append(-1)
@@ -1170,22 +921,6 @@ class _ColumnarState:
         )
         return ordered[index]
 
-    def _route_hedge(self, eid: int) -> _ColPool | None:
-        eligible = self.route_pools[self.r_model[self.e_req[eid]]]
-        home = self.e_pool[eid]
-        others = [pool for pool in eligible if pool.index != home]
-        candidates = others or eligible
-        if not candidates:
-            return None
-        best = candidates[0]
-        best_load = self._load(best)
-        for pool in candidates[1:]:
-            load = self._load(pool)
-            if load < best_load:
-                best = pool
-                best_load = load
-        return best
-
     def _rung_for(self, pool: _ColPool, mid: int) -> int:
         if pool.rung > 0 and mid in pool.rung_fns[pool.rung - 1]:
             return pool.rung
@@ -1201,6 +936,14 @@ class _ColumnarState:
                 else pool.spec_fns[mid]
             )
             value = fn(size)
+            # ``nan < 0`` is False: check finiteness explicitly.
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(
+                    f"pool {pool.spec.name!r}, model "
+                    f"{self.models[mid]!r}, rung {rung}, batch size "
+                    f"{size}: batch latency must be finite and "
+                    f"non-negative, got {value!r}"
+                )
             self.latency_memo[key] = value
         return value
 
@@ -1294,8 +1037,8 @@ class _ColumnarState:
         """Pick batch queue positions; returns ``(positions, model)``.
 
         Built-in policies run as index loops over entry ids (no object
-        churn); any other policy gets the oracle's object protocol via
-        :class:`_QueueProxy` views.
+        churn); any other policy gets the ``SchedulingPolicy`` protocol
+        via :class:`_QueueProxy` views.
         """
         queue = pool.queue
         mode = pool.policy_mode
@@ -1325,7 +1068,7 @@ class _ColumnarState:
                     best_key = key
             mid = r_model[e_req[queue[best]]]
             return self._same_model(pool, mid), mid
-        # Generic policy: oracle protocol over materialized views.
+        # Generic policy: the protocol over materialized views.
         views = [
             _QueueProxy(
                 self.batch.request(e_req[eid]),
@@ -1426,7 +1169,7 @@ class _ColumnarState:
 
     # -- report assembly ----------------------------------------------
 
-    def _build_report(self, offered: int) -> ColumnarFleetReport:
+    def _build_report(self, offered: int) -> FleetReport:
         candidates = [self.last_arrival]
         if self.c_finish:
             candidates.append(max(self.c_finish))
@@ -1483,7 +1226,7 @@ class _ColumnarState:
             for pool in self.pools
         )
         rung_quality = np.asarray(self.rung_quality, dtype=np.float64)
-        return ColumnarFleetReport(
+        return FleetReport(
             models=self.models,
             pool_names=self.pool_names,
             req_arrival_s=self.batch.arrival_s,
@@ -1567,40 +1310,3 @@ class _ColumnarState:
             swaps=swaps,
             shed=shed,
         )
-
-
-def simulate_fleet_columnar(
-    requests: Sequence[Request] | RequestBatch,
-    pools: Sequence[PoolSpec],
-    *,
-    retry: RetryPolicy = NO_RETRIES,
-    faults: FaultSchedule = FAULT_FREE,
-    autoscaler: AutoscalerConfig | None = None,
-    resilience: ResilienceConfig = RESILIENCE_OFF,
-    telemetry: "Telemetry | None" = None,
-    plan: RecoveryPlan | None = None,
-) -> ColumnarFleetReport:
-    """Run the columnar fleet engine to completion.
-
-    Semantics are exactly :func:`repro.serving.fleet.simulate_fleet`
-    (the oracle) — same routing, policies, faults, retries, autoscaler
-    and resilience behavior, same determinism contract — returning a
-    :class:`ColumnarFleetReport` whose :meth:`~ColumnarFleetReport
-    .to_report` is bit-identical to the oracle's output.  Requires
-    *pure* batch-latency functions (results are memoized per
-    pool/model/rung/batch-size).  Prefer this engine above ~50 k
-    requests; prefer ``simulate_fleet(..., engine="auto")`` to choose
-    automatically.
-
-    ``telemetry`` takes a fresh :class:`repro.obs.Telemetry`; the
-    emitted spans, fleet events and samples are byte-identical to the
-    oracle's for the same inputs, and passing a collector never
-    changes the simulation outcome.
-    """
-    _validate_pools(pools)
-    batch = _request_columns(requests)
-    state = _ColumnarState(
-        pools, retry, faults, autoscaler, resilience, batch,
-        telemetry=telemetry, plan=plan,
-    )
-    return state.run()

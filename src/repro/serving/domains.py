@@ -5,7 +5,7 @@ per-server crashes and stragglers; real availability is dominated by
 *correlated* loss — a zone outage or a top-of-rack switch failure
 takes out whole slices of capacity at once, and the retry storm on
 recovery is often worse than the outage.  This module adds the
-failure-domain model on top without touching either engine's event
+failure-domain model on top without touching the engine's event
 semantics:
 
 * a **server → host → rack → zone topology** (:class:`DomainTopology`)
@@ -29,16 +29,15 @@ semantics:
 Because fault schedules are known inputs, recovery orchestration
 (warm-standby promotion at detection time, staggered re-admission
 after recovery to suppress thundering-herd retry storms) compiles to
-*scheduled* actions rather than runtime feedback — so both the oracle
-and columnar engines replay a campaign bit-identically with only two
-tiny new handlers (cordon/uncordon).  Determinism contract: one
+*scheduled* actions rather than runtime feedback — so the engine
+replays a campaign deterministically with only two tiny handlers
+(cordon/uncordon).  Determinism contract: one
 ``random.Random(seed)`` consumed in a fixed, documented order (per
 event in listed order; outages draw one jitter per contained server in
 ascending server-id order, and only when ``stagger_s > 0``).
 
-All times are seconds.  Engine compatibility: everything here is
-consumed by both engines identically (the compiler's outputs are plain
-``faults``/``plan`` inputs to ``simulate_fleet``).
+All times are seconds.  The compiler's outputs are plain
+``faults``/``plan`` inputs to ``simulate_fleet``.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ def fleet_server_ids(
 ) -> tuple[tuple[int, int, int], ...]:
     """Per-pool ``(first_sid, active_servers, total_servers)``.
 
-    Replicates the engines' server-id assignment (pool-by-pool in
+    Replicates the engine's server-id assignment (pool-by-pool in
     declaration order, active servers before standbys) so campaign
     compilation and topologies can target "server 2 of pool 1" stably.
     """
@@ -510,7 +509,7 @@ def compile_campaign(
     instant — the thundering-herd baseline.
 
     Overlapping events on one domain are lowered independently
-    (best-effort: engines ignore crashes on already-down servers and
+    (best-effort: the engine ignores crashes on already-down servers and
     redundant cordons); generators keep domains disjoint in time.
     """
     rng = random.Random(seed)

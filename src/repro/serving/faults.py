@@ -25,9 +25,8 @@ Semantics, as implemented by :mod:`repro.serving.fleet`:
   ``RetryPolicy.timeout_s`` abandons the queue; it retries (after
   backoff) while attempts remain, else it is recorded as failed.
 
-Engine compatibility: fault schedules and retry policies drive **both**
-fleet engines identically — the deterministic backoff jitter is seeded
-per request id, not per engine, so retry timing matches bit-for-bit.
+The deterministic backoff jitter is seeded per request id, so retry
+timing is a pure function of the inputs.
 All times are seconds (``_s`` suffix), rates are per hour where named
 so (``crash_rate_per_hour``).
 """
@@ -277,7 +276,7 @@ class ControlAction:
 
 @dataclass(frozen=True)
 class DomainMarker:
-    """A domain-transition annotation the engines emit to telemetry.
+    """A domain-transition annotation the engine emits to telemetry.
 
     Markers are purely observational: they never read or write
     simulation state, so a plan with markers and no actions produces a
@@ -313,11 +312,11 @@ class RecoveryPlan:
     Produced by :func:`repro.serving.domains.compile_campaign` from a
     domain topology plus an
     :class:`~repro.serving.domains.OrchestrationConfig`; consumed by
-    both fleet engines via ``simulate_fleet(..., plan=...)``.  Because
+    the fleet engine via ``simulate_fleet(..., plan=...)``.  Because
     fault schedules are known inputs, recovery orchestration compiles
     to *scheduled* control actions — warm-standby promotion at
     detection time, staggered re-admission after recovery — rather
-    than runtime feedback, which keeps both engines bit-identical with
+    than runtime feedback, which keeps the engine deterministic with
     zero new decision logic.
     """
 

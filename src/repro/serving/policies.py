@@ -18,12 +18,11 @@ arrived by ``now``) and return *indices* into it; the simulator removes
 the selected entries and charges the pool's swap cost if the batch's
 model differs from the server's last-served model.
 
-Engine compatibility: policies work in **both** fleet engines.  The
-columnar engine recognizes the three built-in classes by exact type
-and dispatches to loop-free equivalents of their ``select``; custom
+The fleet engine recognizes the three built-in classes by exact type
+and dispatches to index-loop equivalents of their ``select``; custom
 policies — including *subclasses* of the built-ins — are called
-through a :class:`QueueView` proxy exactly as the oracle calls them
-(slower, still bit-exact).  All times are seconds.
+through a :class:`QueueView` proxy (slower, same result).  All times
+are seconds.
 """
 
 from __future__ import annotations

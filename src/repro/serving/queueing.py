@@ -7,9 +7,9 @@ end-to-end story — "Flash Attention cuts SD service time 1.6x, which
 at 70% load cuts p95 latency by ..." — is computable inside this
 repository.
 
-Engine compatibility: this single-pool FIFO simulator is standalone —
-it predates and sits outside the fleet engine selection
-(``simulate_fleet(..., engine=...)``); there is no columnar variant.
+This single-pool FIFO simulator is standalone: it predates the fleet
+engine (:func:`repro.serving.fleet.simulate_fleet`) and shares no code
+with it.  Folding it into a one-pool fleet config is an open item.
 All times are seconds (``_s`` suffix).
 """
 

@@ -39,12 +39,10 @@ function of simulation state):
 :func:`repro.serving.fleet.simulate_fleet` and is guaranteed to
 reproduce the unprotected simulator event-for-event.
 
-Engine compatibility: every config and stats class here is consumed by
-**both** fleet engines with identical semantics (the equivalence suite
-toggles each mechanism independently and asserts bit-identical
-reports).  A :class:`DegradedRung`'s ``latency_fns`` must be pure,
-like the pool's own — the columnar engine memoizes per rung.  All
-times are seconds (``_s`` suffix).
+The recorded fleet corpus toggles each mechanism independently and
+pins the engine's output bit for bit.  A :class:`DegradedRung`'s
+``latency_fns`` must be pure, like the pool's own — the engine
+memoizes per rung.  All times are seconds (``_s`` suffix).
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ the Section V loop — whether throwing a TP group at a model beats
 running independent replicas is exactly the capacity-planning question
 the serving layer exists to answer.
 
-Engine compatibility: the batch-latency functions a replica produces
-are profiled once and then pure, so they feed **both** fleet engines
-(the columnar engine memoizes them).  All times are seconds.
+The batch-latency functions a replica produces are profiled once and
+then pure, so the fleet engine can memoize them.  All times are
+seconds.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ Three layers:
   :func:`loads_trace` / :func:`save_trace` / :func:`load_trace`), and
   exposes the stream as both a columnar :class:`RequestBatch`
   (``trace.batch``) and a ``list[Request]`` (``trace.to_requests()``),
-  so both fleet engines replay it natively.
+  so the fleet engine replays it natively.
 
 Scenario edits (:class:`ScaleRates`, :class:`ScaleClients`,
 :class:`AddRateWindow`, :class:`AddMixWindow`, :class:`SetRamp`) are
@@ -659,9 +659,8 @@ class TrafficTrace:
     generator parameters (or provenance for derived traces) and
     round-trips through the header record.
 
-    Engine compatibility: both fleet engines accept a ``TrafficTrace``
-    directly wherever they accept requests — the columnar engine
-    ingests ``batch`` as-is, the oracle engine materializes it.
+    The fleet engine accepts a ``TrafficTrace`` directly wherever it
+    accepts requests and ingests ``batch`` as-is.
     """
 
     models: tuple[str, ...]

@@ -15,9 +15,8 @@ All times in this module are **seconds** of simulation time.
 Million-request streams do not fit the one-object-per-request
 representation comfortably: :class:`RequestBatch` is the same stream
 as a struct-of-arrays column set (numpy), produced at array speed by
-:func:`generate_requests_batch` and consumed natively by the columnar
-fleet engine (``docs/FLEET_CORE.md``).  Both fleet engines accept
-either representation.
+:func:`generate_requests_batch` and consumed natively by the fleet
+engine (``docs/FLEET_CORE.md``), which accepts either representation.
 
 Seeding contract
 ----------------
@@ -62,9 +61,8 @@ import numpy as np
 class Request:
     """One generation request (times in seconds).
 
-    Engine compatibility: consumed by both fleet engines; the columnar
-    engine ingests sequences of these into :class:`RequestBatch`
-    columns at simulation start.
+    The fleet engine ingests sequences of these into
+    :class:`RequestBatch` columns at simulation start.
     """
 
     request_id: int
@@ -73,8 +71,17 @@ class Request:
     service_s: float
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0 or self.service_s <= 0:
-            raise ValueError("invalid request timing")
+        # ``nan < 0`` is False: check finiteness explicitly.
+        if not (math.isfinite(self.arrival_s) and self.arrival_s >= 0):
+            raise ValueError(
+                f"request {self.request_id}: arrival_s must be finite "
+                f"and non-negative, got {self.arrival_s!r}"
+            )
+        if not (math.isfinite(self.service_s) and self.service_s > 0):
+            raise ValueError(
+                f"request {self.request_id}: service_s must be finite "
+                f"and positive, got {self.service_s!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +94,16 @@ class RequestBatch:
     instead of ~10⁶ boxed objects, and ingestion into the engine is a
     buffer handoff rather than an attribute-access loop.
 
-    Engine compatibility: both engines accept a ``RequestBatch``
-    wherever they accept ``Sequence[Request]`` (the oracle engine
-    materializes it via :meth:`to_requests` first — convenient, but it
-    forfeits the memory advantage).
+    The fleet engine accepts a ``RequestBatch`` wherever it accepts
+    ``Sequence[Request]`` and simulates it without a copy.
 
     Attributes:
         models: interned model-name table; ``model_ids`` indexes it.
-        arrival_s: float64 arrival times (seconds, non-negative; not
-            required to be sorted — engines order arrivals stably).
+        arrival_s: float64 arrival times (seconds, finite and
+            non-negative; not required to be sorted — the engine
+            orders arrivals stably).
         service_s: float64 nominal single-request service times
-            (seconds, positive).
+            (seconds, finite and positive).
         model_ids: integer index into ``models`` per request.
         request_ids: client-visible request ids (feed retry-jitter
             seeding and hedge de-duplication, exactly like
@@ -122,10 +128,15 @@ class RequestBatch:
         }
         if len(lengths) != 1:
             raise ValueError("request columns must be aligned")
+        # ``nan < 0`` is False, so min() alone lets NaN through.
+        if not np.isfinite(self.arrival_s).all():
+            raise ValueError("arrival_s must be finite (found NaN or inf)")
+        if not np.isfinite(self.service_s).all():
+            raise ValueError("service_s must be finite (found NaN or inf)")
         if len(self.arrival_s) and float(self.arrival_s.min()) < 0:
-            raise ValueError("arrival times must be non-negative")
+            raise ValueError("arrival_s must be non-negative")
         if len(self.service_s) and float(self.service_s.min()) <= 0:
-            raise ValueError("service times must be positive")
+            raise ValueError("service_s must be positive")
         if len(self.model_ids) and not (
             0 <= int(self.model_ids.min())
             and int(self.model_ids.max()) < len(self.models)
@@ -183,6 +194,22 @@ class RequestBatch:
             )
             for i in range(len(arrivals))
         ]
+
+
+def as_request_batch(requests) -> RequestBatch:
+    """Columns for any request stream the fleet engine accepts.
+
+    A :class:`RequestBatch` passes through; a
+    :class:`repro.serving.traffic.TrafficTrace` hands over its
+    ``batch`` (no copy); a ``Sequence[Request]`` is columnarized.
+    """
+    from repro.serving.traffic import TrafficTrace
+
+    if isinstance(requests, TrafficTrace):
+        return requests.batch
+    if isinstance(requests, RequestBatch):
+        return requests
+    return RequestBatch.from_requests(requests)
 
 
 @dataclass(frozen=True)
@@ -386,9 +413,6 @@ def generate_requests_batch(
     inter-arrival gaps, then all model choices, then all jitters — a
     deterministic but *different* random stream than the scalar
     generators at the same seed (see the module seeding contract).
-
-    Engine compatibility: both (the oracle engine materializes the
-    batch into ``Request`` objects first).
 
     ``arrival_rate`` may be 0 — the batch is empty but keeps the
     mix's model table; negative rates are rejected.

@@ -4,8 +4,8 @@ The JSONL export claims byte determinism — same simulation, same
 bytes, in any process.  Hash randomization, dict ordering accidents or
 float formatting drift would all break that silently inside one
 interpreter; this test runs the same instrumented simulation in two
-fresh subprocesses (explicitly different ``PYTHONHASHSEED``) on both
-engines and compares sha256 digests of the serialized telemetry.
+fresh subprocesses (explicitly different ``PYTHONHASHSEED``) and
+compares sha256 digests of the serialized telemetry.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import hashlib
 import sys
 
 from repro.obs import Telemetry, dumps_telemetry
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.faults import Crash, FaultSchedule, RetryPolicy
 from repro.serving.fleet import (
     PoolSpec, affine_batch_latency, simulate_fleet,
@@ -64,11 +63,10 @@ kwargs = dict(
         hedge=HedgeConfig(delay_s=6.0),
     ),
 )
-for simulate in (simulate_fleet, simulate_fleet_columnar):
-    telemetry = Telemetry(sample_interval_s=5.0)
-    simulate(requests, pools, telemetry=telemetry, **kwargs)
-    text = dumps_telemetry(telemetry.log())
-    print(hashlib.sha256(text.encode()).hexdigest())
+telemetry = Telemetry(sample_interval_s=5.0)
+simulate_fleet(requests, pools, telemetry=telemetry, **kwargs)
+text = dumps_telemetry(telemetry.log())
+print(hashlib.sha256(text.encode()).hexdigest())
 """
 
 
@@ -92,8 +90,5 @@ def _digests(hash_seed: str) -> list[str]:
 def test_telemetry_bytes_deterministic_across_interpreters():
     first = _digests("1")
     second = _digests("2")
-    # Two hashes per run: oracle then columnar.
-    assert len(first) == 2
+    assert len(first) == 1
     assert first == second
-    # Engines agree with each other byte-for-byte, too.
-    assert first[0] == first[1]

@@ -1,8 +1,9 @@
 """Chaos harness tests: generation, serialization, invariants,
-shrinking — plus the hypothesis invariant gate over both engines."""
+shrinking — plus the hypothesis invariant gate over the engine."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,6 @@ from repro.serving.chaos import (
     save_campaign,
     shrink_campaign,
 )
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.domains import (
     NetworkPartition,
     OrchestrationConfig,
@@ -149,6 +149,15 @@ class TestSerialization:
             )
 
 
+def _completion_columns(report, rows):
+    """The report with its completion columns re-indexed by ``rows``."""
+    return dataclasses.replace(report, **{
+        spec.name: getattr(report, spec.name)[rows]
+        for spec in dataclasses.fields(report)
+        if spec.name.startswith("comp_")
+    })
+
+
 class TestInvariants:
     def _run(self, requests, pools, **kwargs):
         return simulate_fleet(requests, pools, **kwargs)
@@ -223,9 +232,11 @@ class TestInvariants:
             MIX, arrival_rate=2.0, duration_s=60.0, seed=3
         )
         report = self._run(requests, pools)
-        corrupt = dataclasses.replace(
-            report, completed=report.completed + report.completed[:1]
+        rows = np.arange(report.completed_count)
+        corrupt = _completion_columns(
+            report, np.concatenate([rows, rows[:1]])
         )
+        assert len(corrupt.completed) == report.completed_count + 1
         verdict = check_invariants(requests, corrupt)
         assert not verdict.ok
         assert any(
@@ -258,11 +269,11 @@ class TestInvariants:
             MIX, arrival_rate=2.0, duration_s=60.0, seed=3
         )
         report = self._run(requests, pools)
-        first = dataclasses.replace(
-            report.completed[0], rung=3, quality=0.5
-        )
+        rung = report.comp_rung.copy()
+        quality = report.comp_quality.copy()
+        rung[0], quality[0] = 3, 0.5
         corrupt = dataclasses.replace(
-            report, completed=(first,) + report.completed[1:]
+            report, comp_rung=rung, comp_quality=quality
         )
         verdict = check_invariants(requests, corrupt)
         assert any(
@@ -270,13 +281,21 @@ class TestInvariants:
             for violation in verdict.violations
         )
 
-    def test_columnar_report_accepted_directly(self):
+    def test_detects_clock_reversal(self):
         pools = _pools()
         requests = generate_requests(
             MIX, arrival_rate=2.0, duration_s=60.0, seed=4
         )
-        columnar = simulate_fleet_columnar(requests, pools)
-        assert check_invariants(requests, columnar).ok
+        report = self._run(requests, pools)
+        start = report.comp_start_s.copy()
+        start[0] = report.comp_finish_s[0] + 1.0
+        verdict = check_invariants(
+            requests, dataclasses.replace(report, comp_start_s=start)
+        )
+        assert any(
+            violation.startswith("clock_monotone")
+            for violation in verdict.violations
+        )
 
 
 class TestShrinking:
@@ -361,17 +380,11 @@ def independent_fault_runs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(scenario=independent_fault_runs())
-def test_invariants_hold_on_both_engines(scenario):
+def test_invariants_hold(scenario):
     """Every fleet run — any faults, any retry policy — must satisfy
-    the structural invariants on both engines.  A violation here is
-    an engine bug, not a chaos artifact."""
+    the structural invariants.  A violation here is an engine bug, not
+    a chaos artifact."""
     requests, pools, faults, retry = scenario
-    oracle = simulate_fleet(
-        requests, pools, faults=faults, retry=retry
-    )
-    columnar = simulate_fleet_columnar(
-        requests, pools, faults=faults, retry=retry
-    )
-    for report in (oracle, columnar):
-        verdict = check_invariants(requests, report)
-        assert verdict.ok, verdict.render()
+    report = simulate_fleet(requests, pools, faults=faults, retry=retry)
+    verdict = check_invariants(requests, report)
+    assert verdict.ok, verdict.render()

@@ -1,25 +1,21 @@
-"""Unit tests for the columnar fleet engine's public surface.
+"""Unit tests for the fleet engine's public surface.
 
-Equivalence with the oracle lives in
-``tests/serving/test_engine_equivalence.py``; this file covers the
-pieces around the hot loop: the :class:`RequestBatch` container and
-its validation, the batched workload generator's determinism, the
-``engine=`` selection flag on :func:`simulate_fleet`, the
-:class:`ColumnarFleetReport` accessors, and the shared
-empty-sample helpers (``nearest_rank_index`` / ``fmt_missing``).
+The engine's exact output is pinned by the recorded corpus
+(``tests/serving/test_fleet_corpus.py``); this file covers the pieces
+around the hot loop: the :class:`RequestBatch` container and its
+validation, the batched workload generator's determinism, fail-fast
+input checks at the engine boundary, the :class:`FleetReport`
+accessors and lazy records, and the shared empty-sample helpers
+(``nearest_rank_index`` / ``fmt_missing``).
 """
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from repro.serving.columnar import (
-    ColumnarFleetReport,
-    simulate_fleet_columnar,
-)
 from repro.serving.fleet import (
-    AUTO_COLUMNAR_THRESHOLD,
-    FLEET_ENGINES,
-    FleetReport,
     PoolSpec,
     affine_batch_latency,
     simulate_fleet,
@@ -165,64 +161,82 @@ class TestGenerateRequestsBatch:
             )
 
 
-class TestEngineSelection:
-    def test_default_engine_is_oracle(self):
-        requests = generate_requests(
-            MIX, arrival_rate=2.0, duration_s=20.0, seed=1
-        )
-        report = simulate_fleet(requests, [_pool()])
-        assert isinstance(report, FleetReport)
-
-    def test_columnar_engine_returns_columnar_report(self):
-        requests = generate_requests(
-            MIX, arrival_rate=2.0, duration_s=20.0, seed=1
-        )
-        report = simulate_fleet(
-            requests, [_pool()], engine="columnar"
-        )
-        assert isinstance(report, ColumnarFleetReport)
-
-    def test_auto_picks_oracle_below_threshold(self):
-        requests = generate_requests(
-            MIX, arrival_rate=2.0, duration_s=20.0, seed=1
-        )
-        assert len(requests) < AUTO_COLUMNAR_THRESHOLD
-        report = simulate_fleet(requests, [_pool()], engine="auto")
-        assert isinstance(report, FleetReport)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            simulate_fleet([], [_pool()], engine="bogus")
-        assert set(FLEET_ENGINES) == {"oracle", "columnar", "auto"}
-
-    def test_request_batch_accepted_by_both_engines(self):
+class TestSimulateFleetInputs:
+    def test_request_batch_and_list_give_equal_records(self):
         batch = generate_requests_batch(
             MIX, arrival_rate=4.0, duration_s=30.0, seed=9
         )
-        oracle = simulate_fleet(batch, [_pool()])
-        columnar = simulate_fleet(batch, [_pool()], engine="columnar")
-        assert columnar.to_report() == oracle
+        from_batch = simulate_fleet(batch, [_pool()])
+        from_list = simulate_fleet(batch.to_requests(), [_pool()])
+        assert from_batch.completed == from_list.completed
+        assert from_batch.failed == from_list.failed
 
     def test_empty_pools_rejected(self):
         with pytest.raises(ValueError):
             simulate_fleet([], [])
-        with pytest.raises(ValueError):
-            simulate_fleet_columnar([], [])
 
 
-class TestColumnarReportAccessors:
+class TestFailFast:
+    """Non-finite or negative inputs raise a ValueError naming the
+    field.  NaN compares False against every bound, so an unchecked NaN
+    arrival or latency flows into the event order and yields a
+    plausible-looking report."""
+
+    def _requests(self, arrival=5.0):
+        return [
+            Request(request_id=i, arrival_s=at, model="sd", service_s=2.0)
+            for i, at in enumerate([0.0, 1.0, 2.0, 3.0, 4.0, arrival])
+        ]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_request_arrival_rejected(self, value):
+        with pytest.raises(ValueError, match="arrival_s"):
+            self._requests(arrival=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_request_service_rejected(self, value):
+        with pytest.raises(ValueError, match="service_s"):
+            Request(request_id=0, arrival_s=0.0, model="sd",
+                    service_s=value)
+
+    @pytest.mark.parametrize("column", ["arrival_s", "service_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_batch_non_finite_rejected(self, column, value):
+        columns = dict(
+            arrival_s=np.zeros(2), service_s=np.ones(2),
+        )
+        columns[column][1] = value
+        with pytest.raises(ValueError, match=column):
+            RequestBatch(
+                models=("sd",),
+                model_ids=np.zeros(2, dtype=np.int64),
+                request_ids=np.arange(2),
+                **columns,
+            )
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_bad_latency_names_pool_model_rung_and_batch(self, value):
+        pool = _pool(latency_fns={"sd": lambda batch: value})
+        with pytest.raises(ValueError) as excinfo:
+            simulate_fleet(self._requests(), [pool])
+        message = str(excinfo.value)
+        for part in ("'pool0'", "'sd'", "rung 0", "batch size 1"):
+            assert part in message
+
+
+class TestFleetReport:
     @pytest.fixture(scope="class")
     def report(self):
         requests = generate_requests(
             MIX, arrival_rate=4.0, duration_s=60.0, seed=2
         )
-        return simulate_fleet_columnar(requests, [_pool()])
+        return simulate_fleet(requests, [_pool()])
 
     def test_counts_are_consistent(self, report):
         assert report.offered == (
             report.completed_count
-            + len(report.fail_req)
-            + len(report.shed_req)
+            + report.failed_count
+            + report.shed_count
         )
         assert 0.0 <= report.completion_rate <= 1.0
         assert 0.0 <= report.shed_rate <= 1.0
@@ -241,14 +255,27 @@ class TestColumnarReportAccessors:
         with pytest.raises(ValueError, match="unknown pool"):
             report.pool_stats("missing")
 
-    def test_to_report_matches_accessors(self, report):
-        materialized = report.to_report()
-        assert len(materialized.completed) == report.completed_count
-        assert materialized.makespan_s == report.makespan_s
-        assert [c.request.model for c in materialized.completed] == [
+    def test_records_built_lazily_from_columns(self, report):
+        assert "completed" not in vars(report)
+        records = report.completed
+        assert records is report.completed  # built once
+        assert len(records) == report.completed_count
+        assert [c.request.model for c in records] == [
             report.models[m]
             for m in report.req_model_ids[report.comp_req]
         ]
+        assert [c.latency_s for c in records] == report.latency_s.tolist()
+        assert report.retried_count == sum(c.retried for c in records)
+
+    def test_equality_compares_columns(self, report):
+        requests = generate_requests(
+            MIX, arrival_rate=4.0, duration_s=60.0, seed=2
+        )
+        again = simulate_fleet(requests, [_pool()])
+        assert again == report
+        later = report.comp_finish_s.copy()
+        later[-1] += 1.0
+        assert dataclasses.replace(report, comp_finish_s=later) != report
 
 
 class TestSharedEmptySampleHelpers:

@@ -1,14 +1,13 @@
 """pool_stats lookup: dict-backed, with self-describing errors.
 
-Regression test for the linear-scan-and-bare-KeyError lookup both
-report classes used to ship: an unknown pool name must raise a
+Regression test for the linear-scan-and-bare-KeyError lookup the
+report class used to ship: an unknown pool name must raise a
 ValueError that lists the valid names, and repeated lookups must hit
 the cached name index rather than rescanning the tuple.
 """
 
 import pytest
 
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.fleet import (
     PoolSpec,
     affine_batch_latency,
@@ -18,7 +17,7 @@ from repro.serving.workload import WorkloadMix, generate_requests
 
 
 @pytest.fixture(scope="module")
-def reports():
+def report():
     mix = WorkloadMix(shares={"sd": 1.0}, service_s={"sd": 1.0})
     requests = generate_requests(
         mix, arrival_rate=2.0, duration_s=20.0, seed=1
@@ -34,21 +33,15 @@ def reports():
             latency_fns=fns, max_batch=2,
         ),
     ]
-    return (
-        simulate_fleet(requests, pools),
-        simulate_fleet_columnar(requests, pools),
-    )
+    return simulate_fleet(requests, pools)
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["oracle", "columnar"])
 class TestPoolStats:
-    def test_lookup_by_name(self, reports, which):
-        report = reports[which]
+    def test_lookup_by_name(self, report):
         for name in ("a100", "h100"):
             assert report.pool_stats(name).name == name
 
-    def test_unknown_pool_lists_valid_names(self, reports, which):
-        report = reports[which]
+    def test_unknown_pool_lists_valid_names(self, report):
         with pytest.raises(ValueError) as excinfo:
             report.pool_stats("tpu")
         message = str(excinfo.value)
@@ -56,7 +49,6 @@ class TestPoolStats:
         assert "a100" in message
         assert "h100" in message
 
-    def test_lookup_is_cached(self, reports, which):
-        report = reports[which]
+    def test_lookup_is_cached(self, report):
         assert report._pools_by_name is report._pools_by_name
         assert report.pool_stats("a100") is report.pool_stats("a100")

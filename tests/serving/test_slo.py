@@ -250,35 +250,3 @@ class TestDomainSlo:
         # Full restoration waits for the second server's staggered
         # rejoin, one stagger after the outage window ends.
         assert hit.mttr_s == pytest.approx(20.0 + 5.0)
-
-    def test_both_engines_agree(self):
-        from repro.serving.columnar import simulate_fleet_columnar
-        from repro.serving.domains import (
-            ZoneOutage,
-            compile_campaign,
-            topology_for_pools,
-        )
-        from repro.serving.slo import domain_slo_report
-
-        pools = [
-            PoolSpec(
-                name=f"zone{z}", machine="dgx-a100-80g", servers=2,
-                latency_fns={"sd": affine_batch_latency(1.0)},
-                zone=z,
-            )
-            for z in range(2)
-        ]
-        compiled = compile_campaign(
-            topology_for_pools(pools),
-            [ZoneOutage(zone=1, at_s=5.0, duration_s=10.0)],
-            pools=pools,
-        )
-        requests = burst(30, 2.0)
-        oracle = simulate_fleet(
-            requests, pools, faults=compiled.faults
-        )
-        columnar = simulate_fleet_columnar(
-            requests, pools, faults=compiled.faults
-        )
-        assert domain_slo_report(oracle, compiled) == \
-            domain_slo_report(columnar, compiled)

@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.serving.columnar import simulate_fleet_columnar
 from repro.serving.fleet import (
     PoolSpec,
     affine_batch_latency,
@@ -464,20 +463,6 @@ class TestTierSloReport:
         assert tuple(e.tier for e in tiers.per_tier) == TIER_NAMES
         assert sum(e.offered for e in tiers.per_tier) == len(trace)
         assert sum(e.clients for e in tiers.per_tier) == 40
-
-    def test_engines_agree_on_tier_breakdown(self):
-        trace = generate_traffic(
-            population(burst=BurstModel(30.0, 120.0, 4.0)),
-            duration_s=300.0, seed=13,
-        )
-        deadlines = {"sd": 6.0, "muse": 2.0}
-        oracle = tier_slo_report(
-            simulate_fleet(trace, [pool()]), trace, deadlines
-        )
-        columnar = tier_slo_report(
-            simulate_fleet_columnar(trace, [pool()]), trace, deadlines
-        )
-        assert oracle == columnar
 
     def test_empty_trace_renders_all_dashes(self):
         trace = generate_traffic(

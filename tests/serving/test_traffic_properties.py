@@ -5,8 +5,8 @@ violations of the traffic contracts: arrivals sorted and inside the
 horizon, per-client rates matching the configured Pareto tail (Hill
 estimator), scenario edits never producing an invalid population, and
 the JSONL trace format being a byte-identical fixed point of
-save -> load -> save.  These are the invariants the engine-equivalence
-and determinism suites build on.
+save -> load -> save.  These are the invariants the recorded fleet
+corpus and the determinism suite build on.
 """
 
 import math

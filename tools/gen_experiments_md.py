@@ -60,8 +60,8 @@ NOTES = {
     "serve4": (
         "Not a paper table: a correlated-failure case study "
         "(docs/CHAOS.md). A zone outage plus a degraded rack link "
-        "replay identically on both engines from one compiled "
-        "campaign. The overload-tuned protection stack alone *hurts* "
+        "compile into one campaign that every chaos arm replays. "
+        "The overload-tuned protection stack alone *hurts* "
         "under correlated recovery — hedges and brownout react to the "
         "post-outage backlog they did not cause — while recovery "
         "orchestration (cordon/drain, staggered re-admission, warm-"
