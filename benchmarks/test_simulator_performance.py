@@ -141,11 +141,13 @@ def test_planner_full_sweep(benchmark):
 
     Enumerates and costs every canonical (tp, pp, dp, microbatch,
     sequence-parallel) config for Stable Diffusion in an 8-GPU budget
-    from one warmed :class:`PlannerBasis` — the amortized path the
+    from a fresh :class:`PlannerBasis` — the amortized path the
     planner's value proposition rests on (66 configs from ~13 axis
-    builds).  Profiling is warmed outside the measured span so the gate
-    covers the search itself: partition, pricing, prefix algebra,
-    schedule simulation and Pareto filtering.
+    builds).  Profiling and the traces' class tables are warmed outside
+    the measured span, so the gate covers the search itself: per-class
+    sharding and pricing, index gathers, prefix sums, stage bisection,
+    schedule simulation and Pareto filtering.  The search does not
+    partition the trace.
     """
     from repro.distributed.planner import PlannerBasis, plan_parallelism
     from repro.experiments.suite_cache import model_instance

@@ -56,8 +56,11 @@ from repro.distributed.partition import (
     PipelineParallel,
     ShardedEvent,
     TensorParallel,
+    TraceClasses,
     event_repeat,
+    stage_boundaries,
     strategy_from_name,
+    trace_classes,
     trace_repeats,
 )
 from repro.distributed.planner import (
@@ -66,6 +69,7 @@ from repro.distributed.planner import (
     PlannerResult,
     PlanPoint,
     TPAxis,
+    bruteforce_axis,
     bruteforce_cost,
     build_axis,
     enumerate_configs,
@@ -152,6 +156,8 @@ __all__ = [
     "TensorParallel",
     "TimelineEntry",
     "Topology",
+    "TraceClasses",
+    "bruteforce_axis",
     "bruteforce_cost",
     "build_axis",
     "build_timelines",
@@ -160,6 +166,7 @@ __all__ = [
     "event_repeat",
     "forward_makespan",
     "ideal_bubble_fraction",
+    "trace_classes",
     "trace_repeats",
     "machine_from_name",
     "machine_names",
@@ -177,6 +184,7 @@ __all__ = [
     "shard_op",
     "simulate_1f1b",
     "simulate_gpipe",
+    "stage_boundaries",
     "strategy_from_name",
     "strong_scaling",
     "tree_all_reduce_time",

@@ -24,7 +24,14 @@ no collectives — there are no gradients to reduce.
 
 **Pipeline parallelism** assigns contiguous trace segments to ranks,
 balancing segment execution time, with a send/recv of the boundary
-activation between consecutive stages.
+activation between consecutive stages.  :func:`stage_boundaries` is
+the one stage splitter; the planner uses it too.
+
+Tensor-parallel roles are decided in one place, the per-trace class
+table (:func:`trace_classes`): every event maps to one distinct
+(op, role, collective, fold factor) class, so a partition or a priced
+axis shards and prices each class once and fills per-event rows by
+index.
 
 Every split preserves total FLOPs exactly (see
 :mod:`repro.distributed.sharding`), which the partitioner tests verify
@@ -34,8 +41,11 @@ against the unsharded trace.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.distributed.collectives import CollectiveKind
 from repro.distributed.sharding import ShardRole, even_split, shard_op
@@ -75,6 +85,226 @@ def trace_repeats(trace: Trace) -> list[int]:
         repeats = [event_repeat(event) for event in trace.events]
         _REPEAT_CACHE[trace] = repeats
     return repeats
+
+
+def _parent_scope(path: str) -> str:
+    return path.rsplit(".", 1)[0] if "." in path else ""
+
+
+def _assign_leaf_roles(
+    trace: Trace,
+) -> dict[str, tuple[ShardRole, CollectiveKind | None]]:
+    """Column/row placement per parameter-bearing module path.
+
+    Roles are assigned on first use so a layer keeps the same split
+    in every invocation.  Attention projections use the anchor flag
+    to tell inputs (column) from the output projection (row); other
+    layers alternate within their parent scope.
+    """
+    roles: dict[str, tuple[ShardRole, CollectiveKind | None]] = {}
+    anchor_seen: dict[str, bool] = {}
+    next_is_column: dict[str, bool] = {}
+    pending_column: dict[str, str] = {}
+    param_memo: dict[int, bool] = {}
+    for event in trace:
+        op = event.op
+        if event.is_attention_anchor:
+            anchor_seen[event.module_path] = True
+        op_id = id(op)
+        owns = param_memo.get(op_id)
+        if owns is None:
+            owns = op.param_bytes() > 0
+            param_memo[op_id] = owns
+        if not owns:
+            continue
+        leaf = event.module_path
+        scope = _parent_scope(leaf)
+        if op.category is OpCategory.ATTENTION:
+            if leaf in roles:
+                if roles[leaf][0] is ShardRole.ROW:
+                    anchor_seen[scope] = False
+            elif anchor_seen.get(scope):
+                roles[leaf] = (ShardRole.ROW, CollectiveKind.ALL_REDUCE)
+                anchor_seen[scope] = False
+            else:
+                roles[leaf] = (ShardRole.COLUMN, None)
+            continue
+        if leaf in roles:
+            continue
+        if next_is_column.get(scope, True):
+            roles[leaf] = (ShardRole.COLUMN, None)
+            next_is_column[scope] = False
+            pending_column[scope] = leaf
+        else:
+            roles[leaf] = (ShardRole.ROW, CollectiveKind.ALL_REDUCE)
+            next_is_column[scope] = True
+            pending_column.pop(scope, None)
+    # A scope with an odd number of weight layers leaves its last
+    # column-split layer un-paired: its sharded output must be
+    # gathered before the (unsharded) consumers that follow.
+    for leaf in pending_column.values():
+        roles[leaf] = (ShardRole.COLUMN, CollectiveKind.ALL_GATHER)
+    return roles
+
+
+@dataclass(frozen=True, eq=False)
+class TraceClasses:
+    """The distinct tensor-parallel kernel classes of one trace.
+
+    A class is one (op, shard role, collective kind, fold factor)
+    combination, with ops compared by value: every event of a class
+    shards, prices and sizes identically at any tp degree.  Suite
+    traces hold 20-35k events but only 78-385 classes, so per-class
+    work followed by an index gather replaces per-event work.
+
+    Attributes:
+        ops: source operator of each class.
+        roles: Megatron placement of each class.
+        collectives: collective the class issues after its kernel
+            (``None`` for none).
+        repeats: fold factor of each class.
+        index: class of every trace event, in trace order.
+        index_array: ``index`` as an integer array, for array gathers.
+    """
+
+    ops: tuple[Op, ...]
+    roles: tuple[ShardRole, ...]
+    collectives: tuple[CollectiveKind | None, ...]
+    repeats: tuple[int, ...]
+    index: tuple[int, ...]
+    index_array: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+
+# One class table per trace, like the fold factors: it is structural
+# (a function of the trace alone, not of the machine or tp degree), so
+# every partition and priced axis of the trace shares it.  Keyed
+# weakly so the table dies with the trace.
+_CLASS_CACHE: "weakref.WeakKeyDictionary[Trace, TraceClasses]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def trace_classes(trace: Trace) -> TraceClasses:
+    """Class table of ``trace``, cached per trace object.
+
+    The only place tensor-parallel roles are decided: weight ops take
+    their module leaf's column/row role, attention math is head-split,
+    and every other activation op is sequence-split.
+    """
+    table = _CLASS_CACHE.get(trace)
+    if table is None or len(table.index) != len(trace.events):
+        table = _build_classes(trace)
+        _CLASS_CACHE[trace] = table
+    return table
+
+
+def _build_classes(trace: Trace) -> TraceClasses:
+    # (role, collective) pairs are interned to small ints so the class
+    # key hashes three ints instead of a tuple of enums (enum.__hash__
+    # is a Python function and would dominate at trace scale).
+    pairs: list[tuple[ShardRole, CollectiveKind | None]] = []
+    pair_tokens: dict[tuple[ShardRole, CollectiveKind | None], int] = {}
+
+    def token_of(pair: tuple[ShardRole, CollectiveKind | None]) -> int:
+        token = pair_tokens.get(pair)
+        if token is None:
+            token = pair_tokens[pair] = len(pairs)
+            pairs.append(pair)
+        return token
+
+    head = token_of((ShardRole.HEAD, None))
+    sequence = token_of((ShardRole.SEQUENCE, None))
+    leaf_tokens = {
+        path: token_of(pair)
+        for path, pair in _assign_leaf_roles(trace).items()
+    }
+    # Ops are frozen value objects, and a trace holds many equal copies
+    # of one op (replay re-emits them per scope): equal ops shard and
+    # price identically, so a class keys on the identity of the first
+    # equal op.  Each op object is hashed by value once; per event the
+    # lookup is by id (the trace keeps every op alive).  Token -1 marks
+    # a weight op, whose role depends on the emitting leaf.
+    first_equal: dict[Op, Op] = {}
+    op_info: dict[int, tuple[Op, int]] = {}
+    classes: dict[tuple[int, int, int], int] = {}
+    ops: list[Op] = []
+    repeats_of: list[int] = []
+    tokens: list[int] = []
+    index: list[int] = []
+    append = index.append
+    for event, repeat in zip(trace.events, trace_repeats(trace)):
+        op = event.op
+        info = op_info.get(id(op))
+        if info is None:
+            if op.param_bytes() > 0:
+                token = -1
+            elif op.category is OpCategory.ATTENTION:
+                token = head
+            else:
+                token = sequence
+            info = op_info[id(op)] = (first_equal.setdefault(op, op), token)
+        op, token = info
+        if token < 0:
+            token = leaf_tokens[event.module_path]
+        key = (id(op), token, repeat)
+        cls = classes.get(key)
+        if cls is None:
+            cls = classes[key] = len(ops)
+            ops.append(op)
+            tokens.append(token)
+            repeats_of.append(repeat)
+        append(cls)
+    return TraceClasses(
+        ops=tuple(ops),
+        roles=tuple(pairs[token][0] for token in tokens),
+        collectives=tuple(pairs[token][1] for token in tokens),
+        repeats=tuple(repeats_of),
+        index=tuple(index),
+        index_array=np.array(index, dtype=np.intp),
+    )
+
+
+def split_cumulative(cumulative: Sequence[float], stages: int) -> list[int]:
+    """End index (exclusive) of each of the first ``stages - 1`` stages.
+
+    ``cumulative`` is the running left-to-right sum of non-negative
+    per-event weights.  Stage ``s`` closes at the first event whose
+    running weight reaches ``s / stages`` of the total, or at the last
+    event that still leaves one event for every later stage, and never
+    before the event after the previous close.  Every stage therefore
+    owns at least one event.  The weights are non-negative, so the
+    running sum is sorted and each close is one bisection: the split
+    costs ``O(stages log n)``, not a pass over the events.
+    """
+    n = len(cumulative)
+    if stages > n:
+        raise ValueError("more stages than events")
+    total = float(cumulative[-1])
+    boundaries: list[int] = []
+    start = 0
+    for target in range(1, stages):
+        index = bisect_left(cumulative, total * target / stages, start)
+        # Last index that still leaves one event per remaining stage:
+        # close there at the latest, or starve every stage after it.
+        index = min(index, n - 1 - (stages - target))
+        boundaries.append(index + 1)
+        start = index + 1
+    return boundaries
+
+
+def stage_boundaries(weights: Sequence[float], stages: int) -> list[int]:
+    """End index (exclusive) of each of the first ``stages - 1`` stages.
+
+    Balances contiguous stages by per-event weight with
+    :func:`split_cumulative`; raises ``ValueError`` when there are
+    more stages than events.  The running sum is strictly left to
+    right, as the planner's prefix arrays are.
+    """
+    cumulative = np.cumsum(np.asarray(weights, dtype=float))
+    return split_cumulative(cumulative, stages)
 
 
 @dataclass(frozen=True)
@@ -177,10 +407,6 @@ class PartitionStrategy:
         return f"{self.name}={self.world}"
 
 
-def _parent_scope(path: str) -> str:
-    return path.rsplit(".", 1)[0] if "." in path else ""
-
-
 def _output_bytes(op: Op) -> float:
     return op.write_bytes()
 
@@ -191,83 +417,41 @@ class TensorParallel(PartitionStrategy):
     name = "tp"
 
     def partition(self, trace: Trace) -> DistributedPlan:
-        """Shard every event; emit the implied all-reduce/all-gathers."""
-        weights = [1] * self.world
-        leaf_roles = self._leaf_roles(trace)
-        repeats = trace_repeats(trace)
-        world_gt1 = self.world > 1
-        sharded: list[ShardedEvent] = []
-        append = sharded.append
-        # Ops are interned by the replay memoizer, so identity keys are
-        # both valid (frozen dataclasses) and much cheaper than hashing
-        # the nested shape tuples; the trace keeps every op alive.
-        shard_cache: dict[tuple[int, ShardRole], tuple[Op | None, ...]] = {}
-        has_params: dict[int, bool] = {}
-        # Activation ops shard the same way wherever they appear, so one
-        # resolution per op object covers the whole trace.  Weight ops
-        # need the emitting path (roles are assigned per module leaf),
-        # so they memoize per (op, path) instead.
-        nonparam_memo: dict[
-            int, tuple[ShardRole, tuple[Op | None, ...], CommSpec | None]
-        ] = {}
-        # Keyed ``id(op) * 32 + role_token``: a single int hash per
-        # event instead of a tuple of enums (enum.__hash__ is a Python
-        # function and dominates the loop at trace scale).
-        param_memo: dict[
-            int, tuple[ShardRole, tuple[Op | None, ...], CommSpec | None]
-        ] = {}
+        """Shard every event; emit the implied all-reduce/all-gathers.
 
-        def resolve(op: Op, role: ShardRole, comm_kind) -> tuple:
-            key = (id(op), role)
-            shards = shard_cache.get(key)
+        Each class of :func:`trace_classes` is sharded once; events
+        take their class' shards and collective by index.
+        """
+        table = trace_classes(trace)
+        weights = [1] * self.world
+        world_gt1 = self.world > 1
+        shard_memo: dict[tuple[int, ShardRole], tuple[Op | None, ...]] = {}
+        resolved: list[tuple] = []
+        for op, role, kind, repeat in zip(
+            table.ops, table.roles, table.collectives, table.repeats
+        ):
+            shards = shard_memo.get((id(op), role))
             if shards is None:
                 shards = tuple(shard_op(op, role, weights))
-                shard_cache[key] = shards
+                shard_memo[(id(op), role)] = shards
             comm = None
-            if comm_kind is not None and world_gt1:
-                short = (
-                    "ar" if comm_kind is CollectiveKind.ALL_REDUCE else "ag"
-                )
+            if kind is not None and world_gt1:
+                short = "ar" if kind is CollectiveKind.ALL_REDUCE else "ag"
                 comm = CommSpec(
-                    kind=comm_kind,
+                    kind=kind,
                     payload_bytes=_output_bytes(op),
                     label=f"{short}:{op.name}",
                 )
-            return (role, shards, comm)
-
+            resolved.append((role, shards, comm, repeat, 0))
         # tuple.__new__ bypasses the generated NamedTuple constructor
         # (a Python-level wrapper) — at trace scale the constructor is
         # the single largest cost of partitioning.
         tuple_new = tuple.__new__
         event_cls = ShardedEvent
-        for event, repeat in zip(trace.events, repeats):
-            op = event.op
-            op_id = id(op)
-            owns = has_params.get(op_id)
-            if owns is None:
-                owns = op.param_bytes() > 0
-                has_params[op_id] = owns
-            if owns:
-                role, comm_kind, token = leaf_roles[event.module_path]
-                memo_key = op_id * 32 + token
-                resolved = param_memo.get(memo_key)
-                if resolved is None:
-                    resolved = resolve(op, role, comm_kind)
-                    param_memo[memo_key] = resolved
-            else:
-                resolved = nonparam_memo.get(op_id)
-                if resolved is None:
-                    if op.category is OpCategory.ATTENTION:
-                        resolved = resolve(op, ShardRole.HEAD, None)
-                    else:
-                        resolved = resolve(op, ShardRole.SEQUENCE, None)
-                    nonparam_memo[op_id] = resolved
-            role, shards, comm = resolved
-            append(
-                tuple_new(
-                    event_cls, (event, role, shards, comm, repeat, 0)
-                )
-            )
+        sharded = [
+            tuple_new(event_cls, (event,) + resolved[cls])
+            for event, cls in zip(trace.events, table.index)
+        ]
         return DistributedPlan(
             strategy=self.describe(),
             world=self.world,
@@ -275,102 +459,6 @@ class TensorParallel(PartitionStrategy):
             sharded_events=sharded,
             source=trace,
         )
-
-    # Leaf-role maps per trace: scaling sweeps re-partition one trace
-    # for every world size, and the assignment is world-independent.
-    _LEAF_ROLES: "weakref.WeakKeyDictionary[Trace, tuple[int, dict]]" = (
-        weakref.WeakKeyDictionary()
-    )
-
-    # Interned (role, collective) combinations.  The partition loop keys
-    # its memo on ``id(op) * 32 + token`` — valid while the number of
-    # combinations stays below 32 (it is bounded by
-    # ``len(ShardRole) * (len(CollectiveKind) + 1)``).
-    _ROLE_TOKENS: dict[
-        tuple[ShardRole, CollectiveKind | None], int
-    ] = {}
-
-    def _leaf_roles(
-        self, trace: Trace
-    ) -> dict[str, tuple[ShardRole, CollectiveKind | None, int]]:
-        """Cached :meth:`_assign_leaf_roles` with interned role tokens.
-
-        Values are ``(role, collective, token)``; the token stands in
-        for the (role, collective) pair in hot memo keys.  Keyed weakly
-        per trace.
-        """
-        entry = self._LEAF_ROLES.get(trace)
-        if entry is not None and entry[0] == len(trace.events):
-            return entry[1]
-        tokens = self._ROLE_TOKENS
-        roles = {}
-        for path, pair in self._assign_leaf_roles(trace).items():
-            token = tokens.get(pair)
-            if token is None:
-                token = len(tokens)
-                if token >= 32:
-                    raise AssertionError(
-                        "role-token space exhausted; widen the memo key"
-                    )
-                tokens[pair] = token
-            roles[path] = (pair[0], pair[1], token)
-        self._LEAF_ROLES[trace] = (len(trace.events), roles)
-        return roles
-
-    def _assign_leaf_roles(
-        self, trace: Trace
-    ) -> dict[str, tuple[ShardRole, CollectiveKind | None]]:
-        """Column/row placement per parameter-bearing module path.
-
-        Roles are assigned on first use so a layer keeps the same split
-        in every invocation.  Attention projections use the anchor flag
-        to tell inputs (column) from the output projection (row); other
-        layers alternate within their parent scope.
-        """
-        roles: dict[str, tuple[ShardRole, CollectiveKind | None]] = {}
-        anchor_seen: dict[str, bool] = {}
-        next_is_column: dict[str, bool] = {}
-        pending_column: dict[str, str] = {}
-        param_memo: dict[int, bool] = {}
-        for event in trace:
-            op = event.op
-            if event.is_attention_anchor:
-                anchor_seen[event.module_path] = True
-            op_id = id(op)
-            owns = param_memo.get(op_id)
-            if owns is None:
-                owns = op.param_bytes() > 0
-                param_memo[op_id] = owns
-            if not owns:
-                continue
-            leaf = event.module_path
-            scope = _parent_scope(leaf)
-            if op.category is OpCategory.ATTENTION:
-                if leaf in roles:
-                    if roles[leaf][0] is ShardRole.ROW:
-                        anchor_seen[scope] = False
-                elif anchor_seen.get(scope):
-                    roles[leaf] = (ShardRole.ROW, CollectiveKind.ALL_REDUCE)
-                    anchor_seen[scope] = False
-                else:
-                    roles[leaf] = (ShardRole.COLUMN, None)
-                continue
-            if leaf in roles:
-                continue
-            if next_is_column.get(scope, True):
-                roles[leaf] = (ShardRole.COLUMN, None)
-                next_is_column[scope] = False
-                pending_column[scope] = leaf
-            else:
-                roles[leaf] = (ShardRole.ROW, CollectiveKind.ALL_REDUCE)
-                next_is_column[scope] = True
-                pending_column.pop(scope, None)
-        # A scope with an odd number of weight layers leaves its last
-        # column-split layer un-paired: its sharded output must be
-        # gathered before the (unsharded) consumers that follow.
-        for leaf in pending_column.values():
-            roles[leaf] = (ShardRole.COLUMN, CollectiveKind.ALL_GATHER)
-        return roles
 
 
 class DataParallel(PartitionStrategy):
@@ -425,11 +513,16 @@ class PipelineParallel(PartitionStrategy):
 
     def partition(self, trace: Trace) -> DistributedPlan:
         """Split the trace into ``world`` stages; link them with p2p."""
-        events = list(trace)
+        events = trace.events
         if not events:
             raise ValueError("cannot partition an empty trace")
         repeats = trace_repeats(trace)
-        boundaries = self._stage_boundaries(events)
+        populated = min(self.world, len(events))
+        boundaries = stage_boundaries(
+            [event.cost.time_s for event in events], populated
+        )
+        # More ranks than events: the trailing stages own nothing.
+        boundaries += [len(events)] * (self.world - populated)
         sharded: list[ShardedEvent] = []
         stage = 0
         for index, event in enumerate(events):
@@ -469,38 +562,6 @@ class PipelineParallel(PartitionStrategy):
             sharded_events=sharded,
             source=trace,
         )
-
-    def _stage_boundaries(self, events: list[TraceEvent]) -> list[int]:
-        """End index (exclusive) of each of the first ``world-1`` stages.
-
-        Greedy time balancing: each stage closes once it holds its
-        proportional share of total trace time — or at the last index
-        that still leaves one event per remaining stage (without the
-        forced close, one early stage running under its proportional
-        target starves every stage after it: the one-event-per-stage
-        guard then blocks all later closes and the whole trace
-        collapses into stage 0).
-        """
-        total = sum(event.cost.time_s for event in events)
-        boundaries: list[int] = []
-        cumulative = 0.0
-        target = 1
-        for index, event in enumerate(events):
-            cumulative += event.cost.time_s
-            remaining = len(events) - (index + 1)
-            while (
-                target < self.world
-                and remaining >= self.world - target
-                and (
-                    cumulative >= total * target / self.world
-                    or remaining == self.world - target
-                )
-            ):
-                boundaries.append(index + 1)
-                target += 1
-        while len(boundaries) < self.world - 1:
-            boundaries.append(len(events))
-        return boundaries
 
 
 def strategy_from_name(

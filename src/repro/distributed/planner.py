@@ -14,10 +14,13 @@ space automatically:
    times, and their running prefix — is built per (tp, microbatch
    size) and then every (pp, dp, m, sp) combination is costed from the
    prefix arrays as a per-config delta: stage sums, point-to-point
-   boundary transfers, pipeline wavefronts.  No re-partition, no
-   re-pricing.  :func:`bruteforce_cost` is the slow path that rebuilds
-   the axis from a fresh partition per config; the property suite
-   pins both paths to identical floats.
+   boundary transfers, pipeline wavefronts.  An axis is priced once
+   per distinct kernel class of the trace
+   (:func:`repro.distributed.partition.trace_classes`) and expanded to
+   events by index, never by partitioning.  :func:`bruteforce_cost` is
+   the slow path that partitions and prices every event afresh per
+   config (:func:`bruteforce_axis`); the property suite pins both
+   paths to identical floats.
 3. Pipeline behaviour comes from :mod:`repro.distributed.schedule`
    (GPipe vs 1F1B with explicit bubble accounting) for training and
    the forward wavefront for serving latency.
@@ -43,8 +46,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.distributed.collectives import CollectiveKind
-from repro.distributed.partition import TensorParallel
+from repro.distributed.partition import (
+    TensorParallel,
+    split_cumulative,
+    stage_boundaries,  # re-exported: the one stage splitter
+    trace_classes,
+)
 from repro.distributed.registry import MachineSpec, machine_from_name
 from repro.distributed.schedule import (
     ScheduleResult,
@@ -52,9 +62,10 @@ from repro.distributed.schedule import (
     simulate_1f1b,
     simulate_gpipe,
 )
-from repro.distributed.sharding import even_split
+from repro.distributed.sharding import ShardRole, even_split, shard_op
 from repro.ir.context import AttentionImpl
 from repro.ir.module import Module
+from repro.ir.ops import Op
 from repro.ir.trace import Trace
 from repro.kernels.base import DEFAULT_TUNING, TuningConstants
 from repro.kernels.estimator import CachingCostEstimator
@@ -189,9 +200,29 @@ class TPAxis:
     out_bytes: list[float]
     act_peak_shard: float
     max_comm_payload: float
+    # Stage-weight running sums per sequence-parallel flag, built on the
+    # first pipeline split and dying with the axis.
+    _cumulative: dict[bool, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def cumulative_weights(self, sequence_parallel: bool) -> np.ndarray:
+        """Left-to-right running sum of per-event stage weights.
+
+        An event's stage weight is its wall time, ``acc[i+1] - acc[i]``
+        (``acc_sp`` under sequence parallelism).  Built once per variant
+        and cached on the axis, so every pipeline depth bisects the same
+        array instead of re-walking the events.
+        """
+        cumulative = self._cumulative.get(sequence_parallel)
+        if cumulative is None:
+            acc = self.acc_sp if sequence_parallel else self.acc
+            cumulative = np.cumsum(np.diff(acc))
+            self._cumulative[sequence_parallel] = cumulative
+        return cumulative
 
     @property
     def total_s(self) -> float:
@@ -204,6 +235,21 @@ class TPAxis:
         return sum(self.comm)
 
 
+def _prefix(times: np.ndarray, comm: np.ndarray) -> list[float]:
+    """``acc`` with ``acc[i+1] = acc[i] + times[i] + comm[i]``, in order.
+
+    Time first, then the collective — the order build_timelines
+    advances the clocks in.  ``np.cumsum`` accumulates strictly left
+    to right over the interleaved ``0, t0, c0, t1, c1, ...``; never
+    ``sum()`` (compensated from Python 3.12), ``math.fsum`` or
+    ``np.sum`` (pairwise), which would move the floats.
+    """
+    steps = np.zeros(2 * len(times) + 1)
+    steps[1::2] = times
+    steps[2::2] = comm
+    return np.cumsum(steps)[0::2].tolist()
+
+
 def build_axis(
     trace: Trace,
     tp: int,
@@ -212,13 +258,109 @@ def build_axis(
     tuning: TuningConstants = DEFAULT_TUNING,
     batch: int = 1,
 ) -> TPAxis:
-    """Partition + price one tensor-parallel axis over ``trace``.
+    """Price one tensor-parallel axis over ``trace``, once per class.
 
-    This is the only place the planner touches the partitioner and the
-    kernel estimator; everything downstream works on the arrays.  For
-    ``tp == 1`` the profiled event costs are taken verbatim — no
+    This is the only place the planner touches the sharding rules and
+    the kernel estimator; everything downstream works on the arrays.
+    Each class of :func:`repro.distributed.partition.trace_classes`
+    (one op, role, collective and fold factor) is sharded, priced and
+    sized once; the per-event arrays are gathered by class index.
+    Every float equals the per-event pricing of :func:`bruteforce_axis`.
+    For ``tp == 1`` the profiled event costs are taken verbatim — no
     re-pricing — which is what makes the degenerate config reproduce
     the single-device trace byte-identically.
+    """
+    table = trace_classes(trace)
+    index = table.index
+    out_c = [op.write_bytes() for op in table.ops]
+    out_bytes = list(map(out_c.__getitem__, index))
+    act_peak = 0.0
+    max_payload = 0.0
+    if tp == 1:
+        times = [event.cost.time_s for event in trace.events]
+        comm = [0.0] * len(times)
+        comm_sp = comm.copy()
+        for op in table.ops:
+            transient = op.read_bytes() + op.write_bytes()
+            if transient > act_peak:
+                act_peak = transient
+        times_arr = np.array(times)
+        comm_arr = comm_sp_arr = np.zeros(len(times))
+    else:
+        weights = [1] * tp
+        estimator = CachingCostEstimator(machine.gpu, tuning)
+        comm_model = machine.topology.cost_model(tp)
+        first_shard: dict[tuple[int, ShardRole], Op | None] = {}
+        times_c = [0.0] * len(table)
+        comm_c = [0.0] * len(table)
+        comm_sp_c = [0.0] * len(table)
+        for cls, (op, role, kind, repeat) in enumerate(
+            zip(table.ops, table.roles, table.collectives, table.repeats)
+        ):
+            key = (id(op), role)
+            if key not in first_shard:
+                first_shard[key] = shard_op(op, role, weights)[0]
+            op0 = first_shard[key]
+            if op0 is not None:
+                base_s = estimator.estimate(op0).time_s
+                # Same expression as build_timelines so the floats match.
+                times_c[cls] = base_s * repeat if repeat != 1 else base_s
+                transient = op0.read_bytes() + op0.write_bytes()
+                if transient > act_peak:
+                    act_peak = transient
+            if kind is None:
+                continue
+            payload = out_c[cls]
+            plain = comm_model.estimate(kind, payload, tp).time_s
+            if kind is CollectiveKind.ALL_REDUCE:
+                # Sequence parallelism replaces the all-reduce with
+                # reduce-scatter + all-gather around the sharded
+                # activation region.
+                sp_s = (
+                    comm_model.reduce_scatter(payload, tp).time_s
+                    + comm_model.all_gather(payload, tp).time_s
+                )
+            else:
+                sp_s = plain
+            comm_c[cls] = plain * repeat
+            comm_sp_c[cls] = sp_s * repeat
+            if payload > max_payload:
+                max_payload = payload
+        times = list(map(times_c.__getitem__, index))
+        comm = list(map(comm_c.__getitem__, index))
+        comm_sp = list(map(comm_sp_c.__getitem__, index))
+        gather = table.index_array
+        times_arr = np.array(times_c)[gather]
+        comm_arr = np.array(comm_c)[gather]
+        comm_sp_arr = np.array(comm_sp_c)[gather]
+    return TPAxis(
+        tp=tp,
+        batch=batch,
+        times=times,
+        comm=comm,
+        comm_sp=comm_sp,
+        acc=_prefix(times_arr, comm_arr),
+        acc_sp=_prefix(times_arr, comm_sp_arr),
+        out_bytes=out_bytes,
+        act_peak_shard=act_peak,
+        max_comm_payload=max_payload,
+    )
+
+
+def bruteforce_axis(
+    trace: Trace,
+    tp: int,
+    machine: MachineSpec,
+    *,
+    tuning: TuningConstants = DEFAULT_TUNING,
+    batch: int = 1,
+) -> TPAxis:
+    """Per-event reference for :func:`build_axis`.
+
+    Partitions the trace with :class:`TensorParallel` and prices every
+    sharded event on its own, accumulating the prefix sums in a plain
+    Python loop — no class table, no gather, no array arithmetic.  The
+    property suite requires every field to equal :func:`build_axis`'s.
     """
     n = len(trace.events)
     times: list[float] = []
@@ -241,8 +383,6 @@ def build_axis(
         plan = TensorParallel(tp).partition(trace)
         estimator = CachingCostEstimator(machine.gpu, tuning)
         comm_model = machine.topology.cost_model(tp)
-        op_time: dict[int, float] = {}
-        comm_memo: dict[int, tuple[float, float]] = {}
         for event in plan.sharded_events:
             source, _, ops, spec, repeat, _ = event
             op0 = ops[0]
@@ -250,11 +390,7 @@ def build_axis(
                 times.append(0.0)
                 transient = 0.0
             else:
-                base_s = op_time.get(id(op0))
-                if base_s is None:
-                    base_s = estimator.estimate(op0).time_s
-                    op_time[id(op0)] = base_s
-                # Same expression as build_timelines so the floats match.
+                base_s = estimator.estimate(op0).time_s
                 times.append(base_s * repeat if repeat != 1 else base_s)
                 transient = op0.read_bytes() + op0.write_bytes()
             if transient > act_peak:
@@ -263,38 +399,25 @@ def build_axis(
             if spec is None:
                 comm.append(0.0)
                 comm_sp.append(0.0)
+                continue
+            plain = comm_model.estimate(
+                spec.kind, spec.payload_bytes, tp
+            ).time_s
+            if spec.kind is CollectiveKind.ALL_REDUCE:
+                sp_s = (
+                    comm_model.reduce_scatter(spec.payload_bytes, tp).time_s
+                    + comm_model.all_gather(spec.payload_bytes, tp).time_s
+                )
             else:
-                entry = comm_memo.get(id(spec))
-                if entry is None:
-                    plain = comm_model.estimate(
-                        spec.kind, spec.payload_bytes, tp
-                    ).time_s
-                    if spec.kind is CollectiveKind.ALL_REDUCE:
-                        # Sequence parallelism replaces the all-reduce
-                        # with reduce-scatter + all-gather around the
-                        # sharded activation region.
-                        sp_s = (
-                            comm_model.reduce_scatter(
-                                spec.payload_bytes, tp
-                            ).time_s
-                            + comm_model.all_gather(
-                                spec.payload_bytes, tp
-                            ).time_s
-                        )
-                    else:
-                        sp_s = plain
-                    entry = (plain, sp_s)
-                    comm_memo[id(spec)] = entry
-                comm.append(entry[0] * repeat)
-                comm_sp.append(entry[1] * repeat)
-                if spec.payload_bytes > max_payload:
-                    max_payload = spec.payload_bytes
+                sp_s = plain
+            comm.append(plain * repeat)
+            comm_sp.append(sp_s * repeat)
+            if spec.payload_bytes > max_payload:
+                max_payload = spec.payload_bytes
     acc = [0.0] * (n + 1)
     acc_sp = [0.0] * (n + 1)
     run = run_sp = 0.0
     for i in range(n):
-        # Time first, then the collective — the order build_timelines
-        # advances the clocks in.
         run += times[i]
         run += comm[i]
         acc[i + 1] = run
@@ -315,47 +438,13 @@ def build_axis(
     )
 
 
-def stage_boundaries(weights: Sequence[float], stages: int) -> list[int]:
-    """End index (exclusive) of each of the first ``stages - 1`` stages.
-
-    Same greedy proportional-share rule as
-    :meth:`repro.distributed.partition.PipelineParallel._stage_boundaries`,
-    applied to the axis' per-event wall times; every stage is guaranteed
-    at least one event (callers must ensure ``stages <= len(weights)``).
-    """
-    n = len(weights)
-    if stages > n:
-        raise ValueError("more stages than events")
-    total = sum(weights)
-    boundaries: list[int] = []
-    cumulative = 0.0
-    target = 1
-    for index, w in enumerate(weights):
-        cumulative += w
-        remaining = n - (index + 1)
-        while (
-            target < stages
-            and remaining >= stages - target
-            and (
-                cumulative >= total * target / stages
-                # Last index that still leaves one event per remaining
-                # stage: close now or starve every stage after this one
-                # (the same forced close as PipelineParallel).
-                or remaining == stages - target
-            )
-        ):
-            boundaries.append(index + 1)
-            target += 1
-    while len(boundaries) < stages - 1:
-        boundaries.append(n)
-    return boundaries
-
-
 def split_stages(
     axis: TPAxis, pp: int, sequence_parallel: bool, machine: MachineSpec
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Per-stage forward times and boundary p2p times for one axis.
 
+    Stages are balanced by :func:`repro.distributed.partition.split_cumulative`
+    over the axis' cached stage-weight sums (one bisection per stage).
     Stage wall time is one prefix subtraction per stage; the boundary
     activation (the last event's unsharded output, divided by ``tp``
     under sequence parallelism) is priced as an adjacent-rank
@@ -365,8 +454,7 @@ def split_stages(
     acc = axis.acc_sp if sequence_parallel else axis.acc
     if pp == 1:
         return (acc[-1],), (0.0,)
-    weights = [acc[i + 1] - acc[i] for i in range(len(axis))]
-    bounds = stage_boundaries(weights, pp)
+    bounds = split_cumulative(axis.cumulative_weights(sequence_parallel), pp)
     starts = [0] + bounds
     ends = bounds + [len(axis)]
     p2p_model = machine.topology.cost_model(2)
@@ -670,16 +758,17 @@ def bruteforce_cost(
     """Cost one config by fully re-partitioning and re-pricing the trace.
 
     The reference the symbolic-delta path is validated against: a fresh
-    :func:`build_axis` per call (re-partition + kernel/collective
-    re-pricing, no axis or stage-split reuse) composed through the same
-    pure :func:`_compose_point`.  The property suite asserts the
-    resulting :class:`PlanPoint` floats are *identical* to
+    per-event :func:`bruteforce_axis` per call (re-partition + kernel/
+    collective re-pricing of every event, no class table, no axis or
+    stage-split reuse) composed through the same pure
+    :func:`_compose_point`.  The property suite asserts the resulting
+    :class:`PlanPoint` floats are *identical* to
     :meth:`PlannerBasis.cost_config`'s.
     """
     replica_batch = even_split(global_batch, config.dp)[0]
     m_eff = min(config.microbatches, replica_batch)
     mb = even_split(replica_batch, m_eff)[0]
-    axis = build_axis(
+    axis = bruteforce_axis(
         basis.trace(mb), config.tp, basis.machine,
         tuning=basis.tuning, batch=mb,
     )

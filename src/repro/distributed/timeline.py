@@ -212,8 +212,8 @@ def _build_spmd(
                     compute[rank] += time_s
                     clocks_list[rank] += time_s
             if comm is not None and world_gt1:
-                # CommSpec instances are interned by the partitioner's
-                # resolution memo, so identity keys are stable; a
+                # Every event of one partitioner class shares its
+                # CommSpec instance, so identity keys are stable; a
                 # duplicate spec object merely re-prices to the same
                 # deterministic value.
                 base_comm_s = comm_get(id(comm))

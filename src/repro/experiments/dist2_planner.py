@@ -40,6 +40,7 @@ from repro.distributed.planner import (
 )
 from repro.experiments.base import ClaimCheck, ExperimentResult
 from repro.experiments.suite_cache import model_instance
+from repro.ir.module import Module
 from repro.profiler.memory_footprint import suite_kv_cache_bytes
 from repro.serving.fleet import pool_from_replicas, simulate_fleet
 from repro.serving.sharded import planned_pool, replica_from_plan
@@ -68,12 +69,24 @@ FLEET_RATE_RPS = 5.0
 FLEET_DURATION_S = 300.0
 FLEET_SEED = 23
 FLEET_DEADLINE_S = 4.0
+# The (registry name, machine) combo the fleet leg serves.
+FLEET_COMBO = ("stable_diffusion", MACHINES[0])
 
 
 @lru_cache(maxsize=1)
-def _run_searches() -> dict[tuple[str, str], tuple[PlannerResult, PlanPoint]]:
-    """Planner search plus the costed tp=8 baseline, per combo (cached)."""
-    out: dict[tuple[str, str], tuple[PlannerResult, PlanPoint]] = {}
+def _run_planner() -> tuple[
+    dict[tuple[str, str], tuple[PlannerResult, PlanPoint]], dict[str, float]
+]:
+    """Every search plus the fleet leg, one planner basis per combo.
+
+    Returns the planner search and the costed tp=8 baseline per combo,
+    and the fleet-leg metrics.  The fleet leg replays SD@A100 on that
+    combo's basis after its search, so it reuses the search's traces
+    and axes instead of planning again from scratch.  Only results are
+    cached: each basis is released when its combo is done.
+    """
+    searches: dict[tuple[str, str], tuple[PlannerResult, PlanPoint]] = {}
+    fleet: dict[str, float] = {}
     for _, registry_name in MODELS:
         model = model_instance(registry_name)
         kv = suite_kv_cache_bytes(registry_name, model)
@@ -86,20 +99,22 @@ def _run_searches() -> dict[tuple[str, str], tuple[PlannerResult, PlanPoint]]:
             baseline = basis.cost_config(
                 BASELINE, global_batch=GLOBAL_BATCH
             )
-            out[(registry_name, machine)] = (result, baseline)
-    return out
+            searches[(registry_name, machine)] = (result, baseline)
+            if (registry_name, machine) == FLEET_COMBO:
+                fleet = _fleet_leg(model, basis)
+    return searches, fleet
 
 
-@lru_cache(maxsize=1)
-def _run_fleet() -> dict[str, float]:
+def _fleet_leg(model: Module, basis: PlannerBasis) -> dict[str, float]:
     """Replay one stream against the auto-planned and tp=8 SD pools."""
-    model = model_instance("stable_diffusion")
-    machine = MACHINES[0]
+    machine = basis.machine
     auto_pool, auto_point = planned_pool(
         "auto-planned", model, machine=machine,
-        gpu_budget=GPU_BUDGET, global_batch=GLOBAL_BATCH,
+        gpu_budget=GPU_BUDGET, global_batch=GLOBAL_BATCH, basis=basis,
     )
-    baseline_replica = replica_from_plan(model, BASELINE, machine=machine)
+    baseline_replica = replica_from_plan(
+        model, BASELINE, machine=machine, basis=basis
+    )
     baseline_pool = pool_from_replicas(
         "hand-picked-tp8", [baseline_replica], servers=1
     )
@@ -125,8 +140,7 @@ def _run_fleet() -> dict[str, float]:
 
 def run() -> ExperimentResult:
     """Regenerate this experiment and check its claims."""
-    searches = _run_searches()
-    fleet = _run_fleet()
+    searches, fleet = _run_planner()
     rows: list[list[object]] = []
     beats_baseline = []
     latency_worlds = []

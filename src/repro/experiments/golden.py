@@ -384,8 +384,7 @@ def dist2_summary() -> dict:
     from repro.experiments.dist2_planner import (
         MACHINES as dist2_machines,
         MODELS as dist2_models,
-        _run_fleet as dist2_fleet,
-        _run_searches as dist2_searches,
+        _run_planner as dist2_planner,
     )
 
     def point(p) -> dict:
@@ -397,8 +396,8 @@ def dist2_summary() -> dict:
             "bubble_fraction": p.bubble_fraction,
         }
 
-    summary: dict = {"fleet": dist2_fleet()}
-    searches = dist2_searches()
+    searches, fleet = dist2_planner()
+    summary: dict = {"fleet": fleet}
     for _, registry_name in dist2_models:
         for machine in dist2_machines:
             result, baseline = searches[(registry_name, machine)]

@@ -161,6 +161,7 @@ def planned_pool(
     attention_impl: AttentionImpl = AttentionImpl.FLASH,
     kv_bytes: float = 0.0,
     servers: int | None = None,
+    basis: "PlannerBasis | None" = None,
     **pool_kwargs: object,
 ) -> "tuple[PoolSpec, PlanPoint]":
     """Run the auto-planner and wire its winning plan into a fleet pool.
@@ -170,7 +171,9 @@ def planned_pool(
     ``"latency"``), and returns a :class:`repro.serving.fleet.PoolSpec`
     whose servers are that plan's replicas — ``servers`` defaults to
     the plan's data-parallel degree, so the pool occupies exactly the
-    planned GPU budget — plus the winning :class:`PlanPoint`.
+    planned GPU budget — plus the winning :class:`PlanPoint`.  Pass the
+    ``basis`` of an earlier search of the same model and machine to
+    reuse its cached traces and axes.
     """
     if objective not in ("throughput", "latency"):
         raise ValueError("objective must be 'throughput' or 'latency'")
@@ -179,9 +182,11 @@ def planned_pool(
     from repro.distributed.planner import PlannerBasis, plan_parallelism
     from repro.serving.fleet import pool_from_replicas
 
-    basis = PlannerBasis(
-        model, machine, attention_impl=attention_impl, kv_bytes=kv_bytes,
-    )
+    if basis is None:
+        basis = PlannerBasis(
+            model, machine,
+            attention_impl=attention_impl, kv_bytes=kv_bytes,
+        )
     result = plan_parallelism(
         model, machine=machine, gpu_budget=gpu_budget,
         global_batch=global_batch, basis=basis,

@@ -1,16 +1,20 @@
 """Partition strategies: FLOPs invariants and collective placement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed.collectives import CollectiveKind
 from repro.distributed.partition import (
     DataParallel,
     PipelineParallel,
     TensorParallel,
+    stage_boundaries,
     strategy_from_name,
 )
 from repro.ir.context import ExecutionContext
 from repro.ir.ops import Elementwise, FusedAttention, Gemm, OpCategory
+from repro.ir.trace import KernelCost, Trace, TraceEvent
 
 
 def transformer_trace(blocks: int = 2, repeat: int = 1):
@@ -170,6 +174,96 @@ class TestPipelineParallel:
         assert {event.stage for event in plan.sharded_events} == set(
             range(6)
         )
+
+
+def timed_trace(times_s):
+    """A trace of one 4096^3 GEMM, then elementwise ops, at given times."""
+    events = []
+    start = 0.0
+    for index, time_s in enumerate(times_s):
+        op = (
+            Gemm("gemm", m=4096, n=4096, k=4096) if index == 0
+            else Elementwise(f"ew{index}", numel=4096)
+        )
+        cost = KernelCost(
+            time_s=time_s, compute_time_s=time_s, memory_time_s=0.0,
+            launch_time_s=0.0, flops=op.flops(),
+            moved_bytes=op.total_bytes(), limiter="compute",
+        )
+        events.append(TraceEvent(index, f"m{index}", op, cost, start))
+        start += time_s
+    return Trace(events)
+
+
+class TestPipelineStagesNeverEmpty:
+    def test_heavy_first_event_still_feeds_every_stage(self):
+        # One 4.2 ms GEMM outweighs two stage shares.  The splitter
+        # used to close stages 0 and 1 at the same index, leaving stage
+        # 1 empty and sending stage 0's activation into it.
+        trace = timed_trace([4.2e-3, 4e-6, 4e-6, 4e-6])
+        plan = PipelineParallel(3).partition(trace)
+        assert [e.stage for e in plan.sharded_events] == [0, 1, 2, 2]
+        sends = [e.stage for e in plan.sharded_events if e.comm is not None]
+        assert sends == [0, 1]
+
+    def test_more_ranks_than_events_populate_a_stage_per_event(self):
+        trace = timed_trace([4.2e-3, 4e-6, 4e-6])
+        plan = PipelineParallel(5).partition(trace)
+        assert [e.stage for e in plan.sharded_events] == [0, 1, 2]
+
+
+def greedy_boundaries(weights, stages):
+    """Plain greedy reference: one pass, at most one close per event."""
+    n = len(weights)
+    total = 0.0
+    for w in weights:  # left to right: sum() is compensated from 3.12
+        total += w
+    boundaries = []
+    cumulative = 0.0
+    target = 1
+    for index, w in enumerate(weights):
+        cumulative += w
+        remaining = n - (index + 1)
+        if (
+            target < stages
+            and remaining >= stages - target
+            and (
+                cumulative >= total * target / stages
+                or remaining == stages - target
+            )
+        ):
+            boundaries.append(index + 1)
+            target += 1
+    return boundaries
+
+
+def assert_every_stage_owns_an_event(boundaries, n, stages):
+    edges = [0] + boundaries + [n]
+    assert len(edges) == stages + 1
+    assert all(a < b for a, b in zip(edges, edges[1:]))
+
+
+class TestStageSplitter:
+    def test_one_outweighing_event_closes_one_stage(self):
+        assert stage_boundaries([10.0, 1.0, 1.0, 1.0], 3) == [1, 2]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=1e-3),
+                st.floats(min_value=0.0, max_value=1e3),
+            ),
+            min_size=1, max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_bisection_matches_the_greedy_reference(self, weights, data):
+        stages = data.draw(st.integers(1, len(weights)))
+        boundaries = stage_boundaries(weights, stages)
+        assert boundaries == greedy_boundaries(weights, stages)
+        assert_every_stage_owns_an_event(boundaries, len(weights), stages)
 
 
 class TestStrategyFactory:

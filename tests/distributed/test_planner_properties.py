@@ -152,6 +152,33 @@ class TestDeterminism:
         assert result.stats["trace_profiles"] <= 4
 
 
+class TestSharedBasis:
+    def test_planned_pool_on_a_searched_basis_matches_a_fresh_one(self):
+        from repro.serving.sharded import planned_pool
+
+        basis = PlannerBasis(MODEL, MACHINE)
+        plan_parallelism(
+            MODEL, machine=MACHINE, gpu_budget=8,
+            global_batch=GLOBAL_BATCH, basis=basis,
+        )
+        profiles = basis.stats["trace_profiles"]
+        shared, shared_point = planned_pool(
+            "p", MODEL, machine=MACHINE, global_batch=GLOBAL_BATCH,
+            basis=basis,
+        )
+        fresh, fresh_point = planned_pool(
+            "p", MODEL, machine=MACHINE, global_batch=GLOBAL_BATCH,
+        )
+        # The pool reuses the search's traces instead of re-profiling.
+        assert basis.stats["trace_profiles"] == profiles
+        assert shared_point == fresh_point
+        assert shared.servers == fresh.servers
+        latency = shared.latency_fns[MODEL.name]
+        assert [latency(b) for b in range(1, 9)] == [
+            fresh.latency_fns[MODEL.name](b) for b in range(1, 9)
+        ]
+
+
 class TestMemoryCap:
     @settings(max_examples=40, deadline=None)
     @given(
