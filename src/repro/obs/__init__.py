@@ -20,9 +20,9 @@ actions all happen invisibly.  This package is the flight recorder:
   :class:`~repro.obs.metrics.HistogramSeries` — counters, gauges and
   windowed latency histograms sampled on simulated-time ticks.
 * :mod:`repro.obs.export` — versioned, byte-deterministic JSONL
-  telemetry traces (same canonical-bytes discipline as
-  ``TrafficTrace``), gated in CI by
-  ``tools/check_telemetry_schema.py``.
+  telemetry traces in the canonical-JSONL envelope every record file
+  shares (:mod:`repro.jsonl`), gated in CI by
+  ``tools/check_jsonl.py``.
 * :mod:`repro.obs.perfetto` — Chrome-trace/Perfetto export rendering
   a fleet run as per-server lanes with request slices, instant
   events and counter tracks.

@@ -1,14 +1,12 @@
 """Versioned, byte-deterministic JSONL telemetry traces.
 
-Same canonical-bytes discipline as the traffic-trace format
-(:mod:`repro.serving.traffic`): every line is one JSON record with
-sorted keys and compact separators, line 1 is a header carrying the
-schema id, version and record counts, and
-``dumps -> loads -> dumps`` is a byte identity.  A telemetry file is
-therefore diffable, hashable and CI-gateable —
-``tools/check_telemetry_schema.py`` validates the format
-independently of this serializer, so a serializer bug cannot
-self-certify.
+A telemetry file is written in the canonical-JSONL envelope shared by
+every record format (:mod:`repro.jsonl`, ``docs/RECORDS.md``): one
+canonical JSON record per line, a header on line 1, and
+``dumps -> loads -> dumps`` a byte identity.  A telemetry file is
+therefore diffable, hashable and CI-gateable — ``tools/check_jsonl.py``
+validates the format independently of this serializer, so a serializer
+bug cannot self-certify.
 
 Record kinds, in file order:
 
@@ -25,9 +23,10 @@ Record kinds, in file order:
 
 from __future__ import annotations
 
-import json
+from itertools import chain
 from pathlib import Path
 
+from repro import jsonl
 from repro.obs.metrics import HistogramSeries, MetricSeries
 from repro.obs.spans import RequestSpan, SpanEvent
 from repro.obs.telemetry import FleetEvent, TelemetryLog
@@ -38,10 +37,13 @@ TELEMETRY_SCHEMA = "repro-telemetry"
 TELEMETRY_VERSION = 1
 """Current telemetry format version."""
 
-
-def _canonical(obj: object) -> str:
-    """One canonical JSON line: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_COUNTS = {
+    "span": "num_spans",
+    "event": "num_events",
+    "series": "num_series",
+    "histogram": "num_histograms",
+}
+"""Record kinds in file order, each with the header field counting it."""
 
 
 def dumps_telemetry(log: TelemetryLog) -> str:
@@ -52,8 +54,7 @@ def dumps_telemetry(log: TelemetryLog) -> str:
     produces the same string in any process — pinned by a subprocess
     determinism test.
     """
-    lines = [_canonical({
-        "kind": "header",
+    header = {
         "schema": TELEMETRY_SCHEMA,
         "version": TELEMETRY_VERSION,
         "sample_interval_s": log.sample_interval_s,
@@ -65,9 +66,9 @@ def dumps_telemetry(log: TelemetryLog) -> str:
         "num_series": len(log.series),
         "num_histograms": len(log.histograms),
         "meta": dict(log.meta),
-    })]
-    for span in log.spans:
-        lines.append(_canonical({
+    }
+    return jsonl.dumps(header, chain(
+        ({
             "kind": "span",
             "request": span.request_id,
             "model": span.model,
@@ -75,119 +76,98 @@ def dumps_telemetry(log: TelemetryLog) -> str:
                 [event.ts_s, event.state, dict(event.attrs)]
                 for event in span.events
             ],
-        }))
-    for event in log.events:
-        lines.append(_canonical({
+        } for span in log.spans),
+        ({
             "kind": "event",
             "ts_s": event.ts_s,
             "event": event.kind,
             "attrs": dict(event.attrs),
-        }))
-    for series in log.series:
-        lines.append(_canonical({
+        } for event in log.events),
+        ({
             "kind": "series",
             "name": series.name,
             "metric": series.kind,
             "times": list(series.times),
             "values": list(series.values),
-        }))
-    for histogram in log.histograms:
-        lines.append(_canonical({
+        } for series in log.series),
+        ({
             "kind": "histogram",
             "name": histogram.name,
             "edges": list(histogram.edges),
             "times": list(histogram.times),
             "counts": [list(row) for row in histogram.counts],
-        }))
-    return "\n".join(lines) + "\n"
+        } for histogram in log.histograms),
+    ))
+
+
+def _span(record: dict) -> RequestSpan:
+    return RequestSpan(
+        request_id=int(record["request"]),
+        model=record["model"],
+        events=tuple(
+            SpanEvent(float(ts), state, attrs)
+            for ts, state, attrs in record["events"]
+        ),
+    )
+
+
+def _event(record: dict) -> FleetEvent:
+    return FleetEvent(
+        ts_s=float(record["ts_s"]),
+        kind=record["event"],
+        attrs=record["attrs"],
+    )
+
+
+def _series(record: dict) -> MetricSeries:
+    return MetricSeries(
+        name=record["name"],
+        kind=record["metric"],
+        times=tuple(float(t) for t in record["times"]),
+        values=tuple(float(v) for v in record["values"]),
+    )
+
+
+def _histogram(record: dict) -> HistogramSeries:
+    return HistogramSeries(
+        name=record["name"],
+        edges=tuple(float(e) for e in record["edges"]),
+        times=tuple(float(t) for t in record["times"]),
+        counts=tuple(
+            tuple(int(c) for c in row) for row in record["counts"]
+        ),
+    )
 
 
 def loads_telemetry(text: str) -> TelemetryLog:
     """Parse a telemetry JSONL string back into a TelemetryLog.
 
-    Validates the header contract (schema id, version, record
-    counts); ``dumps_telemetry(loads_telemetry(s)) == s`` for any
+    Checks the envelope (:func:`repro.jsonl.loads`) and the header's
+    record counts; ``dumps_telemetry(loads_telemetry(s)) == s`` for any
     string this module wrote.
     """
-    lines = [line for line in text.splitlines() if line]
-    if not lines:
-        raise ValueError("empty telemetry file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
-        raise ValueError("first telemetry record must be the header")
-    if header.get("schema") != TELEMETRY_SCHEMA:
-        raise ValueError(
-            f"unknown telemetry schema {header.get('schema')!r}"
-        )
-    if header.get("version") != TELEMETRY_VERSION:
-        raise ValueError(
-            f"unsupported telemetry version "
-            f"{header.get('version')!r} (expected "
-            f"{TELEMETRY_VERSION})"
-        )
-    spans: list[RequestSpan] = []
-    events: list[FleetEvent] = []
-    series: list[MetricSeries] = []
-    histograms: list[HistogramSeries] = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        kind = record.get("kind")
-        if kind == "span":
-            spans.append(RequestSpan(
-                request_id=int(record["request"]),
-                model=record["model"],
-                events=tuple(
-                    SpanEvent(float(ts), state, attrs)
-                    for ts, state, attrs in record["events"]
-                ),
-            ))
-        elif kind == "event":
-            events.append(FleetEvent(
-                ts_s=float(record["ts_s"]),
-                kind=record["event"],
-                attrs=record["attrs"],
-            ))
-        elif kind == "series":
-            series.append(MetricSeries(
-                name=record["name"],
-                kind=record["metric"],
-                times=tuple(float(t) for t in record["times"]),
-                values=tuple(float(v) for v in record["values"]),
-            ))
-        elif kind == "histogram":
-            histograms.append(HistogramSeries(
-                name=record["name"],
-                edges=tuple(float(e) for e in record["edges"]),
-                times=tuple(float(t) for t in record["times"]),
-                counts=tuple(
-                    tuple(int(c) for c in row)
-                    for row in record["counts"]
-                ),
-            ))
-        else:
-            raise ValueError(f"unknown record kind {kind!r}")
-    for label, got, want in (
-        ("span", len(spans), header["num_spans"]),
-        ("event", len(events), header["num_events"]),
-        ("series", len(series), header["num_series"]),
-        ("histogram", len(histograms), header["num_histograms"]),
-    ):
-        if got != want:
+    header, records = jsonl.loads(
+        text, schema=TELEMETRY_SCHEMA, version=TELEMETRY_VERSION,
+        parsers={
+            "span": _span, "event": _event,
+            "series": _series, "histogram": _histogram,
+        },
+    )
+    for kind, field in _COUNTS.items():
+        if len(records[kind]) != header[field]:
             raise ValueError(
-                f"header promised {want} {label} records, file has "
-                f"{got}"
+                f"header promised {header[field]} {kind} records, file "
+                f"has {len(records[kind])}"
             )
     return TelemetryLog(
         pools=tuple(header["pools"]),
-        server_pools=tuple(
-            int(p) for p in header["server_pools"]
-        ),
+        server_pools=tuple(int(p) for p in header["server_pools"]),
         sample_interval_s=float(header["sample_interval_s"]),
         makespan_s=float(header["makespan_s"]),
-        spans=tuple(spans),
-        events=tuple(events),
-        series=tuple(series),
-        histograms=tuple(histograms),
+        spans=tuple(records["span"]),
+        events=tuple(records["event"]),
+        series=tuple(records["series"]),
+        histograms=tuple(records["histogram"]),
         meta=dict(header["meta"]),
     )
 
@@ -195,10 +175,10 @@ def loads_telemetry(text: str) -> TelemetryLog:
 def save_telemetry(log: TelemetryLog, path: str | Path) -> Path:
     """Write a telemetry log as JSONL; returns the path written."""
     path = Path(path)
-    path.write_text(dumps_telemetry(log))
+    path.write_text(dumps_telemetry(log), encoding="utf-8")
     return path
 
 
 def load_telemetry(path: str | Path) -> TelemetryLog:
     """Read a telemetry JSONL file written by :func:`save_telemetry`."""
-    return loads_telemetry(Path(path).read_text())
+    return loads_telemetry(Path(path).read_text(encoding="utf-8"))

@@ -8,7 +8,7 @@ and the losing copy contributes a single ``cancel`` event, so the
 span reads as one client-visible request with an internal race.
 
 The well-formedness contract (pinned by a hypothesis property suite
-and re-checked independently by ``tools/check_telemetry_schema.py``):
+and re-checked independently by ``tools/check_jsonl.py``):
 
 * the first event is ``submit`` and timestamps are monotone
   non-decreasing;
@@ -124,7 +124,7 @@ def validate_span(span: RequestSpan) -> list[str]:
     An empty list means the span satisfies the contract documented in
     the module docstring.  This is the reference implementation the
     property suite asserts against and
-    ``tools/check_telemetry_schema.py`` mirrors line-by-line.
+    ``tools/check_jsonl.py`` mirrors line-by-line.
     """
     errors: list[str] = []
     if not span.events:

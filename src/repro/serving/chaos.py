@@ -9,9 +9,10 @@ provides the harness around them:
   per-domain Poisson processes (one ``random.Random(seed)``, fixed
   draw order, so campaigns are bit-reproducible);
 * a **versioned byte-deterministic JSONL serialization**
-  (:func:`dumps_campaign` / :func:`loads_campaign`) mirroring the
-  traffic-trace schema so campaigns can be committed, diffed, and
-  validated in CI (``tools/check_campaign_schema.py``);
+  (:func:`dumps_campaign` / :func:`loads_campaign`) in the
+  canonical-JSONL envelope every record file shares
+  (:mod:`repro.jsonl`), so campaigns can be committed, diffed, and
+  validated in CI (``tools/check_jsonl.py``);
 * :func:`check_invariants` — structural correctness checks every
   fleet report must satisfy regardless of what chaos did: each
   submitted request reaches exactly one terminal state, clocks are
@@ -30,15 +31,17 @@ chaos gate.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import jsonl
 from repro.serving.domains import (
+    EVENT_KIND_NAMES,
     CampaignEvent,
     CompiledCampaign,
     DegradedLink,
@@ -221,127 +224,80 @@ def generate_campaign(
 # -- serialization ----------------------------------------------------
 
 
-def _canonical(obj: object) -> str:
-    """Canonical JSON: sorted keys, compact separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_EVENT_TYPES = {name: kind for kind, name in EVENT_KIND_NAMES.items()}
+_CASTS = {"zone": int, "rack": int, "index": int, "scope": str}
+"""On-disk event fields that are not floats, with their types."""
 
 
 def _event_record(event: CampaignEvent) -> dict:
-    if isinstance(event, ZoneOutage):
-        return {
-            "kind": "event", "event": "zone_outage",
-            "zone": event.zone, "at_s": event.at_s,
-            "duration_s": event.duration_s,
-            "stagger_s": event.stagger_s,
-        }
-    if isinstance(event, RackOutage):
-        return {
-            "kind": "event", "event": "rack_outage",
-            "rack": event.rack, "at_s": event.at_s,
-            "duration_s": event.duration_s,
-            "stagger_s": event.stagger_s,
-        }
-    if isinstance(event, NetworkPartition):
-        return {
-            "kind": "event", "event": "partition",
-            "scope": event.scope, "index": event.index,
-            "at_s": event.at_s, "duration_s": event.duration_s,
-        }
     return {
-        "kind": "event", "event": "degraded_link",
-        "scope": event.scope, "index": event.index,
-        "at_s": event.at_s, "duration_s": event.duration_s,
-        "bandwidth_factor": event.bandwidth_factor,
-        "comm_fraction": event.comm_fraction,
+        "kind": "event", "event": EVENT_KIND_NAMES[type(event)],
+        **asdict(event),
     }
 
 
 def _event_from_record(record: dict) -> CampaignEvent:
-    name = record.get("event")
-    if name == "zone_outage":
-        return ZoneOutage(
-            zone=int(record["zone"]), at_s=float(record["at_s"]),
-            duration_s=float(record["duration_s"]),
-            stagger_s=float(record.get("stagger_s", 0.0)),
-        )
-    if name == "rack_outage":
-        return RackOutage(
-            rack=int(record["rack"]), at_s=float(record["at_s"]),
-            duration_s=float(record["duration_s"]),
-            stagger_s=float(record.get("stagger_s", 0.0)),
-        )
-    if name == "partition":
-        return NetworkPartition(
-            scope=str(record["scope"]), index=int(record["index"]),
-            at_s=float(record["at_s"]),
-            duration_s=float(record["duration_s"]),
-        )
-    if name == "degraded_link":
-        return DegradedLink(
-            scope=str(record["scope"]), index=int(record["index"]),
-            at_s=float(record["at_s"]),
-            duration_s=float(record["duration_s"]),
-            bandwidth_factor=float(record["bandwidth_factor"]),
-            comm_fraction=float(record["comm_fraction"]),
-        )
-    raise ValueError(f"unknown event record {name!r}")
+    event_type = _EVENT_TYPES.get(record["event"])
+    if event_type is None:
+        raise ValueError(f"unknown event {record['event']!r}")
+    return event_type(**{
+        spec.name: _CASTS.get(spec.name, float)(record[spec.name])
+        for spec in fields(event_type)
+        if spec.name in record or spec.default is MISSING
+    })
+
+
+def _topology_from_record(record: dict) -> DomainTopology:
+    return DomainTopology(**{
+        column: tuple(int(v) for v in record[column])
+        for column in ("host_of", "rack_of", "zone_of")
+    })
 
 
 def dumps_campaign(campaign: ChaosCampaign) -> str:
     """Serialize to the versioned campaign JSONL schema (v1).
 
-    Line 1 is the header (schema id, version, seed, duration, server
+    The file is in the canonical-JSONL envelope (:mod:`repro.jsonl`):
+    line 1 is the header (schema id, version, seed, duration, server
     count); line 2 the topology columns; then one ``event`` record per
-    event in campaign order.  Every line is canonical JSON, so equal
-    campaigns serialize to identical bytes and save -> load -> save is
-    the identity (pinned by tests and the CI schema gate).
+    event in campaign order.  Equal campaigns serialize to identical
+    bytes and save -> load -> save is the identity (pinned by tests
+    and the CI record schema gate).
     """
-    lines = [_canonical({
-        "kind": "header",
+    topology = campaign.topology
+    header = {
         "schema": CAMPAIGN_SCHEMA,
         "version": CAMPAIGN_VERSION,
         "seed": int(campaign.seed),
         "duration_s": float(campaign.duration_s),
-        "servers": campaign.topology.servers,
-    })]
-    lines.append(_canonical({
-        "kind": "topology",
-        "host_of": list(campaign.topology.host_of),
-        "rack_of": list(campaign.topology.rack_of),
-        "zone_of": list(campaign.topology.zone_of),
-    }))
-    for event in campaign.events:
-        lines.append(_canonical(_event_record(event)))
-    return "\n".join(lines) + "\n"
+        "servers": topology.servers,
+    }
+    return jsonl.dumps(header, chain(
+        [{
+            "kind": "topology",
+            "host_of": list(topology.host_of),
+            "rack_of": list(topology.rack_of),
+            "zone_of": list(topology.zone_of),
+        }],
+        map(_event_record, campaign.events),
+    ))
 
 
 def loads_campaign(text: str) -> ChaosCampaign:
     """Parse campaign JSONL produced by :func:`dumps_campaign`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 2:
-        raise ValueError("campaign file needs header and topology")
-    header = json.loads(lines[0])
-    if header.get("schema") != CAMPAIGN_SCHEMA:
-        raise ValueError(
-            f"not a campaign file (schema {header.get('schema')!r})"
-        )
-    if header.get("version") != CAMPAIGN_VERSION:
-        raise ValueError(
-            f"unsupported campaign version {header.get('version')!r}"
-        )
-    topo_record = json.loads(lines[1])
-    if topo_record.get("kind") != "topology":
-        raise ValueError("line 2 must be the topology record")
-    topology = DomainTopology(
-        host_of=tuple(int(v) for v in topo_record["host_of"]),
-        rack_of=tuple(int(v) for v in topo_record["rack_of"]),
-        zone_of=tuple(int(v) for v in topo_record["zone_of"]),
+    header, records = jsonl.loads(
+        text, schema=CAMPAIGN_SCHEMA, version=CAMPAIGN_VERSION,
+        parsers={"topology": _topology_from_record,
+                 "event": _event_from_record},
     )
-    events = tuple(
-        _event_from_record(json.loads(line)) for line in lines[2:]
-    )
+    if len(records["topology"]) != 1:
+        raise ValueError(
+            "a campaign file needs exactly one topology record, this "
+            f"one has {len(records['topology'])}"
+        )
     return ChaosCampaign(
-        topology=topology, events=events,
+        topology=records["topology"][0],
+        events=tuple(records["event"]),
         duration_s=float(header["duration_s"]),
         seed=int(header["seed"]),
     )
@@ -349,12 +305,12 @@ def loads_campaign(text: str) -> ChaosCampaign:
 
 def save_campaign(campaign: ChaosCampaign, path: str | Path) -> None:
     """Write a campaign to ``path`` as canonical JSONL."""
-    Path(path).write_text(dumps_campaign(campaign))
+    Path(path).write_text(dumps_campaign(campaign), encoding="utf-8")
 
 
 def load_campaign(path: str | Path) -> ChaosCampaign:
     """Read a campaign written by :func:`save_campaign`."""
-    return loads_campaign(Path(path).read_text())
+    return loads_campaign(Path(path).read_text(encoding="utf-8"))
 
 
 # -- invariant checking -----------------------------------------------

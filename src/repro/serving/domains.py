@@ -350,6 +350,9 @@ EVENT_KIND_NAMES = {
 }
 """Stable kind strings per event type (markers, serialization)."""
 
+EVENT_SCOPES = ("zone", "rack")
+"""Domain scopes a partition or degraded link may target."""
+
 
 def _validate_window(event) -> None:
     if event.at_s < 0 or event.duration_s <= 0:
@@ -357,9 +360,9 @@ def _validate_window(event) -> None:
 
 
 def _validate_scope(scope: str) -> None:
-    if scope not in ("zone", "rack"):
+    if scope not in EVENT_SCOPES:
         raise ValueError(
-            f"unknown scope {scope!r}; known: ('zone', 'rack')"
+            f"unknown scope {scope!r}; known: {EVENT_SCOPES}"
         )
 
 

@@ -87,14 +87,15 @@ per second.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro import jsonl
 from repro.serving.workload import Request, RequestBatch, WorkloadMix
 
 TRACE_SCHEMA = "repro-traffic-trace"
@@ -735,23 +736,17 @@ class TrafficTrace:
         return int(self.client_tiers[self.client_of(request_id)])
 
 
-def _canonical(obj: object) -> str:
-    """Canonical one-line JSON (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def dumps_trace(trace: TrafficTrace) -> str:
     """Serialize a trace to the versioned JSONL schema (v1).
 
-    Line 1 is the header record (schema id, version, model and combo
+    The file is in the canonical-JSONL envelope (:mod:`repro.jsonl`):
+    line 1 is the header record (schema id, version, model and combo
     tables, client count, duration, meta); then one ``client`` record
     per client in id order; then one ``request`` record per request in
-    arrival order.  Every line is canonical JSON (sorted keys, compact
-    separators), so equal traces serialize to identical bytes and
+    arrival order.  Equal traces serialize to identical bytes and
     save -> load -> save is the identity (pinned by tests).
     """
-    lines = [_canonical({
-        "kind": "header",
+    header = {
         "schema": TRACE_SCHEMA,
         "version": TRACE_VERSION,
         "duration_s": float(trace.duration_s),
@@ -769,23 +764,22 @@ def dumps_trace(trace: TrafficTrace) -> str:
         ],
         "num_clients": trace.n_clients,
         "meta": trace.meta,
-    })]
+    }
     rates = trace.client_rates.tolist()
     tiers = trace.client_tiers.tolist()
-    for client in range(trace.n_clients):
-        lines.append(_canonical({
-            "kind": "client",
-            "id": client,
-            "rate": rates[client],
-            "tier": TIER_NAMES[tiers[client]],
-        }))
     arrivals = trace.batch.arrival_s.tolist()
     services = trace.batch.service_s.tolist()
     model_ids = trace.batch.model_ids.tolist()
     clients = trace.client_ids.tolist()
     combo_ids = trace.combo_ids.tolist()
-    for i in range(len(trace.batch)):
-        lines.append(_canonical({
+    return jsonl.dumps(header, itertools.chain(
+        ({
+            "kind": "client",
+            "id": client,
+            "rate": rates[client],
+            "tier": TIER_NAMES[tiers[client]],
+        } for client in range(trace.n_clients)),
+        ({
             "kind": "request",
             "id": i,
             "client": clients[i],
@@ -793,27 +787,48 @@ def dumps_trace(trace: TrafficTrace) -> str:
             "combo": combo_ids[i],
             "arrival_s": arrivals[i],
             "service_s": services[i],
-        }))
-    return "\n".join(lines) + "\n"
+        } for i in range(len(trace.batch))),
+    ))
+
+
+def _dense_id(record: dict, ids: Iterator[int]) -> None:
+    """Require the record's ``id`` to be the next of ``0, 1, 2, ...``."""
+    expected = next(ids)
+    if record["id"] != expected:
+        raise ValueError(
+            f"id {record['id']!r}, expected {expected} (ids are 0..n-1 "
+            "in file order)"
+        )
 
 
 def loads_trace(text: str) -> TrafficTrace:
-    """Parse a JSONL trace (inverse of :func:`dumps_trace`)."""
-    lines = [line for line in text.split("\n") if line]
-    if not lines:
-        raise ValueError("empty trace file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
-        raise ValueError("first trace record must be the header")
-    if header.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"unknown trace schema {header.get('schema')!r}")
-    if header.get("version") != TRACE_VERSION:
-        raise ValueError(
-            f"unsupported trace version {header.get('version')!r} "
-            f"(expected {TRACE_VERSION})"
+    """Parse a JSONL trace (inverse of :func:`dumps_trace`).
+
+    Client and request ids must run ``0..n-1`` in file order, every
+    tier and model must be known, and the header's client count must
+    match; errors name the line (or the request) at fault.
+    """
+    client_ids, request_ids = itertools.count(), itertools.count()
+
+    def client(record: dict) -> tuple[float, int]:
+        _dense_id(record, client_ids)
+        if record["tier"] not in TIER_NAMES:
+            raise ValueError(f"unknown tier {record['tier']!r}")
+        return float(record["rate"]), TIER_NAMES.index(record["tier"])
+
+    def request(record: dict) -> tuple:
+        _dense_id(record, request_ids)
+        return (
+            float(record["arrival_s"]), float(record["service_s"]),
+            str(record["model"]), int(record["client"]),
+            int(record["combo"]),
         )
+
+    header, records = jsonl.loads(
+        text, schema=TRACE_SCHEMA, version=TRACE_VERSION,
+        parsers={"client": client, "request": request},
+    )
     models = tuple(header["models"])
-    model_index = {name: i for i, name in enumerate(models)}
     combos = tuple(
         tuple(
             TraceCombo(
@@ -829,51 +844,39 @@ def loads_trace(text: str) -> TrafficTrace:
         for table in header["combos"]
     )
     num_clients = int(header["num_clients"])
-    rates = np.zeros(num_clients, dtype=np.float64)
-    tiers = np.zeros(num_clients, dtype=np.int64)
-    seen_clients = 0
-    arrivals: list[float] = []
-    services: list[float] = []
-    model_ids: list[int] = []
-    client_ids: list[int] = []
-    combo_ids: list[int] = []
-    for line in lines[1:]:
-        record = json.loads(line)
-        kind = record.get("kind")
-        if kind == "client":
-            client = int(record["id"])
-            rates[client] = float(record["rate"])
-            tiers[client] = TIER_NAMES.index(record["tier"])
-            seen_clients += 1
-        elif kind == "request":
-            arrivals.append(float(record["arrival_s"]))
-            services.append(float(record["service_s"]))
-            model_ids.append(model_index[record["model"]])
-            client_ids.append(int(record["client"]))
-            combo_ids.append(int(record["combo"]))
-        else:
-            raise ValueError(f"unknown trace record kind {kind!r}")
-    if seen_clients != num_clients:
+    if len(records["client"]) != num_clients:
         raise ValueError(
             f"header promised {num_clients} clients, file has "
-            f"{seen_clients}"
+            f"{len(records['client'])}"
         )
-    n = len(arrivals)
+    rates, tiers = zip(*records["client"]) if num_clients else ((), ())
+    arrivals, services, names, clients, combo_ids = (
+        zip(*records["request"]) if records["request"] else ((),) * 5
+    )
+    model_index = {name: i for i, name in enumerate(models)}
+    for i, name in enumerate(names):
+        if name not in model_index:
+            raise ValueError(
+                f"request {i} names model {name!r}, not in the header's "
+                f"model table {models}"
+            )
     batch = RequestBatch(
         models=models,
         arrival_s=np.array(arrivals, dtype=np.float64),
         service_s=np.array(services, dtype=np.float64),
-        model_ids=np.array(model_ids, dtype=np.int64),
-        request_ids=np.arange(n, dtype=np.int64),
+        model_ids=np.array(
+            [model_index[name] for name in names], dtype=np.int64
+        ),
+        request_ids=np.arange(len(names), dtype=np.int64),
     )
     return TrafficTrace(
         models=models,
         combos=combos,
         batch=batch,
-        client_ids=np.array(client_ids, dtype=np.int64),
+        client_ids=np.array(clients, dtype=np.int64),
         combo_ids=np.array(combo_ids, dtype=np.int64),
-        client_rates=rates,
-        client_tiers=tiers,
+        client_rates=np.array(rates, dtype=np.float64),
+        client_tiers=np.array(tiers, dtype=np.int64),
         duration_s=float(header["duration_s"]),
         meta=dict(header["meta"]),
     )
@@ -881,14 +884,12 @@ def loads_trace(text: str) -> TrafficTrace:
 
 def save_trace(trace: TrafficTrace, path: str) -> None:
     """Write a trace to ``path`` in the JSONL schema."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_trace(trace))
+    Path(path).write_text(dumps_trace(trace), encoding="utf-8")
 
 
 def load_trace(path: str) -> TrafficTrace:
     """Read a trace written by :func:`save_trace`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_trace(handle.read())
+    return loads_trace(Path(path).read_text(encoding="utf-8"))
 
 
 # --------------------------------------------------------------------

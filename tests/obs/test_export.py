@@ -1,4 +1,4 @@
-"""JSONL telemetry export: canonical bytes and header validation."""
+"""JSONL telemetry export: round trips, header counts and the envelope."""
 
 import json
 
@@ -12,6 +12,7 @@ from repro.obs import (
     loads_telemetry,
     save_telemetry,
 )
+from tests.jsonl_helpers import CodecContract
 
 
 class TestRoundTrip:
@@ -27,15 +28,16 @@ class TestRoundTrip:
         path = save_telemetry(small_log, tmp_path / "telemetry.jsonl")
         assert load_telemetry(path) == small_log
 
-    def test_lines_are_canonical(self, small_log):
-        for line in dumps_telemetry(small_log).splitlines():
-            record = json.loads(line)
-            assert line == json.dumps(
-                record, sort_keys=True, separators=(",", ":")
-            )
 
+class TestHeader(CodecContract):
+    loads = staticmethod(loads_telemetry)
+    schema = TELEMETRY_SCHEMA
+    version = TELEMETRY_VERSION
 
-class TestHeader:
+    @pytest.fixture()
+    def text(self, small_log):
+        return dumps_telemetry(small_log)
+
     def test_header_first_with_counts(self, small_log):
         header = json.loads(
             dumps_telemetry(small_log).splitlines()[0]
@@ -47,38 +49,7 @@ class TestHeader:
         assert header["num_events"] == len(small_log.events)
         assert header["meta"] == {"scenario": "conftest"}
 
-    def test_empty_file_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            loads_telemetry("")
-
-    def test_missing_header_rejected(self, small_log):
-        lines = dumps_telemetry(small_log).splitlines()
-        with pytest.raises(ValueError, match="header"):
-            loads_telemetry("\n".join(lines[1:]))
-
-    def test_wrong_schema_rejected(self, small_log):
-        text = dumps_telemetry(small_log).replace(
-            TELEMETRY_SCHEMA, "not-telemetry", 1
-        )
-        with pytest.raises(ValueError, match="schema"):
-            loads_telemetry(text)
-
-    def test_wrong_version_rejected(self, small_log):
-        lines = dumps_telemetry(small_log).splitlines()
-        header = json.loads(lines[0])
-        header["version"] = TELEMETRY_VERSION + 1
-        lines[0] = json.dumps(header, sort_keys=True)
-        with pytest.raises(ValueError, match="version"):
-            loads_telemetry("\n".join(lines))
-
     def test_count_mismatch_rejected(self, small_log):
         lines = dumps_telemetry(small_log).splitlines()
         with pytest.raises(ValueError, match="promised"):
             loads_telemetry("\n".join(lines[:-1]))
-
-    def test_unknown_record_kind_rejected(self, small_log):
-        text = dumps_telemetry(small_log) + json.dumps(
-            {"kind": "mystery"}
-        )
-        with pytest.raises(ValueError, match="unknown record kind"):
-            loads_telemetry(text)

@@ -2,6 +2,7 @@
 shrinking — plus the hypothesis invariant gate over the engine."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.serving.chaos import (
     CAMPAIGN_SCHEMA,
+    CAMPAIGN_VERSION,
     INVARIANTS,
     ChaosCampaign,
     ChaosConfig,
@@ -47,6 +49,7 @@ from repro.serving.resilience import (
     ResilienceConfig,
 )
 from repro.serving.workload import WorkloadMix, generate_requests
+from tests.jsonl_helpers import CodecContract
 
 FNS = {"sd": affine_batch_latency(2.0, marginal_fraction=0.6)}
 MIX = WorkloadMix(shares={"sd": 1.0}, service_s={"sd": 2.0})
@@ -115,24 +118,18 @@ class TestGeneration:
         assert campaign.events == ()
 
 
-class TestSerialization:
-    def test_round_trip_is_identity(self):
-        campaign = _campaign(seed=9)
-        text = dumps_campaign(campaign)
-        assert loads_campaign(text) == campaign
+class TestSerialization(CodecContract):
+    loads = staticmethod(loads_campaign)
+    schema = CAMPAIGN_SCHEMA
+    version = CAMPAIGN_VERSION
+
+    @pytest.fixture()
+    def text(self):
+        return dumps_campaign(_campaign(seed=9))
+
+    def test_round_trip_is_identity(self, text):
+        assert loads_campaign(text) == _campaign(seed=9)
         assert dumps_campaign(loads_campaign(text)) == text
-
-    def test_bytes_are_canonical(self):
-        text = dumps_campaign(_campaign(seed=9))
-        for line in text.splitlines():
-            import json
-
-            record = json.loads(line)
-            assert line == json.dumps(
-                record, sort_keys=True, separators=(",", ":")
-            )
-        header = __import__("json").loads(text.splitlines()[0])
-        assert header["schema"] == CAMPAIGN_SCHEMA
 
     def test_save_load_files(self, tmp_path):
         campaign = _campaign(seed=4)
@@ -140,13 +137,24 @@ class TestSerialization:
         save_campaign(campaign, path)
         assert load_campaign(path) == campaign
 
-    def test_rejects_foreign_schema(self):
-        with pytest.raises(ValueError, match="not a campaign"):
-            loads_campaign(
-                '{"kind":"header","schema":"other","version":1}\n'
-                '{"kind":"topology","host_of":[0],"rack_of":[0],'
-                '"zone_of":[0]}\n'
-            )
+    def test_first_line_must_be_the_header(self, text):
+        text = text.replace('"kind":"header"', '"kind":"topology"', 1)
+        with pytest.raises(ValueError, match="line 1: .*must be the header"):
+            loads_campaign(text)
+
+    def test_event_line_of_another_kind_rejected(self, text):
+        lines = text.splitlines()
+        lines[2] = lines[2].replace('"kind":"event"', '"kind":"client"')
+        with pytest.raises(ValueError, match="line 3: unknown record kind"):
+            loads_campaign("\n".join(lines))
+
+    def test_missing_event_field_named(self, text):
+        lines = text.splitlines()
+        event = json.loads(lines[2])
+        del event["at_s"]
+        lines[2] = json.dumps(event)
+        with pytest.raises(ValueError, match="line 3: bad event .*'at_s'"):
+            loads_campaign("\n".join(lines))
 
 
 def _completion_columns(report, rows):

@@ -7,6 +7,7 @@ JSONL round trip, the poissonized twin, and the per-tier SLO breakdown
 tiers) as first-class outputs rather than errors.
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from repro.serving.traffic import (
     MEDIUM_TIER_FRACTION,
     SCENARIOS,
     TIER_NAMES,
+    TRACE_SCHEMA,
+    TRACE_VERSION,
     AddMixWindow,
     AddRateWindow,
     BurstModel,
@@ -53,6 +56,7 @@ from repro.serving.traffic import (
     viral_video_hour,
 )
 from repro.serving.workload import WorkloadMix
+from tests.jsonl_helpers import CodecContract
 
 CARDS = (
     ModelTrafficCard(
@@ -351,7 +355,17 @@ class TestGenerate:
         assert set(trace.batch.model_ids.tolist()) <= {0}
 
 
-class TestRoundTrip:
+class TestRoundTrip(CodecContract):
+    loads = staticmethod(loads_trace)
+    schema = TRACE_SCHEMA
+    version = TRACE_VERSION
+
+    @pytest.fixture()
+    def text(self):
+        return dumps_trace(
+            generate_traffic(population(), duration_s=60.0, seed=9)
+        )
+
     def roundtrip(self, trace):
         text = dumps_trace(trace)
         again = loads_trace(text)
@@ -399,26 +413,39 @@ class TestRoundTrip:
         save_trace(load_trace(str(path)), str(tmp_path / "t2.jsonl"))
         assert path.read_bytes() == (tmp_path / "t2.jsonl").read_bytes()
 
-    def test_parser_rejects_malformed_traces(self):
-        trace = generate_traffic(population(), duration_s=60.0, seed=9)
-        text = dumps_trace(trace)
-        with pytest.raises(ValueError):
-            loads_trace("")
-        with pytest.raises(ValueError):
-            loads_trace(text.replace(
-                '"repro-traffic-trace"', '"other"'
-            ))
-        with pytest.raises(ValueError):
-            loads_trace(text.replace('"version":1', '"version":99'))
+    @pytest.mark.parametrize("line, changes, message", [
+        pytest.param(
+            2, {"id": 0}, "line 3: bad client record .*id 0, expected 1",
+            id="repeated-client-id",
+        ),
+        pytest.param(
+            1, {"id": -1}, "line 2: bad client record .*id -1, expected 0",
+            id="negative-client-id",
+        ),
+        pytest.param(
+            21, {"id": 999999}, "line 22: bad request record .*id 999999",
+            id="request-id-out-of-sequence",
+        ),
+        pytest.param(
+            21, {"model": "nope"}, "request 0 names model 'nope'",
+            id="unknown-model",
+        ),
+    ])
+    def test_parser_rejects_malformed_traces(
+        self, text, line, changes, message
+    ):
         lines = text.splitlines()
-        with pytest.raises(ValueError):
-            loads_trace("\n".join(lines[1:]) + "\n")  # header gone
-        with pytest.raises(ValueError):
-            loads_trace("\n".join(lines[:1] + lines[2:]) + "\n")
-        with pytest.raises(ValueError):
-            loads_trace(
-                text + '{"kind":"mystery"}\n'
-            )
+        record = json.loads(lines[line])
+        record.update(changes)
+        lines[line] = json.dumps(record)
+        with pytest.raises(ValueError, match=message):
+            loads_trace("\n".join(lines))
+
+    def test_parser_checks_the_promised_client_count(self, text):
+        lines = text.splitlines()
+        del lines[20]  # the last of the 20 clients
+        with pytest.raises(ValueError, match="promised 20 clients"):
+            loads_trace("\n".join(lines))
 
 
 class TestPoissonized:

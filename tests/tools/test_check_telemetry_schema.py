@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry-schema CI gate.
+"""The record-schema CI gate (``tools/check_jsonl.py``) on telemetry.
 
 The checker validates committed telemetry logs line-by-line without
 going through ``repro.obs.export`` — these tests pin that it accepts
@@ -10,9 +10,7 @@ decreasing counters, bad histogram rows, broken record counts.
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -24,15 +22,9 @@ from repro.serving.fleet import (
     simulate_fleet,
 )
 from repro.serving.workload import WorkloadMix, generate_requests
+from tests.jsonl_helpers import checker
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-_SPEC = importlib.util.spec_from_file_location(
-    "check_telemetry_schema",
-    REPO_ROOT / "tools" / "check_telemetry_schema.py",
-)
-checker = importlib.util.module_from_spec(_SPEC)
-sys.modules.setdefault("check_telemetry_schema", checker)
-_SPEC.loader.exec_module(checker)
 
 EXAMPLE = (
     REPO_ROOT / "examples" / "traces" / "telemetry_small.jsonl"
@@ -89,7 +81,7 @@ def named_series_line(path: Path, name: str) -> int:
 
 class TestAccepts:
     def test_fresh_log_passes(self, saved_log):
-        assert checker.check_telemetry(saved_log) == []
+        assert checker.check_file(saved_log) == []
         assert checker.main([str(saved_log)]) == 0
 
     def test_committed_example_passes(self):
@@ -104,50 +96,48 @@ class TestAccepts:
         from repro.obs.telemetry import (
             FLEET_COUNTERS,
             FLEET_EVENT_KINDS,
+            LATENCY_HISTOGRAM,
             POOL_GAUGES,
         )
 
-        assert checker.EXPECTED_SCHEMA == TELEMETRY_SCHEMA
-        assert checker.EXPECTED_VERSION == TELEMETRY_VERSION
+        assert checker.SCHEMAS[TELEMETRY_SCHEMA].version == (
+            TELEMETRY_VERSION
+        )
         assert checker.SPAN_STATES == SPAN_STATES
         assert checker.TERMINAL_STATES == TERMINAL_STATES
-        assert checker.EVENT_KINDS == FLEET_EVENT_KINDS
+        assert checker.FLEET_EVENT_KINDS == FLEET_EVENT_KINDS
         assert checker.FLEET_COUNTERS == FLEET_COUNTERS
         assert checker.POOL_GAUGES == POOL_GAUGES
+        assert checker.LATENCY_HISTOGRAM == LATENCY_HISTOGRAM
 
 
 class TestHeader:
     def test_missing_file_reports_error(self, tmp_path):
-        assert checker.check_telemetry(tmp_path / "nope.jsonl")
+        assert checker.check_file(tmp_path / "nope.jsonl")
 
     def test_wrong_schema_id_fails(self, saved_log):
         bad = rewrite(saved_log, 0,
                       lambda r: r.update(schema="other-schema"))
-        assert any("schema" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("schema" in e for e in checker.check_file(bad))
 
     def test_wrong_version_fails(self, saved_log):
         bad = rewrite(saved_log, 0, lambda r: r.update(version=2))
-        assert any("version" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("version" in e for e in checker.check_file(bad))
 
     def test_bad_sample_interval_fails(self, saved_log):
         bad = rewrite(saved_log, 0,
                       lambda r: r.update(sample_interval_s=0.0))
-        assert any("sample_interval_s" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("sample_interval_s" in e for e in checker.check_file(bad))
 
     def test_server_pool_out_of_range_fails(self, saved_log):
         bad = rewrite(saved_log, 0,
                       lambda r: r.update(server_pools=[0, 7]))
-        assert any("server_pools" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("server_pools" in e for e in checker.check_file(bad))
 
     def test_duplicate_pool_names_fail(self, saved_log):
         bad = rewrite(saved_log, 0,
                       lambda r: r.update(pools=["a100", "a100"]))
-        assert any("duplicate pool" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("duplicate pool" in e for e in checker.check_file(bad))
 
 
 class TestCanonicalBytes:
@@ -157,20 +147,17 @@ class TestCanonicalBytes:
         lines[1] = json.dumps(record)  # default separators
         bad = saved_log.with_name("loose.jsonl")
         bad.write_text("\n".join(lines) + "\n")
-        assert any("canonical" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("canonical" in e for e in checker.check_file(bad))
 
     def test_missing_trailing_newline_fails(self, saved_log):
         bad = saved_log.with_name("chomped.jsonl")
         bad.write_text(saved_log.read_text().rstrip("\n"))
-        assert any("newline" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("newline" in e for e in checker.check_file(bad))
 
     def test_invalid_json_line_fails(self, saved_log):
         bad = saved_log.with_name("broken.jsonl")
         bad.write_text(saved_log.read_text() + "{not json\n")
-        assert any("invalid JSON" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("invalid JSON" in e for e in checker.check_file(bad))
 
 
 class TestSpans:
@@ -178,8 +165,7 @@ class TestSpans:
         index = line_of_kind(saved_log, "span")
         bad = rewrite(saved_log, index + 1,
                       lambda r: r.update(request=0))
-        assert any("out of order" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("out of order" in e for e in checker.check_file(bad))
 
     def test_first_event_must_be_submit(self, saved_log):
         index = line_of_kind(saved_log, "span")
@@ -188,8 +174,7 @@ class TestSpans:
             record["events"][0][1] = "dispatch"
 
         bad = rewrite(saved_log, index, flip)
-        assert any("'submit'" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("'submit'" in e for e in checker.check_file(bad))
 
     def test_backwards_timestamp_fails(self, saved_log):
         index = line_of_kind(saved_log, "span")
@@ -198,8 +183,7 @@ class TestSpans:
             record["events"][-1][0] = -5.0
 
         bad = rewrite(saved_log, index, rewind)
-        assert any("backwards" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("backwards" in e for e in checker.check_file(bad))
 
     def test_two_terminals_fail(self, saved_log):
         index = line_of_kind(saved_log, "span")
@@ -210,7 +194,7 @@ class TestSpans:
             )
 
         bad = rewrite(saved_log, index, double)
-        errors = checker.check_telemetry(bad)
+        errors = checker.check_file(bad)
         assert any("terminal" in e for e in errors)
 
     def test_unknown_state_fails(self, saved_log):
@@ -220,7 +204,7 @@ class TestSpans:
             record["events"][-1][1] = "vanish"
 
         bad = rewrite(saved_log, index, rename)
-        errors = checker.check_telemetry(bad)
+        errors = checker.check_file(bad)
         assert any("unknown span state" in e for e in errors)
 
 
@@ -229,8 +213,7 @@ class TestSeries:
         index = line_of_kind(saved_log, "series")
         bad = rewrite(saved_log, index,
                       lambda r: r.update(name="fleet.bogus"))
-        assert any("vocabulary" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("vocabulary" in e for e in checker.check_file(bad))
 
     def test_decreasing_counter_fails(self, saved_log):
         index = named_series_line(saved_log, "fleet.completed")
@@ -239,8 +222,7 @@ class TestSeries:
             record["values"][-1] = record["values"][0] - 1.0
 
         bad = rewrite(saved_log, index, dent)
-        assert any("decreases" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("decreases" in e for e in checker.check_file(bad))
 
     def test_sample_past_makespan_fails(self, saved_log):
         index = line_of_kind(saved_log, "series")
@@ -249,8 +231,7 @@ class TestSeries:
             record["times"][-1] = record["times"][-1] + 1e6
 
         bad = rewrite(saved_log, index, extend)
-        assert any("makespan" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("makespan" in e for e in checker.check_file(bad))
 
     def test_final_sample_must_hit_makespan(self, saved_log):
         index = line_of_kind(saved_log, "series")
@@ -260,15 +241,13 @@ class TestSeries:
             record["values"].pop()
 
         bad = rewrite(saved_log, index, truncate)
-        assert any("final sample" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("final sample" in e for e in checker.check_file(bad))
 
     def test_misaligned_series_fails(self, saved_log):
         index = line_of_kind(saved_log, "series")
         bad = rewrite(saved_log, index,
                       lambda r: r.update(values=r["values"][:-1]))
-        assert any("aligned" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("aligned" in e for e in checker.check_file(bad))
 
     def test_series_out_of_name_order_fails(self, saved_log):
         first = line_of_kind(saved_log, "series")
@@ -278,8 +257,7 @@ class TestSeries:
         )
         bad = saved_log.with_name("swapped.jsonl")
         bad.write_text("\n".join(lines) + "\n")
-        assert any("sorted by name" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("sorted by name" in e for e in checker.check_file(bad))
 
 
 class TestHistograms:
@@ -287,15 +265,13 @@ class TestHistograms:
         index = line_of_kind(saved_log, "histogram")
         bad = rewrite(saved_log, index,
                       lambda r: r.update(name="fleet.sizes"))
-        assert any("histogram" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("histogram" in e for e in checker.check_file(bad))
 
     def test_unsorted_edges_fail(self, saved_log):
         index = line_of_kind(saved_log, "histogram")
         bad = rewrite(saved_log, index,
                       lambda r: r.update(edges=[2.0, 1.0]))
-        assert any("ascending" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("ascending" in e for e in checker.check_file(bad))
 
     def test_short_count_row_fails(self, saved_log):
         index = line_of_kind(saved_log, "histogram")
@@ -304,8 +280,7 @@ class TestHistograms:
             record["counts"][0] = record["counts"][0][:-1]
 
         bad = rewrite(saved_log, index, shorten)
-        assert any("buckets" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("buckets" in e for e in checker.check_file(bad))
 
     def test_negative_count_fails(self, saved_log):
         index = line_of_kind(saved_log, "histogram")
@@ -314,8 +289,7 @@ class TestHistograms:
             record["counts"][0][0] = -1
 
         bad = rewrite(saved_log, index, negate)
-        assert any("negative" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("negative" in e for e in checker.check_file(bad))
 
 
 class TestStructure:
@@ -327,7 +301,7 @@ class TestStructure:
         })
         bad = saved_log.with_name("tail.jsonl")
         bad.write_text("\n".join(lines) + "\n" + event_line + "\n")
-        errors = checker.check_telemetry(bad)
+        errors = checker.check_file(bad)
         assert any("out of order" in e for e in errors)
 
     def test_unknown_event_kind_fails(self, saved_log):
@@ -340,8 +314,7 @@ class TestStructure:
         }))
         bad = saved_log.with_name("meteor.jsonl")
         bad.write_text("\n".join(lines) + "\n")
-        assert any("event kind" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("'meteor_strike'" in e for e in checker.check_file(bad))
 
     def test_unknown_record_kind_fails(self, saved_log):
         bad = saved_log.with_name("kinds.jsonl")
@@ -349,8 +322,7 @@ class TestStructure:
             saved_log.read_text()
             + checker.canonical({"kind": "mystery"}) + "\n"
         )
-        assert any("record kind" in e for e in
-                   checker.check_telemetry(bad))
+        assert any("record kind" in e for e in checker.check_file(bad))
 
     def test_count_mismatch_fails(self, saved_log):
         index = line_of_kind(saved_log, "span")
@@ -358,7 +330,7 @@ class TestStructure:
         del lines[index]
         bad = saved_log.with_name("short.jsonl")
         bad.write_text("\n".join(lines) + "\n")
-        errors = checker.check_telemetry(bad)
+        errors = checker.check_file(bad)
         assert any("promised" in e for e in errors)
 
 
