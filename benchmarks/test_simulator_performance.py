@@ -25,6 +25,8 @@ from repro.kernels.estimator import CostEstimator
 from repro.layers.unet import UNet
 from repro.models.registry import suite_names
 from repro.models.stable_diffusion import StableDiffusionConfig
+from repro.serving.fleet import PoolSpec, affine_batch_latency, simulate_fleet
+from repro.serving.workload import WorkloadMix, generate_requests
 
 
 def test_calibration_reference(benchmark):
@@ -170,48 +172,51 @@ def test_planner_full_sweep(benchmark):
     benchmark.extra_info["axis_builds"] = result.stats["axis_builds"]
 
 
-def test_fleet_10k_requests(benchmark):
-    """Discrete-event fleet throughput on a >=10k-request day.
+# Shared fleet setup: fixed service times (no profiling in the loop), so
+# the fleet benchmarks isolate the simulator.
+FLEET_MIX = WorkloadMix(
+    shares={"sd": 0.7, "muse": 0.3},
+    service_s={"sd": 2.0, "muse": 0.5},
+)
 
-    Fixed service times (no profiling in the loop) so the benchmark
-    isolates the simulator: queueing, batching, retries and the event
-    heap.
-    """
-    from repro.serving.faults import RetryPolicy
-    from repro.serving.fleet import (
-        PoolSpec,
-        affine_batch_latency,
-        simulate_fleet,
-    )
-    from repro.serving.workload import WorkloadMix, generate_requests
 
-    mix = WorkloadMix(
-        shares={"sd": 0.7, "muse": 0.3},
-        service_s={"sd": 2.0, "muse": 0.5},
+def a100_pool(name: str = "a100", **kwargs) -> PoolSpec:
+    """An A100 pool serving FLEET_MIX in batches of up to 8."""
+    return PoolSpec(
+        name=name,
+        machine="dgx-a100-80g",
+        latency_fns={
+            model: affine_batch_latency(time, marginal_fraction=0.7)
+            for model, time in FLEET_MIX.service_s.items()
+        },
+        max_batch=8,
+        **kwargs,
     )
+
+
+@pytest.fixture
+def day_10k():
+    """The >=10k-request Poisson day of the 10k fleet benchmarks."""
     requests = generate_requests(
-        mix, arrival_rate=20.0, duration_s=600.0, seed=7
+        FLEET_MIX, arrival_rate=20.0, duration_s=600.0, seed=7
     )
     assert len(requests) >= 10_000
-    pools = [
-        PoolSpec(
-            name="a100",
-            machine="dgx-a100-80g",
-            servers=32,
-            latency_fns={
-                model: affine_batch_latency(
-                    time, marginal_fraction=0.7
-                )
-                for model, time in mix.service_s.items()
-            },
-            max_batch=8,
-        )
-    ]
+    return requests
+
+
+def test_fleet_10k_requests(benchmark, day_10k):
+    """Discrete-event fleet throughput on a >=10k-request day.
+
+    Exercises queueing, batching, retries and the event heap.
+    """
+    from repro.serving.faults import RetryPolicy
+
+    pools = [a100_pool(servers=32)]
     retry = RetryPolicy(max_retries=2, backoff_s=1.0, timeout_s=None)
 
     report = benchmark.pedantic(
         simulate_fleet,
-        args=(requests, pools),
+        args=(day_10k, pools),
         kwargs={"retry": retry},
         rounds=2,
         iterations=1,
@@ -220,7 +225,7 @@ def test_fleet_10k_requests(benchmark):
     assert report.completion_rate > 0.99
 
 
-def test_fleet_10k_requests_telemetry(benchmark):
+def test_fleet_10k_requests_telemetry(benchmark, day_10k):
     """The same >=10k-request day with the flight recorder on.
 
     Gates the overhead of the telemetry hot-path hooks (span event
@@ -230,42 +235,15 @@ def test_fleet_10k_requests_telemetry(benchmark):
     """
     from repro.obs import Telemetry
     from repro.serving.faults import RetryPolicy
-    from repro.serving.fleet import (
-        PoolSpec,
-        affine_batch_latency,
-        simulate_fleet,
-    )
-    from repro.serving.workload import WorkloadMix, generate_requests
 
-    mix = WorkloadMix(
-        shares={"sd": 0.7, "muse": 0.3},
-        service_s={"sd": 2.0, "muse": 0.5},
-    )
-    requests = generate_requests(
-        mix, arrival_rate=20.0, duration_s=600.0, seed=7
-    )
-    assert len(requests) >= 10_000
-    pools = [
-        PoolSpec(
-            name="a100",
-            machine="dgx-a100-80g",
-            servers=32,
-            latency_fns={
-                model: affine_batch_latency(
-                    time, marginal_fraction=0.7
-                )
-                for model, time in mix.service_s.items()
-            },
-            max_batch=8,
-        )
-    ]
+    pools = [a100_pool(servers=32)]
     retry = RetryPolicy(max_retries=2, backoff_s=1.0, timeout_s=None)
     collectors = []
 
     def fresh_collector():
         # A collector is single-use; each round needs its own.
         collectors.append(Telemetry(sample_interval_s=5.0))
-        return (requests, pools), {
+        return (day_10k, pools), {
             "retry": retry, "telemetry": collectors[-1],
         }
 
@@ -295,38 +273,13 @@ def test_fleet_1m_requests_columnar(benchmark):
     is interactive speed — well under a minute wall-clock.  Reports
     ``requests_per_s`` in the bench artifact's ``extra_info``.
     """
-    from repro.serving.fleet import (
-        PoolSpec,
-        affine_batch_latency,
-        simulate_fleet,
-    )
-    from repro.serving.workload import (
-        WorkloadMix,
-        generate_requests_batch,
-    )
+    from repro.serving.workload import generate_requests_batch
 
-    mix = WorkloadMix(
-        shares={"sd": 0.7, "muse": 0.3},
-        service_s={"sd": 2.0, "muse": 0.5},
-    )
     requests = generate_requests_batch(
-        mix, arrival_rate=12.0, duration_s=86_400.0, seed=7
+        FLEET_MIX, arrival_rate=12.0, duration_s=86_400.0, seed=7
     )
     assert len(requests) >= 1_000_000
-    pools = [
-        PoolSpec(
-            name="a100",
-            machine="dgx-a100-80g",
-            servers=20,
-            latency_fns={
-                model: affine_batch_latency(
-                    time, marginal_fraction=0.7
-                )
-                for model, time in mix.service_s.items()
-            },
-            max_batch=8,
-        )
-    ]
+    pools = [a100_pool(servers=20)]
 
     report = benchmark.pedantic(
         simulate_fleet,
@@ -353,25 +306,15 @@ def test_fleet_1m_requests_client_structured(benchmark):
     gate covers the per-client burst/thinning loops, not just the
     simulator.  Reports ``requests_per_s`` like its Poisson twin.
     """
-    from repro.serving.fleet import (
-        PoolSpec,
-        affine_batch_latency,
-        simulate_fleet,
-    )
     from repro.serving.traffic import (
         BurstModel,
         ClientPopulation,
         cards_from_mix,
         generate_traffic,
     )
-    from repro.serving.workload import WorkloadMix
 
-    mix = WorkloadMix(
-        shares={"sd": 0.7, "muse": 0.3},
-        service_s={"sd": 2.0, "muse": 0.5},
-    )
     population = ClientPopulation(
-        cards=cards_from_mix(mix),
+        cards=cards_from_mix(FLEET_MIX),
         n_clients=2000,
         mean_rate_per_client=0.0061,
         tail_alpha=1.8,
@@ -380,20 +323,7 @@ def test_fleet_1m_requests_client_structured(benchmark):
         ),
         model_loyalty=0.3,
     )
-    pools = [
-        PoolSpec(
-            name="a100",
-            machine="dgx-a100-80g",
-            servers=20,
-            latency_fns={
-                model: affine_batch_latency(
-                    time, marginal_fraction=0.7
-                )
-                for model, time in mix.service_s.items()
-            },
-            max_batch=8,
-        )
-    ]
+    pools = [a100_pool(servers=20)]
 
     def generate_and_simulate():
         trace = generate_traffic(
@@ -413,7 +343,7 @@ def test_fleet_1m_requests_client_structured(benchmark):
     )
 
 
-def test_fleet_10k_requests_resilient(benchmark):
+def test_fleet_10k_requests_resilient(benchmark, day_10k):
     """The same >=10k-request day with every protection mechanism on.
 
     Gates the overhead of the resilience layer's hot-path hooks
@@ -421,11 +351,6 @@ def test_fleet_10k_requests_resilient(benchmark):
     ticks) relative to ``test_fleet_10k_requests``.
     """
     from repro.serving.faults import RetryPolicy, generate_faults
-    from repro.serving.fleet import (
-        PoolSpec,
-        affine_batch_latency,
-        simulate_fleet,
-    )
     from repro.serving.resilience import (
         AdmissionConfig,
         BrownoutConfig,
@@ -434,30 +359,8 @@ def test_fleet_10k_requests_resilient(benchmark):
         HedgeConfig,
         ResilienceConfig,
     )
-    from repro.serving.workload import WorkloadMix, generate_requests
 
-    mix = WorkloadMix(
-        shares={"sd": 0.7, "muse": 0.3},
-        service_s={"sd": 2.0, "muse": 0.5},
-    )
-    requests = generate_requests(
-        mix, arrival_rate=20.0, duration_s=600.0, seed=7
-    )
-    assert len(requests) >= 10_000
-    pools = [
-        PoolSpec(
-            name="a100",
-            machine="dgx-a100-80g",
-            servers=32,
-            latency_fns={
-                model: affine_batch_latency(
-                    time, marginal_fraction=0.7
-                )
-                for model, time in mix.service_s.items()
-            },
-            max_batch=8,
-        )
-    ]
+    pools = [a100_pool(servers=32)]
     retry = RetryPolicy(
         max_retries=2, backoff_s=1.0, multiplier=2.0, jitter=0.5
     )
@@ -480,7 +383,7 @@ def test_fleet_10k_requests_resilient(benchmark):
                         model: affine_batch_latency(
                             0.6 * time, marginal_fraction=0.7
                         )
-                        for model, time in mix.service_s.items()
+                        for model, time in FLEET_MIX.service_s.items()
                     },
                     quality=0.8,
                 ),
@@ -493,7 +396,7 @@ def test_fleet_10k_requests_resilient(benchmark):
 
     report = benchmark.pedantic(
         simulate_fleet,
-        args=(requests, pools),
+        args=(day_10k, pools),
         kwargs={
             "retry": retry, "faults": faults, "resilience": resilience,
         },
@@ -506,7 +409,7 @@ def test_fleet_10k_requests_resilient(benchmark):
     )
 
 
-def test_fleet_10k_requests_chaos_campaign(benchmark):
+def test_fleet_10k_requests_chaos_campaign(benchmark, day_10k):
     """The same >=10k-request day under a compiled chaos campaign.
 
     The 32 servers are spread over four zone pools; the campaign
@@ -525,35 +428,9 @@ def test_fleet_10k_requests_chaos_campaign(benchmark):
         topology_for_pools,
     )
     from repro.serving.faults import RetryPolicy
-    from repro.serving.fleet import (
-        PoolSpec,
-        affine_batch_latency,
-        simulate_fleet,
-    )
-    from repro.serving.workload import WorkloadMix, generate_requests
 
-    mix = WorkloadMix(
-        shares={"sd": 0.7, "muse": 0.3},
-        service_s={"sd": 2.0, "muse": 0.5},
-    )
-    requests = generate_requests(
-        mix, arrival_rate=20.0, duration_s=600.0, seed=7
-    )
-    assert len(requests) >= 10_000
     pools = [
-        PoolSpec(
-            name=f"zone{zone}",
-            machine="dgx-a100-80g",
-            servers=8,
-            latency_fns={
-                model: affine_batch_latency(
-                    time, marginal_fraction=0.7
-                )
-                for model, time in mix.service_s.items()
-            },
-            max_batch=8,
-            zone=zone,
-        )
+        a100_pool(f"zone{zone}", servers=8, zone=zone)
         for zone in range(4)
     ]
     campaign = ChaosCampaign(
@@ -578,7 +455,7 @@ def test_fleet_10k_requests_chaos_campaign(benchmark):
 
     report = benchmark.pedantic(
         simulate_fleet,
-        args=(requests, pools),
+        args=(day_10k, pools),
         kwargs={
             "retry": retry, "faults": compiled.faults,
             "plan": compiled.plan,

@@ -12,7 +12,7 @@ Section V question — what does scaling out actually buy? — with the
 3. **Weak scaling** — data-parallel replicas with the batch growing in
    step, the fleet-throughput regime of Figure 1.
 4. **Sharded serving** — a TP=2 replica vs a single-GPU replica as the
-   dynamic-batching server of `repro.serving`.
+   one dynamic-batching server of a `repro.serving` fleet pool.
 
 Run:  python examples/distributed_study.py
 """
@@ -29,8 +29,9 @@ from repro.profiler import profile_sharded
 from repro.serving import (
     WorkloadMix,
     generate_requests,
+    pool_from_replicas,
     sharded_replica,
-    simulate_sharded_server,
+    simulate_fleet,
 )
 
 WORLDS = (1, 2, 4, 8)
@@ -109,13 +110,12 @@ def serving_study() -> None:
         replica = sharded_replica(
             model, machine="dgx-a100-80g", world=world, batches=(1, 2, 4),
         )
-        report, _batches = simulate_sharded_server(
-            requests, replica, max_batch=4
-        )
-        throughput = len(report.completed) / report.makespan_s
+        pool = pool_from_replicas("sd", [replica], servers=1, max_batch=4)
+        report = simulate_fleet(requests, [pool])
+        throughput = report.completed_count / report.makespan_s
         print(
             f"{replica.strategy} replica ({replica.gpus} GPU(s)): "
-            f"mean latency {report.mean_latency_s:.2f}s, "
+            f"mean latency {report.latency_s.mean():.2f}s, "
             f"throughput {throughput:.2f} req/s, "
             f"per-GPU {throughput / replica.gpus:.2f} req/s"
         )

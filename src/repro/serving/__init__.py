@@ -1,10 +1,11 @@
-"""Serving-layer simulation: workloads, queueing, fleets, SLOs.
+"""Serving-layer simulation: workloads, fleets, SLOs.
 
 The deployability half of the paper's closing argument: per-request
 service times come from the performance model, and this package turns
-them into fleet-level latency/throughput numbers — from a single FIFO
-pool (:mod:`repro.serving.queueing`) up to a heterogeneous fleet with
-scheduling policies, fault injection, retries and autoscaling
+them into fleet-level latency/throughput numbers.  One request
+simulator, :func:`simulate_fleet`, covers everything from a single
+FIFO pool (one pool at ``max_batch=1``) up to a heterogeneous fleet
+with scheduling policies, fault injection, retries and autoscaling
 (:mod:`repro.serving.fleet`), with SLO accounting on top
 (:mod:`repro.serving.slo`).
 
@@ -13,74 +14,28 @@ scheduling policies, fault injection, retries and autoscaling
 :class:`FleetReport` — a million-request day in seconds.  A recorded
 corpus of seeded fleets pins its output bit for bit; see
 ``docs/FLEET_CORE.md`` for the engine contract.
+
+The package re-exports the names the README, docs and examples import
+from it; everything else is imported from its submodule
+(:mod:`repro.serving.traffic`, :mod:`repro.serving.chaos`, ...).
 """
 
-from repro.serving.batching import (
-    BatchRecord,
-    interpolated_batch_latency,
-    mean_batch_size,
-    simulate_batching_server,
-)
 from repro.serving.faults import (
     FAULT_FREE,
-    NO_RETRIES,
-    ControlAction,
     Crash,
-    DomainMarker,
     FaultSchedule,
-    RecoveryPlan,
     RetryPolicy,
     Straggler,
-    generate_faults,
-)
-from repro.serving.chaos import (
-    CAMPAIGN_SCHEMA,
-    CAMPAIGN_VERSION,
-    INVARIANTS,
-    ChaosCampaign,
-    ChaosConfig,
-    InvariantReport,
-    check_invariants,
-    dumps_campaign,
-    generate_campaign,
-    load_campaign,
-    loads_campaign,
-    save_campaign,
-    shrink_campaign,
-)
-from repro.serving.domains import (
-    CompiledCampaign,
-    CompiledEvent,
-    DegradedLink,
-    DomainTopology,
-    NetworkPartition,
-    OrchestrationConfig,
-    RackOutage,
-    ZoneOutage,
-    collective_slowdown,
-    compile_campaign,
-    domain_downtime,
-    grid_topology,
-    topology_for_pools,
 )
 from repro.serving.fleet import (
     AutoscalerConfig,
-    FailedRequest,
-    FleetCompletion,
     FleetReport,
     PoolSpec,
-    PoolStats,
     affine_batch_latency,
-    machine_speed_factor,
     pool_from_replicas,
     simulate_fleet,
 )
-from repro.serving.policies import (
-    FifoPolicy,
-    ModelAffinityPolicy,
-    ShortestJobFirst,
-    policy_from_name,
-)
+from repro.serving.policies import ModelAffinityPolicy
 from repro.serving.resilience import (
     RESILIENCE_OFF,
     AdmissionConfig,
@@ -89,214 +44,53 @@ from repro.serving.resilience import (
     DegradedRung,
     HedgeConfig,
     ResilienceConfig,
-    ResilienceStats,
-    ShedRequest,
-)
-from repro.serving.queueing import (
-    CompletedRequest,
-    QueueReport,
-    servers_for_slo,
-    simulate_queue,
 )
 from repro.serving.sharded import (
-    ShardedReplica,
     planned_pool,
     replica_from_plan,
     sharded_replica,
-    simulate_sharded_server,
 )
-from repro.serving.slo import (
-    DomainSlo,
-    DomainSloReport,
-    ModelSlo,
-    SloReport,
-    TierSlo,
-    TierSloReport,
-    domain_slo_report,
-    fmt_missing,
-    nearest_rank_index,
-    percentile,
-    slo_report,
-    tier_slo_report,
-)
-from repro.serving.traffic import (
-    SCENARIOS,
-    TIER_NAMES,
-    TRACE_SCHEMA,
-    TRACE_VERSION,
-    AddMixWindow,
-    AddRateWindow,
-    BurstModel,
-    ClientPopulation,
-    MixWindow,
-    ModelTrafficCard,
-    PropertySpec,
-    RateWindow,
-    ScaleClients,
-    ScaleRates,
-    ScenarioEdit,
-    SetRamp,
-    TraceCombo,
-    TrafficTrace,
-    apply_scenario,
-    assign_tiers,
-    cards_from_mix,
-    combos_for_card,
-    dumps_trace,
-    generate_traffic,
-    image_size_spec,
-    launch_day_spike,
-    load_trace,
-    loads_trace,
-    million_user_ramp,
-    poissonized,
-    region_failover,
-    save_trace,
-    steps_spec,
-    video_length_spec,
-    viral_video_hour,
-)
+from repro.serving.slo import percentile, slo_report
 from repro.serving.workload import (
     Request,
-    RequestBatch,
     WorkloadMix,
     bursty_rate,
-    constant_rate,
     diurnal_rate,
     generate_requests,
-    generate_requests_batch,
     generate_requests_pattern,
     suite_mix_from_profiles,
 )
 
 __all__ = [
-    "AddMixWindow",
-    "AddRateWindow",
     "AdmissionConfig",
     "AutoscalerConfig",
-    "BatchRecord",
     "BrownoutConfig",
-    "BurstModel",
-    "CAMPAIGN_SCHEMA",
-    "CAMPAIGN_VERSION",
-    "ChaosCampaign",
-    "ChaosConfig",
     "CircuitBreakerConfig",
-    "ClientPopulation",
-    "CompiledCampaign",
-    "CompiledEvent",
-    "CompletedRequest",
-    "ControlAction",
     "Crash",
-    "DegradedLink",
     "DegradedRung",
-    "DomainMarker",
-    "DomainSlo",
-    "DomainSloReport",
-    "DomainTopology",
     "FAULT_FREE",
-    "FailedRequest",
     "FaultSchedule",
-    "FifoPolicy",
-    "FleetCompletion",
     "FleetReport",
     "HedgeConfig",
-    "INVARIANTS",
-    "InvariantReport",
-    "MixWindow",
     "ModelAffinityPolicy",
-    "ModelSlo",
-    "ModelTrafficCard",
-    "NO_RETRIES",
-    "NetworkPartition",
-    "OrchestrationConfig",
     "PoolSpec",
-    "PoolStats",
-    "PropertySpec",
-    "QueueReport",
     "RESILIENCE_OFF",
-    "RackOutage",
-    "RateWindow",
-    "RecoveryPlan",
     "Request",
-    "RequestBatch",
     "ResilienceConfig",
-    "ResilienceStats",
     "RetryPolicy",
-    "SCENARIOS",
-    "ScaleClients",
-    "ScaleRates",
-    "ScenarioEdit",
-    "SetRamp",
-    "ShardedReplica",
-    "ShedRequest",
-    "ShortestJobFirst",
-    "SloReport",
     "Straggler",
-    "TIER_NAMES",
-    "TRACE_SCHEMA",
-    "TRACE_VERSION",
-    "TierSlo",
-    "TierSloReport",
-    "TraceCombo",
-    "TrafficTrace",
     "WorkloadMix",
-    "ZoneOutage",
     "affine_batch_latency",
-    "apply_scenario",
-    "assign_tiers",
     "bursty_rate",
-    "cards_from_mix",
-    "check_invariants",
-    "collective_slowdown",
-    "combos_for_card",
-    "compile_campaign",
-    "constant_rate",
     "diurnal_rate",
-    "domain_downtime",
-    "domain_slo_report",
-    "dumps_campaign",
-    "dumps_trace",
-    "fmt_missing",
-    "generate_campaign",
-    "generate_faults",
     "generate_requests",
-    "generate_requests_batch",
     "generate_requests_pattern",
-    "generate_traffic",
-    "grid_topology",
-    "image_size_spec",
-    "interpolated_batch_latency",
-    "launch_day_spike",
-    "load_campaign",
-    "load_trace",
-    "loads_campaign",
-    "loads_trace",
-    "machine_speed_factor",
-    "mean_batch_size",
-    "million_user_ramp",
-    "nearest_rank_index",
     "percentile",
-    "poissonized",
-    "policy_from_name",
-    "pool_from_replicas",
-    "region_failover",
-    "save_campaign",
-    "save_trace",
-    "servers_for_slo",
     "planned_pool",
+    "pool_from_replicas",
     "replica_from_plan",
     "sharded_replica",
-    "shrink_campaign",
-    "simulate_batching_server",
     "simulate_fleet",
-    "simulate_queue",
-    "simulate_sharded_server",
     "slo_report",
-    "steps_spec",
     "suite_mix_from_profiles",
-    "tier_slo_report",
-    "topology_for_pools",
-    "video_length_spec",
-    "viral_video_hour",
 ]

@@ -1,30 +1,23 @@
-"""Dynamic batching for generation serving.
+"""Batch-latency curves for generation serving.
 
 Section II-C notes low batch sizes are the natural TTI serving regime —
 but GPUs amortize fixed costs across a batch (see
-:mod:`repro.analysis.batching`), so servers batch-up under load.  This
-module simulates a dynamic-batching server: requests queue, and the
-server launches a batch whenever it is free, taking up to
-``max_batch`` queued requests.  Batched service time comes from a
-batch-latency function measured with the profiler, closing the loop
-between the kernel model and serving behaviour.
+:mod:`repro.analysis.batching`), so servers batch-up under load.  A
+fleet pool (:class:`repro.serving.fleet.PoolSpec`) describes each
+server by one batch-latency function per model; this module builds
+such functions from batch latencies measured with the profiler,
+closing the loop between the kernel model and serving behaviour.
 
 :data:`BatchLatencyFn` is the fleet engine's latency interface; the
 engine prices each (pool, model, rung, batch size) once and memoizes
 it, so a latency function must be *pure* — every function this module
-builds is — and must return finite, non-negative seconds.
-:func:`simulate_batching_server` itself is a standalone single-server
-simulator that shares no code with the fleet engine.  All times are
-seconds (``_s`` suffix).
+builds is — and must return finite, non-negative seconds.  All times
+are seconds (``_s`` suffix).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
-
-from repro.serving.queueing import CompletedRequest, QueueReport
-from repro.serving.workload import Request
 
 BatchLatencyFn = Callable[[int], float]
 """Maps a batch size to one service invocation's latency (seconds)."""
@@ -77,80 +70,3 @@ def interpolated_batch_latency(
         return times[-1] + tail_slope * (batch - sizes[-1])
 
     return latency
-
-
-@dataclass(frozen=True)
-class BatchRecord:
-    """One launched batch."""
-
-    start_s: float
-    finish_s: float
-    size: int
-
-
-def simulate_batching_server(
-    requests: list[Request],
-    batch_latency: BatchLatencyFn,
-    *,
-    max_batch: int = 8,
-) -> tuple[QueueReport, list[BatchRecord]]:
-    """Single-GPU dynamic batching simulation.
-
-    The server greedily takes up to ``max_batch`` queued requests the
-    moment it frees up (no artificial timeout), mirroring common
-    generation-serving frontends.
-    """
-    if max_batch <= 0:
-        raise ValueError("max_batch must be positive")
-    if not requests:
-        # An idle server is a well-defined simulation, not an error: a
-        # fleet report summing over pools must tolerate pools that saw
-        # no traffic.
-        return QueueReport(completed=(), servers=1, makespan_s=0.0), []
-    ordered = sorted(requests, key=lambda request: request.arrival_s)
-    completed: list[CompletedRequest] = []
-    batches: list[BatchRecord] = []
-    free_at = 0.0
-    index = 0
-    while index < len(ordered):
-        head = ordered[index]
-        start = max(free_at, head.arrival_s)
-        batch = [head]
-        while (
-            len(batch) < max_batch
-            and index + len(batch) < len(ordered)
-            and ordered[index + len(batch)].arrival_s <= start
-        ):
-            batch.append(ordered[index + len(batch)])
-        finish = start + batch_latency(len(batch))
-        for request in batch:
-            completed.append(
-                CompletedRequest(
-                    request=request, start_s=start, finish_s=finish,
-                    server=0,
-                )
-            )
-        batches.append(
-            BatchRecord(start_s=start, finish_s=finish, size=len(batch))
-        )
-        free_at = finish
-        index += len(batch)
-    makespan = max(
-        (record.finish_s for record in completed), default=0.0
-    )
-    report = QueueReport(
-        completed=tuple(completed), servers=1, makespan_s=makespan
-    )
-    return report, batches
-
-
-def mean_batch_size(batches: list[BatchRecord]) -> float:
-    """Average launched batch size (load-dependent).
-
-    An idle server launched no batches; its mean batch size is 0.0 by
-    definition (rather than an error), so fleet-level aggregation over
-    pools with idle members stays total.
-    """
-    if not batches:
-        return 0.0
-    return sum(batch.size for batch in batches) / len(batches)

@@ -1,11 +1,12 @@
 """Fleet-scale discrete-event serving simulator.
 
-The single-pool FIFO queue answered "how many GPUs for this SLO"; a
-production TTI/TTV deployment is messier: heterogeneous pools (mixed
-A100/H100 generations from the :mod:`repro.distributed` machine
-registry, or multi-GPU sharded replicas acting as one server), a
-scheduling policy per pool, servers that crash and straggle, clients
-that time out and retry, and an autoscaler reacting to backlog.  This
+The repository's one request simulator.  "How many GPUs for this SLO"
+is a single pool at ``max_batch=1``; a production TTI/TTV deployment
+is messier: heterogeneous pools (mixed A100/H100 generations from the
+:mod:`repro.distributed` machine registry, or multi-GPU sharded
+replicas acting as one server), a scheduling policy per pool, servers
+that crash and straggle, clients that time out and retry, and an
+autoscaler reacting to backlog.  This
 module simulates all of that with one event heap, deterministically:
 the only randomness lives in the workload and fault *inputs* (both
 seed-pinned), so a simulation is a pure function of its arguments.
@@ -17,7 +18,10 @@ Mechanics:
   lowest load per active server.
 * Each pool runs a :class:`repro.serving.policies.SchedulingPolicy`;
   batches are single-model, and switching the served model charges the
-  pool's ``swap_cost_s`` (weight reload).
+  pool's ``swap_cost_s`` (weight reload).  Dispatch never waits to
+  fill a batch: an arrival that finds a free server launches at once,
+  and a server that frees up takes up to ``max_batch`` queued
+  requests.
 * Faults follow :mod:`repro.serving.faults` semantics: crashes abort
   the in-flight batch (requests retry with backoff until attempts run
   out), stragglers multiply the latency of batches launched in their

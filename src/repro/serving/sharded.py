@@ -1,8 +1,8 @@
 """Sharded replicas: serving simulation over multi-GPU servers.
 
-The queueing and dynamic-batching simulators treat a server as a
-batch-latency function.  A :class:`ShardedReplica` produces that
-function for a *group* of GPUs running one tensor-parallel (or
+The fleet engine (:func:`repro.serving.fleet.simulate_fleet`) treats a
+server as a batch-latency function.  A :class:`ShardedReplica` produces
+that function for a *group* of GPUs running one tensor-parallel (or
 pipeline-parallel) model instance: per-batch latencies come from the
 distributed profiler, so collective overheads and shard inefficiency
 flow straight into fleet-level latency/throughput numbers.  This closes
@@ -23,14 +23,7 @@ from typing import TYPE_CHECKING
 from repro.distributed.registry import MachineSpec, machine_from_name
 from repro.ir.context import AttentionImpl
 from repro.ir.module import Module
-from repro.serving.batching import (
-    BatchLatencyFn,
-    BatchRecord,
-    interpolated_batch_latency,
-    simulate_batching_server,
-)
-from repro.serving.queueing import QueueReport
-from repro.serving.workload import Request
+from repro.serving.batching import BatchLatencyFn, interpolated_batch_latency
 
 if TYPE_CHECKING:
     from repro.distributed.planner import (
@@ -83,7 +76,8 @@ def sharded_replica(
 
     Profiles the model at each batch size in ``batches`` under the
     given partitioning and fits the piecewise-linear latency function
-    the batching simulator consumes.
+    a fleet pool consumes
+    (:func:`repro.serving.fleet.pool_from_replicas`).
     """
     if isinstance(machine, str):
         machine = machine_from_name(machine)
@@ -205,20 +199,3 @@ def planned_pool(
         **pool_kwargs,
     )
     return pool, point
-
-
-def simulate_sharded_server(
-    requests: list[Request],
-    replica: ShardedReplica,
-    *,
-    max_batch: int = 8,
-) -> tuple[QueueReport, list[BatchRecord]]:
-    """Dynamic-batching simulation where the server is a sharded replica.
-
-    Identical semantics to
-    :func:`repro.serving.batching.simulate_batching_server`, with the
-    replica's distributed batch-latency curve as the service process.
-    """
-    return simulate_batching_server(
-        requests, replica.latency_fn, max_batch=max_batch
-    )

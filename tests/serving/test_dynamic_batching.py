@@ -1,13 +1,9 @@
-"""Dynamic-batching server tests."""
+"""Dynamic batching: batch-latency curves and the one-server fleet pool."""
 
 import pytest
 
-from repro.serving.batching import (
-    interpolated_batch_latency,
-    mean_batch_size,
-    simulate_batching_server,
-)
-from repro.serving.queueing import simulate_queue
+from repro.serving.batching import interpolated_batch_latency
+from repro.serving.fleet import PoolSpec, simulate_fleet
 from repro.serving.workload import Request
 
 
@@ -69,31 +65,42 @@ class TestBatchLatencyFn:
         assert curve(6) > curve(4)
 
 
+def one_server(max_batch: int = 8) -> PoolSpec:
+    """The dynamic-batching server: one GPU pricing batches off CURVE."""
+    return PoolSpec(
+        name="gpu",
+        machine="dgx-a100-80g",
+        servers=1,
+        latency_fns={"m": CURVE},
+        max_batch=max_batch,
+    )
+
+
+def batch_sizes(report) -> list[int]:
+    """Launched batch sizes in launch order (members share a start)."""
+    sizes: dict[float, int] = {}
+    for record in report.completed:
+        sizes[record.start_s] = sizes.get(record.start_s, 0) + 1
+    return [sizes[start] for start in sorted(sizes)]
+
+
 class TestBatchingServer:
     def test_idle_arrivals_run_alone(self):
-        report, batches = simulate_batching_server(
-            burst(5, spacing=10.0), CURVE, max_batch=8
-        )
-        assert mean_batch_size(batches) == 1.0
-        assert report.mean_queueing_s == pytest.approx(0.0)
+        report = simulate_fleet(burst(5, spacing=10.0), [one_server()])
+        assert batch_sizes(report) == [1] * 5
+        assert report.queueing_s.max() == pytest.approx(0.0)
 
     def test_overload_grows_batches(self):
-        report, batches = simulate_batching_server(
-            burst(64, spacing=0.05), CURVE, max_batch=8
-        )
-        assert mean_batch_size(batches) > 4.0
-        del report
+        report = simulate_fleet(burst(64, spacing=0.05), [one_server()])
+        sizes = batch_sizes(report)
+        assert sum(sizes) / len(sizes) > 4.0
 
     def test_max_batch_respected(self):
-        _, batches = simulate_batching_server(
-            burst(64, spacing=0.01), CURVE, max_batch=8
-        )
-        assert max(batch.size for batch in batches) <= 8
+        report = simulate_fleet(burst(64, spacing=0.01), [one_server()])
+        assert max(batch_sizes(report)) <= 8
 
     def test_all_requests_complete_once(self):
-        report, _ = simulate_batching_server(
-            burst(30, spacing=0.2), CURVE
-        )
+        report = simulate_fleet(burst(30, spacing=0.2), [one_server()])
         ids = [record.request.request_id for record in report.completed]
         assert sorted(ids) == list(range(30))
 
@@ -101,30 +108,32 @@ class TestBatchingServer:
         """The point of batching: sub-linear batch cost turns backlog
         into throughput."""
         requests = burst(60, spacing=0.3, service=1.0)
-        fifo = simulate_queue(requests, servers=1)
-        batched, _ = simulate_batching_server(
-            requests, CURVE, max_batch=8
-        )
-        assert batched.mean_latency_s < fifo.mean_latency_s / 2
+        fifo = simulate_fleet(requests, [one_server(max_batch=1)])
+        batched = simulate_fleet(requests, [one_server(max_batch=8)])
+        assert batched.latency_s.mean() < fifo.latency_s.mean() / 2
         assert batched.makespan_s < fifo.makespan_s
 
     def test_batch_members_share_timeline(self):
-        report, batches = simulate_batching_server(
-            burst(16, spacing=0.0), CURVE, max_batch=4
+        # Dispatch never waits to fill a batch: the first of 16
+        # simultaneous arrivals finds the server free and launches
+        # alone; the other 15 queue and leave in batches of <= 4.
+        report = simulate_fleet(
+            burst(16, spacing=0.0), [one_server(max_batch=4)]
         )
-        assert len(batches) == 4
+        assert batch_sizes(report) == [1, 4, 4, 4, 3]
         finishes = {record.finish_s for record in report.completed}
-        assert len(finishes) == 4  # one finish time per batch
+        assert len(finishes) == 5  # one finish time per batch
+        order = [record.request.request_id for record in report.completed]
+        assert order == list(range(16))  # batches leave in FIFO order
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_batching_server(burst(2, 1.0), CURVE, max_batch=0)
+            one_server(max_batch=0)
 
     def test_empty_request_list_is_idle_not_an_error(self):
         # Regression: an idle pool (no arrivals in the window) used to
         # raise; capacity sweeps over arrival rates hit rate=0 cleanly.
-        report, batches = simulate_batching_server([], CURVE)
+        report = simulate_fleet([], [one_server()])
         assert report.completed == ()
         assert report.makespan_s == 0.0
-        assert batches == []
-        assert mean_batch_size([]) == 0.0
+        assert batch_sizes(report) == []

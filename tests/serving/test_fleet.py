@@ -145,9 +145,10 @@ class TestBasicFleet:
         for record in report.completed:
             sizes[record.finish_s] = sizes.get(record.finish_s, 0) + 1
         assert max(sizes.values()) == 4
-        # Greedy no-wait dispatch: the first arrival launches alone
-        # (same semantics as simulate_batching_server), then full
-        # batches drain the backlog: 1 + ceil(32 / 4) launches.
+        # Greedy no-wait dispatch: the first arrival finds the server
+        # free and launches alone before the other 32 simultaneous
+        # arrivals queue; full batches then drain the backlog:
+        # 1 + ceil(32 / 4) launches.
         assert len(sizes) == 9
 
     def test_routing_prefers_less_loaded_pool(self):

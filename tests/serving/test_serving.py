@@ -1,12 +1,16 @@
-"""Workload generation and queue-simulation tests."""
-
-import math
+"""Workload generation and one-pool FIFO fleet tests."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving.queueing import servers_for_slo, simulate_queue
+from repro.serving.fleet import (
+    FleetReport,
+    PoolSpec,
+    affine_batch_latency,
+    simulate_fleet,
+)
+from repro.serving.slo import percentile
 from repro.serving.workload import (
     Request,
     WorkloadMix,
@@ -108,44 +112,63 @@ def fixed_requests(count=10, service=1.0, spacing=2.0):
     ]
 
 
+def fifo(requests, servers=1) -> FleetReport:
+    """One FIFO pool, one request per launch, priced per model.
+
+    Each model's latency is its requests' (constant) service time.
+    """
+    return simulate_fleet(requests, [
+        PoolSpec(
+            name="p0",
+            machine="dgx-a100-80g",
+            servers=servers,
+            latency_fns={
+                request.model: affine_batch_latency(
+                    request.service_s, marginal_fraction=1.0
+                )
+                for request in requests
+            },
+            max_batch=1,
+        )
+    ])
+
+
 class TestQueueSimulation:
     def test_underloaded_has_no_queueing(self):
-        report = simulate_queue(fixed_requests(spacing=2.0, service=1.0))
-        assert report.mean_queueing_s == pytest.approx(0.0)
-        assert report.utilization == pytest.approx(0.5, abs=0.1)
+        report = fifo(fixed_requests(spacing=2.0, service=1.0))
+        assert report.queueing_s.mean() == pytest.approx(0.0)
+        assert report.pool_stats("p0").utilization == pytest.approx(
+            0.5, abs=0.1
+        )
 
     def test_overloaded_queue_builds(self):
-        report = simulate_queue(fixed_requests(spacing=0.5, service=1.0))
-        assert report.mean_queueing_s > 1.0
+        report = fifo(fixed_requests(spacing=0.5, service=1.0))
+        assert report.queueing_s.mean() > 1.0
         latencies = [r.latency_s for r in report.completed]
         assert latencies == sorted(latencies)  # linearly growing backlog
 
     def test_two_servers_halve_backlog(self):
-        one = simulate_queue(fixed_requests(spacing=0.5, service=1.0))
-        two = simulate_queue(
-            fixed_requests(spacing=0.5, service=1.0), servers=2
-        )
-        assert two.mean_latency_s < one.mean_latency_s
+        one = fifo(fixed_requests(spacing=0.5, service=1.0))
+        two = fifo(fixed_requests(spacing=0.5, service=1.0), servers=2)
+        assert two.latency_s.mean() < one.latency_s.mean()
 
     def test_percentiles_ordered(self):
-        report = simulate_queue(fixed_requests(spacing=0.5, service=1.0))
-        assert report.latency_percentile(50) <= (
-            report.latency_percentile(95)
-        ) <= report.latency_percentile(100)
+        latencies = fifo(
+            fixed_requests(spacing=0.5, service=1.0)
+        ).latency_s.tolist()
+        assert percentile(latencies, 50) <= (
+            percentile(latencies, 95)
+        ) <= percentile(latencies, 100)
 
     def test_invalid_percentile(self):
-        report = simulate_queue(fixed_requests())
+        latencies = fifo(fixed_requests()).latency_s.tolist()
         with pytest.raises(ValueError):
-            report.latency_percentile(0.0)
-
-    def test_empty_requests_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_queue([])
+            percentile(latencies, 0.0)
 
     def test_throughput_conservation(self):
         requests = fixed_requests(count=20, spacing=1.0, service=0.5)
-        report = simulate_queue(requests)
-        assert len(report.completed) == 20
+        report = fifo(requests)
+        assert report.completed_count == 20
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -154,7 +177,7 @@ class TestQueueSimulation:
         service=st.floats(0.1, 3.0),
     )
     def test_latency_at_least_service(self, servers, spacing, service):
-        report = simulate_queue(
+        report = fifo(
             fixed_requests(count=12, spacing=spacing, service=service),
             servers=servers,
         )
@@ -162,23 +185,29 @@ class TestQueueSimulation:
             record.latency_s >= record.request.service_s - 1e-12
             for record in report.completed
         )
-        assert 0.0 < report.utilization <= 1.0 + 1e-9
+        assert 0.0 < report.pool_stats("p0").utilization <= 1.0
+
+
+def servers_for_p95(requests, p95_slo_s, max_servers=64):
+    """Smallest FIFO pool whose p95 latency meets the SLO, or None."""
+    for servers in range(1, max_servers + 1):
+        latencies = fifo(requests, servers).latency_s.tolist()
+        if percentile(latencies, 95.0) <= p95_slo_s:
+            return servers
+    return None
 
 
 class TestSlo:
     def test_more_load_needs_more_servers(self):
         light = fixed_requests(count=20, spacing=2.0, service=1.0)
         heavy = fixed_requests(count=20, spacing=0.3, service=1.0)
-        assert servers_for_slo(light, p95_slo_s=1.5) == 1
-        needed = servers_for_slo(heavy, p95_slo_s=1.5)
+        assert servers_for_p95(light, p95_slo_s=1.5) == 1
+        needed = servers_for_p95(heavy, p95_slo_s=1.5)
         assert needed is not None and needed > 1
 
     def test_unreachable_slo_returns_none(self):
+        # No pool beats the service time itself.
         requests = fixed_requests(count=5, spacing=0.1, service=1.0)
-        assert servers_for_slo(
+        assert servers_for_p95(
             requests, p95_slo_s=0.5, max_servers=4
         ) is None
-
-    def test_invalid_slo(self):
-        with pytest.raises(ValueError):
-            servers_for_slo(fixed_requests(), p95_slo_s=0.0)

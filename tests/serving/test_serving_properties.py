@@ -1,4 +1,4 @@
-"""Property tests for the serving simulators.
+"""Property tests for the fleet simulator.
 
 Each invariant here holds by construction in a correct discrete-event
 simulator; hypothesis searches adversarial arrival patterns so that
@@ -6,21 +6,19 @@ scheduler refactors which break conservation, causality, or ordering
 fail loudly instead of skewing downstream SLO numbers quietly.
 """
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving.batching import (
-    interpolated_batch_latency,
-    simulate_batching_server,
-)
+from repro.serving.batching import interpolated_batch_latency
 from repro.serving.faults import Crash, FaultSchedule, RetryPolicy
 from repro.serving.fleet import (
     PoolSpec,
     affine_batch_latency,
     simulate_fleet,
 )
-from repro.serving.queueing import simulate_queue
 from repro.serving.workload import Request
 
 
@@ -61,32 +59,99 @@ def fleet_pool(servers, max_batch=3):
     )
 
 
+@st.composite
+def fifo_streams(draw):
+    """Arrival gaps (ties included) over 1-3 constant-service models."""
+    services = draw(
+        st.lists(st.floats(0.05, 4.0), min_size=1, max_size=3)
+    )
+    draws = draw(st.lists(
+        st.tuples(
+            st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+            st.integers(0, len(services) - 1),
+        ),
+        min_size=1,
+        max_size=40,
+    ))
+    service_s = {f"m{index}": s for index, s in enumerate(services)}
+    requests = []
+    clock = 0.0
+    for index, (gap, model) in enumerate(draws):
+        clock += gap
+        requests.append(Request(
+            request_id=index, arrival_s=clock, model=f"m{model}",
+            service_s=services[model],
+        ))
+    return requests, service_s
+
+
+def fifo_pool(servers, service_s):
+    """One pool, one request per launch, constant service per model."""
+    return PoolSpec(
+        name="p0",
+        machine="dgx-a100-80g",
+        servers=servers,
+        latency_fns={
+            model: affine_batch_latency(service, marginal_fraction=1.0)
+            for model, service in service_s.items()
+        },
+        max_batch=1,
+    )
+
+
+def earliest_free_server(requests, servers, service_s):
+    """Reference FIFO pool: each arrival, in order, takes the server
+    that frees first.  Returns request id -> (start, finish)."""
+    free_at = [(0.0, index) for index in range(servers)]
+    timeline = {}
+    for request in sorted(requests, key=lambda r: r.arrival_s):
+        available, server = heapq.heappop(free_at)
+        start = max(available, request.arrival_s)
+        finish = start + service_s[request.model]
+        timeline[request.request_id] = (start, finish)
+        heapq.heappush(free_at, (finish, server))
+    return timeline
+
+
 class TestQueueProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(stream=fifo_streams(), servers=st.integers(1, 5))
+    def test_one_pool_matches_earliest_free_server(self, stream, servers):
+        requests, service_s = stream
+        report = simulate_fleet(requests, [fifo_pool(servers, service_s)])
+        timeline = {
+            record.request.request_id: (record.start_s, record.finish_s)
+            for record in report.completed
+        }
+        assert timeline == earliest_free_server(
+            requests, servers, service_s
+        )
+
     @settings(max_examples=50, deadline=None)
-    @given(profile=request_profiles, servers=st.integers(1, 5))
-    def test_every_arrival_completes_exactly_once(
-        self, profile, servers
-    ):
-        requests = build_requests(profile)
-        report = simulate_queue(requests, servers=servers)
+    @given(stream=fifo_streams(), servers=st.integers(1, 5))
+    def test_every_arrival_completes_exactly_once(self, stream, servers):
+        requests, service_s = stream
+        report = simulate_fleet(requests, [fifo_pool(servers, service_s)])
         completed_ids = sorted(
             record.request.request_id for record in report.completed
         )
         assert completed_ids == [r.request_id for r in requests]
 
     @settings(max_examples=50, deadline=None)
-    @given(profile=request_profiles, servers=st.integers(1, 5))
-    def test_latency_at_least_service(self, profile, servers):
-        report = simulate_queue(build_requests(profile), servers=servers)
+    @given(stream=fifo_streams(), servers=st.integers(1, 5))
+    def test_latency_at_least_service(self, stream, servers):
+        requests, service_s = stream
+        report = simulate_fleet(requests, [fifo_pool(servers, service_s)])
         for record in report.completed:
             assert record.latency_s >= record.request.service_s - 1e-9
             assert record.queueing_s >= -1e-9
             assert record.start_s >= record.request.arrival_s - 1e-9
 
     @settings(max_examples=50, deadline=None)
-    @given(profile=request_profiles, servers=st.integers(1, 5))
-    def test_fifo_order_per_server(self, profile, servers):
-        report = simulate_queue(build_requests(profile), servers=servers)
+    @given(stream=fifo_streams(), servers=st.integers(1, 5))
+    def test_fifo_order_per_server(self, stream, servers):
+        requests, service_s = stream
+        report = simulate_fleet(requests, [fifo_pool(servers, service_s)])
         by_server = {}
         for record in report.completed:
             by_server.setdefault(record.server, []).append(record)
@@ -96,11 +161,13 @@ class TestQueueProperties:
             assert arrivals == sorted(arrivals)
 
     @settings(max_examples=50, deadline=None)
-    @given(profile=request_profiles)
-    def test_makespan_monotone_in_server_count(self, profile):
-        requests = build_requests(profile)
+    @given(stream=fifo_streams())
+    def test_makespan_monotone_in_server_count(self, stream):
+        requests, service_s = stream
         makespans = [
-            simulate_queue(requests, servers=servers).makespan_s
+            simulate_fleet(
+                requests, [fifo_pool(servers, service_s)]
+            ).makespan_s
             for servers in (1, 2, 4, 8)
         ]
         for fewer, more in zip(makespans, makespans[1:]):
@@ -113,13 +180,23 @@ class TestBatchingProperties:
     def test_batches_respect_cap_and_conserve_requests(
         self, profile, max_batch
     ):
+        # The dynamic-batching server: one pool of one server.
         requests = build_requests(profile)
-        curve = interpolated_batch_latency({1: 1.0, 8: 3.0})
-        report, batches = simulate_batching_server(
-            requests, curve, max_batch=max_batch
+        pool = PoolSpec(
+            name="gpu",
+            machine="dgx-a100-80g",
+            servers=1,
+            latency_fns={
+                "sd": interpolated_batch_latency({1: 1.0, 8: 3.0})
+            },
+            max_batch=max_batch,
         )
-        assert all(1 <= batch.size <= max_batch for batch in batches)
-        assert sum(batch.size for batch in batches) == len(requests)
+        report = simulate_fleet(requests, [pool])
+        sizes = {}
+        for record in report.completed:
+            sizes[record.start_s] = sizes.get(record.start_s, 0) + 1
+        assert all(1 <= size <= max_batch for size in sizes.values())
+        assert sum(sizes.values()) == len(requests)
         completed_ids = sorted(
             record.request.request_id for record in report.completed
         )
