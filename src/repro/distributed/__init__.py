@@ -57,11 +57,9 @@ from repro.distributed.partition import (
     ShardedEvent,
     TensorParallel,
     TraceClasses,
-    event_repeat,
     stage_boundaries,
     strategy_from_name,
     trace_classes,
-    trace_repeats,
 )
 from repro.distributed.planner import (
     ParallelConfig,
@@ -163,11 +161,9 @@ __all__ = [
     "build_timelines",
     "enumerate_configs",
     "even_split",
-    "event_repeat",
     "forward_makespan",
     "ideal_bubble_fraction",
     "trace_classes",
-    "trace_repeats",
     "machine_from_name",
     "machine_names",
     "pareto_frontier",

@@ -53,40 +53,6 @@ from repro.ir.ops import Op, OpCategory
 from repro.ir.trace import Trace, TraceEvent
 
 
-def event_repeat(event: TraceEvent) -> int:
-    """Recover the fold factor of a bucketed trace event.
-
-    ``repeat_scope`` folds loops of identical launches into one event
-    with scaled cost; the factor is the ratio between the event's cost
-    counters and the op's own formulas.
-    """
-    op_flops = event.op.flops()
-    if op_flops > 0:
-        return max(1, round(event.cost.flops / op_flops))
-    op_bytes = event.op.total_bytes()
-    if op_bytes > 0:
-        return max(1, round(event.cost.moved_bytes / op_bytes))
-    return 1
-
-
-# Fold factors per trace, computed once: scaling sweeps partition the
-# same profiled trace for every world size, and the per-event FLOP
-# formulas behind event_repeat dominate partitioning time if re-derived
-# each time.  Keyed weakly so the factors die with the trace.
-_REPEAT_CACHE: "weakref.WeakKeyDictionary[Trace, list[int]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def trace_repeats(trace: Trace) -> list[int]:
-    """Fold factor of every event of ``trace``, cached per trace object."""
-    repeats = _REPEAT_CACHE.get(trace)
-    if repeats is None or len(repeats) != len(trace.events):
-        repeats = [event_repeat(event) for event in trace.events]
-        _REPEAT_CACHE[trace] = repeats
-    return repeats
-
-
 def _parent_scope(path: str) -> str:
     return path.rsplit(".", 1)[0] if "." in path else ""
 
@@ -178,10 +144,10 @@ class TraceClasses:
         return len(self.ops)
 
 
-# One class table per trace, like the fold factors: it is structural
-# (a function of the trace alone, not of the machine or tp degree), so
-# every partition and priced axis of the trace shares it.  Keyed
-# weakly so the table dies with the trace.
+# One class table per trace: it is structural (a function of the
+# trace alone, not of the machine or tp degree), so every partition
+# and priced axis of the trace shares it.  Keyed weakly so the table
+# dies with the trace.
 _CLASS_CACHE: "weakref.WeakKeyDictionary[Trace, TraceClasses]" = (
     weakref.WeakKeyDictionary()
 )
@@ -235,7 +201,7 @@ def _build_classes(trace: Trace) -> TraceClasses:
     tokens: list[int] = []
     index: list[int] = []
     append = index.append
-    for event, repeat in zip(trace.events, trace_repeats(trace)):
+    for event in trace.events:
         op = event.op
         info = op_info.get(id(op))
         if info is None:
@@ -249,6 +215,7 @@ def _build_classes(trace: Trace) -> TraceClasses:
         op, token = info
         if token < 0:
             token = leaf_tokens[event.module_path]
+        repeat = event.repeat
         key = (id(op), token, repeat)
         cls = classes.get(key)
         if cls is None:
@@ -327,14 +294,15 @@ class ShardedEvent(NamedTuple):
 
     A NamedTuple rather than a dataclass: plans hold one of these per
     source event (hundreds of thousands per scaling sweep) and tuple
-    construction is several times cheaper.
+    construction is several times cheaper.  The fold factor is the
+    source event's ``repeat``; every shard and the collective issue
+    that many times.
 
     Attributes:
         source: the single-device event this shards.
         role: how the split was chosen.
         ops: per-rank operator shards (``None`` = rank idle).
         comm: collective required after this event, if any.
-        repeat: fold factor inherited from the source event.
         stage: owning pipeline stage (pipeline plans only).
     """
 
@@ -342,7 +310,6 @@ class ShardedEvent(NamedTuple):
     role: ShardRole
     ops: tuple[Op | None, ...]
     comm: CommSpec | None
-    repeat: int
     stage: int = 0
 
 
@@ -362,7 +329,7 @@ class DistributedPlan:
         for event in self.sharded_events:
             for rank, op in enumerate(event.ops):
                 if op is not None:
-                    totals[rank] += op.flops() * event.repeat
+                    totals[rank] += op.flops() * event.source.repeat
         return totals
 
     def total_flops(self) -> float:
@@ -372,7 +339,7 @@ class DistributedPlan:
     def comm_payload_bytes(self) -> float:
         """Logical bytes entering collectives across the whole plan."""
         return sum(
-            event.comm.payload_bytes * event.repeat
+            event.comm.payload_bytes * event.source.repeat
             for event in self.sharded_events
             if event.comm is not None
         )
@@ -383,7 +350,7 @@ class DistributedPlan:
         for event in self.sharded_events:
             if event.comm is not None:
                 counts[event.comm.kind] = (
-                    counts.get(event.comm.kind, 0) + event.repeat
+                    counts.get(event.comm.kind, 0) + event.source.repeat
                 )
         return counts
 
@@ -427,9 +394,7 @@ class TensorParallel(PartitionStrategy):
         world_gt1 = self.world > 1
         shard_memo: dict[tuple[int, ShardRole], tuple[Op | None, ...]] = {}
         resolved: list[tuple] = []
-        for op, role, kind, repeat in zip(
-            table.ops, table.roles, table.collectives, table.repeats
-        ):
+        for op, role, kind in zip(table.ops, table.roles, table.collectives):
             shards = shard_memo.get((id(op), role))
             if shards is None:
                 shards = tuple(shard_op(op, role, weights))
@@ -442,7 +407,7 @@ class TensorParallel(PartitionStrategy):
                     payload_bytes=_output_bytes(op),
                     label=f"{short}:{op.name}",
                 )
-            resolved.append((role, shards, comm, repeat, 0))
+            resolved.append((role, shards, comm, 0))
         # tuple.__new__ bypasses the generated NamedTuple constructor
         # (a Python-level wrapper) — at trace scale the constructor is
         # the single largest cost of partitioning.
@@ -479,23 +444,20 @@ class DataParallel(PartitionStrategy):
     def partition(self, trace: Trace) -> DistributedPlan:
         """Slice every event's batch-linear dimension by rank share."""
         weights = even_split(self.batch, self.world)
-        repeats = trace_repeats(trace)
         sharded: list[ShardedEvent] = []
         shard_cache: dict[int, tuple[Op | None, ...]] = {}
         append = sharded.append
         tuple_new = tuple.__new__
         event_cls = ShardedEvent
         batch_role = ShardRole.BATCH
-        for event, repeat in zip(trace.events, repeats):
+        for event in trace.events:
             op = event.op
             shards = shard_cache.get(id(op))
             if shards is None:
                 shards = tuple(shard_op(op, batch_role, weights))
                 shard_cache[id(op)] = shards
             append(
-                tuple_new(
-                    event_cls, (event, batch_role, shards, None, repeat, 0)
-                )
+                tuple_new(event_cls, (event, batch_role, shards, None, 0))
             )
         return DistributedPlan(
             strategy=self.describe(),
@@ -516,7 +478,6 @@ class PipelineParallel(PartitionStrategy):
         events = trace.events
         if not events:
             raise ValueError("cannot partition an empty trace")
-        repeats = trace_repeats(trace)
         populated = min(self.world, len(events))
         boundaries = stage_boundaries(
             [event.cost.time_s for event in events], populated
@@ -551,7 +512,6 @@ class PipelineParallel(PartitionStrategy):
                     role=ShardRole.SEQUENCE,
                     ops=tuple(ops),
                     comm=comm,
-                    repeat=repeats[index],
                     stage=stage,
                 )
             )

@@ -68,7 +68,7 @@ from repro.ir.module import Module
 from repro.ir.ops import Op
 from repro.ir.trace import Trace
 from repro.kernels.base import DEFAULT_TUNING, TuningConstants
-from repro.kernels.estimator import CachingCostEstimator
+from repro.kernels.estimator import CostEstimator
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def build_axis(
         comm_arr = comm_sp_arr = np.zeros(len(times))
     else:
         weights = [1] * tp
-        estimator = CachingCostEstimator(machine.gpu, tuning)
+        estimator = CostEstimator(machine.gpu, tuning)
         comm_model = machine.topology.cost_model(tp)
         first_shard: dict[tuple[int, ShardRole], Op | None] = {}
         times_c = [0.0] * len(table)
@@ -381,10 +381,11 @@ def bruteforce_axis(
                 act_peak = transient
     else:
         plan = TensorParallel(tp).partition(trace)
-        estimator = CachingCostEstimator(machine.gpu, tuning)
+        estimator = CostEstimator(machine.gpu, tuning)
         comm_model = machine.topology.cost_model(tp)
         for event in plan.sharded_events:
-            source, _, ops, spec, repeat, _ = event
+            source, _, ops, spec, _ = event
+            repeat = source.repeat
             op0 = ops[0]
             if op0 is None:
                 times.append(0.0)

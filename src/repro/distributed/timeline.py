@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from repro.distributed.partition import DistributedPlan
 from repro.distributed.registry import MachineSpec
 from repro.kernels.base import DEFAULT_TUNING, TuningConstants
-from repro.kernels.estimator import CachingCostEstimator
+from repro.kernels.estimator import CostEstimator
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def build_timelines(
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must be in [0, 1]")
-    estimator = CachingCostEstimator(machine.gpu, tuning)
+    estimator = CostEstimator(machine.gpu, tuning)
     if plan.kind == "pipeline":
         timelines = _build_pipeline(
             plan, machine, estimator, overlap, keep_entries
@@ -136,7 +136,7 @@ def build_timelines(
 def _build_spmd(
     plan: DistributedPlan,
     machine: MachineSpec,
-    estimator: CachingCostEstimator,
+    estimator: CostEstimator,
     overlap: float,
     keep_entries: bool,
 ) -> list[DeviceTimeline]:
@@ -149,146 +149,111 @@ def _build_spmd(
     # the fold factor is the same float multiply KernelCost.scaled does.
     # ``tuple_times`` also records whether every rank got an identical
     # time: tensor parallelism splits evenly, so almost every event is
-    # uniform, and uniform events advance all ranks in lockstep — the
-    # aggregate-only path below then prices one logical rank instead of
-    # looping over the group (each rank would accumulate the exact same
-    # float sequence, so the sums are bit-identical).
+    # uniform, and without entries to record a uniform event advances
+    # all ranks in lockstep with one time lookup instead of one per rank.
     op_time: dict[int, float] = {}
     tuple_times: dict[int, tuple[list[float | None], float | None]] = {}
     comm_time_memo: dict[int, float] = {}
 
     def times_for(ops: tuple) -> tuple[list[float | None], float | None]:
-        entry = tuple_times.get(id(ops))
-        if entry is None:
-            times: list[float | None] = []
-            for op in ops:
-                if op is None:
-                    times.append(None)
-                    continue
-                base_s = op_time.get(id(op))
-                if base_s is None:
-                    base_s = estimator.estimate(op).time_s
-                    op_time[id(op)] = base_s
-                times.append(base_s)
-            first = times[0]
-            uniform = first if all(t == first for t in times) else None
-            entry = (times, uniform)
-            tuple_times[id(ops)] = entry
+        times: list[float | None] = []
+        for op in ops:
+            if op is None:
+                times.append(None)
+                continue
+            base_s = op_time.get(id(op))
+            if base_s is None:
+                base_s = estimator.estimate(op).time_s
+                op_time[id(op)] = base_s
+            times.append(base_s)
+        first = times[0]
+        uniform = first if all(t == first for t in times) else None
+        entry = tuple_times[id(ops)] = (times, uniform)
         return entry
 
-    if not keep_entries:
-        # Aggregate-only pricing (scaling sweeps): plain float lists
-        # instead of dataclass attribute updates, one time lookup per
-        # event instead of per rank.  Every accumulator adds the exact
-        # same float sequence the entry-building path would, so the
-        # totals are bit-identical.  ShardedEvent rows are unpacked as
-        # tuples and the memo gets are inlined — at hundreds of
-        # thousands of events per sweep, attribute and call overhead
-        # are the remaining cost.
-        ranks = range(world)
-        world_gt1 = world > 1
-        compute = [0.0] * world
-        clocks_list = [0.0] * world
-        comm_s = 0.0
-        exposed_s = 0.0
-        times_get = tuple_times.get
-        comm_get = comm_time_memo.get
-        for event in plan.sharded_events:
-            _, _, ops, comm, repeat, _ = event
-            entry = times_get(id(ops))
-            if entry is None:
-                entry = times_for(ops)
-            times, uniform = entry
-            if uniform is not None:
-                time_s = uniform * repeat if repeat != 1 else uniform
-                for rank in ranks:
-                    compute[rank] += time_s
-                    clocks_list[rank] += time_s
-            else:
-                for rank, base_s in enumerate(times):
-                    if base_s is None:
-                        continue
-                    time_s = base_s * repeat if repeat != 1 else base_s
-                    compute[rank] += time_s
-                    clocks_list[rank] += time_s
-            if comm is not None and world_gt1:
-                # Every event of one partitioner class shares its
-                # CommSpec instance, so identity keys are stable; a
-                # duplicate spec object merely re-prices to the same
-                # deterministic value.
-                base_comm_s = comm_get(id(comm))
-                if base_comm_s is None:
-                    base_comm_s = comm_model.estimate(
-                        comm.kind, comm.payload_bytes, world
-                    ).time_s
-                    comm_time_memo[id(comm)] = base_comm_s
-                comm_time = base_comm_s * repeat
-                exposed = comm_time * (1.0 - overlap)
-                comm_s += comm_time
-                exposed_s += exposed
-                synced = max(clocks_list) + exposed
-                for rank in ranks:
-                    clocks_list[rank] = synced
-        for rank, timeline in enumerate(timelines):
-            timeline.compute_time_s = compute[rank]
-            timeline.comm_time_s = comm_s
-            timeline.exposed_comm_time_s = exposed_s
-            timeline.end_s = clocks_list[rank]
-        return timelines
-
+    # Plain float lists rather than dataclass attribute updates, rows
+    # unpacked as tuples and memo gets inlined: at hundreds of
+    # thousands of events per sweep, attribute and call overhead are
+    # the remaining cost.  Entries, when kept, are recorded before the
+    # clocks advance, so the totals are the same floats either way.
+    entries = (
+        [timeline.entries for timeline in timelines] if keep_entries else None
+    )
+    ranks = range(world)
+    world_gt1 = world > 1
+    compute = [0.0] * world
     clocks = [0.0] * world
-    for event in plan.sharded_events:
-        repeat = event.repeat
-        times, _ = times_for(event.ops)
-        for rank, base_s in enumerate(times):
-            if base_s is None:
-                continue
-            op = event.ops[rank]
-            time_s = base_s * repeat if repeat != 1 else base_s
-            timeline = timelines[rank]
-            timeline.entries.append(
-                TimelineEntry(
-                    kind="compute",
-                    label=op.name,
-                    start_s=clocks[rank],
-                    duration_s=time_s,
-                )
-            )
-            timeline.compute_time_s += time_s
-            clocks[rank] += time_s
-        if event.comm is not None and world > 1:
-            base_comm_s = comm_time_memo.get(id(event.comm))
+    comm_s = 0.0
+    exposed_s = 0.0
+    times_get = tuple_times.get
+    comm_get = comm_time_memo.get
+    for source, _, ops, comm, _ in plan.sharded_events:
+        repeat = source.repeat
+        entry = times_get(id(ops))
+        if entry is None:
+            entry = times_for(ops)
+        times, uniform = entry
+        if uniform is not None and entries is None:
+            time_s = uniform * repeat if repeat != 1 else uniform
+            for rank in ranks:
+                compute[rank] += time_s
+                clocks[rank] += time_s
+        else:
+            for rank, base_s in enumerate(times):
+                if base_s is None:
+                    continue
+                time_s = base_s * repeat if repeat != 1 else base_s
+                if entries is not None:
+                    entries[rank].append(
+                        TimelineEntry(
+                            kind="compute",
+                            label=ops[rank].name,
+                            start_s=clocks[rank],
+                            duration_s=time_s,
+                        )
+                    )
+                compute[rank] += time_s
+                clocks[rank] += time_s
+        if comm is not None and world_gt1:
+            # Every event of one partitioner class shares its CommSpec
+            # instance, so identity keys are stable; a duplicate spec
+            # object merely re-prices to the same deterministic value.
+            base_comm_s = comm_get(id(comm))
             if base_comm_s is None:
                 base_comm_s = comm_model.estimate(
-                    event.comm.kind, event.comm.payload_bytes, world
+                    comm.kind, comm.payload_bytes, world
                 ).time_s
-                comm_time_memo[id(event.comm)] = base_comm_s
+                comm_time_memo[id(comm)] = base_comm_s
             comm_time = base_comm_s * repeat
             exposed = comm_time * (1.0 - overlap)
+            comm_s += comm_time
+            exposed_s += exposed
             start = max(clocks)
-            for rank in range(world):
-                timeline = timelines[rank]
-                if exposed > 0:
-                    timeline.entries.append(
+            if entries is not None and exposed > 0:
+                for rank_entries in entries:
+                    rank_entries.append(
                         TimelineEntry(
                             kind="comm",
-                            label=event.comm.label,
+                            label=comm.label,
                             start_s=start,
                             duration_s=exposed,
                         )
                     )
-                timeline.comm_time_s += comm_time
-                timeline.exposed_comm_time_s += exposed
-                clocks[rank] = start + exposed
-    for rank in range(world):
-        timelines[rank].end_s = clocks[rank]
+            synced = start + exposed
+            for rank in ranks:
+                clocks[rank] = synced
+    for rank, timeline in enumerate(timelines):
+        timeline.compute_time_s = compute[rank]
+        timeline.comm_time_s = comm_s
+        timeline.exposed_comm_time_s = exposed_s
+        timeline.end_s = clocks[rank]
     return timelines
 
 
 def _build_pipeline(
     plan: DistributedPlan,
     machine: MachineSpec,
-    estimator: CachingCostEstimator,
+    estimator: CostEstimator,
     overlap: float,
     keep_entries: bool,
 ) -> list[DeviceTimeline]:
@@ -305,7 +270,7 @@ def _build_pipeline(
             if base_s is None:
                 base_s = estimator.estimate(op).time_s
                 op_time[id(op)] = base_s
-            repeat = event.repeat
+            repeat = event.source.repeat
             time_s = base_s * repeat if repeat != 1 else base_s
             timeline = timelines[rank]
             if keep_entries:
@@ -322,7 +287,7 @@ def _build_pipeline(
             timeline.end_s = clock
         if event.comm is not None:
             estimate = comm_model.send_recv(event.comm.payload_bytes)
-            comm_time = estimate.time_s * event.repeat
+            comm_time = estimate.time_s * event.source.repeat
             exposed = comm_time * (1.0 - overlap)
             timeline = timelines[rank]
             if keep_entries and exposed > 0:

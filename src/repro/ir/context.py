@@ -22,6 +22,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.ir.module import Module
 
 
+def _check_fold_factor(name: str, value: int) -> None:
+    """Reject a fold factor that is not a whole number of launches."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 class AttentionImpl(enum.Enum):
     """How attention layers lower to kernels."""
 
@@ -98,8 +104,7 @@ class ExecutionContext:
         single trace events, keeping traces tractable without changing
         totals.
         """
-        if factor < 1:
-            raise ValueError("repeat factor must be >= 1")
+        _check_fold_factor("repeat factor", factor)
         previous = self._repeat_factor
         self._repeat_factor = previous * factor
         try:
@@ -120,11 +125,12 @@ class ExecutionContext:
 
         ``repeat`` scales the cost for ``repeat`` identical back-to-back
         launches (used to bucket long decode loops without emitting one
-        event per step).
+        event per step).  The event records the applied factor, this
+        ``repeat`` times every enclosing ``repeat_scope``.
         """
-        cost: KernelCost = self.estimator.estimate(op).scaled(
-            repeat * self._repeat_factor
-        )
+        _check_fold_factor("repeat", repeat)
+        repeat *= self._repeat_factor
+        cost: KernelCost = self.estimator.estimate(op).scaled(repeat)
         event = TraceEvent(
             index=len(self.trace.events),
             module_path=self.current_path,
@@ -132,6 +138,7 @@ class ExecutionContext:
             cost=cost,
             start_s=self._clock_s,
             flags=frozenset(flags),
+            repeat=repeat,
         )
         self.trace.events.append(event)
         self._clock_s += cost.time_s
@@ -143,7 +150,8 @@ class ExecutionContext:
         """Append a recorded module subgraph to the trace.
 
         ``segment`` is a :class:`repro.ir.memo.Segment`: (relative path,
-        op, cost, flags) tuples captured by a previous identical call.
+        op, cost, flags, fold factor) tuples captured by a previous
+        identical call.
         Replay reproduces exactly the events re-running the module would
         emit — same ops, same costs, same clock accumulation order —
         with module paths re-rooted at the current scope.
@@ -155,9 +163,11 @@ class ExecutionContext:
         base = prefix + "." if prefix else ""
         append = events.append
         event_cls = TraceEvent
-        for rel_path, op, cost, flags, time_s in segment.items:
+        for rel_path, op, cost, flags, repeat, time_s in segment.items:
             append(
-                event_cls(index, base + rel_path, op, cost, clock, flags)
+                event_cls(
+                    index, base + rel_path, op, cost, clock, flags, repeat
+                )
             )
             clock += time_s
             index += 1

@@ -30,9 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Segment:
     """One recorded module call: relative trace events plus the output.
 
-    ``items`` rows are ``(relative path, op, cost, flags, time_s)``;
-    the trailing ``time_s`` duplicates ``cost.time_s`` so the replay
-    loop advances the clock without an attribute lookup per event.
+    ``items`` rows are ``(relative path, op, cost, flags, repeat,
+    time_s)``, ``repeat`` being the event's fold factor; the trailing
+    ``time_s`` duplicates ``cost.time_s`` so the replay loop advances
+    the clock without an attribute lookup per event.
     """
 
     __slots__ = ("items", "output")
@@ -82,6 +83,7 @@ def capture_segment(
                 event.op,
                 event.cost,
                 event.flags,
+                event.repeat,
                 event.cost.time_s,
             )
             for event in events[start:]

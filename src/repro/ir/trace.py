@@ -8,6 +8,7 @@ forward-hook annotations), and the cost-model estimate of its execution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -37,8 +38,10 @@ class KernelCost:
     limiter: str
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError("negative kernel time")
+        if not 0.0 <= self.time_s < math.inf:
+            raise ValueError(
+                f"kernel time must be finite and >= 0, got {self.time_s!r}"
+            )
 
     def scaled(self, factor: int) -> "KernelCost":
         """Cost of launching this kernel ``factor`` times back to back.
@@ -85,7 +88,12 @@ def combine_costs(costs: Iterable[KernelCost]) -> KernelCost:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One kernel launch in the timeline."""
+    """One kernel launch in the timeline.
+
+    ``repeat`` is the event's fold factor: the number of identical
+    back-to-back launches it stands for (``repeat_scope`` folds decode
+    loops into one event), already applied to ``cost``.
+    """
 
     index: int
     module_path: str
@@ -93,6 +101,7 @@ class TraceEvent:
     cost: KernelCost
     start_s: float
     flags: frozenset[str] = field(default_factory=frozenset)
+    repeat: int = 1
 
     @property
     def category(self) -> OpCategory:
@@ -143,23 +152,38 @@ class Trace:
     def __len__(self) -> int:
         return len(self.events)
 
+    def _totals(self) -> tuple[float, float, float]:
+        """(time, FLOPs, moved bytes), each added strictly left to right.
+
+        A plain loop, not ``sum()``: from Python 3.12 ``sum()`` of
+        floats is compensated, while the trace's own clock, the
+        distributed timelines and the planner's prefix sums all add
+        left to right, and the totals must equal them on every
+        interpreter.
+        """
+
+        def compute() -> tuple[float, float, float]:
+            time_s = flops = moved = 0.0
+            for event in self.events:
+                cost = event.cost
+                time_s += cost.time_s
+                flops += cost.flops
+                moved += cost.moved_bytes
+            return time_s, flops, moved
+
+        return self._aggregate("totals", compute)
+
     @property
     def total_time_s(self) -> float:
-        return self._aggregate(
-            "time", lambda: sum(e.cost.time_s for e in self.events)
-        )
+        return self._totals()[0]
 
     @property
     def total_flops(self) -> float:
-        return self._aggregate(
-            "flops", lambda: sum(e.cost.flops for e in self.events)
-        )
+        return self._totals()[1]
 
     @property
     def total_moved_bytes(self) -> float:
-        return self._aggregate(
-            "bytes", lambda: sum(e.cost.moved_bytes for e in self.events)
-        )
+        return self._totals()[2]
 
     def filter(self, predicate: Callable[[TraceEvent], bool]) -> "Trace":
         """New trace holding only the events the predicate accepts."""

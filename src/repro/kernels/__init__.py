@@ -15,7 +15,7 @@ from repro.kernels.base import (
     wave_efficiency,
 )
 from repro.kernels.conv import ConvCostModel
-from repro.kernels.estimator import CachingCostEstimator, CostEstimator
+from repro.kernels.estimator import CostEstimator
 from repro.kernels.flash_attention import FlashAttentionCostModel
 from repro.kernels.gemm import GemmCostModel
 from repro.kernels.normalization import BandwidthCostModel
@@ -23,7 +23,6 @@ from repro.kernels.normalization import BandwidthCostModel
 __all__ = [
     "AttentionCacheReport",
     "BandwidthCostModel",
-    "CachingCostEstimator",
     "ConvCostModel",
     "CostEstimator",
     "CostModelBase",

@@ -98,14 +98,3 @@ class CostEstimator:
             return 0
         return len(GLOBAL_COST_CACHE.bucket(self.cache_token))
 
-
-class CachingCostEstimator(CostEstimator):
-    """Backwards-compatible alias for the (now always caching) estimator.
-
-    Earlier revisions memoized per instance; the cache now lives in
-    :data:`repro.kernels.cache.GLOBAL_COST_CACHE` so the profiler, the
-    distributed sharder and the fleet simulator share hits.  The name is
-    kept because the distributed layer and external callers construct it
-    directly.
-    """
-

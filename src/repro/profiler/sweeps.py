@@ -92,15 +92,11 @@ def compress_trace(
     any trace the profiler produced on the same machine, so
     compression re-prices nothing.
     """
-    # Local import: distributed builds on profiler elsewhere; pulling
-    # just the fold-factor helper the other way is cycle-free.
-    from repro.distributed.partition import trace_repeats
-
     estimator = CostEstimator(gpu, tuning)
     index: dict[int, int] = {}
     ops: list[Op] = []
     counts: list[float] = []
-    for event, repeat in zip(trace.events, trace_repeats(trace)):
+    for event in trace.events:
         op = event.op
         column = index.get(id(op))
         if column is None:
@@ -108,7 +104,7 @@ def compress_trace(
             index[id(op)] = column
             ops.append(op)
             counts.append(0.0)
-        counts[column] += repeat
+        counts[column] += event.repeat
     costs = np.empty((len(ops), len(METRICS)), dtype=np.float64)
     for row, op in enumerate(ops):
         cost = estimator.estimate(op)
@@ -274,15 +270,13 @@ def _split_loop(
     observed steps, distinct kernels), each totals vector over
     :data:`METRICS`.
     """
-    from repro.distributed.partition import trace_repeats
-
     pattern = re.compile(rf"(?:^|\.){re.escape(loop_scope)}_(\d+)(?:\.|$)")
     estimator = CostEstimator(gpu, tuning)
     cost_memo: dict[int, tuple[float, float, float]] = {}
     base = [0.0] * len(METRICS)
     loop = [0.0] * len(METRICS)
     steps_seen: set[int] = set()
-    for event, repeat in zip(trace.events, trace_repeats(trace)):
+    for event in trace.events:
         op = event.op
         row = cost_memo.get(id(op))
         if row is None:
@@ -294,6 +288,7 @@ def _split_loop(
         if match is not None:
             steps_seen.add(int(match.group(1)))
             target = loop
+        repeat = event.repeat
         for metric in range(len(METRICS)):
             target[metric] += row[metric] * repeat
     if not steps_seen:

@@ -87,7 +87,7 @@ class TestSharedOpClasses:
         plan = TensorParallel(tp).partition(toy_trace)
         reduce = CollectiveKind.ALL_REDUCE if tp > 1 else None
         assert [
-            (e.role, e.comm.kind if e.comm else None, e.repeat)
+            (e.role, e.comm.kind if e.comm else None, e.source.repeat)
             for e in plan.sharded_events
         ] == [
             (ShardRole.COLUMN, None, 1),

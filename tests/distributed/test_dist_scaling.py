@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributed.partition import TensorParallel
+from repro.distributed.partition import TensorParallel, strategy_from_name
 from repro.distributed.registry import machine_from_name
 from repro.distributed.scaling import (
     scaling_table,
@@ -12,7 +12,7 @@ from repro.distributed.scaling import (
 from repro.distributed.timeline import build_timelines
 from repro.kernels.estimator import DEFAULT_TUNING
 from repro.models.registry import build_model
-from repro.profiler import profile_sharded
+from repro.profiler import profile_model, profile_sharded
 
 WORLDS = (1, 2, 4, 8)
 
@@ -106,3 +106,35 @@ class TestTimelines:
             plan, machine, tuning=DEFAULT_TUNING, keep_entries=False
         )
         assert len(dist.timelines) == 2
+
+
+def rank_totals(dist):
+    return [
+        (t.compute_time_s, t.comm_time_s, t.exposed_comm_time_s, t.end_s)
+        for t in dist.timelines
+    ]
+
+
+class TestEntriesAreInert:
+    """Recording timeline entries must not change one float."""
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("name", ["stable_diffusion@256", "llama"])
+    def test_totals_equal_with_and_without_entries(self, name, batch):
+        machine = machine_from_name("dgx-a100-80g")
+        trace = profile_model(
+            build_model(name), gpu=machine.gpu, batch=batch
+        ).trace
+        for strategy, world in (("tp", 2), ("tp", 8), ("dp", 4), ("pp", 3)):
+            plan = strategy_from_name(
+                strategy, world, batch=batch
+            ).partition(trace)
+            for overlap in (0.0, 0.5):
+                kept = build_timelines(plan, machine, overlap=overlap)
+                bare = build_timelines(
+                    plan, machine, overlap=overlap, keep_entries=False
+                )
+                case = (strategy, world, overlap)
+                assert rank_totals(kept) == rank_totals(bare), case
+                assert any(t.entries for t in kept.timelines), case
+                assert not any(t.entries for t in bare.timelines), case

@@ -1,5 +1,8 @@
 """ExecutionContext and Trace behaviour tests."""
 
+import math
+import re
+
 import pytest
 
 from repro.ir.context import AttentionImpl, ExecutionContext
@@ -36,8 +39,9 @@ class TestKernelCost:
             make_cost().scaled(0)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            KernelCost(-1.0, 0, 0, 0, 0, 0, "compute")
+        for time_s in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape(repr(time_s))):
+                KernelCost(time_s, 0, 0, 0, 0, 0, "compute")
 
     def test_combine_sums(self):
         combined = combine_costs([make_cost(), make_cost(2.0)])
@@ -87,12 +91,23 @@ class TestContext:
         single = ExecutionContext()
         single.emit(Elementwise("e", numel=1000))
         assert ctx.elapsed_s == pytest.approx(6 * single.elapsed_s)
+        assert ctx.trace.events[0].repeat == 6
+        assert single.trace.events[0].repeat == 1
 
     def test_repeat_scope_rejects_zero(self):
+        # A fold factor counts launches: anything but an int >= 1 would
+        # scale the cost by a launch count no event can stand for.
         ctx = ExecutionContext()
-        with pytest.raises(ValueError):
-            with ctx.repeat_scope(0):
-                pass
+        op = Elementwise("e", numel=10)
+        for factor in (0, -2, 2.5, math.nan, "2"):
+            with pytest.raises(ValueError, match=re.escape(repr(factor))):
+                with ctx.repeat_scope(factor):
+                    pass
+            with pytest.raises(ValueError, match=re.escape(repr(factor))):
+                ctx.emit(op, repeat=factor)
+        assert len(ctx.trace) == 0
+        ctx.emit(op)
+        assert ctx.trace.events[0].repeat == 1
 
     def test_flags_frozen_on_event(self):
         ctx = ExecutionContext()

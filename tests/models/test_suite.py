@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.ir.context import ExecutionContext
 from repro.ir.ops import OpCategory
+from repro.kernels.estimator import CostEstimator
 from repro.models.base import ModelArchitecture
 from repro.models.registry import (
     DISPLAY_NAMES,
@@ -20,6 +22,15 @@ EXPECTED_ARCHITECTURES = {
     "prod_image": ModelArchitecture.DIFFUSION_LATENT,
     "make_a_video": ModelArchitecture.TTV_DIFFUSION,
     "phenaki": ModelArchitecture.TTV_TRANSFORMER,
+}
+
+
+# Kernel launches each folded suite profile stands for, the sum of its
+# events' fold factors: (baseline, flash).  Only the autoregressive
+# decoders fold their decode loops (``repeat_scope``).
+FOLDED_LAUNCHES = {
+    "llama": (31_331, 23_011),
+    "parti": (1_134_054, 789_894),
 }
 
 
@@ -108,3 +119,47 @@ class TestProfiles:
         assert baseline.attention_impl.value == "baseline"
         assert flash.attention_impl.value == "flash"
         assert baseline.parameters == flash.parameters
+
+
+class TestFoldFactors:
+    @pytest.mark.parametrize("name", sorted(FOLDED_LAUNCHES))
+    def test_cost_is_one_launch_scaled_by_the_recorded_factor(
+        self, name, suite_profiles
+    ):
+        # Emitted and replayed events alike: the recorded factor is the
+        # one the cost was scaled by.
+        for profile, launches in zip(
+            suite_profiles[name], FOLDED_LAUNCHES[name]
+        ):
+            estimate = CostEstimator(profile.gpu).estimate
+            events = profile.trace.events
+            assert sum(event.repeat for event in events) == launches
+            for event in events:
+                assert event.cost == estimate(event.op).scaled(
+                    event.repeat
+                ), event.module_path
+
+    def test_unfolded_models_record_one_launch_per_event(
+        self, suite_profiles
+    ):
+        for name, profiles in suite_profiles.items():
+            if name in FOLDED_LAUNCHES:
+                continue
+            for profile in profiles:
+                assert all(event.repeat == 1 for event in profile.trace), name
+
+    def test_replay_records_the_factors_execution_does(
+        self, suite_profiles, suite_models
+    ):
+        cached = suite_profiles["llama"][0]
+        # An estimator without the cost cache has no memo token, so the
+        # context re-executes every module call instead of replaying.
+        ctx = ExecutionContext(
+            gpu=cached.gpu,
+            estimator=CostEstimator(cached.gpu, use_cache=False),
+        )
+        assert ctx.memo_token is None
+        suite_models["llama"].run_inference(ctx, batch=1)
+        assert [event.repeat for event in ctx.trace] == [
+            event.repeat for event in cached.trace
+        ]
