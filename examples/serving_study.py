@@ -16,7 +16,6 @@ from repro.serving import (
     Crash,
     FAULT_FREE,
     FaultSchedule,
-    ModelAffinityPolicy,
     PoolSpec,
     RetryPolicy,
     WorkloadMix,
@@ -47,7 +46,7 @@ def build_pools(h100_speedup: float = 1.7) -> list[PoolSpec]:
             for model, service in MIX.service_s.items()
         },
         max_batch=4,
-        policy=ModelAffinityPolicy(),
+        policy="affinity",
         swap_cost_s=0.5,
         min_servers=2,  # the autoscaler may drain to two off-peak
         max_servers=5,  # and activate one standby server at the peak
@@ -63,7 +62,7 @@ def build_pools(h100_speedup: float = 1.7) -> list[PoolSpec]:
             for model, service in MIX.service_s.items()
         },
         max_batch=4,
-        policy=ModelAffinityPolicy(),
+        policy="affinity",
         swap_cost_s=0.5,
     )
     return [a100, h100]

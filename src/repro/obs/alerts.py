@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.obs.telemetry import TelemetryLog
+from repro.serving.slo import deadline_for
 
 
 @dataclass(frozen=True)
@@ -147,16 +148,9 @@ def _terminals(
         if terminal is None:
             continue
         if terminal.state == "complete":
-            if isinstance(deadlines, Mapping):
-                deadline = deadlines.get(span.model)
-                if deadline is None:
-                    raise ValueError(
-                        f"no deadline for model {span.model!r}"
-                    )
-            else:
-                deadline = deadlines
             good = (
-                terminal.ts_s - span.submitted_at_s <= deadline
+                terminal.ts_s - span.submitted_at_s
+                <= deadline_for(deadlines, span.model)
             )
         else:
             good = False

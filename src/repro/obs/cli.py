@@ -24,6 +24,7 @@ from repro.obs.alerts import BurnRateRule, evaluate_alerts
 from repro.obs.export import load_telemetry
 from repro.obs.perfetto import save_chrome_telemetry
 from repro.obs.telemetry import FLEET_COUNTERS, TelemetryLog
+from repro.serving.slo import deadline_for
 
 
 def _parse_deadlines(
@@ -126,7 +127,13 @@ def _alerts(log: TelemetryLog, args: argparse.Namespace) -> str:
         short_window_s=args.short_window,
         threshold=args.threshold,
     )
-    firings = evaluate_alerts(log, deadlines, (rule,))
+    try:
+        if isinstance(deadlines, dict):  # every pair, used or not
+            for model in deadlines:
+                deadline_for(deadlines, model)
+        firings = evaluate_alerts(log, deadlines, (rule,))
+    except ValueError as error:  # a deadline missing or not positive
+        raise SystemExit(str(error)) from None
     if not firings:
         return "no firings"
     return "\n".join(

@@ -38,7 +38,7 @@ def to_chrome_trace(trace: Trace, *, process_name: str = "gpu") -> dict:
     """
     events: list[dict[str, Any]] = [
         {
-            "name": process_name,
+            "name": "process_name",
             "ph": "M",
             "pid": 0,
             "args": {"name": process_name},

@@ -35,7 +35,6 @@ from repro.serving.fleet import (
     pool_from_replicas,
     simulate_fleet,
 )
-from repro.serving.policies import ModelAffinityPolicy
 from repro.serving.resilience import (
     RESILIENCE_OFF,
     AdmissionConfig,
@@ -72,7 +71,6 @@ __all__ = [
     "FaultSchedule",
     "FleetReport",
     "HedgeConfig",
-    "ModelAffinityPolicy",
     "PoolSpec",
     "RESILIENCE_OFF",
     "Request",

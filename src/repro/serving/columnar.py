@@ -44,18 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.serving.faults import FaultSchedule, RecoveryPlan, RetryPolicy
 from repro.serving.fleet import (
     REASON_LABELS,
+    SCHEDULING_POLICIES,
     AutoscalerConfig,
     FleetReport,
     PoolSpec,
     PoolStats,
 )
-from repro.serving.policies import (
-    FifoPolicy,
-    ModelAffinityPolicy,
-    ShortestJobFirst,
-)
 from repro.serving.resilience import ResilienceConfig, ResilienceStats
-from repro.serving.workload import Request, RequestBatch
+from repro.serving.workload import RequestBatch
 
 # Indices into REASON_LABELS.
 _R_UNROUTABLE, _R_CRASH, _R_TIMEOUT = 0, 1, 2
@@ -66,20 +62,6 @@ _R_SHED_RATE, _R_SHED_DEPTH, _R_SHED_WAIT = 3, 4, 5
 _RETRY, _FREE, _CRASH, _RECOVER, _TIMEOUT = 0, 1, 2, 3, 4
 _ACTIVATE, _TICK, _HEDGE, _PROBE, _BROWNOUT = 5, 6, 7, 8, 9
 _CORDON, _UNCORDON, _MARKER = 10, 11, 12
-
-
-class _QueueProxy:
-    """Read-only ``QueueView`` adapter for third-party policies.
-
-    Built only on the generic-policy path; the built-in policies run
-    on dedicated index loops and never materialize these.
-    """
-
-    __slots__ = ("request", "queued_since_s")
-
-    def __init__(self, request: Request, queued_since_s: float):
-        self.request = request
-        self.queued_since_s = queued_since_s
 
 
 class _ColPool:
@@ -106,15 +88,8 @@ class _ColPool:
         self.active_count = spec.servers
         self.busy_count = 0
         self.free_heap: list[int] = []
-        policy = spec.policy
-        if type(policy) is FifoPolicy:
-            self.policy_mode = 0
-        elif type(policy) is ShortestJobFirst:
-            self.policy_mode = 1
-        elif type(policy) is ModelAffinityPolicy:
-            self.policy_mode = 2
-        else:
-            self.policy_mode = 3
+        # 0 fifo, 1 sjf, 2 affinity.
+        self.policy_mode = SCHEDULING_POLICIES.index(spec.policy)
         self.spec_fns: dict[int, object] = {}
         self.rung_fns: list[dict[int, object]] = []
         self.max_batch = spec.max_batch
@@ -1032,13 +1007,12 @@ class _ColumnarState:
         self._push(now + backoff, _RETRY, eid)
 
     def _select_indices(
-        self, pool: _ColPool, sid: int, now: float
+        self, pool: _ColPool, sid: int
     ) -> tuple[list[int], int]:
         """Pick batch queue positions; returns ``(positions, model)``.
 
-        Built-in policies run as index loops over entry ids (no object
-        churn); any other policy gets the ``SchedulingPolicy`` protocol
-        via :class:`_QueueProxy` views.
+        Implements :data:`repro.serving.fleet.SCHEDULING_POLICIES`;
+        never empty, as the chosen model always has a queued request.
         """
         queue = pool.queue
         mode = pool.policy_mode
@@ -1050,10 +1024,6 @@ class _ColumnarState:
                 picked = self._same_model(pool, last)
                 if picked:
                     return picked, last
-            mode = 0
-        if mode == 0:
-            mid = r_model[e_req[queue[0]]]
-            return self._same_model(pool, mid), mid
         if mode == 1:
             r_service = self.r_service
             queued_since = self.e_queued_since
@@ -1067,33 +1037,9 @@ class _ColumnarState:
                     best = pos
                     best_key = key
             mid = r_model[e_req[queue[best]]]
-            return self._same_model(pool, mid), mid
-        # Generic policy: the protocol over materialized views.
-        views = [
-            _QueueProxy(
-                self.batch.request(e_req[eid]),
-                self.e_queued_since[eid],
-            )
-            for eid in queue
-        ]
-        indices = pool.spec.policy.select(
-            views, now=now, max_batch=pool.max_batch,
-            last_model=(
-                self.models[self.s_last_model[sid]]
-                if self.s_last_model[sid] != -1 else None
-            ),
-        )
-        if not indices:
-            return [], -1
-        mid = r_model[e_req[queue[indices[0]]]]
-        if any(
-            r_model[e_req[queue[i]]] != mid for i in indices
-        ) or len(indices) > pool.max_batch:
-            raise ValueError(
-                f"policy {pool.spec.policy.name!r} returned an "
-                "invalid batch"
-            )
-        return indices, mid
+        else:
+            mid = r_model[e_req[queue[0]]]
+        return self._same_model(pool, mid), mid
 
     def _same_model(self, pool: _ColPool, mid: int) -> list[int]:
         """FIFO same-model pick, one slot per request id (hedge dedup)."""
@@ -1122,12 +1068,9 @@ class _ColumnarState:
             sid = self._pop_free(pool)
             if sid is None:
                 return
-            indices, mid = self._select_indices(pool, sid, now)
-            if not indices:
-                heapq.heappush(pool.free_heap, sid)
-                return
+            indices, mid = self._select_indices(pool, sid)
             batch = [queue[pos] for pos in indices]
-            for pos in sorted(indices, reverse=True):
+            for pos in reversed(indices):
                 queue.pop(pos)
             in_queue = self.e_in_queue
             for eid in batch:

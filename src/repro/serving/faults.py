@@ -33,6 +33,7 @@ so (``crash_rate_per_hour``).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -124,16 +125,36 @@ class RetryPolicy:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0 or self.backoff_s < 0:
-            raise ValueError("invalid retry policy")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout must be positive when set")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if self.max_backoff_s is not None and self.max_backoff_s <= 0:
-            raise ValueError("max_backoff_s must be positive when set")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
+        # ``nan < 0`` is False: every float bound checks finiteness.
+        if self.max_retries < 0:
+            raise ValueError(
+                f"max_retries must be non-negative, got {self.max_retries!r}"
+            )
+        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
+            raise ValueError(
+                "backoff_s must be finite and non-negative, got "
+                f"{self.backoff_s!r}"
+            )
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0
+        ):
+            raise ValueError(
+                "timeout_s must be finite and positive when set, got "
+                f"{self.timeout_s!r}"
+            )
+        if not (math.isfinite(self.multiplier) and self.multiplier >= 1):
+            raise ValueError(
+                f"multiplier must be finite and >= 1, got {self.multiplier!r}"
+            )
+        if self.max_backoff_s is not None and not (
+            math.isfinite(self.max_backoff_s) and self.max_backoff_s > 0
+        ):
+            raise ValueError(
+                "max_backoff_s must be finite and positive when set, got "
+                f"{self.max_backoff_s!r}"
+            )
+        if not (math.isfinite(self.jitter) and 0 <= self.jitter <= 1):
+            raise ValueError(f"jitter must be in [0, 1], got {self.jitter!r}")
 
     @property
     def max_attempts(self) -> int:

@@ -16,9 +16,9 @@ Mechanics:
 * Requests are routed at arrival (and at each retry) to the eligible
   pool — one whose latency table knows the request's model — with the
   lowest load per active server.
-* Each pool runs a :class:`repro.serving.policies.SchedulingPolicy`;
-  batches are single-model, and switching the served model charges the
-  pool's ``swap_cost_s`` (weight reload).  Dispatch never waits to
+* Each pool runs one of the :data:`SCHEDULING_POLICIES`; batches are
+  single-model, and switching the served model charges the pool's
+  ``swap_cost_s`` (weight reload).  Dispatch never waits to
   fill a batch: an arrival that finds a free server launches at once,
   and a server that frees up takes up to ``max_batch`` queued
   requests.
@@ -44,7 +44,8 @@ attributes carry the ``_s`` suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -66,7 +67,6 @@ from repro.serving.faults import (
     RecoveryPlan,
     RetryPolicy,
 )
-from repro.serving.policies import FifoPolicy, SchedulingPolicy
 from repro.serving.resilience import (
     RESILIENCE_OFF,
     ResilienceConfig,
@@ -160,6 +160,24 @@ def pool_from_replicas(
     )
 
 
+SCHEDULING_POLICIES = ("fifo", "sjf", "affinity")
+"""The names :attr:`PoolSpec.policy` accepts (default ``"fifo"``).
+
+A freshly free server's policy picks a model; the batch is then that
+model's first ``max_batch`` queued requests in queue order, one per
+request id (batching a hedge with its twin would defeat the hedge).
+Switching the server's model pays the pool's ``swap_cost_s``.
+
+* ``"fifo"`` — the head-of-line request's model.
+* ``"sjf"`` — the model of the queued request with the smallest
+  ``service_s``, ties to the earliest queued (a retry re-queues):
+  lower mean latency (images overtake video), longer expensive tails.
+* ``"affinity"`` — the server's last model while any of it is queued,
+  avoiding the weight reload (gigabytes per switch for TTI/TTV
+  checkpoints); otherwise FIFO, which bounds starvation.
+"""
+
+
 @dataclass(frozen=True)
 class PoolSpec:
     """One homogeneous server pool inside the fleet.
@@ -173,7 +191,8 @@ class PoolSpec:
             hardware; its key set defines which models the pool can
             serve (routing eligibility).
         max_batch: dynamic-batching cap per launch.
-        policy: scheduling policy instance (default FIFO).
+        policy: scheduling policy name, one of
+            :data:`SCHEDULING_POLICIES`.
         swap_cost_s: added to the first batch after the served model
             changes (weight reload from host memory).
         min_servers: autoscaler floor.
@@ -192,7 +211,7 @@ class PoolSpec:
     servers: int
     latency_fns: Mapping[str, BatchLatencyFn]
     max_batch: int = 8
-    policy: SchedulingPolicy = field(default_factory=FifoPolicy)
+    policy: str = "fifo"
     swap_cost_s: float = 0.0
     min_servers: int = 1
     max_servers: int | None = None
@@ -203,8 +222,19 @@ class PoolSpec:
             raise ValueError("servers and max_batch must be positive")
         if not self.latency_fns:
             raise ValueError("pool must serve at least one model")
-        if self.swap_cost_s < 0:
-            raise ValueError("swap cost must be non-negative")
+        if self.policy not in SCHEDULING_POLICIES:
+            raise ValueError(
+                f"policy must be one of {SCHEDULING_POLICIES}, got "
+                f"{self.policy!r}"
+            )
+        # ``nan < 0`` is False: check finiteness explicitly.
+        if not (
+            math.isfinite(self.swap_cost_s) and self.swap_cost_s >= 0
+        ):
+            raise ValueError(
+                "swap_cost_s must be finite and non-negative, got "
+                f"{self.swap_cost_s!r}"
+            )
         if not 1 <= self.min_servers <= self.servers:
             raise ValueError("need 1 <= min_servers <= servers")
         if self.max_servers is not None and self.max_servers < self.servers:

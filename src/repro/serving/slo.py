@@ -43,6 +43,7 @@ clients, empty scenarios) report ``None`` percentiles, rendered ``—``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -256,10 +257,14 @@ def render_alerts(firings) -> str:
     return "\n".join(lines)
 
 
-def _deadline_for(
+def deadline_for(
     deadlines: Mapping[str, float] | float, model: str
 ) -> float:
-    """Resolve one model's deadline (per-model and per-tier SLOs)."""
+    """One model's deadline (seconds) from a per-model map or a scalar.
+
+    Raises ``ValueError`` naming the model if the map lacks it or the
+    deadline is not finite and positive.  Every SLO reader uses this.
+    """
     if isinstance(deadlines, Mapping):
         try:
             value = deadlines[model]
@@ -269,8 +274,12 @@ def _deadline_for(
             ) from None
     else:
         value = deadlines
-    if value <= 0:
-        raise ValueError("deadlines must be positive")
+    # ``nan <= 0`` is False: check finiteness explicitly.
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(
+            f"deadline for model {model!r} must be finite and "
+            f"positive, got {value!r}"
+        )
     return value
 
 
@@ -309,7 +318,7 @@ def slo_report(
     per_model = []
     for model in present:
         mid = report.models.index(model)
-        deadline = _deadline_for(deadlines, model)
+        deadline = deadline_for(deadlines, model)
         mask = comp_mid == mid
         lat_m = latency[mask]
         count = int(lat_m.size)
@@ -485,7 +494,7 @@ def tier_slo_report(
     for rid, model, latency in zip(comp_ids, comp_models, comp_latency):
         tier = tier_of(rid)
         latencies[tier].append(latency)
-        if latency <= _deadline_for(deadlines, model):
+        if latency <= deadline_for(deadlines, model):
             within[tier] += 1
     for rid in fail_ids:
         failed[tier_of(rid)] += 1

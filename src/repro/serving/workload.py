@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,9 +115,6 @@ class RequestBatch:
     service_s: np.ndarray
     model_ids: np.ndarray
     request_ids: np.ndarray
-    _materialized: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.models:
@@ -166,19 +163,6 @@ class RequestBatch:
                 [r.request_id for r in requests], dtype=np.int64
             ),
         )
-
-    def request(self, index: int) -> Request:
-        """Materialize one request (cached — ids stay stable)."""
-        cached = self._materialized.get(index)
-        if cached is None:
-            cached = Request(
-                request_id=int(self.request_ids[index]),
-                arrival_s=float(self.arrival_s[index]),
-                model=self.models[int(self.model_ids[index])],
-                service_s=float(self.service_s[index]),
-            )
-            self._materialized[index] = cached
-        return cached
 
     def to_requests(self) -> list[Request]:
         """Materialize the whole batch as ``Request`` objects."""

@@ -118,6 +118,13 @@ class TestEvaluate:
         spans = [_complete(0, 10.0, model="muse")]
         with pytest.raises(ValueError, match="no deadline"):
             evaluate_alerts(_log(spans), DEADLINES, (RULE,))
+        # A deadline that is present must also be finite and positive.
+        for deadlines in (
+            {"muse": -1.0}, {"muse": 0.0}, {"muse": float("nan")},
+            {"muse": float("inf")}, -1.0, float("nan"),
+        ):
+            with pytest.raises(ValueError, match="'muse' must be finite"):
+                evaluate_alerts(_log(spans), deadlines, (RULE,))
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError, match="step_s"):

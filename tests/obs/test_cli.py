@@ -73,6 +73,17 @@ def test_alerts_rejects_malformed_deadline(telemetry_file):
             "alerts", telemetry_file,
             "--deadline", "sd=3", "--deadline", "muse:4",
         ])
+    for deadlines, message in (
+        (["m=-1"], "model 'm' must be finite and positive, got -1.0"),
+        (["sd=3", "muse=nan"], "model 'muse' must be finite"),
+        (["-1"], "must be finite and positive, got -1.0"),
+        (["sd=3"], "no deadline for model 'muse'"),
+    ):
+        args = ["alerts", telemetry_file]
+        for deadline in deadlines:
+            args += ["--deadline", deadline]
+        with pytest.raises(SystemExit, match=message):
+            main(args)
 
 
 def test_perfetto_writes_trace(telemetry_file, capsys, tmp_path):

@@ -78,6 +78,14 @@ class TestExport:
             OpCategory.ELEMENTWISE.value
         ]
 
+    def test_process_named_by_metadata_record(self, trace):
+        # Viewers name a process only from a "process_name" record.
+        records = [
+            event for event in to_chrome_trace(trace)["traceEvents"]
+            if event.get("ph") == "M" and event["name"] == "process_name"
+        ]
+        assert [record["args"]["name"] for record in records] == ["gpu"]
+
     def test_lane_metadata_only_for_present_categories(self, trace):
         payload = to_chrome_trace(trace)
         names = {

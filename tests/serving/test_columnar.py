@@ -58,8 +58,6 @@ class TestRequestBatch:
         batch = RequestBatch.from_requests(requests)
         assert len(batch) == len(requests)
         assert batch.to_requests() == requests
-        assert batch.request(0) == requests[0]
-        assert batch.request(len(batch) - 1) == requests[-1]
 
     def test_model_table_is_sorted_and_indexed(self):
         requests = [

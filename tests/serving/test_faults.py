@@ -43,16 +43,20 @@ class TestRetryPolicy:
         assert NO_RETRIES.max_attempts == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_backoff_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.5)
+        nan, inf = float("nan"), float("inf")
+        for field, values in (
+            ("max_retries", (-1,)),
+            ("backoff_s", (-1.0, nan, inf)),
+            ("timeout_s", (0.0, nan, inf)),
+            ("multiplier", (0.5, nan, inf)),
+            ("max_backoff_s", (0.0, nan, inf)),
+            ("jitter", (1.5, nan, inf)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    RetryPolicy(**{field: value})
+        with pytest.raises(ValueError, match="backoff_s"):
+            RetryPolicy(backoff_s=nan, timeout_s=2.0)
 
 
 class TestBackoff:

@@ -94,6 +94,12 @@ class TestPoolSpecValidation:
         with pytest.raises(ValueError):
             pool(servers=2, max_servers=1)
 
+    def test_rejects_bad_swap_cost(self):
+        # ``nan < 0`` is False: a NaN swap cost needs its own check.
+        for swap_cost_s in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="swap_cost_s"):
+                pool(swap_cost_s=swap_cost_s)
+
     def test_unknown_machine_rejected_at_simulate(self):
         spec = PoolSpec(
             name="p", machine="not-a-machine", servers=1,

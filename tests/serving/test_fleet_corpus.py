@@ -60,7 +60,6 @@ from repro.serving.fleet import (
     affine_batch_latency,
     simulate_fleet,
 )
-from repro.serving.policies import policy_from_name
 from repro.serving.resilience import (
     RESILIENCE_OFF,
     AdmissionConfig,
@@ -93,6 +92,8 @@ MODELS = ("sd", "muse", "video")
 SERVICE_S = {"sd": 2.0, "muse": 0.5, "video": 6.0}
 DEADLINES = {"sd": 8.0, "muse": 3.0, "video": 20.0}
 MACHINES = ("dgx-a100-80g", "dgx-h100")
+# Not ``SCHEDULING_POLICIES``: ``rng.choice`` reads this order, so the
+# recorded fleets depend on it.
 POLICIES = ("fifo", "sjf", "affinity")
 TELEMETRY_INTERVAL_S = 7.0
 
@@ -176,7 +177,7 @@ def random_fleet(rng: random.Random) -> CorpusFleet:
             servers=servers,
             latency_fns=_latency_fns(served),
             max_batch=rng.randint(1, 4),
-            policy=policy_from_name(rng.choice(POLICIES)),
+            policy=rng.choice(POLICIES),
             swap_cost_s=rng.choice((0.0, 0.4)),
             max_servers=servers + standby,
         ))
@@ -280,7 +281,7 @@ def replayed_trace(rng: random.Random) -> CorpusFleet:
         servers=rng.randint(1, 4),
         latency_fns=_latency_fns(trace.models),
         max_batch=rng.randint(1, 4),
-        policy=policy_from_name(rng.choice(POLICIES)),
+        policy=rng.choice(POLICIES),
     )
     return CorpusFleet(requests=trace, pools=[pool], kwargs={})
 
@@ -487,12 +488,12 @@ def full_stack_everything_on() -> CorpusFleet:
             name="pool0", machine="dgx-a100-80g", servers=3,
             latency_fns=_latency_fns(MODELS), max_batch=4,
             swap_cost_s=0.3, max_servers=5,
-            policy=policy_from_name("affinity"),
+            policy="affinity",
         ),
         PoolSpec(
             name="pool1", machine="dgx-h100", servers=2,
             latency_fns=_latency_fns(MODELS[:2]), max_batch=2,
-            policy=policy_from_name("sjf"),
+            policy="sjf",
         ),
     ]
     return _targeted(

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.serving.batching import interpolated_batch_latency
 from repro.serving.faults import Crash, FaultSchedule, RetryPolicy
 from repro.serving.fleet import (
+    SCHEDULING_POLICIES,
     PoolSpec,
     affine_batch_latency,
     simulate_fleet,
@@ -113,6 +114,53 @@ def earliest_free_server(requests, servers, service_s):
     return timeline
 
 
+def one_server_reference(
+    requests, latency_fns, policy, max_batch, swap_cost_s
+):
+    """Reference one-server pool under a scheduling policy.  Returns
+    request id -> start time.
+
+    Arrivals at the instant the server frees are queued before it
+    picks; an arrival that finds the server idle launches alone.  The
+    policy picks a model and the batch is that model's first
+    ``max_batch`` queued requests."""
+    arrivals = sorted(requests, key=lambda r: r.arrival_s)
+    queue, starts = [], {}
+    free_at, last, index = None, None, 0
+    while index < len(arrivals) or queue:
+        while (
+            free_at is not None and index < len(arrivals)
+            and arrivals[index].arrival_s <= free_at
+        ):
+            queue.append(arrivals[index])
+            index += 1
+        if not queue:  # idle: the next arrival launches alone
+            batch = [arrivals[index]]
+            index += 1
+            now = batch[0].arrival_s
+        else:
+            now = free_at
+            if policy == "affinity" and any(
+                r.model == last for r in queue
+            ):
+                model = last
+            elif policy == "sjf":
+                model = min(
+                    queue, key=lambda r: (r.service_s, r.arrival_s)
+                ).model
+            else:
+                model = queue[0].model
+            batch = [r for r in queue if r.model == model][:max_batch]
+            queue = [r for r in queue if r not in batch]
+        model = batch[0].model
+        latency = latency_fns[model](len(batch))
+        if last is not None and model != last:
+            latency += swap_cost_s
+        free_at, last = now + latency, model
+        starts.update((r.request_id, now) for r in batch)
+    return starts
+
+
 class TestQueueProperties:
     @settings(max_examples=100, deadline=None)
     @given(stream=fifo_streams(), servers=st.integers(1, 5))
@@ -125,6 +173,35 @@ class TestQueueProperties:
         }
         assert timeline == earliest_free_server(
             requests, servers, service_s
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stream=fifo_streams(),
+        max_batch=st.integers(1, 4),
+        policy=st.sampled_from(SCHEDULING_POLICIES),
+        swap_cost_s=st.sampled_from((0.0, 0.5)),
+    )
+    def test_one_server_policies_match_reference(
+        self, stream, max_batch, policy, swap_cost_s
+    ):
+        requests, service_s = stream
+        latency_fns = {
+            model: affine_batch_latency(service, marginal_fraction=0.5)
+            for model, service in service_s.items()
+        }
+        pool = PoolSpec(
+            name="p0", machine="dgx-a100-80g", servers=1,
+            latency_fns=latency_fns, max_batch=max_batch,
+            policy=policy, swap_cost_s=swap_cost_s,
+        )
+        report = simulate_fleet(requests, [pool])
+        starts = {
+            record.request.request_id: record.start_s
+            for record in report.completed
+        }
+        assert starts == one_server_reference(
+            requests, latency_fns, policy, max_batch, swap_cost_s
         )
 
     @settings(max_examples=50, deadline=None)

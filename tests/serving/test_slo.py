@@ -115,6 +115,13 @@ class TestSloReport:
             slo_report(report, {"other-model": 1.0})
         with pytest.raises(ValueError):
             slo_report(report, 0.0)
+        # ``nan <= 0`` is False: a NaN deadline needs its own check.
+        for deadlines in (
+            {"sd": -1.0}, {"sd": float("nan")}, {"sd": float("inf")},
+            float("nan"), float("inf"),
+        ):
+            with pytest.raises(ValueError, match="'sd' must be finite"):
+                slo_report(report, deadlines)
 
     def test_unknown_model_lookup(self):
         report = simulate_fleet(burst(3, 5.0), [pool()])
