@@ -130,8 +130,8 @@ def test_ablation_cache_geometry(benchmark):
             rows.append(
                 [
                     f"{capacity_kib}KiB/{ways}w",
-                    f"{spatial.gemm.l1_hit_rate:.2f}",
-                    f"{temporal.gemm.l1_hit_rate:.2f}",
+                    f"{spatial.gemm.l1.hit_rate:.2f}",
+                    f"{temporal.gemm.l1.hit_rate:.2f}",
                 ]
             )
         return rows

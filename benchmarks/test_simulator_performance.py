@@ -88,7 +88,7 @@ def test_cache_simulation_speed(benchmark):
         simulate_attention_cache, args=(spatial_info,), rounds=2,
         iterations=1,
     )
-    assert report.gemm.l1_hit_rate > 0.0
+    assert report.gemm.l1.hit_rate > 0.0
 
 
 def test_full_sd_profile(benchmark):

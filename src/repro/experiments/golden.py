@@ -4,9 +4,10 @@ The experiments check *claims* (shape, ordering, coarse bands) so that
 honest recalibration does not break them; the golden suite is the
 opposite contract: it pins exact numeric outputs of the performance
 model — Table I parameter counts and latencies, Table II speedups,
-Figure 6 breakdown shares, dist1 scaling efficiencies — to committed
-JSON files, so a change to any kernel-cost constant that silently
-shifts the paper numbers fails tier-1 instead of drifting unnoticed.
+Figure 6 breakdown shares, Figure 12 cache hit rates, dist1 scaling
+efficiencies — to committed JSON files, so a change to any kernel-cost
+constant that silently shifts the paper numbers fails tier-1 instead of
+drifting unnoticed.
 
 Each ``*_summary`` function returns a JSON-serializable nested dict of
 pure floats; :func:`compare_summaries` diffs two such trees with a
@@ -110,6 +111,32 @@ def dist1_summary(
                 for point in points
             }
     return summary
+
+
+def fig12_summary() -> dict:
+    """Per-kernel L1/L2 hit rates of the attention replay (Figure 12).
+
+    Pins ``simulate_attention_cache(...).as_dict()`` for fig12's
+    spatial and temporal configs on the geometry fig12 renders
+    (A100-80GB, 4 simulated SMs) and on H100-80GB with 7 SMs.  fig12's
+    table rounds to 0.1% and its claims are ratios; here one hit more
+    or fewer in any stream moves a rate past the comparison tolerance.
+    """
+    from repro.experiments.fig12_cache import attention_configs
+    from repro.hw.spec import A100_80GB, H100_80GB
+    from repro.kernels.attention import simulate_attention_cache
+
+    spatial, temporal = attention_configs()
+    return {
+        f"{spec.name}|{num_sms}": {
+            label: simulate_attention_cache(
+                info, spec, num_sms=num_sms
+            ).as_dict()
+            for label, info in (("spatial", spatial),
+                                ("temporal", temporal))
+        }
+        for spec, num_sms in ((A100_80GB, 4), (H100_80GB, 7))
+    }
 
 
 def serve1_summary() -> dict:
@@ -418,6 +445,7 @@ GOLDEN_SUMMARIES: dict[str, Callable[[], dict]] = {
     "table1": table1_summary,
     "table2": table2_summary,
     "fig06_shares": fig6_summary,
+    "fig12": fig12_summary,
     "dist1": dist1_summary,
     "dist2": dist2_summary,
     "serve1": serve1_summary,

@@ -7,13 +7,19 @@ attention.  Without hardware counters we reproduce the measurement with
 a classic trace-driven simulator: the attention kernels in
 ``repro.kernels.attention`` synthesize the address streams their loads
 would issue (contiguous rows for spatial attention, large strides for
-temporal attention after the (B, HW, F) transpose) and replay them here.
+temporal attention after the (B, HW, F) transpose) and replay them
+through a :class:`CacheHierarchy` here.
+
+Replays take whole streams: NumPy maps every access to its line, tag
+and set index, and one Python loop updates the per-set LRU order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
+
+import numpy as np
 
 from repro.hw.spec import CacheSpec
 
@@ -55,15 +61,9 @@ class SetAssociativeCache:
 
     def __init__(self, spec: CacheSpec):
         self.spec = spec
-        # Geometry hoisted out of the spec and counters kept as plain
-        # ints: ``access`` runs millions of times per simulated kernel,
-        # so property and dataclass-attribute indirection would dominate.
-        self._line_bytes = spec.line_bytes
-        self._num_sets = spec.num_sets
-        self._associativity = spec.associativity
         self._accesses = 0
         self._hits = 0
-        # One ordered dict of {tag: None} per set.
+        # One ordered dict of {tag: None} per set, least recent first.
         self._sets: list[dict[int, None]] = [
             {} for _ in range(spec.num_sets)
         ]
@@ -87,76 +87,96 @@ class SetAssociativeCache:
 
     def access(self, address: int) -> bool:
         """Access one byte address; returns True on hit."""
-        num_sets = self._num_sets
-        line = address // self._line_bytes
-        tag, index = divmod(line, num_sets)
-        entries = self._sets[index]
-        self._accesses += 1
-        if tag in entries:
-            # Refresh LRU position.
-            del entries[tag]
-            entries[tag] = None
-            self._hits += 1
-            return True
-        if len(entries) >= self._associativity:
-            # Evict LRU (first inserted).
-            del entries[next(iter(entries))]
-        entries[tag] = None
-        return False
+        return bool(self.replay((address,))[0])
 
-    def access_many(self, addresses: Iterable[int]) -> CacheStats:
-        """Access a stream of addresses; returns stats for this stream only."""
-        before = CacheStats(self.stats.accesses, self.stats.hits)
-        for address in addresses:
-            self.access(address)
-        return CacheStats(
-            accesses=self.stats.accesses - before.accesses,
-            hits=self.stats.hits - before.hits,
-        )
+    def replay(self, addresses: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Access a stream of byte addresses in order.
+
+        Returns one bool hit flag per access, in stream order.  The
+        counters advance by the stream's accesses and hits.
+        """
+        lines = np.asarray(addresses, dtype=np.int64) // self.spec.line_bytes
+        tags, indices = np.divmod(lines, self.spec.num_sets)
+        hits = bytearray(len(lines))
+        sets = self._sets
+        ways = self.spec.associativity
+        # The only per-access Python loop: locals and operators only.
+        for position, tag, index in zip(
+            range(len(lines)), tags.tolist(), indices.tolist()
+        ):
+            entries = sets[index]
+            if tag in entries:
+                # Hit: re-inserted below, which refreshes LRU position.
+                del entries[tag]
+                hits[position] = 1
+            elif len(entries) >= ways:
+                # Evict LRU (first inserted).
+                del entries[next(iter(entries))]
+            entries[tag] = None
+        flags = np.frombuffer(hits, dtype=bool)
+        self._accesses += len(flags)
+        self._hits += int(np.count_nonzero(flags))
+        return flags
 
 
 @dataclass
 class HierarchyStats:
-    """Hit statistics for a two-level hierarchy replay."""
+    """Per-level statistics of one hierarchy replay."""
 
     l1: CacheStats = field(default_factory=CacheStats)
     l2: CacheStats = field(default_factory=CacheStats)
 
 
 class CacheHierarchy:
-    """L1 backed by L2; L2 sees only L1 misses (inclusive, LRU, no prefetch).
+    """Per-SM L1s backed by one shared L2 (LRU, no prefetch).
 
-    Mirrors how Nsight Compute reports hit rates: L2 hit rate is computed
-    over the requests that reach L2.
+    L2 sees only L1 misses, which mirrors how Nsight Compute reports
+    hit rates: the L2 hit rate is computed over the requests that reach
+    L2.  The hierarchy is non-inclusive: an L2 eviction leaves L1
+    copies in place.  An L1's contents therefore depend only on its own
+    SM's accesses, so :meth:`replay` runs each L1 over its SM's
+    accesses and then the L2 over the L1 misses in stream order, which
+    gives exactly the counts of interleaving the levels access by
+    access.
     """
 
-    def __init__(self, l1_spec: CacheSpec, l2_spec: CacheSpec):
-        self.l1 = SetAssociativeCache(l1_spec)
+    def __init__(
+        self, l1_spec: CacheSpec, l2_spec: CacheSpec, num_sms: int = 1
+    ):
+        if num_sms < 1:
+            raise ValueError(f"num_sms must be >= 1, got {num_sms!r}")
+        self.l1s = [SetAssociativeCache(l1_spec) for _ in range(num_sms)]
         self.l2 = SetAssociativeCache(l2_spec)
 
-    def reset(self) -> None:
-        """Clear both levels (contents and statistics)."""
-        self.l1.reset()
-        self.l2.reset()
+    def replay(
+        self,
+        addresses: Sequence[int] | np.ndarray,
+        sms: Sequence[int] | np.ndarray | None = None,
+    ) -> HierarchyStats:
+        """Replay a stream and return per-level stats for the stream.
 
-    def access(self, address: int) -> None:
-        """Access one byte address; L2 sees it only on an L1 miss."""
-        if not self.l1.access(address):
-            self.l2.access(address)
-
-    def replay(self, addresses: Iterable[int]) -> HierarchyStats:
-        """Replay a stream and return per-level stats for the stream."""
-        l1_before = CacheStats(self.l1.stats.accesses, self.l1.stats.hits)
-        l2_before = CacheStats(self.l2.stats.accesses, self.l2.stats.hits)
-        for address in addresses:
-            self.access(address)
+        ``sms[i]`` is the SM that issues ``addresses[i]`` (SM 0 for
+        every access when omitted).
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if sms is None:
+            sms = np.zeros(len(addresses), dtype=np.int64)
+        sms = np.asarray(sms, dtype=np.int64)
+        if sms.shape != addresses.shape:
+            raise ValueError(
+                f"got {len(sms)} SM ids for {len(addresses)} addresses"
+            )
+        if sms.size and (sms.min() < 0 or sms.max() >= len(self.l1s)):
+            raise ValueError(
+                f"SM ids must be in range({len(self.l1s)}), got "
+                f"{sms.min()}..{sms.max()}"
+            )
+        l1_hits = np.zeros(len(addresses), dtype=bool)
+        for sm, l1 in enumerate(self.l1s):
+            mine = sms == sm
+            l1_hits[mine] = l1.replay(addresses[mine])
+        l2_hits = self.l2.replay(addresses[~l1_hits])
         return HierarchyStats(
-            l1=CacheStats(
-                self.l1.stats.accesses - l1_before.accesses,
-                self.l1.stats.hits - l1_before.hits,
-            ),
-            l2=CacheStats(
-                self.l2.stats.accesses - l2_before.accesses,
-                self.l2.stats.hits - l2_before.hits,
-            ),
+            l1=CacheStats(len(l1_hits), int(np.count_nonzero(l1_hits))),
+            l2=CacheStats(len(l2_hits), int(np.count_nonzero(l2_hits))),
         )

@@ -9,6 +9,7 @@ A100 variants and neighbouring parts so scaling studies can swap devices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.ir.dtypes import BF16, FP8, FP16, FP32, INT8, TF32, DType
@@ -24,8 +25,18 @@ class CacheSpec:
     bandwidth_bytes_per_s: float
 
     def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0 or self.line_bytes <= 0:
-            raise ValueError("cache capacity and line size must be positive")
+        for name in ("capacity_bytes", "line_bytes", "associativity"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}"
+                )
+        # ``nan <= 0`` is False: check finiteness explicitly.
+        bandwidth = self.bandwidth_bytes_per_s
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise ValueError(
+                "bandwidth_bytes_per_s must be finite and positive, got "
+                f"{bandwidth!r}"
+            )
         if self.capacity_bytes % (self.line_bytes * self.associativity):
             raise ValueError(
                 "cache capacity must be a multiple of line_bytes * associativity"

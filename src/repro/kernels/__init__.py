@@ -2,7 +2,6 @@
 
 from repro.kernels.attention import (
     AttentionCacheReport,
-    KernelCacheRates,
     attention_matmul_flops,
     similarity_matrix_bytes,
     simulate_attention_cache,
@@ -29,7 +28,6 @@ __all__ = [
     "DEFAULT_TUNING",
     "FlashAttentionCostModel",
     "GemmCostModel",
-    "KernelCacheRates",
     "TuningConstants",
     "attention_matmul_flops",
     "similarity_matrix_bytes",

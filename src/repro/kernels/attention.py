@@ -9,8 +9,8 @@ Two jobs live here:
 2. :func:`simulate_attention_cache` — the stand-in for the paper's
    Nsight Compute measurements (Figure 12).  It synthesizes the address
    streams the GEMM / softmax / elementwise kernels inside an attention
-   module issue, and replays them through the set-associative cache
-   simulator in :mod:`repro.hw.cache`.
+   module issue, and replays each kernel's stream in one call through a
+   :class:`repro.hw.cache.CacheHierarchy` of per-SM L1s and a shared L2.
 
    The model is built on how hits actually arise in these kernels:
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.hw.cache import SetAssociativeCache
+from repro.hw.cache import CacheHierarchy, HierarchyStats
 from repro.hw.spec import A100_80GB, GPUSpec
 from repro.ir.dtypes import FP16, FP32, DType
 from repro.ir.ops import AttentionInfo
@@ -65,34 +65,22 @@ def similarity_matrix_bytes(
 
 
 @dataclass(frozen=True)
-class KernelCacheRates:
-    """Hit rates for one kernel class, as Nsight Compute would report."""
-
-    l1_hit_rate: float
-    l2_hit_rate: float
-
-
-@dataclass(frozen=True)
 class AttentionCacheReport:
-    """Per-kernel cache hit rates for one attention configuration."""
+    """Per-kernel L1/L2 access and hit counts for one attention config."""
 
-    gemm: KernelCacheRates
-    softmax: KernelCacheRates
-    elementwise: KernelCacheRates
+    gemm: HierarchyStats
+    softmax: HierarchyStats
+    elementwise: HierarchyStats
 
     def as_dict(self) -> dict[str, dict[str, float]]:
         """Nested {kernel: {level: hit rate}} mapping."""
         return {
-            "gemm": {
-                "l1": self.gemm.l1_hit_rate, "l2": self.gemm.l2_hit_rate,
-            },
-            "softmax": {
-                "l1": self.softmax.l1_hit_rate, "l2": self.softmax.l2_hit_rate,
-            },
-            "elementwise": {
-                "l1": self.elementwise.l1_hit_rate,
-                "l2": self.elementwise.l2_hit_rate,
-            },
+            kernel: {"l1": stats.l1.hit_rate, "l2": stats.l2.hit_rate}
+            for kernel, stats in (
+                ("gemm", self.gemm),
+                ("softmax", self.softmax),
+                ("elementwise", self.elementwise),
+            )
         }
 
 
@@ -102,64 +90,6 @@ class AttentionCacheReport:
 SOFTMAX_REGISTER_THRESHOLD_BYTES = 8192
 
 _LINE = 128
-
-
-class _SimMachine:
-    """A few simulated SM-private L1s sharing one L2."""
-
-    def __init__(self, spec: GPUSpec, num_sms: int):
-        self.num_sms = num_sms
-        self.l1s = [SetAssociativeCache(spec.l1_per_sm) for _ in range(num_sms)]
-        self.l2 = SetAssociativeCache(spec.l2)
-
-    def access(self, sm: int, line_address: int) -> None:
-        # Inlined SetAssociativeCache.access for both levels: this runs
-        # millions of times per Figure 12 simulation, where the extra
-        # call layers would dominate the wall time.  Mirrors the logic
-        # in repro.hw.cache exactly (same counters, same LRU updates).
-        l1 = self.l1s[sm % self.num_sms]
-        line = line_address // l1._line_bytes
-        tag, index = divmod(line, l1._num_sets)
-        entries = l1._sets[index]
-        l1._accesses += 1
-        if tag in entries:
-            del entries[tag]
-            entries[tag] = None
-            l1._hits += 1
-            return
-        if len(entries) >= l1._associativity:
-            del entries[next(iter(entries))]
-        entries[tag] = None
-        l2 = self.l2
-        line = line_address // l2._line_bytes
-        tag, index = divmod(line, l2._num_sets)
-        entries = l2._sets[index]
-        l2._accesses += 1
-        if tag in entries:
-            del entries[tag]
-            entries[tag] = None
-            l2._hits += 1
-            return
-        if len(entries) >= l2._associativity:
-            del entries[next(iter(entries))]
-        entries[tag] = None
-
-    def warm_l2(self, line_address: int) -> None:
-        """Install a line in L2 (producer-kernel write), not counted."""
-        self.l2.access(line_address)
-
-    def finish_warmup(self) -> None:
-        """Zero counters after warm-up so rates reflect the kernel only."""
-        self.l2.clear_stats()
-        for l1 in self.l1s:
-            l1.clear_stats()
-
-    def rates(self) -> KernelCacheRates:
-        accesses = sum(c.stats.accesses for c in self.l1s)
-        hits = sum(c.stats.hits for c in self.l1s)
-        l1 = hits / accesses if accesses else 0.0
-        l2 = self.l2.stats.hit_rate
-        return KernelCacheRates(l1_hit_rate=l1, l2_hit_rate=l2)
 
 
 def _lines(base: int, num_bytes: int) -> range:
@@ -208,8 +138,7 @@ def _simulate_gemm(
     tile_q: int,
     tile_kv: int,
     max_groups: int,
-) -> KernelCacheRates:
-    machine = _SimMachine(spec, num_sms)
+) -> HierarchyStats:
     dtype = FP16
     tiles_q = max(1, math.ceil(info.seq_q / tile_q))
     tiles_kv = max(1, math.ceil(info.seq_kv / tile_kv))
@@ -228,24 +157,26 @@ def _simulate_gemm(
         (bh, qt) for bh in range(needed_bh) for qt in range(tiles_q)
     ]
     q_tile_bytes = tile_q * row_bytes
+    addresses: list[int] = []
+    sms: list[int] = []
     for group_index, start in enumerate(range(0, len(ctas), _CORESIDENT_CTAS)):
         if group_index >= max_groups:
             break
-        sm = group_index % num_sms
+        group_start = len(addresses)
         members = ctas[start:start + _CORESIDENT_CTAS]
         for bh, qt in members:
             q_base = q_region_base + (bh * tiles_q + qt) * q_tile_bytes
-            for address in _lines(q_base, q_tile_bytes):
-                machine.access(sm, address)
+            addresses.extend(_lines(q_base, q_tile_bytes))
         for kvt in range(tiles_kv):
             for bh, qt in members:
-                for address in _k_tile_lines(
+                addresses.extend(_k_tile_lines(
                     bh * region, kvt * tile_kv, tile_kv,
                     info.seq_kv, info.head_dim,
                     info.element_stride_bytes, dtype,
-                ):
-                    machine.access(sm, address)
-    return machine.rates()
+                ))
+        sms.extend([group_index % num_sms] * (len(addresses) - group_start))
+    hierarchy = CacheHierarchy(spec.l1_per_sm, spec.l2, num_sms)
+    return hierarchy.replay(addresses, sms)
 
 
 def _simulate_softmax(
@@ -254,10 +185,9 @@ def _simulate_softmax(
     num_sms: int,
     s_dtype: DType,
     max_rows: int,
-) -> KernelCacheRates:
-    machine = _SimMachine(spec, num_sms)
+) -> HierarchyStats:
     row_bytes = info.seq_kv * s_dtype.size
-    two_pass = row_bytes > SOFTMAX_REGISTER_THRESHOLD_BYTES
+    passes = 2 if row_bytes > SOFTMAX_REGISTER_THRESHOLD_BYTES else 1
     total_rows = info.batch * info.num_heads * info.seq_q
     rows = min(total_rows, max_rows)
     # Sample rows uniformly across the similarity matrix so the fraction
@@ -267,19 +197,19 @@ def _simulate_softmax(
     s_bytes_total = total_rows * row_bytes
     warm_bytes = min(s_bytes_total, spec.l2.capacity_bytes)
     warm_start = s_bytes_total - warm_bytes
-    for row in sampled:
-        if row * row_bytes >= warm_start:
-            for address in _lines(row * row_bytes, row_bytes):
-                machine.warm_l2(address)
-    machine.finish_warmup()
+    warm: list[int] = []
+    addresses: list[int] = []
+    sms: list[int] = []
     for index, row in enumerate(sampled):
-        sm = index % num_sms
-        base = row * row_bytes
-        passes = 2 if two_pass else 1
+        row_lines = _lines(row * row_bytes, row_bytes)
+        if row * row_bytes >= warm_start:
+            warm.extend(row_lines)
         for _ in range(passes):
-            for address in _lines(base, row_bytes):
-                machine.access(sm, address)
-    return machine.rates()
+            addresses.extend(row_lines)
+        sms.extend([index % num_sms] * (passes * len(row_lines)))
+    hierarchy = CacheHierarchy(spec.l1_per_sm, spec.l2, num_sms)
+    hierarchy.l2.replay(warm)  # the QK^T writes still resident in L2
+    return hierarchy.replay(addresses, sms)
 
 
 def _simulate_elementwise(
@@ -288,8 +218,7 @@ def _simulate_elementwise(
     num_sms: int,
     s_dtype: DType,
     max_lines: int,
-) -> KernelCacheRates:
-    machine = _SimMachine(spec, num_sms)
+) -> HierarchyStats:
     tensor_bytes = int(
         info.batch * info.num_heads * info.seq_q * info.seq_kv * s_dtype.size
     )
@@ -300,19 +229,22 @@ def _simulate_elementwise(
     sampled = list(range(0, total_lines, step))[:lines]
     warm_lines = min(total_lines, spec.l2.capacity_bytes // _LINE)
     warm_start_line = total_lines - warm_lines
-    for line in sampled:
-        if line >= warm_start_line:
-            machine.warm_l2(line * _LINE)
-    machine.finish_warmup()
+    warm = [line * _LINE for line in sampled if line >= warm_start_line]
     # Broadcast scale vector re-read per chunk gives both variants a
     # small amount of genuine L1 reuse.
     broadcast_base = 1 << 45
+    addresses: list[int] = []
+    sms: list[int] = []
     for index, line in enumerate(sampled):
         sm = index % num_sms
-        machine.access(sm, line * _LINE)
+        addresses.append(line * _LINE)
+        sms.append(sm)
         if index % 8 == 0:
-            machine.access(sm, broadcast_base + (index // 1024) * _LINE)
-    return machine.rates()
+            addresses.append(broadcast_base + (index // 1024) * _LINE)
+            sms.append(sm)
+    hierarchy = CacheHierarchy(spec.l1_per_sm, spec.l2, num_sms)
+    hierarchy.l2.replay(warm)  # the producer's output still in L2
+    return hierarchy.replay(addresses, sms)
 
 
 def simulate_attention_cache(
@@ -338,8 +270,18 @@ def simulate_attention_cache(
         max_groups / max_rows / max_lines: trace-size caps per kernel.
 
     Returns:
-        Hit rates per kernel class, comparable to the Figure 12 bars.
+        Per-level access and hit counts per kernel class; their hit
+        rates are comparable to the Figure 12 bars.
+
+    Raises:
+        ValueError: when ``num_sms`` or a cap is below 1.
     """
+    for name, value in (
+        ("num_sms", num_sms), ("max_groups", max_groups),
+        ("max_rows", max_rows), ("max_lines", max_lines),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     tile_q, tile_kv = 128, 64
     return AttentionCacheReport(
         gemm=_simulate_gemm(info, spec, num_sms, tile_q, tile_kv, max_groups),

@@ -38,6 +38,17 @@ import random
 from dataclasses import dataclass
 
 
+def _require_finite(name: str, value: float, ok: bool, rule: str) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite and
+    ``ok``, the field's bound as evaluated by the caller.
+
+    ``nan < 0`` is False, so a bare bound lets NaN through: every float
+    field of the fault, resilience and autoscaler configs checks here.
+    """
+    if not (math.isfinite(value) and ok):
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Crash:
     """A full server failure with bounded recovery.
@@ -53,8 +64,10 @@ class Crash:
     downtime_s: float
 
     def __post_init__(self) -> None:
-        if self.at_s < 0 or self.downtime_s <= 0:
-            raise ValueError("invalid crash timing")
+        _require_finite("at_s", self.at_s, self.at_s >= 0, "non-negative")
+        _require_finite(
+            "downtime_s", self.downtime_s, self.downtime_s > 0, "positive"
+        )
 
     @property
     def recover_s(self) -> float:
@@ -80,10 +93,11 @@ class Straggler:
     slowdown: float
 
     def __post_init__(self) -> None:
-        if self.at_s < 0 or self.duration_s <= 0:
-            raise ValueError("invalid straggler timing")
-        if self.slowdown <= 1.0:
-            raise ValueError("slowdown must exceed 1")
+        _require_finite("at_s", self.at_s, self.at_s >= 0, "non-negative")
+        _require_finite(
+            "duration_s", self.duration_s, self.duration_s > 0, "positive"
+        )
+        _require_finite("slowdown", self.slowdown, self.slowdown > 1, "> 1")
 
     @property
     def until_s(self) -> float:
@@ -125,36 +139,28 @@ class RetryPolicy:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        # ``nan < 0`` is False: every float bound checks finiteness.
         if self.max_retries < 0:
             raise ValueError(
                 f"max_retries must be non-negative, got {self.max_retries!r}"
             )
-        if not (math.isfinite(self.backoff_s) and self.backoff_s >= 0):
-            raise ValueError(
-                "backoff_s must be finite and non-negative, got "
-                f"{self.backoff_s!r}"
+        _require_finite(
+            "backoff_s", self.backoff_s, self.backoff_s >= 0, "non-negative"
+        )
+        if self.timeout_s is not None:
+            _require_finite(
+                "timeout_s", self.timeout_s, self.timeout_s > 0, "positive"
             )
-        if self.timeout_s is not None and not (
-            math.isfinite(self.timeout_s) and self.timeout_s > 0
-        ):
-            raise ValueError(
-                "timeout_s must be finite and positive when set, got "
-                f"{self.timeout_s!r}"
+        _require_finite(
+            "multiplier", self.multiplier, self.multiplier >= 1, ">= 1"
+        )
+        if self.max_backoff_s is not None:
+            _require_finite(
+                "max_backoff_s", self.max_backoff_s,
+                self.max_backoff_s > 0, "positive",
             )
-        if not (math.isfinite(self.multiplier) and self.multiplier >= 1):
-            raise ValueError(
-                f"multiplier must be finite and >= 1, got {self.multiplier!r}"
-            )
-        if self.max_backoff_s is not None and not (
-            math.isfinite(self.max_backoff_s) and self.max_backoff_s > 0
-        ):
-            raise ValueError(
-                "max_backoff_s must be finite and positive when set, got "
-                f"{self.max_backoff_s!r}"
-            )
-        if not (math.isfinite(self.jitter) and 0 <= self.jitter <= 1):
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter!r}")
+        _require_finite(
+            "jitter", self.jitter, 0 <= self.jitter <= 1, "in [0, 1]"
+        )
 
     @property
     def max_attempts(self) -> int:

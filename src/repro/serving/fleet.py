@@ -44,7 +44,6 @@ attributes carry the ``_s`` suffix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -66,6 +65,7 @@ from repro.serving.faults import (
     FaultSchedule,
     RecoveryPlan,
     RetryPolicy,
+    _require_finite,
 )
 from repro.serving.resilience import (
     RESILIENCE_OFF,
@@ -227,14 +227,10 @@ class PoolSpec:
                 f"policy must be one of {SCHEDULING_POLICIES}, got "
                 f"{self.policy!r}"
             )
-        # ``nan < 0`` is False: check finiteness explicitly.
-        if not (
-            math.isfinite(self.swap_cost_s) and self.swap_cost_s >= 0
-        ):
-            raise ValueError(
-                "swap_cost_s must be finite and non-negative, got "
-                f"{self.swap_cost_s!r}"
-            )
+        _require_finite(
+            "swap_cost_s", self.swap_cost_s, self.swap_cost_s >= 0,
+            "non-negative",
+        )
         if not 1 <= self.min_servers <= self.servers:
             raise ValueError("need 1 <= min_servers <= servers")
         if self.max_servers is not None and self.max_servers < self.servers:
@@ -272,11 +268,17 @@ class AutoscalerConfig:
     cooldown_s: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.check_interval_s <= 0 or self.startup_s < 0:
-            raise ValueError("invalid autoscaler timing")
-        if self.cooldown_s < 0:
-            raise ValueError("cooldown must be non-negative")
-        if not 0 <= self.scale_down_backlog < self.scale_up_backlog:
+        _require_finite(
+            "check_interval_s", self.check_interval_s,
+            self.check_interval_s > 0, "positive",
+        )
+        for name in (
+            "startup_s", "cooldown_s", "scale_down_backlog",
+            "scale_up_backlog",
+        ):
+            value = getattr(self, name)
+            _require_finite(name, value, value >= 0, "non-negative")
+        if not self.scale_down_backlog < self.scale_up_backlog:
             raise ValueError(
                 "need 0 <= scale_down_backlog < scale_up_backlog"
             )

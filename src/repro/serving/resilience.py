@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.serving.batching import BatchLatencyFn
+from repro.serving.faults import _require_finite
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,15 @@ class AdmissionConfig:
             values = (budgets,)
         else:
             values = ()
-        if any(value <= 0 for value in values):
-            raise ValueError("wait budgets must be positive")
-        if self.rate_per_s is not None and self.rate_per_s <= 0:
-            raise ValueError("rate_per_s must be positive when set")
-        if self.burst < 1.0:
-            raise ValueError("burst must admit at least one request")
+        for value in values:
+            _require_finite("wait_budget_s", value, value > 0, "positive")
+        if self.rate_per_s is not None:
+            _require_finite(
+                "rate_per_s", self.rate_per_s, self.rate_per_s > 0,
+                "positive",
+            )
+        # A bucket below one token never admits a request.
+        _require_finite("burst", self.burst, self.burst >= 1, ">= 1")
 
     def budget_for(self, model: str) -> float | None:
         """The wait budget applying to ``model`` (``None`` = no cap)."""
@@ -134,10 +138,13 @@ class CircuitBreakerConfig:
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if self.window_s <= 0 or self.cooldown_s <= 0:
-            raise ValueError("window and cooldown must be positive")
-        if self.slow_factor is not None and self.slow_factor <= 1.0:
-            raise ValueError("slow_factor must exceed 1 when set")
+        for name in ("window_s", "cooldown_s"):
+            value = getattr(self, name)
+            _require_finite(name, value, value > 0, "positive")
+        if self.slow_factor is not None:
+            _require_finite(
+                "slow_factor", self.slow_factor, self.slow_factor > 1, "> 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -172,10 +179,15 @@ class HedgeConfig:
             raise ValueError(
                 "set exactly one of delay_s and quantile"
             )
-        if self.delay_s is not None and self.delay_s <= 0:
-            raise ValueError("delay_s must be positive")
-        if self.quantile is not None and not 0 < self.quantile <= 100:
-            raise ValueError("quantile must be in (0, 100]")
+        if self.delay_s is not None:
+            _require_finite(
+                "delay_s", self.delay_s, self.delay_s > 0, "positive"
+            )
+        if self.quantile is not None:
+            _require_finite(
+                "quantile", self.quantile, 0 < self.quantile <= 100,
+                "in (0, 100]",
+            )
         if self.min_samples < 1:
             raise ValueError("min_samples must be >= 1")
 
@@ -240,14 +252,17 @@ class BrownoutConfig:
     def __post_init__(self) -> None:
         if not self.rungs:
             raise ValueError("brownout needs at least one rung")
-        if not 0 <= self.step_up_backlog < self.step_down_backlog:
+        for name in ("step_up_backlog", "step_down_backlog", "dwell_s"):
+            value = getattr(self, name)
+            _require_finite(name, value, value >= 0, "non-negative")
+        if not self.step_up_backlog < self.step_down_backlog:
             raise ValueError(
                 "need 0 <= step_up_backlog < step_down_backlog"
             )
-        if self.check_interval_s <= 0:
-            raise ValueError("check interval must be positive")
-        if self.dwell_s < 0:
-            raise ValueError("dwell must be non-negative")
+        _require_finite(
+            "check_interval_s", self.check_interval_s,
+            self.check_interval_s > 0, "positive",
+        )
         qualities = [rung.quality for rung in self.rungs]
         if qualities != sorted(qualities, reverse=True):
             raise ValueError(

@@ -87,15 +87,13 @@ class TestEviction:
         lines = [i * 64 for i in range(4096 // 64)]
         for address in lines:
             cache.access(address)
-        second_pass = cache.access_many(lines)
-        assert second_pass.hit_rate == 1.0
+        assert cache.replay(lines).all()
 
     def test_working_set_beyond_capacity_thrashes(self):
         cache = small_cache(capacity=4096, line=64, ways=2)
         lines = [i * 64 for i in range(2 * 4096 // 64)]
-        cache.access_many(lines)
-        second_pass = cache.access_many(lines)
-        assert second_pass.hit_rate == 0.0  # LRU + sequential = thrash
+        cache.replay(lines)
+        assert not cache.replay(lines).any()  # LRU + sequential = thrash
 
     def test_reset_clears_contents(self):
         cache = small_cache()
@@ -138,6 +136,24 @@ class TestHierarchy:
         stats = hierarchy.replay([0])
         assert stats.l1.accesses == 1
 
+    def test_each_sm_has_its_own_l1(self):
+        hierarchy = CacheHierarchy(
+            A100_80GB.l1_per_sm, A100_80GB.l2, num_sms=2
+        )
+        stats = hierarchy.replay([0, 0, 0], sms=[0, 1, 0])
+        assert (stats.l1.accesses, stats.l1.hits) == (3, 1)
+        assert (stats.l2.accesses, stats.l2.hits) == (2, 1)
+
+    def test_rejects_sm_outside_range(self):
+        hierarchy = CacheHierarchy(
+            A100_80GB.l1_per_sm, A100_80GB.l2, num_sms=2
+        )
+        for sms in ([0, 2], [-1, 0], [0]):
+            with pytest.raises(ValueError, match="SM ids"):
+                hierarchy.replay([0, 64], sms=sms)
+        with pytest.raises(ValueError, match="num_sms"):
+            CacheHierarchy(A100_80GB.l1_per_sm, A100_80GB.l2, num_sms=0)
+
 
 @settings(max_examples=50, deadline=None)
 @given(
@@ -148,9 +164,11 @@ class TestHierarchy:
 )
 def test_hit_rate_always_in_unit_interval(addresses):
     cache = small_cache()
-    stats = cache.access_many(addresses)
-    assert 0.0 <= stats.hit_rate <= 1.0
-    assert stats.accesses == len(addresses)
+    hits = cache.replay(addresses)
+    assert hits.dtype == bool and len(hits) == len(addresses)
+    assert cache.stats.accesses == len(addresses)
+    assert cache.stats.hits == hits.sum()
+    assert 0.0 <= cache.stats.hit_rate <= 1.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -180,5 +198,71 @@ def test_working_set_within_capacity_never_self_evicts(lines):
     unique = sorted(set(lines))
     for line in unique:
         cache.access(line * 64)
-    stats = cache.access_many([line * 64 for line in unique])
-    assert stats.hit_rate == 1.0
+    assert cache.replay([line * 64 for line in unique]).all()
+
+
+class _ListLRU:
+    """Access-by-access LRU over plain lists, most recent last."""
+
+    def __init__(self, spec: CacheSpec):
+        self.spec = spec
+        self.sets = [[] for _ in range(spec.num_sets)]
+        self.accesses = self.hits = 0
+
+    def access(self, address: int) -> bool:
+        line = address // self.spec.line_bytes
+        ways = self.sets[line % self.spec.num_sets]
+        self.accesses += 1
+        hit = line in ways
+        if hit:
+            ways.remove(line)
+            self.hits += 1
+        elif len(ways) == self.spec.associativity:
+            ways.pop(0)
+        ways.append(line)
+        return hit
+
+
+tiny_geometries = st.builds(
+    lambda sets, ways, line: CacheSpec(sets * ways * line, line, ways, 1e12),
+    st.integers(1, 8), st.integers(1, 8), st.sampled_from((32, 64, 128)),
+)
+
+
+@st.composite
+def sm_streams(draw):
+    num_sms = draw(st.integers(1, 4))
+    stream = draw(st.lists(
+        st.tuples(st.integers(0, 1 << 13), st.integers(0, num_sms - 1)),
+        max_size=300,
+    ))
+    warm = draw(st.none() | st.lists(st.integers(0, 1 << 13), max_size=100))
+    return num_sms, stream, warm
+
+
+@settings(max_examples=200, deadline=None)
+@given(l1=tiny_geometries, l2=tiny_geometries, case=sm_streams())
+def test_two_pass_replay_matches_interleaved_reference(l1, l2, case):
+    """Each L1 over its SM's accesses, then L2 over the L1 misses, counts
+    exactly what interleaving the two levels access by access does."""
+    num_sms, stream, warm = case
+    hierarchy = CacheHierarchy(l1, l2, num_sms=num_sms)
+    ref_l1s = [_ListLRU(l1) for _ in range(num_sms)]
+    ref_l2 = _ListLRU(l2)
+    if warm is not None:
+        hierarchy.l2.replay(warm)
+        for address in warm:
+            ref_l2.access(address)
+        ref_l2.accesses = ref_l2.hits = 0
+    for address, sm in stream:
+        if not ref_l1s[sm].access(address):
+            ref_l2.access(address)
+    stats = hierarchy.replay(
+        [address for address, _ in stream], [sm for _, sm in stream]
+    )
+    assert (stats.l1.accesses, stats.l1.hits) == (
+        sum(c.accesses for c in ref_l1s), sum(c.hits for c in ref_l1s)
+    )
+    assert (stats.l2.accesses, stats.l2.hits) == (
+        ref_l2.accesses, ref_l2.hits
+    )

@@ -32,6 +32,31 @@ class TestCacheSpec:
         with pytest.raises(ValueError):
             CacheSpec(1000, 128, 4, 1e12)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity_bytes", 0),
+            ("capacity_bytes", -4096),
+            ("line_bytes", 0),
+            ("line_bytes", -64),
+            ("associativity", 0),
+            ("associativity", -2),
+            ("bandwidth_bytes_per_s", 0.0),
+            ("bandwidth_bytes_per_s", -1.0),
+            ("bandwidth_bytes_per_s", float("nan")),
+            ("bandwidth_bytes_per_s", float("inf")),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value):
+        fields = {
+            "capacity_bytes": 4096,
+            "line_bytes": 64,
+            "associativity": 4,
+            "bandwidth_bytes_per_s": 1e12,
+        }
+        with pytest.raises(ValueError, match=field):
+            CacheSpec(**{**fields, field: value})
+
 
 class TestA100:
     def test_fp16_peak_is_tensor_core(self):

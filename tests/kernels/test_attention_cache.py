@@ -56,40 +56,40 @@ class TestFigure12Mechanism:
 
     def test_spatial_gemm_l1_hits_from_tile_reuse(self, reports):
         spatial, _ = reports
-        assert spatial.gemm.l1_hit_rate > 0.4
+        assert spatial.gemm.l1.hit_rate > 0.4
 
     def test_temporal_gemm_l1_near_zero(self, reports):
         _, temporal = reports
-        assert temporal.gemm.l1_hit_rate < 0.1
+        assert temporal.gemm.l1.hit_rate < 0.1
 
     def test_gemm_l1_gap_at_least_8x(self, reports):
         spatial, temporal = reports
-        assert spatial.gemm.l1_hit_rate >= 8 * max(
-            temporal.gemm.l1_hit_rate, 0.02
-        ) or temporal.gemm.l1_hit_rate < 0.05
+        assert spatial.gemm.l1.hit_rate >= 8 * max(
+            temporal.gemm.l1.hit_rate, 0.02
+        ) or temporal.gemm.l1.hit_rate < 0.05
 
     def test_softmax_two_pass_vs_register_resident(self, reports):
         spatial, temporal = reports
-        assert spatial.softmax.l1_hit_rate > 0.3
-        assert temporal.softmax.l1_hit_rate < 0.1
+        assert spatial.softmax.l1.hit_rate > 0.3
+        assert temporal.softmax.l1.hit_rate < 0.1
 
     def test_temporal_l2_softmax_same_or_higher(self, reports):
         spatial, temporal = reports
         assert (
-            temporal.softmax.l2_hit_rate
-            >= spatial.softmax.l2_hit_rate - 0.01
+            temporal.softmax.l2.hit_rate
+            >= spatial.softmax.l2.hit_rate - 0.01
         )
 
     def test_temporal_l2_elementwise_same_or_higher(self, reports):
         spatial, temporal = reports
         assert (
-            temporal.elementwise.l2_hit_rate
-            >= spatial.elementwise.l2_hit_rate - 0.01
+            temporal.elementwise.l2.hit_rate
+            >= spatial.elementwise.l2.hit_rate - 0.01
         )
 
     def test_gemm_l2_gap(self, reports):
         spatial, temporal = reports
-        assert spatial.gemm.l2_hit_rate > temporal.gemm.l2_hit_rate
+        assert spatial.gemm.l2.hit_rate > temporal.gemm.l2.hit_rate
 
     def test_determinism(self):
         first = simulate_attention_cache(spatial_info())
@@ -113,22 +113,32 @@ class TestSensitivity:
     def test_longer_spatial_seq_keeps_reuse(self):
         short = simulate_attention_cache(spatial_info(seq=1024))
         long = simulate_attention_cache(spatial_info(seq=4096))
-        assert long.gemm.l1_hit_rate > 0.3
-        assert short.gemm.l1_hit_rate > 0.2
+        assert long.gemm.l1.hit_rate > 0.3
+        assert short.gemm.l1.hit_rate > 0.2
 
     def test_more_frames_do_not_create_l1_reuse(self):
         few = simulate_attention_cache(temporal_info(frames=8))
         many = simulate_attention_cache(temporal_info(frames=64))
-        assert few.gemm.l1_hit_rate < 0.1
-        assert many.gemm.l1_hit_rate < 0.1
+        assert few.gemm.l1.hit_rate < 0.1
+        assert many.gemm.l1.hit_rate < 0.1
 
     def test_short_spatial_rows_lose_softmax_reuse(self):
         # Rows below the register threshold are single-pass.
         tiny = simulate_attention_cache(spatial_info(seq=256))
-        assert tiny.softmax.l1_hit_rate < 0.1
+        assert tiny.softmax.l1.hit_rate < 0.1
 
     def test_different_gpu_geometry(self):
         from repro.hw.spec import V100_32GB
 
         report = simulate_attention_cache(spatial_info(), V100_32GB)
-        assert 0.0 <= report.gemm.l1_hit_rate <= 1.0
+        assert 0.0 <= report.gemm.l1.hit_rate <= 1.0
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "field", ["num_sms", "max_groups", "max_rows", "max_lines"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_non_positive_caps(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            simulate_attention_cache(temporal_info(), **{field: value})

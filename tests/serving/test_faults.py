@@ -19,10 +19,15 @@ class TestEvents:
         assert crash.recover_s == pytest.approx(15.0)
 
     def test_crash_validation(self):
-        with pytest.raises(ValueError):
-            Crash(server=0, at_s=-1.0, downtime_s=5.0)
-        with pytest.raises(ValueError):
-            Crash(server=0, at_s=1.0, downtime_s=0.0)
+        nan, inf = float("nan"), float("inf")
+        for field, values in (
+            ("at_s", (-1.0, nan, inf)),
+            ("downtime_s", (0.0, nan, inf)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    Crash(**{"server": 0, "at_s": 1.0, "downtime_s": 5.0,
+                             field: value})
 
     def test_straggler_window(self):
         event = Straggler(
@@ -31,10 +36,17 @@ class TestEvents:
         assert event.until_s == pytest.approx(7.0)
 
     def test_straggler_validation(self):
-        with pytest.raises(ValueError):
-            Straggler(server=0, at_s=0.0, duration_s=1.0, slowdown=1.0)
-        with pytest.raises(ValueError):
-            Straggler(server=0, at_s=0.0, duration_s=0.0, slowdown=2.0)
+        nan, inf = float("nan"), float("inf")
+        for field, values in (
+            ("at_s", (-1.0, nan, inf)),
+            ("duration_s", (0.0, nan, inf)),
+            ("slowdown", (1.0, nan, inf)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    Straggler(**{"server": 0, "at_s": 0.0,
+                                 "duration_s": 1.0, "slowdown": 2.0,
+                                 field: value})
 
 
 class TestRetryPolicy:

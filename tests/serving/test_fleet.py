@@ -370,10 +370,19 @@ class TestSwapCost:
 class TestAutoscaler:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AutoscalerConfig(check_interval_s=0.0)
-        with pytest.raises(ValueError):
             AutoscalerConfig(scale_up_backlog=1.0,
                              scale_down_backlog=2.0)
+        nan, inf = float("nan"), float("inf")
+        for field, values in (
+            ("check_interval_s", (0.0, nan, inf)),
+            ("startup_s", (-1.0, nan, inf)),
+            ("cooldown_s", (-1.0, nan, inf)),
+            ("scale_down_backlog", (-1.0, nan, inf)),
+            ("scale_up_backlog", (nan, inf)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    AutoscalerConfig(**{field: value})
 
     def test_scales_up_under_backlog(self):
         requests = burst(60, 0.1)

@@ -68,34 +68,45 @@ def conserve(report):
 
 class TestConfigValidation:
     def test_admission(self):
+        nan, inf = float("nan"), float("inf")
         with pytest.raises(ValueError):
             AdmissionConfig(max_queue_depth=-1)
-        with pytest.raises(ValueError):
-            AdmissionConfig(wait_budget_s=0.0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(wait_budget_s={"sd": -1.0})
-        with pytest.raises(ValueError):
-            AdmissionConfig(rate_per_s=0.0)
-        with pytest.raises(ValueError):
-            AdmissionConfig(rate_per_s=1.0, burst=0.5)
+        for field, values in (
+            ("wait_budget_s",
+             (0.0, nan, inf, {"sd": -1.0}, {"sd": nan})),
+            ("rate_per_s", (0.0, nan, inf)),
+            ("burst", (0.5, nan, inf)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    AdmissionConfig(**{"rate_per_s": 1.0, field: value})
 
     def test_breaker(self):
+        nan, inf = float("nan"), float("inf")
         with pytest.raises(ValueError):
             CircuitBreakerConfig(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreakerConfig(window_s=0.0)
-        with pytest.raises(ValueError):
-            CircuitBreakerConfig(slow_factor=1.0)
+        for field, values in (
+            ("window_s", (0.0, nan, inf)),
+            ("cooldown_s", (0.0, nan, inf)),
+            ("slow_factor", (1.0, nan, inf)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    CircuitBreakerConfig(**{field: value})
 
     def test_hedge(self):
         with pytest.raises(ValueError):
             HedgeConfig()  # neither delay nor quantile
         with pytest.raises(ValueError):
             HedgeConfig(delay_s=1.0, quantile=95.0)  # both
-        with pytest.raises(ValueError):
-            HedgeConfig(delay_s=0.0)
-        with pytest.raises(ValueError):
-            HedgeConfig(quantile=0.0)
+        nan, inf = float("nan"), float("inf")
+        for field, values in (
+            ("delay_s", (0.0, nan, inf)),
+            ("quantile", (0.0, nan, inf)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    HedgeConfig(**{field: value})
 
     def test_brownout(self):
         rung = DegradedRung(
@@ -110,6 +121,16 @@ class TestConfigValidation:
                 rungs=(rung,), step_down_backlog=1.0,
                 step_up_backlog=2.0,
             )
+        nan, inf = float("nan"), float("inf")
+        for field, values in (
+            ("step_up_backlog", (-1.0, nan, inf)),
+            ("step_down_backlog", (nan, inf)),
+            ("check_interval_s", (0.0, nan, inf)),
+            ("dwell_s", (-1.0, nan, inf)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=field):
+                    BrownoutConfig(**{"rungs": (rung,), field: value})
         with pytest.raises(ValueError):
             DegradedRung(label="r", latency_fns={}, quality=0.5)
         with pytest.raises(ValueError):
