@@ -31,7 +31,8 @@ Tensor-parallel roles are decided in one place, the per-trace class
 table (:func:`trace_classes`): every event maps to one distinct
 (op, role, collective, fold factor) class, so a partition or a priced
 axis shards and prices each class once and fills per-event rows by
-index.
+index.  The table reads the trace's rows (:meth:`Trace.rows`), so it
+builds no events.
 
 Every split preserves total FLOPs exactly (see
 :mod:`repro.distributed.sharding`), which the partitioner tests verify
@@ -72,10 +73,9 @@ def _assign_leaf_roles(
     next_is_column: dict[str, bool] = {}
     pending_column: dict[str, str] = {}
     param_memo: dict[int, bool] = {}
-    for event in trace:
-        op = event.op
-        if event.is_attention_anchor:
-            anchor_seen[event.module_path] = True
+    for leaf, op, _, flags, _ in trace.rows():
+        if "attention_anchor" in flags:
+            anchor_seen[leaf] = True
         op_id = id(op)
         owns = param_memo.get(op_id)
         if owns is None:
@@ -83,7 +83,6 @@ def _assign_leaf_roles(
             param_memo[op_id] = owns
         if not owns:
             continue
-        leaf = event.module_path
         scope = _parent_scope(leaf)
         if op.category is OpCategory.ATTENTION:
             if leaf in roles:
@@ -161,7 +160,7 @@ def trace_classes(trace: Trace) -> TraceClasses:
     and every other activation op is sequence-split.
     """
     table = _CLASS_CACHE.get(trace)
-    if table is None or len(table.index) != len(trace.events):
+    if table is None or len(table.index) != len(trace):
         table = _build_classes(trace)
         _CLASS_CACHE[trace] = table
     return table
@@ -190,7 +189,7 @@ def _build_classes(trace: Trace) -> TraceClasses:
     # Ops are frozen value objects, and a trace holds many equal copies
     # of one op (replay re-emits them per scope): equal ops shard and
     # price identically, so a class keys on the identity of the first
-    # equal op.  Each op object is hashed by value once; per event the
+    # equal op.  Each op object is hashed by value once; per row the
     # lookup is by id (the trace keeps every op alive).  Token -1 marks
     # a weight op, whose role depends on the emitting leaf.
     first_equal: dict[Op, Op] = {}
@@ -201,8 +200,7 @@ def _build_classes(trace: Trace) -> TraceClasses:
     tokens: list[int] = []
     index: list[int] = []
     append = index.append
-    for event in trace.events:
-        op = event.op
+    for path, op, _, _, repeat in trace.rows():
         info = op_info.get(id(op))
         if info is None:
             if op.param_bytes() > 0:
@@ -214,8 +212,7 @@ def _build_classes(trace: Trace) -> TraceClasses:
             info = op_info[id(op)] = (first_equal.setdefault(op, op), token)
         op, token = info
         if token < 0:
-            token = leaf_tokens[event.module_path]
-        repeat = event.repeat
+            token = leaf_tokens[path]
         key = (id(op), token, repeat)
         cls = classes.get(key)
         if cls is None:

@@ -43,6 +43,7 @@ See ``docs/PLANNER.md`` for the model and its divergences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -114,6 +115,29 @@ class ParallelConfig:
         if self.sequence_parallel:
             parts.append("sp")
         return "-".join(parts)
+
+
+def _check_costing(
+    global_batch: int, backward_ratio: float, memory_margin: float
+) -> None:
+    """Reject costing inputs that would price a plausible wrong plan.
+
+    ``nan < 0`` is False, so every float bound is paired with
+    ``math.isfinite``; each error names its field.
+    """
+    if not isinstance(global_batch, int) or global_batch < 1:
+        raise ValueError(
+            f"global_batch must be an int >= 1, got {global_batch!r}"
+        )
+    if not (math.isfinite(backward_ratio) and backward_ratio >= 0):
+        raise ValueError(
+            f"backward_ratio must be finite and >= 0, got {backward_ratio!r}"
+        )
+    if not (math.isfinite(memory_margin) and 0 < memory_margin <= 1):
+        raise ValueError(
+            f"memory_margin must be finite and in (0, 1], "
+            f"got {memory_margin!r}"
+        )
 
 
 def _powers_of_two(limit: int) -> list[int]:
@@ -277,7 +301,7 @@ def build_axis(
     act_peak = 0.0
     max_payload = 0.0
     if tp == 1:
-        times = [event.cost.time_s for event in trace.events]
+        times = trace.times_s()
         comm = [0.0] * len(times)
         comm_sp = comm.copy()
         for op in table.ops:
@@ -633,6 +657,10 @@ class PlannerBasis:
         )
         self.attention_impl = attention_impl
         self.tuning = tuning
+        if not (math.isfinite(kv_bytes) and kv_bytes >= 0):
+            raise ValueError(
+                f"kv_bytes must be finite and >= 0, got {kv_bytes!r}"
+            )
         self.kv_bytes = float(kv_bytes)
         self.param_bytes = float(model.param_bytes())
         self.model_name = getattr(model, "name", type(model).__name__)
@@ -732,6 +760,7 @@ class PlannerBasis:
         memory_margin: float = 0.9,
     ) -> PlanPoint:
         """Price one configuration from the cached symbolic basis."""
+        _check_costing(global_batch, backward_ratio, memory_margin)
         self.stats["configs_costed"] += 1
         replica_batch = even_split(global_batch, config.dp)[0]
         axis, stage_times, p2p_times, m_eff, mb = self._forward_parts(
@@ -766,6 +795,7 @@ def bruteforce_cost(
     :class:`PlanPoint` floats are *identical* to
     :meth:`PlannerBasis.cost_config`'s.
     """
+    _check_costing(global_batch, backward_ratio, memory_margin)
     replica_batch = even_split(global_batch, config.dp)[0]
     m_eff = min(config.microbatches, replica_batch)
     mb = even_split(replica_batch, m_eff)[0]
@@ -851,6 +881,7 @@ def plan_parallelism(
     frontier of the memory-feasible ones.  Deterministic: same inputs,
     same floats, same ordering — there is no randomness to seed.
     """
+    _check_costing(global_batch, backward_ratio, memory_margin)
     if basis is None:
         basis = PlannerBasis(
             model, machine,

@@ -44,21 +44,24 @@ _ITERATION_SCOPE = {
 }
 
 
-def _scope_trace(trace: Trace, prefix: str) -> Trace:
-    return trace.filter(
-        lambda event: event.module_path.startswith(prefix)
-    )
+def _scope_flops(trace: Trace, prefix: str) -> float:
+    """FLOPs of the events whose module path starts with ``prefix``,
+    added left to right as the trace's own total is."""
+    flops = 0.0
+    for path, _, cost, _, _ in trace.rows():
+        if path.startswith(prefix):
+            flops += cost.flops
+    return flops
 
 
 def _iteration_flops(name: str, trace: Trace) -> float:
     scope = _ITERATION_SCOPE[name]
-    scoped = _scope_trace(trace, scope)
     if name == "imagen":
         # stage scope holds all base denoise steps; take one.
-        scoped = _scope_trace(trace, "stage_64px.denoise_0")
+        scope = "stage_64px.denoise_0"
     if name == "make_a_video":
-        scoped = _scope_trace(trace, "decoder.denoise_0")
-    return scoped.total_flops
+        scope = "decoder.denoise_0"
+    return _scope_flops(trace, scope)
 
 
 def capacity_intensities() -> dict[str, float]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ClaimCheck, ExperimentResult
 from repro.experiments.suite_cache import all_profiles
+from repro.ir.trace import Trace
 from repro.models.registry import DISPLAY_NAMES
 from repro.profiler.seqlen import fundamental_period, sequence_length_profile
 
@@ -27,11 +28,14 @@ def profiles_per_model() -> dict[str, list[int]]:
     for name in _MODELS:
         baseline, _ = all_profiles()[name]
         marker = _GENERATOR_MARKER[name]
-        generator_trace = baseline.trace.filter(
-            lambda event, marker=marker: marker
-            in event.module_path.split(".")
+        generator_anchors = Trace(
+            [
+                event
+                for event in baseline.trace.attention_anchors()
+                if marker in event.module_path.split(".")
+            ]
         )
-        samples = sequence_length_profile(generator_trace)
+        samples = sequence_length_profile(generator_anchors)
         period = fundamental_period(samples)
         # Figure 7 truncates to the fundamental period; cap the window
         # for plotting-equivalent output.

@@ -19,6 +19,7 @@ from repro.ir.trace import KernelCost, Trace, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.hw.spec import GPUSpec
+    from repro.ir.memo import Segment
     from repro.ir.module import Module
 
 
@@ -131,46 +132,39 @@ class ExecutionContext:
         _check_fold_factor("repeat", repeat)
         repeat *= self._repeat_factor
         cost: KernelCost = self.estimator.estimate(op).scaled(repeat)
-        event = TraceEvent(
-            index=len(self.trace.events),
-            module_path=self.current_path,
-            op=op,
-            cost=cost,
-            start_s=self._clock_s,
-            flags=frozenset(flags),
-            repeat=repeat,
+        self.trace.append(
+            TraceEvent(
+                index=len(self.trace),
+                module_path=self.current_path,
+                op=op,
+                cost=cost,
+                start_s=self._clock_s,
+                flags=frozenset(flags),
+                repeat=repeat,
+            )
         )
-        self.trace.events.append(event)
         self._clock_s += cost.time_s
         return cost
 
     # -- subgraph replay ---------------------------------------------------
 
-    def replay_segment(self, segment: "object") -> None:
-        """Append a recorded module subgraph to the trace.
+    def replay_segment(self, segment: "Segment") -> None:
+        """Append a recorded module subgraph to the trace as one run.
 
-        ``segment`` is a :class:`repro.ir.memo.Segment`: (relative path,
-        op, cost, flags, fold factor) tuples captured by a previous
-        identical call.
-        Replay reproduces exactly the events re-running the module would
-        emit — same ops, same costs, same clock accumulation order —
-        with module paths re-rooted at the current scope.
+        The trace stores (segment, base path, start clock); the clock
+        advances over the segment's recorded times in the order
+        re-running the module would add them, so every later emission
+        starts where it would have.  The events themselves — same ops,
+        costs and flags, paths re-rooted at the current scope — are
+        built only when :attr:`Trace.events` is read.
         """
-        events = self.trace.events
-        index = len(events)
-        clock = self._clock_s
         prefix = ".".join(self._module_stack)
-        base = prefix + "." if prefix else ""
-        append = events.append
-        event_cls = TraceEvent
-        for rel_path, op, cost, flags, repeat, time_s in segment.items:
-            append(
-                event_cls(
-                    index, base + rel_path, op, cost, clock, flags, repeat
-                )
-            )
+        clock = self._clock_s
+        self.trace.append_replay(
+            segment, prefix + "." if prefix else "", clock
+        )
+        for time_s in segment.times:
             clock += time_s
-            index += 1
         self._clock_s = clock
 
     # -- summary ----------------------------------------------------------

@@ -7,9 +7,11 @@ operator stream such a call emits is a pure function of (module, inputs,
 machine, tuning, attention lowering), so after watching one call the
 context can *replay* the recorded events instead of re-walking the tree:
 same ops, same costs, same flags, same clock arithmetic, with module
-paths re-rooted at the new scope.  Replay is bit-identical to
-re-execution; the golden-trace suite and the cache-transparency property
-tests both pin that.
+paths re-rooted at the new scope.  A replay appends one run to the
+trace (:class:`repro.ir.trace.Trace`), and its events are built only
+when someone reads them.  Replay is bit-identical to re-execution; the
+golden-trace suite and the cache-transparency property tests both pin
+that.
 
 A :class:`Segment` is recorded on the *second* identical call (the
 counter lives in ``Module._memo``), so storage is only paid for
@@ -19,33 +21,43 @@ recording and replay along with the kernel-cost cache.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from repro.ir.ops import OpCategory
 from repro.ir.tensor import TensorSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ir.trace import TraceEvent
+from repro.ir.trace import Replay, TraceEvent
 
 
 class Segment:
-    """One recorded module call: relative trace events plus the output.
+    """One recorded module call: relative rows plus the output.
 
-    ``items`` rows are ``(relative path, op, cost, flags, repeat,
-    time_s)``, ``repeat`` being the event's fold factor; the trailing
-    ``time_s`` duplicates ``cost.time_s`` so the replay loop advances
-    the clock without an attribute lookup per event.
+    ``rows`` are ``(relative path, op, cost, flags, repeat)`` tuples,
+    ``repeat`` being the row's fold factor; ``times`` holds each row's
+    ``cost.time_s`` so replay advances the clock without an attribute
+    lookup per row.
     """
 
-    __slots__ = ("items", "output")
+    __slots__ = ("rows", "times", "output", "_categories")
 
     def __init__(
-        self, items: tuple[tuple, ...], output: Any
+        self, rows: tuple[tuple, ...], times: tuple[float, ...], output: Any
     ) -> None:
-        self.items = items
+        self.rows = rows
+        self.times = times
         self.output = output
+        self._categories: tuple[OpCategory, ...] | None = None
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.rows)
+
+    def categories(self) -> tuple[OpCategory, ...]:
+        """Each row's op category, built once and shared by every
+        replay's :meth:`repro.ir.trace.Trace.time_by_category`."""
+        if self._categories is None:
+            self._categories = tuple(
+                op.category for _, op, _, _, _ in self.rows
+            )
+        return self._categories
 
 
 def output_is_replayable(output: Any) -> bool:
@@ -64,29 +76,37 @@ def output_is_replayable(output: Any) -> bool:
 
 
 def capture_segment(
-    events: list["TraceEvent"], start: int, prefix: str, output: Any
+    runs: list[TraceEvent | Replay], prefix: str, output: Any
 ) -> Segment | None:
-    """Build a segment from the events a module call just appended.
+    """Build a segment from the runs a module call just appended.
 
+    ``runs`` come from :meth:`repro.ir.trace.Trace.runs_since` and
     ``prefix`` is the scope path *outside* the call; stored paths are
     relative to it so replay can re-root them (``denoise_0.unet.mid`` is
     stored as ``unet.mid`` and replayed as ``denoise_17.unet.mid``).
-    Returns ``None`` when the output cannot be safely shared.
+    Rows of segments replayed inside the call are copied in, so a
+    segment is always flat.  Returns ``None`` when the output cannot be
+    safely shared.
     """
     if not output_is_replayable(output):
         return None
     cut = len(prefix) + 1 if prefix else 0
-    return Segment(
-        tuple(
-            (
-                event.module_path[cut:],
-                event.op,
-                event.cost,
-                event.flags,
-                event.repeat,
-                event.cost.time_s,
+    rows: list[tuple] = []
+    times: list[float] = []
+    for run in runs:
+        if type(run) is TraceEvent:
+            cost = run.cost
+            rows.append(
+                (run.module_path[cut:], run.op, cost, run.flags, run.repeat)
             )
-            for event in events[start:]
-        ),
-        output,
-    )
+            times.append(cost.time_s)
+        else:
+            head = run.base[cut:]
+            rows.extend(
+                [
+                    (head + rel_path, op, cost, flags, repeat)
+                    for rel_path, op, cost, flags, repeat in run.segment.rows
+                ]
+            )
+            times.extend(run.segment.times)
+    return Segment(tuple(rows), tuple(times), output)

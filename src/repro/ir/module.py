@@ -177,12 +177,12 @@ class Module:
         if key is not None and state == 1:
             # Second identical call: execute once more, recording the
             # emissions so every further call replays them.
-            start = len(ctx.trace.events)
+            mark = ctx.trace.mark()
             prefix = ctx.current_path
             with ctx.module_scope(self):
                 output = self.forward(ctx, *args, **kwargs)
             segment = capture_segment(
-                ctx.trace.events, start, prefix, output
+                ctx.trace.runs_since(mark), prefix, output
             )
             # Outputs that cannot be shared leave the entry at 1; the
             # next call lands here again and simply re-executes.

@@ -4,15 +4,21 @@ A :class:`Trace` is the analog of a PyTorch Profiler timeline: an ordered
 list of kernel-level :class:`TraceEvent` records, each carrying the
 operator that launched it, the module path that emitted it (the paper's
 forward-hook annotations), and the cost-model estimate of its execution.
+It stores replayed module calls as single runs and builds their events
+only when they are read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from repro.ir.ops import Op, OpCategory
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ir.memo import Segment
 
 
 @dataclass(frozen=True)
@@ -86,6 +92,10 @@ def combine_costs(costs: Iterable[KernelCost]) -> KernelCost:
     )
 
 
+# The cost of a segment row ``(path, op, cost, flags, repeat)``.
+_ROW_COST = operator.itemgetter(2)
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     """One kernel launch in the timeline.
@@ -122,24 +132,105 @@ class TraceEvent:
         return "attention_anchor" in self.flags
 
 
+class Replay(NamedTuple):
+    """A replayed module call, stored as one run of a :class:`Trace`.
+
+    Its events are the segment's rows with each relative path prefixed
+    by ``base`` and each start the clock advanced left to right from
+    ``start_s`` over the rows before it.
+    """
+
+    segment: "Segment"
+    base: str
+    start_s: float
+
+
 class Trace:
     """An ordered collection of trace events with query helpers.
 
-    Aggregate queries (totals, per-category times) are memoized against
-    the current event count: experiments ask for the same totals of the
-    same shared profile traces dozens of times, and traces only ever
-    grow (events are appended while a model runs, never edited), so a
-    length-guarded memo is exact.
+    A trace is stored as an append-only list of *runs*: each run is
+    either a :class:`TraceEvent` the context emitted, or a
+    :class:`Replay` of a recorded module call (a
+    :class:`repro.ir.memo.Segment`).  Most of a generation trace is
+    replay — a UNet per denoising step — so a replay costs one appended
+    run, not one event per recorded row.
+
+    :attr:`events` is the one public way to read events.  It is built
+    on first read and extended after later appends; the readers that
+    need no event objects — ``len``, the totals, :meth:`time_by_category`,
+    :meth:`times_s` and :meth:`rows` — read the runs directly.
+    Aggregates are memoized against the event count: traces only ever
+    grow, so a length-guarded memo is exact.
     """
 
-    def __init__(self, events: list[TraceEvent] | None = None):
-        self.events: list[TraceEvent] = events if events is not None else []
+    def __init__(self, events: Iterable[TraceEvent] | None = None):
+        self._runs: list[TraceEvent | Replay] = (
+            list(events) if events is not None else []
+        )
+        self._count = len(self._runs)
+        self._events: list[TraceEvent] = []
+        self._built = 0
         self._agg: dict[str, tuple[int, object]] = {}
+
+    def append(self, event: TraceEvent) -> None:
+        """Append one emitted event."""
+        self._runs.append(event)
+        self._count += 1
+
+    def append_replay(
+        self, segment: "Segment", base: str, start_s: float
+    ) -> None:
+        """Append a replayed segment whose rows re-root under ``base``."""
+        if segment.rows:
+            self._runs.append(Replay(segment, base, start_s))
+            self._count += len(segment.rows)
+
+    def mark(self) -> int:
+        """Position after the last run, for :meth:`runs_since`."""
+        return len(self._runs)
+
+    def runs_since(self, mark: int) -> list[TraceEvent | Replay]:
+        """The runs appended since :meth:`mark` returned ``mark``."""
+        return self._runs[mark:]
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """Every event in trace order (read-only; built on first read).
+
+        A replayed row becomes an event indexed by its position, with
+        its path re-rooted and its start the replay's clock advanced
+        left to right over the rows before it — exactly the event
+        re-running the module would have emitted.
+        """
+        runs = self._runs
+        if self._built < len(runs):
+            events = self._events
+            append = events.append
+            event_cls = TraceEvent
+            for run in runs[self._built:]:
+                if type(run) is event_cls:
+                    append(run)
+                    continue
+                segment, base, clock = run
+                index = len(events)
+                for (rel_path, op, cost, flags, repeat), time_s in zip(
+                    segment.rows, segment.times
+                ):
+                    append(
+                        event_cls(
+                            index, base + rel_path, op, cost, clock, flags,
+                            repeat,
+                        )
+                    )
+                    clock += time_s
+                    index += 1
+            self._built = len(runs)
+        return self._events
 
     def _aggregate(self, key: str, compute: Callable[[], object]) -> object:
         """Value of one aggregate, recomputed only when events grew."""
         entry = self._agg.get(key)
-        count = len(self.events)
+        count = self._count
         if entry is not None and entry[0] == count:
             return entry[1]
         value = compute()
@@ -150,7 +241,7 @@ class Trace:
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._count
 
     def _totals(self) -> tuple[float, float, float]:
         """(time, FLOPs, moved bytes), each added strictly left to right.
@@ -159,16 +250,21 @@ class Trace:
         floats is compensated, while the trace's own clock, the
         distributed timelines and the planner's prefix sums all add
         left to right, and the totals must equal them on every
-        interpreter.
+        interpreter.  Replayed rows are added one by one, never as a
+        per-segment subtotal, which would reassociate the additions.
         """
 
         def compute() -> tuple[float, float, float]:
             time_s = flops = moved = 0.0
-            for event in self.events:
-                cost = event.cost
-                time_s += cost.time_s
-                flops += cost.flops
-                moved += cost.moved_bytes
+            for run in self._runs:
+                if type(run) is TraceEvent:
+                    costs = (run.cost,)
+                else:
+                    costs = map(_ROW_COST, run.segment.rows)
+                for cost in costs:
+                    time_s += cost.time_s
+                    flops += cost.flops
+                    moved += cost.moved_bytes
             return time_s, flops, moved
 
         return self._aggregate("totals", compute)
@@ -184,6 +280,16 @@ class Trace:
     @property
     def total_moved_bytes(self) -> float:
         return self._totals()[2]
+
+    def times_s(self) -> list[float]:
+        """Every event's ``cost.time_s``, in trace order."""
+        times: list[float] = []
+        for run in self._runs:
+            if type(run) is TraceEvent:
+                times.append(run.cost.time_s)
+            else:
+                times.extend(run.segment.times)
+        return times
 
     def filter(self, predicate: Callable[[TraceEvent], bool]) -> "Trace":
         """New trace holding only the events the predicate accepts."""
@@ -201,8 +307,45 @@ class Trace:
         )
 
     def attention_anchors(self) -> list[TraceEvent]:
-        """One event per attention-layer invocation (see anchor flag)."""
-        return [event for event in self.events if event.is_attention_anchor]
+        """One event per attention-layer invocation (see anchor flag).
+
+        Builds only the replayed anchors, each with the index and start
+        it has in :attr:`events`; emitted anchors are returned as is.
+        """
+        anchors: list[TraceEvent] = []
+        index = 0
+        for run in self._runs:
+            if type(run) is TraceEvent:
+                if run.is_attention_anchor:
+                    anchors.append(run)
+                index += 1
+                continue
+            segment, base, clock = run
+            for (rel_path, op, cost, flags, repeat), time_s in zip(
+                segment.rows, segment.times
+            ):
+                if "attention_anchor" in flags:
+                    anchors.append(
+                        TraceEvent(
+                            index, base + rel_path, op, cost, clock, flags,
+                            repeat,
+                        )
+                    )
+                clock += time_s
+                index += 1
+        return anchors
+
+    def rows(self) -> Iterator[tuple[str, Op, KernelCost, frozenset[str], int]]:
+        """``(module path, op, cost, flags, repeat)`` of every event, in
+        trace order, without building events: for readers that need
+        neither an event's index nor its start time."""
+        for run in self._runs:
+            if type(run) is TraceEvent:
+                yield run.module_path, run.op, run.cost, run.flags, run.repeat
+            else:
+                base = run.base
+                for rel_path, op, cost, flags, repeat in run.segment.rows:
+                    yield base + rel_path, op, cost, flags, repeat
 
     def time_by_category(self) -> dict[OpCategory, float]:
         """Execution time grouped by operator category (Figure 6 bars)."""
@@ -210,9 +353,14 @@ class Trace:
         def compute() -> dict[OpCategory, float]:
             times: dict[OpCategory, float] = {}
             get = times.get
-            for event in self.events:
-                category = event.op.category
-                times[category] = get(category, 0.0) + event.cost.time_s
+            for run in self._runs:
+                if type(run) is TraceEvent:
+                    pairs = ((run.op.category, run.cost.time_s),)
+                else:
+                    segment = run.segment
+                    pairs = zip(segment.categories(), segment.times)
+                for category, time_s in pairs:
+                    times[category] = get(category, 0.0) + time_s
             return times
 
         return dict(self._aggregate("by_category", compute))

@@ -145,17 +145,17 @@ def _matmul_flops_of_kind(trace: Trace, kind: AttentionKind) -> float:
     from repro.ir.ops import FusedAttention, Gemm
 
     total = 0.0
-    for event in trace:
-        info = event.op.attention
+    for _, op, cost, _, _ in trace.rows():
+        info = op.attention
         if info is None or info.kind is not kind:
             continue
-        if isinstance(event.op, Gemm):
-            total += event.cost.flops
-        elif isinstance(event.op, FusedAttention):
+        if isinstance(op, Gemm):
+            total += cost.flops
+        elif isinstance(op, FusedAttention):
             pairs = (
                 info.batch * info.num_heads * info.seq_q * info.seq_kv
             )
-            repeat = event.cost.flops / event.op.flops()
+            repeat = cost.flops / op.flops()
             total += 4.0 * pairs * info.head_dim * repeat
     return total
 
@@ -173,10 +173,10 @@ def _module_time_of_kind(trace: Trace, kind: AttentionKind) -> float:
         AttentionKind.TOKEN: ("attention", "self_attn", "cross_attn"),
     }[kind]
     total = 0.0
-    for event in trace:
-        path_parts = event.module_path.split(".")
+    for path, _, cost, _, _ in trace.rows():
+        path_parts = path.split(".")
         if any(marker in path_parts for marker in markers):
-            total += event.cost.time_s
+            total += cost.time_s
     return total
 
 

@@ -69,6 +69,8 @@ def profile_model(
     machine, attention impl, batch): repeated profiles of one
     configuration return the same :class:`ProfileResult` object.
     """
+    if not isinstance(batch, int) or batch < 1:
+        raise ValueError(f"batch must be an int >= 1, got {batch!r}")
     estimator = CostEstimator(gpu, tuning)
     key = None
     table = None

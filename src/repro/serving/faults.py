@@ -38,15 +38,20 @@ import random
 from dataclasses import dataclass
 
 
-def _require_finite(name: str, value: float, ok: bool, rule: str) -> None:
+def _require_finite(
+    name: str, value: float, ok: bool = True, rule: str = ""
+) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is finite and
-    ``ok``, the field's bound as evaluated by the caller.
+    ``ok``, the field's bound (described by ``rule``) as evaluated by
+    the caller.
 
     ``nan < 0`` is False, so a bare bound lets NaN through: every float
-    field of the fault, resilience and autoscaler configs checks here.
+    field of the fault, resilience, autoscaler and traffic configs
+    checks here.
     """
     if not (math.isfinite(value) and ok):
-        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+        bound = f" and {rule}" if rule else ""
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

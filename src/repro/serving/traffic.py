@@ -96,6 +96,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro import jsonl
+from repro.serving.faults import _require_finite
 from repro.serving.workload import Request, RequestBatch, WorkloadMix
 
 TRACE_SCHEMA = "repro-traffic-trace"
@@ -140,13 +141,17 @@ class PropertySpec:
             len(self.values) == len(self.weights) == len(self.scales)
         ):
             raise ValueError("values/weights/scales must be aligned")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("property weights must be non-negative")
+        for index, (value, weight, scale) in enumerate(
+            zip(self.values, self.weights, self.scales)
+        ):
+            _require_finite(f"values[{index}]", value)
+            _require_finite(
+                f"weights[{index}]", weight, weight >= 0, "non-negative"
+            )
+            _require_finite(f"scales[{index}]", scale, scale > 0, "positive")
         total = sum(self.weights)
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ValueError(f"weights must sum to 1, got {total}")
-        if any(s <= 0 for s in self.scales):
-            raise ValueError("service scales must be positive")
 
 
 def image_size_spec(
@@ -203,10 +208,11 @@ class ModelTrafficCard:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("card needs a model name")
-        if self.base_service_s <= 0:
-            raise ValueError("base service time must be positive")
-        if self.share < 0:
-            raise ValueError("share must be non-negative")
+        _require_finite(
+            "base_service_s", self.base_service_s,
+            self.base_service_s > 0, "positive",
+        )
+        _require_finite("share", self.share, self.share >= 0, "non-negative")
         names = [spec.name for spec in self.properties]
         if len(set(names)) != len(names):
             raise ValueError("property names must be unique per card")
@@ -279,10 +285,15 @@ class BurstModel:
     on_factor: float
 
     def __post_init__(self) -> None:
-        if self.mean_on_s <= 0 or self.mean_off_s <= 0:
-            raise ValueError("burst phase means must be positive")
-        if self.on_factor < 1.0:
-            raise ValueError("on factor must be >= 1")
+        _require_finite(
+            "mean_on_s", self.mean_on_s, self.mean_on_s > 0, "positive"
+        )
+        _require_finite(
+            "mean_off_s", self.mean_off_s, self.mean_off_s > 0, "positive"
+        )
+        _require_finite(
+            "on_factor", self.on_factor, self.on_factor >= 1.0, ">= 1"
+        )
         if self.on_factor * self.p_on > 1.0 + 1e-12:
             raise ValueError(
                 "on factor exceeds 1/p_on; off phase rate would be "
@@ -301,6 +312,11 @@ class BurstModel:
         return max(0.0, (1.0 - p * self.on_factor) / (1.0 - p))
 
 
+def _check_window(start_s: float, duration_s: float) -> None:
+    _require_finite("start_s", start_s, start_s >= 0, "non-negative")
+    _require_finite("duration_s", duration_s, duration_s > 0, "positive")
+
+
 @dataclass(frozen=True)
 class RateWindow:
     """A piecewise-constant global rate multiplier over a window.
@@ -315,10 +331,11 @@ class RateWindow:
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.duration_s <= 0:
-            raise ValueError("window must have start >= 0, duration > 0")
-        if self.multiplier < 0:
-            raise ValueError("rate multiplier must be non-negative")
+        _check_window(self.start_s, self.duration_s)
+        _require_finite(
+            "multiplier", self.multiplier, self.multiplier >= 0,
+            "non-negative",
+        )
 
 
 @dataclass(frozen=True)
@@ -337,10 +354,8 @@ class MixWindow:
     boost: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.duration_s <= 0:
-            raise ValueError("window must have start >= 0, duration > 0")
-        if self.boost < 0:
-            raise ValueError("mix boost must be non-negative")
+        _check_window(self.start_s, self.duration_s)
+        _require_finite("boost", self.boost, self.boost >= 0, "non-negative")
 
 
 @dataclass(frozen=True)
@@ -391,18 +406,27 @@ class ClientPopulation:
             raise ValueError(f"card shares must sum to 1, got {total}")
         if self.n_clients < 0:
             raise ValueError("client count must be non-negative")
-        if self.mean_rate_per_client < 0:
-            raise ValueError("mean rate must be non-negative")
-        if self.tail_alpha <= 1.0:
-            raise ValueError("tail alpha must exceed 1 (finite mean)")
-        if not 0.0 <= self.model_loyalty <= 1.0:
-            raise ValueError("model loyalty must be in [0, 1]")
-        if self.property_spread < 0:
-            raise ValueError("property spread must be non-negative")
-        if self.ramp_s < 0:
-            raise ValueError("ramp must be non-negative")
-        if not 0.0 <= self.service_jitter < 1.0:
-            raise ValueError("service jitter must be in [0, 1)")
+        _require_finite(
+            "mean_rate_per_client", self.mean_rate_per_client,
+            self.mean_rate_per_client >= 0, "non-negative",
+        )
+        _require_finite(
+            "tail_alpha", self.tail_alpha, self.tail_alpha > 1.0,
+            "> 1 (finite mean)",
+        )
+        _require_finite(
+            "model_loyalty", self.model_loyalty,
+            0.0 <= self.model_loyalty <= 1.0, "in [0, 1]",
+        )
+        _require_finite(
+            "property_spread", self.property_spread,
+            self.property_spread >= 0, "non-negative",
+        )
+        _require_finite("ramp_s", self.ramp_s, self.ramp_s >= 0, "non-negative")
+        _require_finite(
+            "service_jitter", self.service_jitter,
+            0.0 <= self.service_jitter < 1.0, "in [0, 1)",
+        )
         known = set(names)
         for window in self.mix_windows:
             if window.model not in known:
@@ -464,8 +488,7 @@ class ScaleRates:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError("rate factor must be non-negative")
+        _require_finite("factor", self.factor, self.factor >= 0, "non-negative")
 
     def apply(self, population: ClientPopulation) -> ClientPopulation:
         """Return a copy of ``population`` with rates scaled."""
@@ -484,8 +507,7 @@ class ScaleClients:
     factor: float
 
     def __post_init__(self) -> None:
-        if self.factor < 0:
-            raise ValueError("client factor must be non-negative")
+        _require_finite("factor", self.factor, self.factor >= 0, "non-negative")
 
     def apply(self, population: ClientPopulation) -> ClientPopulation:
         """Return a copy of ``population`` with the count scaled."""
@@ -530,8 +552,7 @@ class SetRamp:
     ramp_s: float
 
     def __post_init__(self) -> None:
-        if self.ramp_s < 0:
-            raise ValueError("ramp must be non-negative")
+        _require_finite("ramp_s", self.ramp_s, self.ramp_s >= 0, "non-negative")
 
     def apply(self, population: ClientPopulation) -> ClientPopulation:
         """Return a copy of ``population`` with the ramp replaced."""

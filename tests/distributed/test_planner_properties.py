@@ -12,6 +12,7 @@ bit-exactly.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,16 @@ class TinyTransformer(Module):
 MODEL = TinyTransformer()
 BASIS = PlannerBasis(MODEL, MACHINE)
 CONFIGS = enumerate_configs(gpu_budget=8, global_batch=GLOBAL_BATCH)
+
+
+def _cost(costing: str, **inputs):
+    """Cost tp=2 on the shared basis through one of the three entry
+    points that take the costing inputs."""
+    if costing == "cost_config":
+        return BASIS.cost_config(ParallelConfig(tp=2), **inputs)
+    if costing == "bruteforce":
+        return bruteforce_cost(BASIS, ParallelConfig(tp=2), **inputs)
+    return plan_parallelism(MODEL, machine=MACHINE, basis=BASIS, **inputs)
 
 
 class TestSymbolicEqualsBruteforce:
@@ -362,3 +373,30 @@ class TestEnumeration:
             BASIS.cost_config(
                 ParallelConfig(pp=32), global_batch=GLOBAL_BATCH,
             )
+
+
+class TestInputValidation:
+    """Each costing input out of range fails naming its field."""
+
+    def test_kv_bytes_must_be_finite_and_non_negative(self):
+        for bad in (-1e12, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kv_bytes"):
+                PlannerBasis(MODEL, MACHINE, kv_bytes=bad)
+
+    @pytest.mark.parametrize("costing", ["cost_config", "plan", "bruteforce"])
+    def test_global_batch_must_be_a_positive_int(self, costing):
+        for bad in (0, -2, 1.5):
+            with pytest.raises(ValueError, match="global_batch"):
+                _cost(costing, global_batch=bad)
+
+    @pytest.mark.parametrize("costing", ["cost_config", "plan", "bruteforce"])
+    def test_backward_ratio_must_be_finite_and_non_negative(self, costing):
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="backward_ratio"):
+                _cost(costing, backward_ratio=bad)
+
+    @pytest.mark.parametrize("costing", ["cost_config", "plan", "bruteforce"])
+    def test_memory_margin_must_be_in_unit_interval(self, costing):
+        for bad in (0.0, 1.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="memory_margin"):
+                _cost(costing, memory_margin=bad)

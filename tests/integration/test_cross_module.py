@@ -42,6 +42,19 @@ class TestTraceExportPipeline:
         assert starts == sorted(starts)
 
 
+class TestProfileInputs:
+    @pytest.mark.parametrize("batch", [0, -1, 1.5, "2"])
+    def test_bad_batch_fails_before_the_model_runs(
+        self, small_sd, monkeypatch, batch
+    ):
+        def run_inference(ctx, batch=1):
+            raise AssertionError("model code ran")
+
+        monkeypatch.setattr(small_sd, "run_inference", run_inference)
+        with pytest.raises(ValueError, match="batch must be an int >= 1"):
+            profile_model(small_sd, batch=batch)
+
+
 class TestDeviceSweep:
     def test_h100_faster_than_a100(self, small_sd):
         a100 = profile_model(small_sd)

@@ -9,6 +9,7 @@ tiers) as first-class outputs rather than errors.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,103 @@ class TestPropertySpec:
             PropertySpec("", (1.0,), (1.0,), (1.0,))
 
 
+def _window(cls, **overrides):
+    base = dict(start_s=0.0, duration_s=10.0)
+    if cls is RateWindow:
+        base["multiplier"] = 2.0
+    else:
+        base.update(model="sd", boost=2.0)
+    base.update(overrides)
+    return cls(**base)
+
+
+class TestFiniteConfigs:
+    """NaN and inf fail naming the field; ``nan < 0`` is False, so a
+    bare bound would let them through into a plausible wrong stream."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            pytest.param(
+                lambda v: PropertySpec("x", (v, 2.0), (0.5, 0.5), (1.0, 2.0)),
+                "values[0]", id="PropertySpec.values",
+            ),
+            pytest.param(
+                lambda v: PropertySpec("x", (1.0,), (v,), (1.0,)),
+                "weights[0]", id="PropertySpec.weights",
+            ),
+            pytest.param(
+                lambda v: PropertySpec("x", (1.0, 2.0), (0.5, 0.5), (1.0, v)),
+                "scales[1]", id="PropertySpec.scales",
+            ),
+            pytest.param(
+                lambda v: ModelTrafficCard("sd", v, 1.0),
+                "base_service_s", id="ModelTrafficCard.base_service_s",
+            ),
+            pytest.param(
+                lambda v: ModelTrafficCard("sd", 1.0, v),
+                "share", id="ModelTrafficCard.share",
+            ),
+            pytest.param(
+                lambda v: BurstModel(v, 10.0, 1.5),
+                "mean_on_s", id="BurstModel.mean_on_s",
+            ),
+            pytest.param(
+                lambda v: BurstModel(10.0, v, 1.5),
+                "mean_off_s", id="BurstModel.mean_off_s",
+            ),
+            pytest.param(
+                lambda v: BurstModel(10.0, 10.0, v),
+                "on_factor", id="BurstModel.on_factor",
+            ),
+            pytest.param(
+                lambda v: _window(RateWindow, start_s=v),
+                "start_s", id="RateWindow.start_s",
+            ),
+            pytest.param(
+                lambda v: _window(RateWindow, duration_s=v),
+                "duration_s", id="RateWindow.duration_s",
+            ),
+            pytest.param(
+                lambda v: _window(RateWindow, multiplier=v),
+                "multiplier", id="RateWindow.multiplier",
+            ),
+            pytest.param(
+                lambda v: _window(MixWindow, start_s=v),
+                "start_s", id="MixWindow.start_s",
+            ),
+            pytest.param(
+                lambda v: _window(MixWindow, duration_s=v),
+                "duration_s", id="MixWindow.duration_s",
+            ),
+            pytest.param(
+                lambda v: _window(MixWindow, boost=v),
+                "boost", id="MixWindow.boost",
+            ),
+            pytest.param(
+                lambda v: ScaleRates(v), "factor", id="ScaleRates.factor"
+            ),
+            pytest.param(
+                lambda v: ScaleClients(v), "factor", id="ScaleClients.factor"
+            ),
+            pytest.param(lambda v: SetRamp(v), "ramp_s", id="SetRamp.ramp_s"),
+        ],
+    )
+    def test_rejects_non_finite(self, make, field, bad):
+        message = re.escape(f"{field} must be finite")
+        with pytest.raises(ValueError, match=message):
+            make(bad)
+
+    def test_nan_ramp_no_longer_yields_a_stream(self):
+        with pytest.raises(ValueError, match="ramp_s"):
+            generate_traffic(population(ramp_s=math.nan), duration_s=60.0)
+
+    def test_infinite_tail_alpha_names_the_field(self):
+        with pytest.raises(ValueError, match="tail_alpha"):
+            population(tail_alpha=math.inf)
+
+
 class TestCombos:
     def test_card_without_properties_has_identity_combo(self):
         (combo,) = combos_for_card(CARDS[1])
@@ -185,6 +283,18 @@ class TestPopulation:
             population(mix_windows=(
                 MixWindow(0.0, 10.0, model="phantom", boost=2.0),
             ))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "mean_rate_per_client", "tail_alpha", "model_loyalty",
+            "property_spread", "ramp_s", "service_jitter",
+        ],
+    )
+    def test_float_fields_must_be_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            population(**{field: bad})
 
     def test_mean_service_weights_shares_and_combos(self):
         # sd: 1.5 s * (0.5*1 + 0.4*1.5 + 0.1*2.5) = 1.5 * 1.35
