@@ -189,20 +189,17 @@ def tail_overlap_fraction(
     not on slow servers.
     """
     intervals = _open_intervals(log)
+    table = log.span_table
     tail = 0
     overlapping = 0
-    for span in log.spans:
-        if span.state != "complete":
-            continue
-        latency = span.latency_s
-        if latency is None or latency <= latency_floor_s:
+    for index, _, queued_from, state, ts in table.terminals():
+        if state != "complete" or ts - queued_from <= latency_floor_s:
             continue
         tail += 1
-        dispatch = span.first("dispatch")
+        dispatch = table.first_ts(index, "dispatch")
         queued_until = (
-            dispatch.ts_s if dispatch is not None else log.makespan_s
+            dispatch if dispatch is not None else log.makespan_s
         )
-        queued_from = span.submitted_at_s
         if any(
             start < queued_until and end > queued_from
             for start, end in intervals

@@ -21,15 +21,19 @@ def canonical(record: object) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def dumps(header: Mapping, records: Iterable[Mapping]) -> str:
+def dumps(header: Mapping, records: Iterable[Mapping | str]) -> str:
     """Serialize a header and kind-tagged records to canonical JSONL.
 
     The header is stamped ``kind: "header"``; each record is written
     as given (it carries its own ``kind``), one canonical line each,
-    and the text ends with a newline.
+    and the text ends with a newline.  A record that is a ``str`` is
+    taken to be its canonical line already and written as is.
     """
     lines = [canonical({"kind": "header", **header})]
-    lines.extend(map(canonical, records))
+    lines.extend(
+        record if isinstance(record, str) else canonical(record)
+        for record in records
+    )
     lines.append("")
     return "\n".join(lines)
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.obs.telemetry import TelemetryLog
+from repro.serving.faults import _require_finite
 from repro.serving.slo import deadline_for
 
 
@@ -60,14 +61,23 @@ class BurnRateRule:
     severity: str = "page"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.objective < 1.0:
-            raise ValueError("objective must be in (0, 1)")
-        if not 0.0 < self.short_window_s <= self.long_window_s:
-            raise ValueError(
-                "need 0 < short_window_s <= long_window_s"
-            )
-        if self.threshold <= 0.0:
-            raise ValueError("threshold must be positive")
+        _require_finite(
+            "objective", self.objective, 0.0 < self.objective < 1.0,
+            "in (0, 1)",
+        )
+        _require_finite(
+            "short_window_s", self.short_window_s,
+            self.short_window_s > 0.0, "positive",
+        )
+        _require_finite(
+            "long_window_s", self.long_window_s,
+            self.long_window_s >= self.short_window_s,
+            "at least short_window_s",
+        )
+        _require_finite(
+            "threshold", self.threshold, self.threshold > 0.0,
+            "positive",
+        )
 
 
 DEFAULT_RULES = (
@@ -141,20 +151,20 @@ class _BurnSeries:
 def _terminals(
     log: TelemetryLog, deadlines: Mapping[str, float] | float
 ) -> list[tuple[float, bool]]:
-    """(timestamp, good?) per settled request from the spans."""
+    """(timestamp, good?) per settled request, from the span table.
+
+    Each model's deadline is resolved once, at its first completion.
+    """
+    limits: dict[str, float] = {}
     out: list[tuple[float, bool]] = []
-    for span in log.spans:
-        terminal = span.terminal
-        if terminal is None:
-            continue
-        if terminal.state == "complete":
-            good = (
-                terminal.ts_s - span.submitted_at_s
-                <= deadline_for(deadlines, span.model)
-            )
+    for _, model, submitted, state, ts in log.span_table.terminals():
+        if state == "complete":
+            limit = limits.get(model)
+            if limit is None:
+                limit = limits[model] = deadline_for(deadlines, model)
+            out.append((ts, ts - submitted <= limit))
         else:
-            good = False
-        out.append((terminal.ts_s, good))
+            out.append((ts, False))
     return out
 
 
@@ -178,8 +188,7 @@ def evaluate_alerts(
     """
     if step_s is None:
         step_s = log.sample_interval_s
-    if step_s <= 0:
-        raise ValueError("step_s must be positive")
+    _require_finite("step_s", step_s, step_s > 0, "positive")
     series = _BurnSeries(_terminals(log, deadlines))
     steps: list[float] = []
     k = 0

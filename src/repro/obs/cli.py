@@ -52,11 +52,15 @@ def _summary(log: TelemetryLog) -> str:
         f"{log.sample_interval_s:g} s "
         f"({len(log.series[0].times) if log.series else 0} samples)",
     ]
-    states = Counter(span.state for span in log.spans)
+    table = log.span_table
+    states = Counter(state for _, _, _, state, _ in table.terminals())
+    unsettled = len(table) - sum(states.values())
+    if unsettled:
+        states["open"] = unsettled
     terminal = ", ".join(
         f"{state}={count}" for state, count in sorted(states.items())
     )
-    lines.append(f"spans: {len(log.spans)} ({terminal})")
+    lines.append(f"spans: {len(table)} ({terminal})")
     counters = ", ".join(
         f"{name}={log.counter_final(name):g}"
         for name in FLEET_COUNTERS

@@ -13,7 +13,10 @@ Record kinds, in file order:
 * ``header`` — schema/version, sampling interval, makespan, pool
   names, server-to-pool map, record counts, free-form ``meta``.
 * ``span`` — one per request, sorted by request id; events are
-  ``[ts_s, state, attrs]`` triples.
+  ``[ts_s, state, attrs]`` triples, attributes as
+  :data:`~repro.obs.spans.SPAN_SCHEMA` lists them.  The span table
+  writes these lines itself (:meth:`~repro.obs.spans.SpanTable.json_lines`)
+  and the loader parses them straight back into a table.
 * ``event`` — fleet control-plane events in processing order.
 * ``series`` — one per metric, sorted by name, with aligned
   ``times``/``values`` arrays.
@@ -28,7 +31,7 @@ from pathlib import Path
 
 from repro import jsonl
 from repro.obs.metrics import HistogramSeries, MetricSeries
-from repro.obs.spans import RequestSpan, SpanEvent
+from repro.obs.spans import SpanTable
 from repro.obs.telemetry import FleetEvent, TelemetryLog
 
 TELEMETRY_SCHEMA = "repro-telemetry"
@@ -61,22 +64,14 @@ def dumps_telemetry(log: TelemetryLog) -> str:
         "makespan_s": log.makespan_s,
         "pools": list(log.pools),
         "server_pools": list(log.server_pools),
-        "num_spans": len(log.spans),
+        "num_spans": len(log.span_table),
         "num_events": len(log.events),
         "num_series": len(log.series),
         "num_histograms": len(log.histograms),
         "meta": dict(log.meta),
     }
     return jsonl.dumps(header, chain(
-        ({
-            "kind": "span",
-            "request": span.request_id,
-            "model": span.model,
-            "events": [
-                [event.ts_s, event.state, dict(event.attrs)]
-                for event in span.events
-            ],
-        } for span in log.spans),
+        log.span_table.json_lines(),
         ({
             "kind": "event",
             "ts_s": event.ts_s,
@@ -100,14 +95,9 @@ def dumps_telemetry(log: TelemetryLog) -> str:
     ))
 
 
-def _span(record: dict) -> RequestSpan:
-    return RequestSpan(
-        request_id=int(record["request"]),
-        model=record["model"],
-        events=tuple(
-            SpanEvent(float(ts), state, attrs)
-            for ts, state, attrs in record["events"]
-        ),
+def _span(record: dict) -> tuple[int, str, list[tuple]]:
+    return SpanTable.group(
+        record["request"], record["model"], record["events"]
     )
 
 
@@ -164,7 +154,7 @@ def loads_telemetry(text: str) -> TelemetryLog:
         server_pools=tuple(int(p) for p in header["server_pools"]),
         sample_interval_s=float(header["sample_interval_s"]),
         makespan_s=float(header["makespan_s"]),
-        spans=tuple(records["span"]),
+        span_table=SpanTable.from_groups(records["span"]),
         events=tuple(records["event"]),
         series=tuple(records["series"]),
         histograms=tuple(records["histogram"]),

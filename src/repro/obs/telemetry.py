@@ -11,9 +11,12 @@ histograms).  The collector is **purely observational**:
   at metric boundaries the event clock passes;
 * it only ever *reads* engine state, through a sampler closure the
   engine binds at start;
-* record methods normalize everything to plain ints/floats/strings,
-  so the engine's ``bool``/``bytearray``-flavored values serialize to
-  the same bytes the recorded fleet corpus pins.
+* record methods append one compact row per span event (the
+  :class:`~repro.obs.spans.SpanTable` layout) and normalize times to
+  plain floats and flags to 0/1, so the engine's ``bool``/``bytearray``
+  or NumPy-flavored values serialize to the same bytes the recorded
+  fleet corpus pins (ids, counts and rungs arrive as plain ints from
+  the engine's lists).
 
 Both properties are pinned: a hypothesis suite asserts telemetry-on
 vs telemetry-off runs produce equal reports, and a subprocess test
@@ -23,14 +26,16 @@ asserts telemetry bytes are deterministic across fresh interpreters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.obs.metrics import (
     HistogramSeries,
     MetricSeries,
     bucket_index,
 )
-from repro.obs.spans import RequestSpan, SpanEvent
+from repro.obs.spans import RequestSpan, SpanTable
+from repro.serving.faults import _require_finite
 
 DEFAULT_SAMPLE_INTERVAL_S = 5.0
 """Default simulated seconds between metric samples."""
@@ -94,33 +99,47 @@ class TelemetryLog:
     """Everything one instrumented fleet run recorded.
 
     ``pools`` are pool names in declaration order; ``server_pools``
-    maps each fleet-wide server id to its pool index.  ``spans`` are
-    sorted by request id, ``events`` in processing order, ``series``
-    sorted by name.  The log is a pure value: exporters
-    (:mod:`repro.obs.export`, :mod:`repro.obs.perfetto`) and alert
-    evaluation (:mod:`repro.obs.alerts`) consume it without touching
-    the engine.
+    maps each fleet-wide server id to its pool index.  Spans are held
+    as one :class:`~repro.obs.spans.SpanTable` (compact rows sorted by
+    request id); :attr:`spans` builds the span objects on first read.
+    ``events`` are in processing order, ``series`` sorted by name.
+    ``==`` compares the table, not built spans.  The log is a pure
+    value: exporters (:mod:`repro.obs.export`,
+    :mod:`repro.obs.perfetto`) and alert evaluation
+    (:mod:`repro.obs.alerts`) consume it without touching the engine.
     """
 
     pools: tuple[str, ...]
     server_pools: tuple[int, ...]
     sample_interval_s: float
     makespan_s: float
-    spans: tuple[RequestSpan, ...]
+    span_table: SpanTable
     events: tuple[FleetEvent, ...]
     series: tuple[MetricSeries, ...]
     histograms: tuple[HistogramSeries, ...]
     meta: Mapping[str, object] = field(default_factory=dict)
 
+    @classmethod
+    def from_spans(
+        cls, spans: Iterable[RequestSpan], **fields: object
+    ) -> TelemetryLog:
+        """A log from built spans plus every other field by keyword.
+
+        :meth:`~repro.obs.spans.SpanTable.from_spans` validates the
+        spans and sorts them into the table: attributes must follow
+        :data:`~repro.obs.spans.SPAN_SCHEMA` and every ``ts_s`` and
+        ``backoff_s`` must be finite.
+        """
+        return cls(span_table=SpanTable.from_spans(spans), **fields)
+
+    @cached_property
+    def spans(self) -> tuple[RequestSpan, ...]:
+        """Every request span, sorted by request id (built on first read)."""
+        return self.span_table.spans()
+
     def span(self, request_id: int) -> RequestSpan:
         """The span for one request id (error names the valid range)."""
-        for span in self.spans:
-            if span.request_id == request_id:
-                return span
-        raise ValueError(
-            f"no span for request {request_id} "
-            f"({len(self.spans)} spans recorded)"
-        )
+        return self.span_table.span(request_id)
 
     def series_named(self, name: str) -> MetricSeries:
         """One metric series by name; the error lists what exists."""
@@ -184,58 +203,6 @@ class TelemetryLog:
         }
 
 
-def _materialize(raw: tuple) -> SpanEvent:
-    """Expand one compact ``(state, ts, *raw)`` tuple to a SpanEvent.
-
-    The ``record_*`` hot path appends plain tuples (no dataclass or
-    dict allocation per engine event); this builds the public
-    attribute mapping once, at :meth:`Telemetry.log` time.
-    """
-    state = raw[0]
-    ts = raw[1]
-    if state == "admit":
-        _, _, pool, attempt, hedge = raw
-        attrs = {
-            "pool": pool, "attempt": int(attempt),
-            "hedge": 1 if hedge else 0,
-        }
-    elif state == "dispatch":
-        _, _, pool, server, batch, rung, hedge = raw
-        attrs = {
-            "pool": pool, "server": int(server),
-            "batch": int(batch), "rung": int(rung),
-            "hedge": 1 if hedge else 0,
-        }
-    elif state == "complete":
-        _, _, pool, server, attempts, rung, hedged, win = raw
-        attrs = {
-            "pool": pool, "server": int(server),
-            "attempts": int(attempts), "rung": int(rung),
-            "hedged": 1 if hedged else 0,
-            "hedge_win": 1 if win else 0,
-        }
-    elif state == "retry":
-        _, _, reason, backoff_s, attempt = raw
-        attrs = {
-            "reason": reason, "backoff_s": float(backoff_s),
-            "attempt": int(attempt),
-        }
-    elif state == "fail":
-        _, _, pool, reason, attempts = raw
-        attrs = {
-            "pool": pool, "reason": reason,
-            "attempts": int(attempts),
-        }
-    elif state == "shed":
-        _, _, pool, reason = raw
-        attrs = {"pool": pool, "reason": reason}
-    elif state == "hedge":
-        attrs = {"pool": raw[2]}
-    else:  # submit / cancel carry no attributes
-        attrs = {}
-    return SpanEvent(ts, state, attrs)
-
-
 class Telemetry:
     """Mutable per-run collector; one simulation per instance.
 
@@ -253,9 +220,13 @@ class Telemetry:
         histogram_edges_s: Sequence[float] = DEFAULT_HISTOGRAM_EDGES_S,
         meta: Mapping[str, object] | None = None,
     ):
-        if sample_interval_s <= 0:
-            raise ValueError("sample interval must be positive")
+        _require_finite(
+            "sample_interval_s", sample_interval_s,
+            sample_interval_s > 0, "positive",
+        )
         edges = tuple(float(edge) for edge in histogram_edges_s)
+        for index, edge in enumerate(edges):
+            _require_finite(f"histogram_edges_s[{index}]", edge)
         if list(edges) != sorted(edges) or not edges:
             raise ValueError("histogram edges must be ascending")
         self.sample_interval_s = sample_interval_s
@@ -276,9 +247,9 @@ class Telemetry:
         self._window = [0] * (len(edges) + 1)
         self._hist_rows: list[tuple[int, ...]] = []
         self._span_model: dict[int, str] = {}
-        # Hot path: compact (state, ts, *raw) tuples per request;
-        # SpanEvent objects and attr dicts materialize in log().
-        self._span_raw: dict[int, list[tuple]] = {}
+        # Hot path: one SpanTable row per span event, grouped per
+        # request; no span objects or attribute dicts are built.
+        self._span_rows: dict[int, list[tuple]] = {}
         self._events: list[FleetEvent] = []
 
     # -- engine-facing lifecycle --------------------------------------
@@ -368,15 +339,15 @@ class Telemetry:
         """A request arrived."""
         rid = int(rid)
         self._span_model[rid] = model
-        self._span_raw[rid] = [("submit", now)]
+        self._span_rows[rid] = [("submit", float(now))]
 
     def record_admit(
         self, rid: int, now: float, pool: str, attempt: int,
         hedge: object,
     ) -> None:
         """A copy of the request joined a pool queue."""
-        self._span_raw[rid].append(
-            ("admit", now, pool, attempt, hedge)
+        self._span_rows[rid].append(
+            ("admit", float(now), pool, attempt, 1 if hedge else 0)
         )
 
     def record_dispatch(
@@ -384,8 +355,9 @@ class Telemetry:
         batch: int, rung: int, hedge: object,
     ) -> None:
         """A copy launched in a batch on a server."""
-        self._span_raw[rid].append(
-            ("dispatch", now, pool, server, batch, rung, hedge)
+        self._span_rows[rid].append(
+            ("dispatch", float(now), pool, server, batch, rung,
+             1 if hedge else 0)
         )
 
     def record_complete(
@@ -393,13 +365,14 @@ class Telemetry:
         attempts: int, rung: int, hedged: object, win: object,
     ) -> None:
         """The request finished successfully (terminal)."""
-        events = self._span_raw[rid]
-        events.append(
-            ("complete", now, pool, server, attempts, rung, hedged,
-             win)
+        rows = self._span_rows[rid]
+        now = float(now)
+        rows.append(
+            ("complete", now, pool, server, attempts, rung,
+             1 if hedged else 0, 1 if win else 0)
         )
         self._counters["completed"] += 1
-        latency = now - events[0][1]
+        latency = now - rows[0][1]
         self._window[
             bucket_index(self.histogram_edges_s, latency)
         ] += 1
@@ -409,8 +382,8 @@ class Telemetry:
         attempt: int,
     ) -> None:
         """An attempt was abandoned; the next one is scheduled."""
-        self._span_raw[rid].append(
-            ("retry", now, reason, backoff_s, attempt)
+        self._span_rows[rid].append(
+            ("retry", float(now), reason, float(backoff_s), attempt)
         )
         self._counters["retries"] += 1
 
@@ -419,8 +392,8 @@ class Telemetry:
         attempts: int,
     ) -> None:
         """The request exhausted its attempts (terminal)."""
-        self._span_raw[rid].append(
-            ("fail", now, pool, reason, attempts)
+        self._span_rows[rid].append(
+            ("fail", float(now), pool, reason, attempts)
         )
         self._counters["failed"] += 1
 
@@ -428,17 +401,17 @@ class Telemetry:
         self, rid: int, now: float, pool: str, reason: str
     ) -> None:
         """Admission control rejected the request (terminal)."""
-        self._span_raw[rid].append(("shed", now, pool, reason))
+        self._span_rows[rid].append(("shed", float(now), pool, reason))
         self._counters["shed"] += 1
 
     def record_hedge(self, rid: int, now: float, pool: str) -> None:
         """A duplicate copy was launched onto ``pool``."""
-        self._span_raw[rid].append(("hedge", now, pool))
+        self._span_rows[rid].append(("hedge", float(now), pool))
         self._counters["hedges_launched"] += 1
 
     def record_cancel(self, rid: int, now: float) -> None:
         """One copy lost the hedge race (its twin settles the span)."""
-        self._span_raw[rid].append(("cancel", now))
+        self._span_rows[rid].append(("cancel", float(now)))
 
     # -- fleet events (engine API) ------------------------------------
 
@@ -510,15 +483,11 @@ class Telemetry:
                 "telemetry is not finished; run the simulation "
                 "(simulate_fleet(..., telemetry=this)) first"
             )
-        spans = tuple(
-            RequestSpan(
-                request_id=rid,
-                model=self._span_model[rid],
-                events=tuple(
-                    _materialize(raw) for raw in raw_events
-                ),
-            )
-            for rid, raw_events in sorted(self._span_raw.items())
+        span_rows = sorted(self._span_rows.items())
+        span_table = SpanTable(
+            [rid for rid, _ in span_rows],
+            [self._span_model[rid] for rid, _ in span_rows],
+            [rows for _, rows in span_rows],
         )
         series: list[MetricSeries] = []
         times = tuple(self._sample_times)
@@ -554,7 +523,7 @@ class Telemetry:
             server_pools=self._server_pools,
             sample_interval_s=self.sample_interval_s,
             makespan_s=self._makespan,
-            spans=spans,
+            span_table=span_table,
             events=tuple(self._events),
             series=tuple(series),
             histograms=(histogram,),

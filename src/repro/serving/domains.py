@@ -53,6 +53,7 @@ from repro.serving.faults import (
     FaultSchedule,
     RecoveryPlan,
     Straggler,
+    _require_finite,
 )
 from repro.serving.fleet import PoolSpec
 
@@ -250,8 +251,7 @@ class ZoneOutage:
 
     def __post_init__(self) -> None:
         _validate_window(self)
-        if not 0.0 <= self.stagger_s < self.duration_s:
-            raise ValueError("need 0 <= stagger_s < duration_s")
+        _validate_stagger(self)
 
 
 @dataclass(frozen=True)
@@ -265,8 +265,7 @@ class RackOutage:
 
     def __post_init__(self) -> None:
         _validate_window(self)
-        if not 0.0 <= self.stagger_s < self.duration_s:
-            raise ValueError("need 0 <= stagger_s < duration_s")
+        _validate_stagger(self)
 
 
 @dataclass(frozen=True)
@@ -331,10 +330,14 @@ class DegradedLink:
     def __post_init__(self) -> None:
         _validate_window(self)
         _validate_scope(self.scope)
-        if not 0.0 < self.bandwidth_factor < 1.0:
-            raise ValueError("bandwidth_factor must be in (0, 1)")
-        if not 0.0 <= self.comm_fraction <= 1.0:
-            raise ValueError("comm_fraction must be in [0, 1]")
+        _require_finite(
+            "bandwidth_factor", self.bandwidth_factor,
+            0.0 < self.bandwidth_factor < 1.0, "in (0, 1)",
+        )
+        _require_finite(
+            "comm_fraction", self.comm_fraction,
+            0.0 <= self.comm_fraction <= 1.0, "in [0, 1]",
+        )
 
 
 CampaignEvent = Union[
@@ -355,8 +358,17 @@ EVENT_SCOPES = ("zone", "rack")
 
 
 def _validate_window(event) -> None:
-    if event.at_s < 0 or event.duration_s <= 0:
-        raise ValueError("invalid event window")
+    _require_finite("at_s", event.at_s, event.at_s >= 0, "non-negative")
+    _require_finite(
+        "duration_s", event.duration_s, event.duration_s > 0, "positive"
+    )
+
+
+def _validate_stagger(event) -> None:
+    _require_finite(
+        "stagger_s", event.stagger_s,
+        0.0 <= event.stagger_s < event.duration_s, "in [0, duration_s)",
+    )
 
 
 def _validate_scope(scope: str) -> None:
@@ -427,10 +439,12 @@ class OrchestrationConfig:
     demote_on_recovery: bool = True
 
     def __post_init__(self) -> None:
-        if self.detection_delay_s < 0:
-            raise ValueError("detection delay must be non-negative")
-        if self.readmission_stagger_s < 0 or self.promote_stagger_s < 0:
-            raise ValueError("staggers must be non-negative")
+        for name in (
+            "detection_delay_s", "readmission_stagger_s",
+            "promote_stagger_s",
+        ):
+            value = getattr(self, name)
+            _require_finite(name, value, value >= 0, "non-negative")
         if self.max_promotions is not None and self.max_promotions < 0:
             raise ValueError("max_promotions must be non-negative")
 

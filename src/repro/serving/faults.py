@@ -46,8 +46,8 @@ def _require_finite(
     the caller.
 
     ``nan < 0`` is False, so a bare bound lets NaN through: every float
-    field of the fault, resilience, autoscaler and traffic configs
-    checks here.
+    field of the fault, resilience, autoscaler, traffic, failure-domain,
+    orchestration, telemetry and alert configs checks here.
     """
     if not (math.isfinite(value) and ok):
         bound = f" and {rule}" if rule else ""

@@ -1,5 +1,7 @@
 """Multi-window burn-rate alert semantics on synthetic spans."""
 
+import math
+
 import pytest
 
 from repro.obs import (
@@ -26,7 +28,10 @@ def _complete(rid, ts, model="sd", latency=0.5):
         request_id=rid, model=model,
         events=(
             SpanEvent(ts - latency, "submit", {}),
-            SpanEvent(ts, "complete", {}),
+            SpanEvent(ts, "complete", {
+                "pool": "p", "server": 0, "attempts": 1, "rung": 0,
+                "hedged": 0, "hedge_win": 0,
+            }),
         ),
     )
 
@@ -36,16 +41,18 @@ def _fail(rid, ts, model="sd"):
         request_id=rid, model=model,
         events=(
             SpanEvent(ts - 1.0, "submit", {}),
-            SpanEvent(ts, "fail", {}),
+            SpanEvent(ts, "fail", {
+                "pool": "p", "reason": "crash", "attempts": 1,
+            }),
         ),
     )
 
 
 def _log(spans, makespan=600.0):
-    return TelemetryLog(
-        pools=("p",), server_pools=(0,),
+    return TelemetryLog.from_spans(
+        spans, pools=("p",), server_pools=(0,),
         sample_interval_s=10.0, makespan_s=makespan,
-        spans=tuple(spans), events=(), series=(), histograms=(),
+        events=(), series=(), histograms=(),
     )
 
 
@@ -63,6 +70,16 @@ class TestRuleValidation:
     def test_threshold_positive(self):
         with pytest.raises(ValueError, match="threshold"):
             BurnRateRule(name="x", threshold=0.0)
+
+    @pytest.mark.parametrize("field", [
+        "objective", "long_window_s", "short_window_s", "threshold",
+    ])
+    def test_fields_must_be_finite(self, field):
+        for value in (math.nan, math.inf):
+            with pytest.raises(
+                ValueError, match=f"{field} must be finite"
+            ):
+                BurnRateRule(name="x", **{field: value})
 
     def test_default_rules_are_the_sre_pair(self):
         assert [rule.severity for rule in DEFAULT_RULES] == [
@@ -130,6 +147,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="step_s"):
             evaluate_alerts(
                 _log([]), DEADLINES, (RULE,), step_s=0.0
+            )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_step_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="step_s must be finite"):
+            evaluate_alerts(
+                _log([]), DEADLINES, (RULE,), step_s=value
             )
 
     def test_empty_windows_burn_nothing(self):

@@ -1,5 +1,7 @@
 """Collector lifecycle, configuration guards and derived views."""
 
+import math
+
 import pytest
 
 from repro.obs import Telemetry
@@ -13,6 +15,22 @@ class TestConstruction:
     def test_edges_must_be_ascending(self):
         with pytest.raises(ValueError, match="ascending"):
             Telemetry(histogram_edges_s=(2.0, 1.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_interval_must_be_finite(self, value):
+        with pytest.raises(
+            ValueError, match="sample_interval_s must be finite"
+        ):
+            Telemetry(sample_interval_s=value)
+
+    @pytest.mark.parametrize("edges, index", [
+        ((1.0, math.nan, 2.0), 1), ((math.inf,), 0), ((0.5, -math.inf), 1),
+    ])
+    def test_edges_must_be_finite(self, edges, index):
+        with pytest.raises(
+            ValueError, match=rf"histogram_edges_s\[{index}\] must be finite"
+        ):
+            Telemetry(histogram_edges_s=edges)
 
     def test_collector_is_single_use(self, instrumented_runner):
         telemetry = Telemetry()

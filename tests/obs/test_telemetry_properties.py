@@ -1,17 +1,24 @@
 """Telemetry must observe without perturbing (property contract).
 
-The collector's two load-bearing promises, searched with Hypothesis
-over random small fleets with every mechanism toggled: (1) attaching a
+The collector's load-bearing promises, searched with Hypothesis over
+random small fleets with every mechanism toggled: (1) attaching a
 :class:`~repro.obs.Telemetry` changes *nothing* — the report equals the
-telemetry-free run's — and (2) every emitted span passes the
-state-machine validator.  The exact telemetry bytes are pinned by the
-recorded corpus (``tests/serving/test_fleet_corpus.py``).
+telemetry-free run's — (2) every emitted span passes the
+state-machine validator, and (3) the span table's writer and span
+builder equal the canonical-encoder reference
+(``tests/obs/span_reference.py``).  The exact telemetry bytes are
+pinned by the recorded corpus (``tests/serving/test_fleet_corpus.py``).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Telemetry, validate_span
+from repro.obs import (
+    Telemetry,
+    dumps_telemetry,
+    loads_telemetry,
+    validate_span,
+)
 from repro.serving.faults import (
     FAULT_FREE,
     NO_RETRIES,
@@ -33,6 +40,7 @@ from repro.serving.resilience import (
     ResilienceConfig,
 )
 from repro.serving.workload import WorkloadMix, generate_requests
+from tests.obs.span_reference import reference_dumps, reference_spans
 
 MODELS = ("sd", "muse")
 SERVICE_S = {"sd": 2.0, "muse": 0.5}
@@ -162,3 +170,21 @@ def test_telemetry_is_inert(scenario):
     assert observed == blind
     for span in telemetry.log().spans:
         assert validate_span(span) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=telemetry_scenarios())
+def test_span_table_matches_reference(scenario):
+    requests, pools, retry, faults, autoscaler, resilience = scenario
+    telemetry = Telemetry(sample_interval_s=7.0)
+    simulate_fleet(
+        requests, pools, retry=retry, faults=faults,
+        autoscaler=autoscaler, resilience=resilience,
+        telemetry=telemetry,
+    )
+    log = telemetry.log()
+    spans = reference_spans(log)
+    text = dumps_telemetry(log)
+    assert text == reference_dumps(log, spans)
+    assert log.spans == spans
+    assert loads_telemetry(text) == log

@@ -1,5 +1,7 @@
 """Failure-domain topology and campaign-compiler tests."""
 
+import math
+
 import pytest
 
 from repro.serving.domains import (
@@ -132,6 +134,64 @@ class TestEventValidation:
                 scope="zone", index=0, at_s=0.0, duration_s=1.0,
                 bandwidth_factor=0.5, comm_fraction=1.5,
             )
+
+
+NAN, INF = math.nan, math.inf
+WINDOW = {"at_s": 10.0, "duration_s": 60.0}
+
+
+def _rejects(cls, base, field, values):
+    for value in values:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            cls(**{**base, field: value})
+
+
+class TestFieldsMustBeFinite:
+    """NaN, inf and out-of-bound floats fail naming the field."""
+
+    @pytest.mark.parametrize("field, values", [
+        ("at_s", (NAN, INF, -1.0)),
+        ("duration_s", (NAN, INF, 0.0)),
+        ("stagger_s", (NAN, INF, -1.0, 60.0)),
+    ])
+    def test_zone_outage(self, field, values):
+        _rejects(ZoneOutage, {"zone": 0, **WINDOW}, field, values)
+
+    @pytest.mark.parametrize("field, values", [
+        ("at_s", (NAN, INF, -1.0)),
+        ("duration_s", (NAN, INF, 0.0)),
+        ("stagger_s", (NAN, INF, -1.0, 60.0)),
+    ])
+    def test_rack_outage(self, field, values):
+        _rejects(RackOutage, {"rack": 0, **WINDOW}, field, values)
+
+    @pytest.mark.parametrize("field, values", [
+        ("at_s", (NAN, INF, -1.0)),
+        ("duration_s", (NAN, INF, 0.0)),
+    ])
+    def test_network_partition(self, field, values):
+        _rejects(
+            NetworkPartition, {"scope": "zone", "index": 0, **WINDOW},
+            field, values,
+        )
+
+    @pytest.mark.parametrize("field, values", [
+        ("at_s", (NAN, INF, -1.0)),
+        ("duration_s", (NAN, INF, 0.0)),
+        ("bandwidth_factor", (NAN, INF, 0.0, 1.0)),
+        ("comm_fraction", (NAN, INF, -0.1, 1.5)),
+    ])
+    def test_degraded_link(self, field, values):
+        _rejects(DegradedLink, {
+            "scope": "rack", "index": 0, **WINDOW,
+            "bandwidth_factor": 0.25, "comm_fraction": 0.3,
+        }, field, values)
+
+    @pytest.mark.parametrize("field", [
+        "detection_delay_s", "readmission_stagger_s", "promote_stagger_s",
+    ])
+    def test_orchestration(self, field):
+        _rejects(OrchestrationConfig, {}, field, (NAN, INF, -1.0))
 
 
 class TestCollectiveSlowdown:

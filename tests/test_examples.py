@@ -65,6 +65,18 @@ class TestExamples:
         out = capsys.readouterr().out
         assert len(out.splitlines()) > 5
 
+    def test_observability_save_reproduces_committed_telemetry(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "telemetry.jsonl"
+        monkeypatch.setattr(
+            sys, "argv", ["observability_study.py", "--save", str(path)]
+        )
+        _load("observability_study.py").main()
+        capsys.readouterr()
+        committed = EXAMPLES_DIR / "traces" / "telemetry_small.jsonl"
+        assert path.read_bytes() == committed.read_bytes()
+
     def test_quickstart_accepts_model_argument(self, capsys, monkeypatch):
         module = _load("quickstart.py")
         monkeypatch.setattr(sys, "argv", ["quickstart.py", "muse"])
