@@ -117,6 +117,12 @@ class ParallelConfig:
         return "-".join(parts)
 
 
+def _require_count(name: str, value: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an int >= 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 def _check_costing(
     global_batch: int, backward_ratio: float, memory_margin: float
 ) -> None:
@@ -125,10 +131,7 @@ def _check_costing(
     ``nan < 0`` is False, so every float bound is paired with
     ``math.isfinite``; each error names its field.
     """
-    if not isinstance(global_batch, int) or global_batch < 1:
-        raise ValueError(
-            f"global_batch must be an int >= 1, got {global_batch!r}"
-        )
+    _require_count("global_batch", global_batch)
     if not (math.isfinite(backward_ratio) and backward_ratio >= 0):
         raise ValueError(
             f"backward_ratio must be finite and >= 0, got {backward_ratio!r}"
@@ -164,10 +167,8 @@ def enumerate_configs(
     sequence-parallel off, and microbatch counts never exceed the
     replica's batch share.
     """
-    if gpu_budget < 1:
-        raise ValueError("gpu_budget must be >= 1")
-    if global_batch < 1:
-        raise ValueError("global_batch must be >= 1")
+    _require_count("gpu_budget", gpu_budget)
+    _require_count("global_batch", global_batch)
     configs: list[ParallelConfig] = []
     for tp in _powers_of_two(gpu_budget):
         for pp in _powers_of_two(gpu_budget // tp):
@@ -882,17 +883,17 @@ def plan_parallelism(
     same floats, same ordering — there is no randomness to seed.
     """
     _check_costing(global_batch, backward_ratio, memory_margin)
-    if basis is None:
-        basis = PlannerBasis(
-            model, machine,
-            attention_impl=attention_impl, tuning=tuning, kv_bytes=kv_bytes,
-        )
     configs = enumerate_configs(
         gpu_budget=gpu_budget,
         global_batch=global_batch,
         microbatches=microbatches,
         sequence_parallel=sequence_parallel,
     )
+    if basis is None:
+        basis = PlannerBasis(
+            model, machine,
+            attention_impl=attention_impl, tuning=tuning, kv_bytes=kv_bytes,
+        )
     points: list[PlanPoint] = []
     for config in configs:
         points.append(

@@ -49,10 +49,7 @@ from repro.obs.export import (
     save_telemetry,
 )
 from repro.obs.metrics import HistogramSeries, MetricSeries
-from repro.obs.perfetto import (
-    save_chrome_telemetry,
-    telemetry_to_chrome_trace,
-)
+from repro.obs.perfetto import telemetry_to_chrome_trace
 from repro.obs.spans import (
     SPAN_STATES,
     TERMINAL_STATES,
@@ -81,7 +78,6 @@ __all__ = [
     "evaluate_alerts",
     "load_telemetry",
     "loads_telemetry",
-    "save_chrome_telemetry",
     "save_telemetry",
     "telemetry_to_chrome_trace",
     "validate_span",

@@ -30,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.obs.telemetry import TelemetryLog
+from repro.obs.telemetry import MAX_GRID_STEPS, TelemetryLog
 from repro.serving.faults import _require_finite
 from repro.serving.slo import deadline_for
 
@@ -184,11 +184,18 @@ def evaluate_alerts(
     interval) from 0 through the makespan; a rule fires at a step
     when both its windows exceed its threshold, and consecutive
     firing steps merge into one interval per rule.  Firings are
-    returned ordered by rule declaration, then start time.
+    returned ordered by rule declaration, then start time.  More than
+    :data:`~repro.obs.telemetry.MAX_GRID_STEPS` steps raise.
     """
     if step_s is None:
         step_s = log.sample_interval_s
     _require_finite("step_s", step_s, step_s > 0, "positive")
+    if log.makespan_s > MAX_GRID_STEPS * step_s:
+        raise ValueError(
+            f"step_s={step_s!r} over a {log.makespan_s!r} s makespan needs "
+            f"{log.makespan_s / step_s:.3g} steps; at most "
+            f"{MAX_GRID_STEPS:,} are allowed"
+        )
     series = _BurnSeries(_terminals(log, deadlines))
     steps: list[float] = []
     k = 0

@@ -20,9 +20,10 @@ from __future__ import annotations
 import argparse
 from collections import Counter
 
+from repro.chrome_trace import write_chrome_trace
 from repro.obs.alerts import BurnRateRule, evaluate_alerts
 from repro.obs.export import load_telemetry
-from repro.obs.perfetto import save_chrome_telemetry
+from repro.obs.perfetto import telemetry_to_chrome_trace
 from repro.obs.telemetry import FLEET_COUNTERS, TelemetryLog
 from repro.serving.slo import deadline_for
 
@@ -77,15 +78,21 @@ def _summary(log: TelemetryLog) -> str:
 
 
 def _spans(log: TelemetryLog, args: argparse.Namespace) -> str:
-    spans = log.spans
+    table = log.span_table
+    rids = table.request_ids
     if args.request is not None:
-        spans = (log.span(args.request),)
+        rids = (log.span(args.request).request_id,)
     if args.state is not None:
-        spans = tuple(
-            span for span in spans if span.state == args.state
+        settled = {
+            table.request_ids[index]: state
+            for index, _, _, state, _ in table.terminals()
+        }
+        rids = tuple(
+            rid for rid in rids
+            if settled.get(rid, "open") == args.state
         )
     lines: list[str] = []
-    for span in spans[: args.limit]:
+    for span in map(table.span, rids[: args.limit]):
         lines.append(
             f"request {span.request_id} ({span.model}) -> "
             f"{span.state}"
@@ -98,8 +105,8 @@ def _spans(log: TelemetryLog, args: argparse.Namespace) -> str:
             lines.append(
                 f"  {event.ts_s:10.3f}  {event.state:<9} {attrs}"
             )
-    shown = min(len(spans), args.limit)
-    lines.append(f"({shown} of {len(spans)} spans shown)")
+    shown = min(len(rids), args.limit)
+    lines.append(f"({shown} of {len(rids)} spans shown)")
     return "\n".join(lines)
 
 
@@ -209,6 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "alerts":
         print(_alerts(log, args))
     elif args.command == "perfetto":
-        path = save_chrome_telemetry(log, args.output)
+        path = write_chrome_trace(
+            telemetry_to_chrome_trace(log), args.output
+        )
         print(f"wrote {path}")
     return 0

@@ -1,7 +1,8 @@
 """Render a fleet telemetry log as a Perfetto/Chrome trace.
 
 Extends the single-GPU op-trace export
-(:mod:`repro.profiler.trace_export`) to fleet scale: each **pool**
+(:mod:`repro.profiler.trace_export`) to fleet scale, through the same
+writer (:mod:`repro.chrome_trace`): each **pool**
 becomes a process, each **server** a thread lane inside it, each
 dispatched request copy a complete (``"X"``) slice from its dispatch
 to the event that ended the attempt (completion, crash retry, or
@@ -17,23 +18,19 @@ Timestamps are microseconds of simulated time.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any
-
+from repro.chrome_trace import (
+    chrome_trace,
+    complete,
+    counter,
+    instant,
+    process_name,
+    thread_name,
+)
 from repro.obs.telemetry import TelemetryLog
 
-_SLICE_END_STATES = ("complete", "retry", "fail", "cancel")
+_SLICE_END_STATES = frozenset(("complete", "retry", "fail", "cancel"))
 
 _COUNTER_GAUGES = ("queue_depth", "busy_servers", "breaker_open")
-
-
-def _instant_scope(event_kind: str) -> str:
-    """Instant-event scope: thread for server events, else process."""
-    return (
-        "t" if event_kind.startswith(("breaker", "server"))
-        else "p"
-    )
 
 
 def telemetry_to_chrome_trace(log: TelemetryLog) -> dict:
@@ -44,88 +41,49 @@ def telemetry_to_chrome_trace(log: TelemetryLog) -> dict:
     Request slices carry the request id, batch size, rung, attempt
     flavor and hedge flag in ``args``; an attempt with no recorded
     end (a copy still in flight at makespan) closes at the makespan.
+    Slices are read from the span table's rows; no span is built.
     """
-    events: list[dict[str, Any]] = []
     pool_index = {name: idx for idx, name in enumerate(log.pools)}
-    for idx, name in enumerate(log.pools):
-        events.append({
-            "name": "process_name", "ph": "M", "pid": idx,
-            "args": {"name": f"pool {name}"},
-        })
-    for sid, pidx in enumerate(log.server_pools):
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": pidx,
-            "tid": sid, "args": {"name": f"server {sid}"},
-        })
-    for span in log.spans:
-        span_events = span.events
-        for index, event in enumerate(span_events):
-            if event.state != "dispatch":
+    events = [
+        process_name(idx, f"pool {name}")
+        for idx, name in enumerate(log.pools)
+    ]
+    events += [
+        thread_name(pidx, sid, f"server {sid}")
+        for sid, pidx in enumerate(log.server_pools)
+    ]
+    table = log.span_table
+    for rid, model, rows in zip(table.request_ids, table.models, table.rows):
+        for index, row in enumerate(rows):
+            if row[0] != "dispatch":
                 continue
-            end = log.makespan_s
-            end_state = "open"
-            for later in span_events[index + 1:]:
-                if later.state in _SLICE_END_STATES:
-                    end = later.ts_s
-                    end_state = later.state
+            _, ts, pool, server, batch, rung, hedge = row
+            end, outcome = log.makespan_s, "open"
+            for later in rows[index + 1:]:
+                if later[0] in _SLICE_END_STATES:
+                    end, outcome = later[1], later[0]
                     break
-            attrs = event.attrs
-            events.append({
-                "name": span.model,
-                "cat": "request",
-                "ph": "X",
-                "pid": pool_index[attrs["pool"]],
-                "tid": int(attrs["server"]),
-                "ts": event.ts_s * 1e6,
-                "dur": (end - event.ts_s) * 1e6,
-                "args": {
-                    "request": span.request_id,
-                    "batch": int(attrs["batch"]),
-                    "rung": int(attrs["rung"]),
-                    "hedge": int(attrs["hedge"]),
-                    "outcome": end_state,
-                },
-            })
-    for fleet_event in log.events:
-        scope = _instant_scope(fleet_event.kind)
-        attrs = fleet_event.attrs
-        pidx = pool_index.get(attrs.get("pool", ""), 0)
-        events.append({
-            "name": fleet_event.kind,
-            "cat": "fleet",
-            "ph": "i",
-            "s": scope,
-            "pid": pidx,
-            "tid": int(attrs.get("server", 0)),
-            "ts": fleet_event.ts_s * 1e6,
-            "args": {
-                key: value for key, value in attrs.items()
-            },
-        })
+            events.append(complete(
+                model, "request", pool_index[pool], server, ts, end - ts,
+                {"request": rid, "batch": batch, "rung": rung,
+                 "hedge": hedge, "outcome": outcome},
+            ))
+    for event in log.events:
+        # Server events sit on their thread lane, the rest on the pool.
+        scope = "t" if event.kind.startswith(("breaker", "server")) else "p"
+        attrs = event.attrs
+        events.append(instant(
+            event.kind, "fleet", scope,
+            pool_index.get(attrs.get("pool", ""), 0),
+            int(attrs.get("server", 0)), event.ts_s, dict(attrs),
+        ))
     for series in log.series:
         if series.kind != "gauge":
             continue
         _, pool, gauge = series.name.split(".", 2)
-        if gauge not in _COUNTER_GAUGES:
-            continue
-        pidx = pool_index[pool]
-        for ts, value in zip(series.times, series.values):
-            events.append({
-                "name": gauge,
-                "cat": "metrics",
-                "ph": "C",
-                "pid": pidx,
-                "tid": 0,
-                "ts": ts * 1e6,
-                "args": {"value": value},
-            })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def save_chrome_telemetry(
-    log: TelemetryLog, path: str | Path
-) -> Path:
-    """Write the Chrome-trace JSON for a telemetry log to disk."""
-    path = Path(path)
-    path.write_text(json.dumps(telemetry_to_chrome_trace(log)))
-    return path
+        if gauge in _COUNTER_GAUGES:
+            events += [
+                counter(gauge, "metrics", pool_index[pool], ts, value)
+                for ts, value in zip(series.times, series.values)
+            ]
+    return chrome_trace(events)

@@ -79,6 +79,9 @@ are failure-domain transitions emitted from
 LATENCY_HISTOGRAM = "fleet.latency_s"
 """Name of the windowed completion-latency histogram."""
 
+MAX_GRID_STEPS = 1_000_000
+"""Most metric samples per run, and most steps ``evaluate_alerts`` walks."""
+
 
 @dataclass(frozen=True)
 class FleetEvent:
@@ -282,9 +285,16 @@ class Telemetry:
         Engines call this before handling each event; simulation
         state is piecewise-constant between events, so the sample at
         boundary ``t < now`` reflects the state after every event at
-        or before ``t``.
+        or before ``t``.  Raises a ``ValueError`` rather than take
+        more than :data:`MAX_GRID_STEPS` samples.
         """
         while self._next_t < now:
+            if now > MAX_GRID_STEPS * self.sample_interval_s:
+                raise ValueError(
+                    f"sample_interval_s={self.sample_interval_s!r} needs "
+                    f"{now / self.sample_interval_s:.3g} samples to reach "
+                    f"t={now!r} s; at most {MAX_GRID_STEPS:,} are allowed"
+                )
             self._emit(self._next_t)
 
     def finish(self, makespan_s: float) -> None:
@@ -297,8 +307,7 @@ class Telemetry:
         final sample taken exactly at the makespan, so a sealed log
         never samples beyond its own end.
         """
-        while self._next_t < makespan_s:
-            self._emit(self._next_t)
+        self.advance(makespan_s)
         folded = [0] * len(self._window)
         while (
             self._sample_times

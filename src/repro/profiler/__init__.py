@@ -51,8 +51,6 @@ from repro.profiler.trace_export import (
     distributed_to_chrome_trace,
     load_chrome_trace,
     parse_chrome_trace,
-    save_chrome_trace,
-    save_distributed_chrome_trace,
     to_chrome_trace,
 )
 
@@ -97,8 +95,6 @@ __all__ = [
     "profile_both",
     "profile_model",
     "profile_sharded",
-    "save_chrome_trace",
-    "save_distributed_chrome_trace",
     "sequence_length_distribution",
     "sequence_length_profile",
     "speedup_report",

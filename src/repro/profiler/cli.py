@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.chrome_trace import write_chrome_trace
 from repro.hw.spec import PRESETS
 from repro.ir.context import AttentionImpl
 from repro.models.registry import build_model, suite_names
@@ -20,7 +21,7 @@ from repro.profiler.memory_footprint import (
 )
 from repro.profiler.profiler import profile_both, profile_model
 from repro.profiler.summary import render_summary
-from repro.profiler.trace_export import save_chrome_trace
+from repro.profiler.trace_export import to_chrome_trace
 from repro.reporting.table import format_bytes, render_table
 
 
@@ -102,7 +103,9 @@ def main(argv: list[str] | None = None) -> int:
         f"{footprint.utilization(gpu)*100:.1f}% of {gpu.name}"
     )
     if args.save_trace:
-        path = save_chrome_trace(result.trace, args.save_trace)
+        path = write_chrome_trace(
+            to_chrome_trace(result.trace), args.save_trace
+        )
         print(f"trace written to {path}")
     return 0
 

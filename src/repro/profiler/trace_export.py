@@ -2,8 +2,9 @@
 
 The paper's methodology records PyTorch Profiler timelines and parses
 them with custom scripts; this module round-trips our traces through the
-same ``chrome://tracing`` JSON event format so they can be inspected in
-Perfetto or post-processed externally.
+same ``chrome://tracing`` JSON event format (written by
+:mod:`repro.chrome_trace`) so they can be inspected in Perfetto or
+post-processed externally.
 
 Lane layout: single-GPU op traces get one named thread lane per
 operator category (attention, linear, conv, ...), so category
@@ -16,12 +17,20 @@ per-rank slices together so comm dependencies render as arrows.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
+from repro.chrome_trace import (
+    chrome_trace,
+    complete,
+    flow,
+    process_name,
+    thread_name,
+)
 from repro.distributed.timeline import DistributedTrace
 from repro.ir.ops import OpCategory
-from repro.ir.trace import Trace, TraceEvent
+from repro.ir.trace import Trace
 
 CATEGORY_LANES: dict[OpCategory, int] = {
     category: lane for lane, category in enumerate(OpCategory)
@@ -29,53 +38,34 @@ CATEGORY_LANES: dict[OpCategory, int] = {
 """Thread-lane id per operator category (enum declaration order)."""
 
 
-def to_chrome_trace(trace: Trace, *, process_name: str = "gpu") -> dict:
+def to_chrome_trace(trace: Trace) -> dict:
     """Serialize a trace as Chrome-trace JSON (complete 'X' events).
 
     Each operator category gets its own named thread lane (see
     :data:`CATEGORY_LANES`); lanes are declared only for categories the
     trace actually contains.
     """
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {"name": process_name},
-        }
-    ]
     present = {event.category for event in trace}
-    for category, lane in CATEGORY_LANES.items():
-        if category not in present:
-            continue
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": lane,
-                "args": {"name": category.value},
-            }
+    events = [process_name(0, "gpu")]
+    events += [
+        thread_name(0, lane, category.value)
+        for category, lane in CATEGORY_LANES.items()
+        if category in present
+    ]
+    events += [
+        complete(
+            event.op.name, event.category.value, 0,
+            CATEGORY_LANES[event.category], event.start_s,
+            event.cost.time_s, {
+                "module": event.module_path,
+                "flops": event.cost.flops,
+                "bytes": event.cost.moved_bytes,
+                "limiter": event.cost.limiter,
+            },
         )
-    for event in trace:
-        events.append(
-            {
-                "name": event.op.name,
-                "cat": event.category.value,
-                "ph": "X",
-                "pid": 0,
-                "tid": CATEGORY_LANES[event.category],
-                "ts": event.start_s * 1e6,
-                "dur": event.cost.time_s * 1e6,
-                "args": {
-                    "module": event.module_path,
-                    "flops": event.cost.flops,
-                    "bytes": event.cost.moved_bytes,
-                    "limiter": event.cost.limiter,
-                },
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+        for event in trace
+    ]
+    return chrome_trace(events)
 
 
 def distributed_to_chrome_trace(trace: DistributedTrace) -> dict:
@@ -90,95 +80,39 @@ def distributed_to_chrome_trace(trace: DistributedTrace) -> dict:
     a collective starts its flow; every other rank ends it.  Requires
     timelines built with ``keep_entries=True``.
     """
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "args": {
-                "name": (
-                    f"{trace.strategy} x{trace.world} on "
-                    f"{trace.machine.name}"
-                ),
-            },
-        }
+    events = [process_name(
+        0, f"{trace.strategy} x{trace.world} on {trace.machine.name}"
+    )]
+    events += [
+        thread_name(0, timeline.rank, f"rank {timeline.rank}")
+        for timeline in trace.timelines
     ]
-    for timeline in trace.timelines:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": timeline.rank,
-                "args": {"name": f"rank {timeline.rank}"},
-            }
-        )
-    # Pre-pass: count how many ranks carry each (label, occurrence) so
-    # flows are only emitted for collectives spanning >= 2 ranks.
-    rank_counts: dict[tuple[str, int], int] = {}
-    for timeline in trace.timelines:
-        comm_seen: dict[str, int] = {}
-        for entry in timeline.entries:
-            if entry.kind != "comm":
-                continue
-            occurrence = comm_seen.get(entry.label, 0)
-            comm_seen[entry.label] = occurrence + 1
-            key = (entry.label, occurrence)
-            rank_counts[key] = rank_counts.get(key, 0) + 1
+    comm_counts = [
+        Counter(e.label for e in timeline.entries if e.kind == "comm")
+        for timeline in trace.timelines
+    ]
     flow_ids: dict[tuple[str, int], int] = {}
     for timeline in trace.timelines:
-        comm_seen = {}
+        rank = timeline.rank
+        seen: Counter[str] = Counter()
         for entry in timeline.entries:
-            events.append(
-                {
-                    "name": entry.label,
-                    "cat": entry.kind,
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": timeline.rank,
-                    "ts": entry.start_s * 1e6,
-                    "dur": entry.duration_s * 1e6,
-                    "args": {"rank": timeline.rank},
-                }
-            )
+            events.append(complete(
+                entry.label, entry.kind, 0, rank, entry.start_s,
+                entry.duration_s, {"rank": rank},
+            ))
             if entry.kind != "comm":
                 continue
-            occurrence = comm_seen.get(entry.label, 0)
-            comm_seen[entry.label] = occurrence + 1
-            key = (entry.label, occurrence)
-            if rank_counts[key] < 2:
-                continue
-            started = key in flow_ids
-            flow_id = flow_ids.setdefault(key, len(flow_ids) + 1)
-            events.append(
-                {
-                    "name": entry.label,
-                    "cat": "comm-flow",
-                    "ph": "f" if started else "s",
-                    "bp": "e",
-                    "id": flow_id,
-                    "pid": 0,
-                    "tid": timeline.rank,
-                    "ts": entry.start_s * 1e6,
-                }
-            )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def save_chrome_trace(trace: Trace, path: str | Path) -> Path:
-    """Write a trace to disk; returns the path written."""
-    path = Path(path)
-    path.write_text(json.dumps(to_chrome_trace(trace)))
-    return path
-
-
-def save_distributed_chrome_trace(
-    trace: DistributedTrace, path: str | Path
-) -> Path:
-    """Write a distributed trace to disk; returns the path written."""
-    path = Path(path)
-    path.write_text(json.dumps(distributed_to_chrome_trace(trace)))
-    return path
+            seen[entry.label] += 1
+            key = (entry.label, seen[entry.label])
+            # Every rank with >= k comms of a label carries its k-th one.
+            if sum(count[key[0]] >= key[1] for count in comm_counts) > 1:
+                start = key not in flow_ids
+                flow_id = flow_ids.setdefault(key, len(flow_ids) + 1)
+                events.append(flow(
+                    entry.label, "comm-flow", flow_id, 0, rank,
+                    entry.start_s, start,
+                ))
+    return chrome_trace(events)
 
 
 def parse_chrome_trace(payload: dict) -> list[dict[str, Any]]:
@@ -188,22 +122,19 @@ def parse_chrome_trace(payload: dict) -> list[dict[str, Any]]:
     each GPU kernel to its module annotation and category so operator
     breakdowns can be computed from the serialized timeline alone.
     """
-    records = []
-    for event in payload.get("traceEvents", []):
-        if event.get("ph") != "X":
-            continue
-        records.append(
-            {
-                "name": event["name"],
-                "category": event["cat"],
-                "module": event["args"]["module"],
-                "start_us": event["ts"],
-                "duration_us": event["dur"],
-                "flops": event["args"]["flops"],
-                "bytes": event["args"]["bytes"],
-            }
-        )
-    return records
+    return [
+        {
+            "name": event["name"],
+            "category": event["cat"],
+            "module": event["args"]["module"],
+            "start_us": event["ts"],
+            "duration_us": event["dur"],
+            "flops": event["args"]["flops"],
+            "bytes": event["args"]["bytes"],
+        }
+        for event in payload.get("traceEvents", [])
+        if event.get("ph") == "X"
+    ]
 
 
 def category_times_from_records(
@@ -220,17 +151,5 @@ def category_times_from_records(
 
 
 def load_chrome_trace(path: str | Path) -> list[dict[str, Any]]:
-    """Read a trace file written by :func:`save_chrome_trace`."""
+    """Read an op-view file written by ``write_chrome_trace``."""
     return parse_chrome_trace(json.loads(Path(path).read_text()))
-
-
-__all__ = [
-    "CATEGORY_LANES",
-    "category_times_from_records",
-    "distributed_to_chrome_trace",
-    "load_chrome_trace",
-    "parse_chrome_trace",
-    "save_chrome_trace",
-    "save_distributed_chrome_trace",
-    "to_chrome_trace",
-]

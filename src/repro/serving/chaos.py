@@ -53,6 +53,7 @@ from repro.serving.domains import (
     compile_campaign,
     event_domain,
 )
+from repro.serving.faults import _require_finite
 from repro.serving.fleet import FleetReport
 from repro.serving.resilience import BrownoutConfig
 from repro.serving.workload import as_request_batch
@@ -139,18 +140,24 @@ class ChaosConfig:
     comm_fraction: float = 0.3
 
     def __post_init__(self) -> None:
-        rates = (
-            self.zone_outage_rate, self.rack_outage_rate,
-            self.partition_rate, self.degraded_rate,
+        for name in (
+            "zone_outage_rate", "rack_outage_rate", "partition_rate",
+            "degraded_rate", "stagger_s",
+        ):
+            value = getattr(self, name)
+            _require_finite(name, value, value >= 0, "non-negative")
+        _require_finite(
+            "mean_duration_s", self.mean_duration_s,
+            self.mean_duration_s > 0, "positive",
         )
-        if any(rate < 0 for rate in rates):
-            raise ValueError("rates must be non-negative")
-        if self.mean_duration_s <= 0 or self.stagger_s < 0:
-            raise ValueError("invalid duration/stagger")
-        if not 0.0 < self.bandwidth_factor < 1.0:
-            raise ValueError("bandwidth_factor must be in (0, 1)")
-        if not 0.0 <= self.comm_fraction <= 1.0:
-            raise ValueError("comm_fraction must be in [0, 1]")
+        _require_finite(
+            "bandwidth_factor", self.bandwidth_factor,
+            0.0 < self.bandwidth_factor < 1.0, "in (0, 1)",
+        )
+        _require_finite(
+            "comm_fraction", self.comm_fraction,
+            0.0 <= self.comm_fraction <= 1.0, "in [0, 1]",
+        )
 
 
 def generate_campaign(
@@ -171,8 +178,7 @@ def generate_campaign(
     each event's end); across kinds overlap is possible and the
     compiler tolerates it.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    _require_finite("duration_s", duration_s, duration_s > 0, "positive")
     rng = random.Random(seed)
     events: list[CampaignEvent] = []
 

@@ -1015,8 +1015,7 @@ def generate_traffic(
     per-client burst/count/position draws in client-id order, then
     per-request model/combo/jitter columns in arrival order).
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    _require_finite("duration_s", duration_s, duration_s > 0, "positive")
     rng = np.random.default_rng(seed)
     n_clients = population.n_clients
     alpha = population.tail_alpha

@@ -44,7 +44,7 @@ a breaking change to recorded workloads and traces.
 
 Zero-rate inputs are valid and yield empty streams (an "empty
 scenario" — e.g. a blacked-out region — must be expressible without
-raising); negative rates are rejected.
+raising); negative and non-finite inputs fail naming the field.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from repro.serving.faults import _require_finite
 
 
 @dataclass(frozen=True)
@@ -208,13 +210,17 @@ class WorkloadMix:
             raise ValueError("mix must contain at least one model")
         if set(self.shares) != set(self.service_s):
             raise ValueError("shares and service times must share keys")
+        for name, share in self.shares.items():
+            _require_finite(
+                f"shares[{name!r}]", share, share >= 0, "non-negative"
+            )
+            service = self.service_s[name]
+            _require_finite(
+                f"service_s[{name!r}]", service, service > 0, "positive"
+            )
         total = sum(self.shares.values())
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ValueError(f"shares must sum to 1, got {total}")
-        if any(share < 0 for share in self.shares.values()):
-            raise ValueError("shares must be non-negative")
-        if any(value <= 0 for value in self.service_s.values()):
-            raise ValueError("service times must be positive")
 
     @property
     def mean_service_s(self) -> float:
@@ -255,8 +261,7 @@ def constant_rate(rate: float) -> RateFn:
 
     ``rate`` may be 0 (an empty stream) but not negative.
     """
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
+    _require_finite("rate", rate, rate >= 0, "non-negative")
     return lambda _t: rate
 
 
@@ -274,10 +279,12 @@ def diurnal_rate(
     amplitude ``a`` solved from that ratio, so the time-average rate
     stays ``mean_rate`` regardless of the swing.
     """
-    if mean_rate < 0 or period_s <= 0:
-        raise ValueError("mean rate must be non-negative, period positive")
-    if peak_to_trough < 1.0:
-        raise ValueError("peak_to_trough must be >= 1")
+    _require_finite("mean_rate", mean_rate, mean_rate >= 0, "non-negative")
+    _require_finite("period_s", period_s, period_s > 0, "positive")
+    _require_finite(
+        "peak_to_trough", peak_to_trough, peak_to_trough >= 1.0, ">= 1"
+    )
+    _require_finite("phase_s", phase_s)
     amplitude = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)
 
     def rate(t: float) -> float:
@@ -302,12 +309,19 @@ def bursty_rate(
     which the arrival rate jumps to ``burst_rate`` — the regime where
     queues actually build and autoscalers earn their keep.
     """
-    if base_rate < 0 or burst_rate < 0:
-        raise ValueError("rates must be non-negative")
-    if burst_rate < base_rate:
-        raise ValueError("burst rate must be >= base rate")
-    if any(start < 0 or duration <= 0 for start, duration in bursts):
-        raise ValueError("burst windows must be non-negative/positive")
+    _require_finite("base_rate", base_rate, base_rate >= 0, "non-negative")
+    _require_finite(
+        "burst_rate", burst_rate, burst_rate >= base_rate,
+        "at least base_rate",
+    )
+    for index, (start, duration) in enumerate(bursts):
+        _require_finite(
+            f"bursts[{index}] start_s", start, start >= 0, "non-negative"
+        )
+        _require_finite(
+            f"bursts[{index}] duration_s", duration, duration > 0,
+            "positive",
+        )
     windows = tuple(sorted(bursts))
 
     def rate(t: float) -> float:
@@ -317,6 +331,18 @@ def bursty_rate(
         return base_rate
 
     return rate
+
+
+def _check_stream(
+    rate_name: str, rate: float, duration_s: float, service_jitter: float
+) -> None:
+    """The request generators' argument checks, each naming its field."""
+    _require_finite(rate_name, rate, rate >= 0, "non-negative")
+    _require_finite("duration_s", duration_s, duration_s > 0, "positive")
+    _require_finite(
+        "service_jitter", service_jitter, 0.0 <= service_jitter < 1.0,
+        "in [0, 1)",
+    )
 
 
 def generate_requests_pattern(
@@ -339,12 +365,7 @@ def generate_requests_pattern(
     ``peak_rate`` may be 0 (an empty scenario yields an empty stream);
     negative rates are rejected.
     """
-    if peak_rate < 0 or duration_s <= 0:
-        raise ValueError(
-            "peak rate must be non-negative, duration positive"
-        )
-    if not 0.0 <= service_jitter < 1.0:
-        raise ValueError("service jitter must be in [0, 1)")
+    _check_stream("peak_rate", peak_rate, duration_s, service_jitter)
     if peak_rate == 0:
         return []
     rng = random.Random(seed)
@@ -358,11 +379,12 @@ def generate_requests_pattern(
         if clock >= duration_s:
             break
         instantaneous = rate_fn(clock)
-        if instantaneous > peak_rate * (1.0 + 1e-9):
+        # ``nan > bound`` is False: a NaN rate must fail here too.
+        if not instantaneous <= peak_rate * (1.0 + 1e-9):
             raise ValueError(
-                f"rate_fn({clock:.1f}) = {instantaneous:.3f} exceeds "
-                f"peak_rate = {peak_rate:.3f}; thinning needs an upper "
-                "bound"
+                f"rate_fn({clock:.1f}) = {instantaneous:.3f} is not at "
+                f"most peak_rate = {peak_rate:.3f}; thinning needs an "
+                "upper bound"
             )
         if rng.random() >= instantaneous / peak_rate:
             continue
@@ -401,12 +423,7 @@ def generate_requests_batch(
     ``arrival_rate`` may be 0 — the batch is empty but keeps the
     mix's model table; negative rates are rejected.
     """
-    if arrival_rate < 0 or duration_s <= 0:
-        raise ValueError(
-            "arrival rate must be non-negative, duration positive"
-        )
-    if not 0.0 <= service_jitter < 1.0:
-        raise ValueError("service jitter must be in [0, 1)")
+    _check_stream("arrival_rate", arrival_rate, duration_s, service_jitter)
     rng = np.random.default_rng(seed)
     names = tuple(mix.shares)
     if arrival_rate == 0:
@@ -468,12 +485,7 @@ def generate_requests(
     seeding contract: per request, the draws are inter-arrival, model
     choice, jitter.  A zero ``arrival_rate`` yields an empty stream.
     """
-    if arrival_rate < 0 or duration_s <= 0:
-        raise ValueError(
-            "arrival rate must be non-negative, duration positive"
-        )
-    if not 0.0 <= service_jitter < 1.0:
-        raise ValueError("service jitter must be in [0, 1)")
+    _check_stream("arrival_rate", arrival_rate, duration_s, service_jitter)
     if arrival_rate == 0:
         return []
     rng = random.Random(seed)

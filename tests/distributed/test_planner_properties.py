@@ -389,6 +389,16 @@ class TestInputValidation:
             with pytest.raises(ValueError, match="global_batch"):
                 _cost(costing, global_batch=bad)
 
+    @pytest.mark.parametrize("search", ["enumerate", "plan"])
+    def test_gpu_budget_must_be_a_positive_int(self, search):
+        # Fails before the planner builds its basis.
+        for bad in (0, -4, 2.5, math.nan):
+            with pytest.raises(ValueError, match="gpu_budget must be an int"):
+                if search == "enumerate":
+                    enumerate_configs(gpu_budget=bad)
+                else:
+                    plan_parallelism(MODEL, machine=MACHINE, gpu_budget=bad)
+
     @pytest.mark.parametrize("costing", ["cost_config", "plan", "bruteforce"])
     def test_backward_ratio_must_be_finite_and_non_negative(self, costing):
         for bad in (-0.5, math.nan, math.inf):

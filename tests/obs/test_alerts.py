@@ -159,6 +159,17 @@ class TestEvaluate:
     def test_empty_windows_burn_nothing(self):
         assert evaluate_alerts(_log([]), DEADLINES, (RULE,)) == ()
 
+    def test_step_count_is_bounded(self):
+        with pytest.raises(
+            ValueError, match=r"step_s=1e-09 over a 600.0 s makespan "
+            r"needs 6e\+11 steps; at most 1,000,000"
+        ):
+            evaluate_alerts(_log([]), DEADLINES, (RULE,), step_s=1e-9)
+        # A day at 0.1 s (864,000 steps) stays legal.
+        assert evaluate_alerts(
+            _log([], makespan=86400.0), DEADLINES, (), step_s=0.1
+        ) == ()
+
 
 class TestRenderAlerts:
     def test_no_firings(self):

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.obs import save_chrome_telemetry, telemetry_to_chrome_trace
+from repro.chrome_trace import write_chrome_trace
+from repro.obs import telemetry_to_chrome_trace
 
 
 def _events(log, ph):
@@ -84,8 +85,9 @@ class TestInstantsAndCounters:
 
 class TestSave:
     def test_file_is_valid_json(self, small_log, tmp_path):
-        path = save_chrome_telemetry(
-            small_log, tmp_path / "telemetry-trace.json"
+        path = write_chrome_trace(
+            telemetry_to_chrome_trace(small_log),
+            tmp_path / "telemetry-trace.json",
         )
         payload = json.loads(path.read_text())
         assert payload["displayTimeUnit"] == "ms"

@@ -16,6 +16,7 @@ from repro.obs import (
     dumps_telemetry,
     evaluate_alerts,
     loads_telemetry,
+    telemetry_to_chrome_trace,
 )
 from repro.obs.cli import main
 from repro.obs.spans import SPAN_SCHEMA
@@ -194,12 +195,20 @@ def test_readers_build_no_spans(
     text = dumps_telemetry(log)
     evaluate_alerts(log, DEADLINES)
     tail_overlap_fraction(log, 1.0)
+    telemetry_to_chrome_trace(log)
     assert loads_telemetry(text) == log
     path = tmp_path / "telemetry.jsonl"
     path.write_text(text)
     assert main(["summary", str(path)]) == 0
     assert "spans:" in capsys.readouterr().out
     assert not built
+
+    # The spans subcommand builds only the spans it prints.
+    assert main(["spans", str(path), "--state", "complete",
+                 "--limit", "3"]) == 0
+    assert "(3 of " in capsys.readouterr().out
+    assert built["RequestSpan"] == 3
+    built.clear()
 
     spans = log.spans
     assert built == Counter(

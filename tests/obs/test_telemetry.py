@@ -32,6 +32,19 @@ class TestConstruction:
         ):
             Telemetry(histogram_edges_s=edges)
 
+    def test_sample_count_is_bounded(self, instrumented_runner):
+        # The first event past the ceiling fails before any sampling.
+        with pytest.raises(
+            ValueError, match=r"sample_interval_s=1e-09 needs .* samples "
+            r"to reach t=.*; at most 1,000,000"
+        ):
+            instrumented_runner(Telemetry(sample_interval_s=1e-9))
+        telemetry = Telemetry(sample_interval_s=1.0)
+        telemetry.begin((), (), list)
+        telemetry.advance(10.0)
+        with pytest.raises(ValueError, match="sample_interval_s=1.0"):
+            telemetry.advance(1_000_000.5)
+
     def test_collector_is_single_use(self, instrumented_runner):
         telemetry = Telemetry()
         instrumented_runner(telemetry)

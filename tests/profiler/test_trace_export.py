@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.chrome_trace import write_chrome_trace
 from repro.distributed.partition import TensorParallel
 from repro.distributed.registry import machine_from_name
 from repro.distributed.timeline import build_timelines
@@ -17,8 +18,6 @@ from repro.profiler.trace_export import (
     distributed_to_chrome_trace,
     load_chrome_trace,
     parse_chrome_trace,
-    save_chrome_trace,
-    save_distributed_chrome_trace,
     to_chrome_trace,
 )
 
@@ -112,7 +111,9 @@ class TestRoundTrip:
             assert times[category] == pytest.approx(time_s, rel=1e-6)
 
     def test_file_round_trip(self, trace, tmp_path):
-        path = save_chrome_trace(trace, tmp_path / "trace.json")
+        path = write_chrome_trace(
+            to_chrome_trace(trace), tmp_path / "trace.json"
+        )
         records = load_chrome_trace(path)
         assert len(records) == 2
         assert records[0]["category"] == OpCategory.LINEAR.value
@@ -188,8 +189,8 @@ class TestDistributedExport:
         assert len(ids) == len(set(ids))
 
     def test_file_round_trip(self, dist_trace, tmp_path):
-        path = save_distributed_chrome_trace(
-            dist_trace, tmp_path / "dist.json"
+        path = write_chrome_trace(
+            distributed_to_chrome_trace(dist_trace), tmp_path / "dist.json"
         )
         payload = json.loads(path.read_text())
         assert payload["traceEvents"]

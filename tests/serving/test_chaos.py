@@ -3,6 +3,7 @@ shrinking — plus the hypothesis invariant gate over the engine."""
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,31 @@ def _campaign(seed=0, duration=400.0):
     return generate_campaign(
         topology, config, duration_s=duration, seed=seed
     )
+
+
+class TestConfigValidation:
+    """NaN and inf fail naming the field.
+
+    A NaN rate used to yield an empty campaign, a NaN duration or
+    stagger failed later naming ``ZoneOutage``'s field, and an
+    infinite stagger was accepted.
+    """
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(ChaosConfig)]
+    )
+    def test_every_float_must_be_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ChaosConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_duration_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            generate_campaign(
+                grid_topology(4), ChaosConfig(zone_outage_rate=0.01),
+                duration_s=bad,
+            )
 
 
 class TestGeneration:

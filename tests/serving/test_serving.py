@@ -1,5 +1,8 @@
 """Workload generation and one-pool FIFO fleet tests."""
 
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +17,28 @@ from repro.serving.slo import percentile
 from repro.serving.workload import (
     Request,
     WorkloadMix,
+    bursty_rate,
+    constant_rate,
+    diurnal_rate,
     generate_requests,
+    generate_requests_batch,
+    generate_requests_pattern,
     suite_mix_from_profiles,
 )
+
+MIX = WorkloadMix(shares={"sd": 0.7, "muse": 0.3},
+                  service_s={"sd": 1.0, "muse": 0.5})
+
+
+def _stream(generate, **bad):
+    """Call a request generator with one argument replaced."""
+    args = dict(duration_s=10.0, service_jitter=0.05)
+    if generate is generate_requests_pattern:
+        args.update(rate_fn=constant_rate(1.0), peak_rate=1.0)
+    else:
+        args.update(arrival_rate=1.0)
+    args.update(bad)
+    return generate(MIX, **args)
 
 
 @pytest.fixture
@@ -97,6 +119,83 @@ class TestGeneration:
             generate_requests(
                 mix, arrival_rate=1.0, duration_s=10.0,
                 service_jitter=1.5,
+            )
+
+
+class TestFiniteInputs:
+    """NaN and inf fail naming the field before any draw.
+
+    ``nan < 0`` is False, so bare bounds let them through: a NaN
+    duration never ended the arrival loop, an infinite one overflowed
+    the batch generator, and NaN shares, service times and rates
+    were accepted.
+    """
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("make, field", [
+        pytest.param(
+            lambda v, g=generate, n=name: _stream(g, **{n: v}), name,
+            id=f"{generate.__name__}.{name}",
+        )
+        for generate, rate in (
+            (generate_requests, "arrival_rate"),
+            (generate_requests_batch, "arrival_rate"),
+            (generate_requests_pattern, "peak_rate"),
+        )
+        for name in (rate, "duration_s", "service_jitter")
+    ] + [
+        pytest.param(
+            lambda v: WorkloadMix(shares={"sd": v, "muse": 0.3},
+                                  service_s={"sd": 1.0, "muse": 0.5}),
+            "shares['sd']", id="WorkloadMix.shares",
+        ),
+        pytest.param(
+            lambda v: WorkloadMix(shares={"sd": 0.7, "muse": 0.3},
+                                  service_s={"sd": 1.0, "muse": v}),
+            "service_s['muse']", id="WorkloadMix.service_s",
+        ),
+        pytest.param(constant_rate, "rate", id="constant_rate"),
+        pytest.param(diurnal_rate, "mean_rate", id="diurnal_rate.mean"),
+        pytest.param(
+            lambda v: diurnal_rate(1.0, peak_to_trough=v),
+            "peak_to_trough", id="diurnal_rate.peak_to_trough",
+        ),
+        pytest.param(
+            lambda v: diurnal_rate(1.0, period_s=v), "period_s",
+            id="diurnal_rate.period_s",
+        ),
+        pytest.param(
+            lambda v: diurnal_rate(1.0, phase_s=v), "phase_s",
+            id="diurnal_rate.phase_s",
+        ),
+        pytest.param(
+            lambda v: bursty_rate(v, burst_rate=2.0, bursts=()),
+            "base_rate", id="bursty_rate.base_rate",
+        ),
+        pytest.param(
+            lambda v: bursty_rate(1.0, burst_rate=v, bursts=()),
+            "burst_rate", id="bursty_rate.burst_rate",
+        ),
+        pytest.param(
+            lambda v: bursty_rate(1.0, burst_rate=2.0, bursts=((v, 5.0),)),
+            "bursts[0] start_s", id="bursty_rate.start_s",
+        ),
+        pytest.param(
+            lambda v: bursty_rate(1.0, burst_rate=2.0, bursts=((0.0, v),)),
+            "bursts[0] duration_s", id="bursty_rate.duration_s",
+        ),
+    ])
+    def test_rejects_non_finite(self, make, field, bad):
+        with pytest.raises(
+            ValueError, match=re.escape(f"{field} must be finite")
+        ):
+            make(bad)
+
+    def test_nan_rate_fails_thinning(self):
+        # ``nan > peak`` is False: a NaN rate accepted every candidate.
+        with pytest.raises(ValueError, match=r"= nan is not at most"):
+            _stream(
+                generate_requests_pattern, rate_fn=lambda t: math.nan
             )
 
 

@@ -206,6 +206,14 @@ class TestFiniteConfigs:
         with pytest.raises(ValueError, match="tail_alpha"):
             population(tail_alpha=math.inf)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_duration_must_be_finite(self, bad):
+        # An infinite duration would never end a bursty client's
+        # segments; a NaN one would never end the arrival loop.
+        bursty = population(burst=BurstModel(5.0, 15.0, 3.0))
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            generate_traffic(bursty, duration_s=bad)
+
 
 class TestCombos:
     def test_card_without_properties_has_identity_combo(self):
