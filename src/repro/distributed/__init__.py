@@ -54,6 +54,7 @@ from repro.distributed.partition import (
     DistributedPlan,
     PartitionStrategy,
     PipelineParallel,
+    PlanClass,
     ShardedEvent,
     TensorParallel,
     TraceClasses,
@@ -143,6 +144,7 @@ __all__ = [
     "ParallelConfig",
     "PartitionStrategy",
     "PipelineParallel",
+    "PlanClass",
     "PlanPoint",
     "PlannerBasis",
     "PlannerResult",

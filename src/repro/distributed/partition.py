@@ -3,7 +3,8 @@
 Each strategy consumes a single-device :class:`repro.ir.trace.Trace`
 (the symbolic operator graph a profiled model emits) and produces a
 :class:`DistributedPlan`: per-rank operator shards plus the collectives
-the sharding implies.  The plan is hardware-free — pricing against a
+the sharding implies, stored once per kernel class with the class of
+every source event.  The plan is hardware-free — pricing against a
 machine's GPUs and interconnect happens in
 :mod:`repro.distributed.timeline`.
 
@@ -30,9 +31,9 @@ the one stage splitter; the planner uses it too.
 Tensor-parallel roles are decided in one place, the per-trace class
 table (:func:`trace_classes`): every event maps to one distinct
 (op, role, collective, fold factor) class, so a partition or a priced
-axis shards and prices each class once and fills per-event rows by
-index.  The table reads the trace's rows (:meth:`Trace.rows`), so it
-builds no events.
+axis shards and prices each class once.  The table reads the trace's
+rows (:meth:`Trace.rows`), and so do the data- and pipeline-parallel
+partitioners: no partitioner builds an event.
 
 Every split preserves total FLOPs exactly (see
 :mod:`repro.distributed.sharding`), which the partitioner tests verify
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -289,11 +290,11 @@ class CommSpec:
 class ShardedEvent(NamedTuple):
     """One source trace event split across the parallel group.
 
-    A NamedTuple rather than a dataclass: plans hold one of these per
-    source event (hundreds of thousands per scaling sweep) and tuple
-    construction is several times cheaper.  The fold factor is the
-    source event's ``repeat``; every shard and the collective issue
-    that many times.
+    The per-event view of a :class:`DistributedPlan`
+    (:attr:`DistributedPlan.sharded_events`): the plan itself stores
+    one :class:`PlanClass` per distinct kind of event.  The fold factor
+    is the source event's ``repeat``; every shard and the collective
+    issue that many times.
 
     Attributes:
         source: the single-device event this shards.
@@ -310,23 +311,79 @@ class ShardedEvent(NamedTuple):
     stage: int = 0
 
 
+class PlanClass(NamedTuple):
+    """One distinct kind of sharded event in a :class:`DistributedPlan`.
+
+    Every source event of a class shards, communicates and is staged
+    identically, so a class is sharded and priced once; a
+    :class:`ShardedEvent` is its source event followed by the class'
+    first four fields.
+
+    Attributes:
+        role: how the split was chosen.
+        ops: per-rank operator shards (``None`` = rank idle).
+        comm: collective required after each event, if any.
+        stage: owning pipeline stage (pipeline plans only).
+        repeat: fold factor of the class' source events.
+    """
+
+    role: ShardRole
+    ops: tuple[Op | None, ...]
+    comm: CommSpec | None
+    stage: int
+    repeat: int
+
+
 @dataclass
 class DistributedPlan:
-    """A sharded operator graph, ready to be priced on a machine."""
+    """A sharded operator graph, ready to be priced on a machine.
+
+    Stored by class: ``classes`` holds one row per distinct (role,
+    shards, collective, stage, fold factor) and ``index`` the class of
+    every source event, in trace order.  Suite traces hold 20-35k
+    events but a few hundred classes, so nothing here is per event
+    until :attr:`sharded_events` is read.
+    """
 
     strategy: str
     world: int
     kind: str  # "spmd" (TP/DP) or "pipeline"
-    sharded_events: list[ShardedEvent]
     source: Trace
+    classes: tuple[PlanClass, ...]
+    index: Sequence[int]
+    _sharded: list[ShardedEvent] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def sharded_events(self) -> list[ShardedEvent]:
+        """Every source event with its class' shards, in trace order.
+
+        Read-only; built from the source trace's events on first read
+        and the same list on every later read.
+        """
+        if self._sharded is None:
+            heads = [cls[:4] for cls in self.classes]
+            self._sharded = [
+                ShardedEvent(event, *heads[cls])
+                for event, cls in zip(self.source.events, self.index)
+            ]
+        return self._sharded
 
     def flops_per_rank(self) -> list[float]:
         """Total FLOPs each rank executes (folded loops included)."""
         totals = [0.0] * self.world
-        for event in self.sharded_events:
-            for rank, op in enumerate(event.ops):
-                if op is not None:
-                    totals[rank] += op.flops() * event.source.repeat
+        class_flops = [
+            [
+                (rank, op.flops() * cls.repeat)
+                for rank, op in enumerate(cls.ops)
+                if op is not None
+            ]
+            for cls in self.classes
+        ]
+        for cls in self.index:
+            for rank, flops in class_flops[cls]:
+                totals[rank] += flops
         return totals
 
     def total_flops(self) -> float:
@@ -335,20 +392,23 @@ class DistributedPlan:
 
     def comm_payload_bytes(self) -> float:
         """Logical bytes entering collectives across the whole plan."""
+        payloads = [
+            cls.comm.payload_bytes * cls.repeat
+            if cls.comm is not None else None
+            for cls in self.classes
+        ]
         return sum(
-            event.comm.payload_bytes * event.source.repeat
-            for event in self.sharded_events
-            if event.comm is not None
+            payloads[cls] for cls in self.index if payloads[cls] is not None
         )
 
     def collective_counts(self) -> dict[CollectiveKind, int]:
         """Number of collective issues by kind (folded loops included)."""
         counts: dict[CollectiveKind, int] = {}
-        for event in self.sharded_events:
-            if event.comm is not None:
-                counts[event.comm.kind] = (
-                    counts.get(event.comm.kind, 0) + event.source.repeat
-                )
+        classes = self.classes
+        for cls in self.index:
+            comm, repeat = classes[cls].comm, classes[cls].repeat
+            if comm is not None:
+                counts[comm.kind] = counts.get(comm.kind, 0) + repeat
         return counts
 
 
@@ -383,15 +443,17 @@ class TensorParallel(PartitionStrategy):
     def partition(self, trace: Trace) -> DistributedPlan:
         """Shard every event; emit the implied all-reduce/all-gathers.
 
-        Each class of :func:`trace_classes` is sharded once; events
-        take their class' shards and collective by index.
+        The plan's classes and index are those of
+        :func:`trace_classes`: each class is sharded once.
         """
         table = trace_classes(trace)
         weights = [1] * self.world
         world_gt1 = self.world > 1
         shard_memo: dict[tuple[int, ShardRole], tuple[Op | None, ...]] = {}
-        resolved: list[tuple] = []
-        for op, role, kind in zip(table.ops, table.roles, table.collectives):
+        classes: list[PlanClass] = []
+        for op, role, kind, repeat in zip(
+            table.ops, table.roles, table.collectives, table.repeats
+        ):
             shards = shard_memo.get((id(op), role))
             if shards is None:
                 shards = tuple(shard_op(op, role, weights))
@@ -404,22 +466,14 @@ class TensorParallel(PartitionStrategy):
                     payload_bytes=_output_bytes(op),
                     label=f"{short}:{op.name}",
                 )
-            resolved.append((role, shards, comm, 0))
-        # tuple.__new__ bypasses the generated NamedTuple constructor
-        # (a Python-level wrapper) — at trace scale the constructor is
-        # the single largest cost of partitioning.
-        tuple_new = tuple.__new__
-        event_cls = ShardedEvent
-        sharded = [
-            tuple_new(event_cls, (event,) + resolved[cls])
-            for event, cls in zip(trace.events, table.index)
-        ]
+            classes.append(PlanClass(role, shards, comm, 0, repeat))
         return DistributedPlan(
             strategy=self.describe(),
             world=self.world,
             kind="spmd",
-            sharded_events=sharded,
             source=trace,
+            classes=tuple(classes),
+            index=table.index,
         )
 
 
@@ -439,29 +493,35 @@ class DataParallel(PartitionStrategy):
         return f"{self.name}={self.world}(batch={self.batch})"
 
     def partition(self, trace: Trace) -> DistributedPlan:
-        """Slice every event's batch-linear dimension by rank share."""
+        """Slice every event's batch-linear dimension by rank share.
+
+        One class per (op, fold factor), read from the trace's rows.
+        """
         weights = even_split(self.batch, self.world)
-        sharded: list[ShardedEvent] = []
-        shard_cache: dict[int, tuple[Op | None, ...]] = {}
-        append = sharded.append
-        tuple_new = tuple.__new__
-        event_cls = ShardedEvent
         batch_role = ShardRole.BATCH
-        for event in trace.events:
-            op = event.op
-            shards = shard_cache.get(id(op))
-            if shards is None:
-                shards = tuple(shard_op(op, batch_role, weights))
-                shard_cache[id(op)] = shards
-            append(
-                tuple_new(event_cls, (event, batch_role, shards, None, 0))
-            )
+        shard_memo: dict[int, tuple[Op | None, ...]] = {}
+        class_of: dict[tuple[int, int], int] = {}
+        classes: list[PlanClass] = []
+        index: list[int] = []
+        append = index.append
+        for _, op, _, _, repeat in trace.rows():
+            key = (id(op), repeat)
+            cls = class_of.get(key)
+            if cls is None:
+                shards = shard_memo.get(id(op))
+                if shards is None:
+                    shards = tuple(shard_op(op, batch_role, weights))
+                    shard_memo[id(op)] = shards
+                cls = class_of[key] = len(classes)
+                classes.append(PlanClass(batch_role, shards, None, 0, repeat))
+            append(cls)
         return DistributedPlan(
             strategy=self.describe(),
             world=self.world,
             kind="spmd",
-            sharded_events=sharded,
             source=trace,
+            classes=tuple(classes),
+            index=index,
         )
 
 
@@ -471,53 +531,56 @@ class PipelineParallel(PartitionStrategy):
     name = "pp"
 
     def partition(self, trace: Trace) -> DistributedPlan:
-        """Split the trace into ``world`` stages; link them with p2p."""
-        events = trace.events
-        if not events:
+        """Split the trace into ``world`` stages; link them with p2p.
+
+        One class per (op, fold factor, stage, boundary send); a stage's
+        last event sends its output to the next stage.  With more ranks
+        than events the trailing stages own nothing, and no activation
+        crosses into them.
+        """
+        n = len(trace)
+        if n == 0:
             raise ValueError("cannot partition an empty trace")
-        populated = min(self.world, len(events))
-        boundaries = stage_boundaries(
-            [event.cost.time_s for event in events], populated
-        )
-        # More ranks than events: the trailing stages own nothing.
-        boundaries += [len(events)] * (self.world - populated)
-        sharded: list[ShardedEvent] = []
+        world = self.world
+        # End (exclusive) of every populated stage but the last.
+        ends = stage_boundaries(trace.times_s(), min(world, n))
         stage = 0
-        for index, event in enumerate(events):
-            while stage < self.world - 1 and index >= boundaries[stage]:
+        close = ends[0] if ends else n
+        class_of: dict[tuple[int, int, int, bool], int] = {}
+        classes: list[PlanClass] = []
+        index: list[int] = []
+        append = index.append
+        for position, (_, op, _, _, repeat) in enumerate(trace.rows()):
+            if position == close:
                 stage += 1
-            ops: list[Op | None] = [None] * self.world
-            ops[stage] = event.op
-            comm = None
-            is_stage_end = (
-                stage < self.world - 1
-                and index == boundaries[stage] - 1
-                # A boundary at len(events) is the fill for stages that
-                # own no events (more ranks than events): there is no
-                # downstream stage to feed, so no activation crosses it.
-                and boundaries[stage] < len(events)
-            )
-            if is_stage_end:
-                comm = CommSpec(
-                    kind=CollectiveKind.SEND_RECV,
-                    payload_bytes=_output_bytes(event.op),
-                    label=f"p2p:{event.op.name}",
+                close = ends[stage] if stage < len(ends) else n
+            send = position == close - 1 and close < n
+            key = (id(op), repeat, stage, send)
+            cls = class_of.get(key)
+            if cls is None:
+                ops: list[Op | None] = [None] * world
+                ops[stage] = op
+                comm = None
+                if send:
+                    comm = CommSpec(
+                        kind=CollectiveKind.SEND_RECV,
+                        payload_bytes=_output_bytes(op),
+                        label=f"p2p:{op.name}",
+                    )
+                cls = class_of[key] = len(classes)
+                classes.append(
+                    PlanClass(
+                        ShardRole.SEQUENCE, tuple(ops), comm, stage, repeat
+                    )
                 )
-            sharded.append(
-                ShardedEvent(
-                    source=event,
-                    role=ShardRole.SEQUENCE,
-                    ops=tuple(ops),
-                    comm=comm,
-                    stage=stage,
-                )
-            )
+            append(cls)
         return DistributedPlan(
             strategy=self.describe(),
-            world=self.world,
+            world=world,
             kind="pipeline",
-            sharded_events=sharded,
             source=trace,
+            classes=tuple(classes),
+            index=index,
         )
 
 

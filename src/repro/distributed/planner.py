@@ -383,9 +383,10 @@ def bruteforce_axis(
     """Per-event reference for :func:`build_axis`.
 
     Partitions the trace with :class:`TensorParallel` and prices every
-    sharded event on its own, accumulating the prefix sums in a plain
-    Python loop — no class table, no gather, no array arithmetic.  The
-    property suite requires every field to equal :func:`build_axis`'s.
+    event of the plan's per-event view (``plan.sharded_events``, built
+    on read) on its own, accumulating the prefix sums in a plain Python
+    loop — no gather, no array arithmetic.  The property suite requires
+    every field to equal :func:`build_axis`'s.
     """
     n = len(trace.events)
     times: list[float] = []

@@ -111,7 +111,9 @@ def build_timelines(
 
     SPMD plans (tensor/data parallel) advance all ranks together and
     synchronize at every collective; pipeline plans chain stages with
-    point-to-point transfers.
+    point-to-point transfers.  Each plan class is priced once, then the
+    plan's class index is walked in trace order, adding each event's
+    times left to right; no event object is built.
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must be in [0, 1]")
@@ -133,6 +135,11 @@ def build_timelines(
     )
 
 
+def _class_name(ops: tuple) -> str | None:
+    """Kernel label of a class: the name its shards share."""
+    return next((op.name for op in ops if op is not None), None)
+
+
 def _build_spmd(
     plan: DistributedPlan,
     machine: MachineSpec,
@@ -142,20 +149,16 @@ def _build_spmd(
 ) -> list[DeviceTimeline]:
     world = plan.world
     comm_model = machine.topology.cost_model(world)
-    timelines = [DeviceTimeline(rank=rank) for rank in range(world)]
-    # Shard tuples are shared between events (the partitioners intern
-    # them per op), so one kernel-time lookup per distinct shard tuple
-    # covers the whole plan.  Only time_s is consumed here; scaling by
-    # the fold factor is the same float multiply KernelCost.scaled does.
-    # ``tuple_times`` also records whether every rank got an identical
-    # time: tensor parallelism splits evenly, so almost every event is
-    # uniform, and without entries to record a uniform event advances
-    # all ranks in lockstep with one time lookup instead of one per rank.
+    world_gt1 = world > 1
+    # Each class is priced once: every rank's kernel time with the fold
+    # factor applied (the same float multiply KernelCost.scaled does;
+    # None where the rank idles), and its collective's modelled and
+    # exposed time.  Shard ops are shared between classes, so kernel
+    # times are memoized per op object.
     op_time: dict[int, float] = {}
-    tuple_times: dict[int, tuple[list[float | None], float | None]] = {}
-    comm_time_memo: dict[int, float] = {}
-
-    def times_for(ops: tuple) -> tuple[list[float | None], float | None]:
+    class_times: list[tuple[float | None, ...]] = []
+    class_comm: list[tuple[float, float, str] | None] = []
+    for _, ops, comm, _, repeat in plan.classes:
         times: list[float | None] = []
         for op in ops:
             if op is None:
@@ -163,91 +166,65 @@ def _build_spmd(
                 continue
             base_s = op_time.get(id(op))
             if base_s is None:
-                base_s = estimator.estimate(op).time_s
-                op_time[id(op)] = base_s
-            times.append(base_s)
-        first = times[0]
-        uniform = first if all(t == first for t in times) else None
-        entry = tuple_times[id(ops)] = (times, uniform)
-        return entry
-
-    # Plain float lists rather than dataclass attribute updates, rows
-    # unpacked as tuples and memo gets inlined: at hundreds of
-    # thousands of events per sweep, attribute and call overhead are
-    # the remaining cost.  Entries, when kept, are recorded before the
-    # clocks advance, so the totals are the same floats either way.
-    entries = (
-        [timeline.entries for timeline in timelines] if keep_entries else None
+                base_s = op_time[id(op)] = estimator.estimate(op).time_s
+            times.append(base_s * repeat if repeat != 1 else base_s)
+        class_times.append(tuple(times))
+        priced = None
+        if comm is not None and world_gt1:
+            comm_time = comm_model.estimate(
+                comm.kind, comm.payload_bytes, world
+            ).time_s * repeat
+            priced = (comm_time, comm_time * (1.0 - overlap), comm.label)
+        class_comm.append(priced)
+    labels = (
+        [_class_name(cls.ops) for cls in plan.classes]
+        if keep_entries else None
     )
+    entries: list[list[TimelineEntry]] = [[] for _ in range(world)]
     ranks = range(world)
-    world_gt1 = world > 1
     compute = [0.0] * world
     clocks = [0.0] * world
     comm_s = 0.0
     exposed_s = 0.0
-    times_get = tuple_times.get
-    comm_get = comm_time_memo.get
-    for source, _, ops, comm, _ in plan.sharded_events:
-        repeat = source.repeat
-        entry = times_get(id(ops))
-        if entry is None:
-            entry = times_for(ops)
-        times, uniform = entry
-        if uniform is not None and entries is None:
-            time_s = uniform * repeat if repeat != 1 else uniform
-            for rank in ranks:
-                compute[rank] += time_s
-                clocks[rank] += time_s
-        else:
-            for rank, base_s in enumerate(times):
-                if base_s is None:
-                    continue
-                time_s = base_s * repeat if repeat != 1 else base_s
-                if entries is not None:
-                    entries[rank].append(
-                        TimelineEntry(
-                            kind="compute",
-                            label=ops[rank].name,
-                            start_s=clocks[rank],
-                            duration_s=time_s,
-                        )
-                    )
-                compute[rank] += time_s
-                clocks[rank] += time_s
-        if comm is not None and world_gt1:
-            # Every event of one partitioner class shares its CommSpec
-            # instance, so identity keys are stable; a duplicate spec
-            # object merely re-prices to the same deterministic value.
-            base_comm_s = comm_get(id(comm))
-            if base_comm_s is None:
-                base_comm_s = comm_model.estimate(
-                    comm.kind, comm.payload_bytes, world
-                ).time_s
-                comm_time_memo[id(comm)] = base_comm_s
-            comm_time = base_comm_s * repeat
-            exposed = comm_time * (1.0 - overlap)
+    # The walk is in trace order and adds left to right, exactly as a
+    # per-event loop does; entries, when kept, are recorded before the
+    # clocks advance, so the totals are the same floats either way.
+    for cls in plan.index:
+        times = class_times[cls]
+        for rank in ranks:
+            time_s = times[rank]
+            if time_s is None:
+                continue
+            if labels is not None:
+                entries[rank].append(
+                    TimelineEntry("compute", labels[cls], clocks[rank], time_s)
+                )
+            compute[rank] += time_s
+            clocks[rank] += time_s
+        priced = class_comm[cls]
+        if priced is not None:
+            comm_time, exposed, label = priced
             comm_s += comm_time
             exposed_s += exposed
             start = max(clocks)
-            if entries is not None and exposed > 0:
+            if labels is not None and exposed > 0:
+                entry = TimelineEntry("comm", label, start, exposed)
                 for rank_entries in entries:
-                    rank_entries.append(
-                        TimelineEntry(
-                            kind="comm",
-                            label=comm.label,
-                            start_s=start,
-                            duration_s=exposed,
-                        )
-                    )
+                    rank_entries.append(entry)
             synced = start + exposed
             for rank in ranks:
                 clocks[rank] = synced
-    for rank, timeline in enumerate(timelines):
-        timeline.compute_time_s = compute[rank]
-        timeline.comm_time_s = comm_s
-        timeline.exposed_comm_time_s = exposed_s
-        timeline.end_s = clocks[rank]
-    return timelines
+    return [
+        DeviceTimeline(
+            rank=rank,
+            compute_time_s=compute[rank],
+            comm_time_s=comm_s,
+            exposed_comm_time_s=exposed_s,
+            end_s=clocks[rank],
+            entries=entries[rank],
+        )
+        for rank in ranks
+    ]
 
 
 def _build_pipeline(
@@ -259,51 +236,60 @@ def _build_pipeline(
 ) -> list[DeviceTimeline]:
     world = plan.world
     comm_model = machine.topology.cost_model(2)
-    timelines = [DeviceTimeline(rank=rank) for rank in range(world)]
-    clock = 0.0  # single-sample latency: stages execute back to back
+    # Each class is priced once: its stage's kernel time and its
+    # boundary send, if any.
     op_time: dict[int, float] = {}
-    for event in plan.sharded_events:
-        rank = event.stage
-        op = event.ops[rank]
-        if op is not None:
-            base_s = op_time.get(id(op))
-            if base_s is None:
-                base_s = estimator.estimate(op).time_s
-                op_time[id(op)] = base_s
-            repeat = event.source.repeat
-            time_s = base_s * repeat if repeat != 1 else base_s
-            timeline = timelines[rank]
-            if keep_entries:
-                timeline.entries.append(
-                    TimelineEntry(
-                        kind="compute",
-                        label=op.name,
-                        start_s=clock,
-                        duration_s=time_s,
-                    )
-                )
-            timeline.compute_time_s += time_s
-            clock += time_s
-            timeline.end_s = clock
-        if event.comm is not None:
-            estimate = comm_model.send_recv(event.comm.payload_bytes)
-            comm_time = estimate.time_s * event.source.repeat
-            exposed = comm_time * (1.0 - overlap)
-            timeline = timelines[rank]
+    priced: list[tuple[int, float, str, tuple[float, float, str] | None]] = []
+    for _, ops, comm, stage, repeat in plan.classes:
+        op = ops[stage]
+        base_s = op_time.get(id(op))
+        if base_s is None:
+            base_s = op_time[id(op)] = estimator.estimate(op).time_s
+        send = None
+        if comm is not None:
+            comm_time = (
+                comm_model.send_recv(comm.payload_bytes).time_s * repeat
+            )
+            send = (comm_time, comm_time * (1.0 - overlap), comm.label)
+        priced.append(
+            (stage, base_s * repeat if repeat != 1 else base_s, op.name, send)
+        )
+    entries: list[list[TimelineEntry]] = [[] for _ in range(world)]
+    compute = [0.0] * world
+    comm_s = [0.0] * world
+    exposed_s = [0.0] * world
+    ends = [0.0] * world
+    clock = 0.0  # single-sample latency: stages execute back to back
+    for cls in plan.index:
+        stage, time_s, name, send = priced[cls]
+        if keep_entries:
+            entries[stage].append(
+                TimelineEntry("compute", name, clock, time_s)
+            )
+        compute[stage] += time_s
+        clock += time_s
+        ends[stage] = clock
+        if send is not None:
+            comm_time, exposed, label = send
             if keep_entries and exposed > 0:
-                timeline.entries.append(
-                    TimelineEntry(
-                        kind="comm",
-                        label=event.comm.label,
-                        start_s=clock,
-                        duration_s=exposed,
-                    )
+                entries[stage].append(
+                    TimelineEntry("comm", label, clock, exposed)
                 )
-            timeline.comm_time_s += comm_time
-            timeline.exposed_comm_time_s += exposed
+            comm_s[stage] += comm_time
+            exposed_s[stage] += exposed
             clock += exposed
-            timeline.end_s = clock
-    return timelines
+            ends[stage] = clock
+    return [
+        DeviceTimeline(
+            rank=rank,
+            compute_time_s=compute[rank],
+            comm_time_s=comm_s[rank],
+            exposed_comm_time_s=exposed_s[rank],
+            end_s=ends[rank],
+            entries=entries[rank],
+        )
+        for rank in range(world)
+    ]
 
 
 def render_timeline_summary(trace: DistributedTrace) -> str:

@@ -114,7 +114,7 @@ def _comm_fraction() -> float:
     """Measured exposed-collective share of a TP-2 SD replica."""
     return profile_sharded(
         model_instance("stable_diffusion"),
-        machine="dgx-a100-80g", world=2, strategy="tp",
+        machine="dgx-a100-80g", world=2, strategy="tp", keep_entries=False,
     ).comm_fraction
 
 

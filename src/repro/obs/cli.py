@@ -45,6 +45,14 @@ def _parse_deadlines(
     return deadlines
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for counts: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _summary(log: TelemetryLog) -> str:
     lines = [
         f"pools: {', '.join(log.pools)} "
@@ -81,7 +89,10 @@ def _spans(log: TelemetryLog, args: argparse.Namespace) -> str:
     table = log.span_table
     rids = table.request_ids
     if args.request is not None:
-        rids = (log.span(args.request).request_id,)
+        try:
+            rids = (log.span(args.request).request_id,)
+        except ValueError as error:  # no span for that request id
+            raise SystemExit(str(error)) from None
     if args.state is not None:
         settled = {
             table.request_ids[index]: state
@@ -172,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     p_spans.add_argument("file")
     p_spans.add_argument("--request", type=int, default=None)
     p_spans.add_argument("--state", default=None)
-    p_spans.add_argument("--limit", type=int, default=10)
+    p_spans.add_argument("--limit", type=non_negative_int, default=10)
 
     p_metrics = sub.add_parser(
         "metrics", help="list series or print one"

@@ -391,14 +391,21 @@ def generate_faults(
     so the same seed always yields the same schedule, and enabling
     stragglers does not perturb the crash times.
     """
-    if servers <= 0 or duration_s <= 0:
-        raise ValueError("servers and duration must be positive")
-    if crash_rate_per_hour < 0 or straggler_rate_per_hour < 0:
-        raise ValueError("fault rates must be non-negative")
-    if mean_downtime_s <= 0 or mean_straggler_s <= 0:
-        raise ValueError("mean fault durations must be positive")
-    if slowdown <= 1.0:
-        raise ValueError("slowdown must exceed 1")
+    if not isinstance(servers, int) or servers < 1:
+        raise ValueError(f"servers must be an int >= 1, got {servers!r}")
+    # A NaN or infinite horizon would never end the arrival loops below.
+    _require_finite("duration_s", duration_s, duration_s > 0, "positive")
+    for name, rate in (
+        ("crash_rate_per_hour", crash_rate_per_hour),
+        ("straggler_rate_per_hour", straggler_rate_per_hour),
+    ):
+        _require_finite(name, rate, rate >= 0, "non-negative")
+    for name, mean in (
+        ("mean_downtime_s", mean_downtime_s),
+        ("mean_straggler_s", mean_straggler_s),
+    ):
+        _require_finite(name, mean, mean > 0, "positive")
+    _require_finite("slowdown", slowdown, slowdown > 1.0, "> 1")
     rng = random.Random(seed)
     crashes: list[Crash] = []
     stragglers: list[Straggler] = []

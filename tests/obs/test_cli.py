@@ -1,11 +1,18 @@
 """The ``python -m repro.obs`` CLI over a saved telemetry file."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.obs import save_telemetry
 from repro.obs.cli import main
+
+
+COMMITTED = str(
+    Path(__file__).resolve().parents[2]
+    / "examples" / "traces" / "telemetry_small.jsonl"
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +46,30 @@ def test_spans_listing_and_filters(telemetry_file, capsys, small_log):
         ["spans", telemetry_file, "--state", "complete"]
     ) == 0
     assert "-> complete" in capsys.readouterr().out
+
+
+def test_spans_unknown_request_exits_with_one_line(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spans", COMMITTED, "--request", "99999"])
+    assert exit_info.value.code == (
+        "no span for request 99999 (234 spans recorded)"
+    )
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("limit", ["-2", "-1", "x"])
+def test_spans_rejects_a_bad_limit_at_parse_time(limit, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spans", COMMITTED, "--limit", limit])
+    assert exit_info.value.code == 2  # argparse's usage error
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --limit: " in captured.err
+
+
+def test_spans_limit_zero_shows_none(capsys):
+    assert main(["spans", COMMITTED, "--limit", "0"]) == 0
+    assert capsys.readouterr().out == "(0 of 234 spans shown)\n"
 
 
 def test_metrics_listing_and_single_series(telemetry_file, capsys):

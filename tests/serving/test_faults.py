@@ -251,3 +251,29 @@ class TestGeneration:
             )
         with pytest.raises(ValueError):
             generate_faults(servers=1, duration_s=10.0, slowdown=1.0)
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")]
+    )
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "duration_s", "crash_rate_per_hour", "straggler_rate_per_hour",
+            "mean_downtime_s", "mean_straggler_s", "slowdown",
+        ],
+    )
+    def test_non_finite_fields_rejected(self, field, value):
+        # Both rates positive: a horizon check that let NaN through
+        # would never end the arrival loops.
+        kwargs = dict(
+            servers=2, duration_s=60.0, crash_rate_per_hour=30.0,
+            straggler_rate_per_hour=30.0,
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            generate_faults(**kwargs)
+
+    @pytest.mark.parametrize("servers", [0, -1, 2.0, 1.5, "2", None])
+    def test_servers_must_be_a_positive_int(self, servers):
+        with pytest.raises(ValueError, match="servers"):
+            generate_faults(servers=servers, duration_s=10.0)
