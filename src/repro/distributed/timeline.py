@@ -18,6 +18,7 @@ time are reported so the gap is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.distributed.partition import DistributedPlan
 from repro.distributed.registry import MachineSpec
@@ -25,8 +26,7 @@ from repro.kernels.base import DEFAULT_TUNING, TuningConstants
 from repro.kernels.estimator import CostEstimator
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
+class TimelineEntry(NamedTuple):
     """One interval on a device timeline (a kernel or a collective)."""
 
     kind: str  # "compute" or "comm"

@@ -38,7 +38,7 @@ from repro.ir.ops import (
     Transpose,
 )
 from repro.ir.tensor import TensorSpec, tensor
-from repro.ir.trace import KernelCost, Trace, TraceEvent, combine_costs
+from repro.ir.trace import KernelCost, Trace, TraceEvent
 
 __all__ = [
     "AttentionImpl",
@@ -82,7 +82,6 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "Transpose",
-    "combine_costs",
     "dtype_from_name",
     "tensor",
 ]

@@ -70,28 +70,6 @@ class KernelCost:
         )
 
 
-def combine_costs(costs: Iterable[KernelCost]) -> KernelCost:
-    """Sum a sequence of kernel costs into one aggregate record."""
-    total = compute = memory = launch = flops = moved = 0.0
-    for cost in costs:
-        total += cost.time_s
-        compute += cost.compute_time_s
-        memory += cost.memory_time_s
-        launch += cost.launch_time_s
-        flops += cost.flops
-        moved += cost.moved_bytes
-    limiter = "compute" if compute >= memory else "memory"
-    return KernelCost(
-        time_s=total,
-        compute_time_s=compute,
-        memory_time_s=memory,
-        launch_time_s=launch,
-        flops=flops,
-        moved_bytes=moved,
-        limiter=limiter,
-    )
-
-
 # The cost of a segment row ``(path, op, cost, flags, repeat)``.
 _ROW_COST = operator.itemgetter(2)
 

@@ -35,17 +35,6 @@ from repro.profiler.seqlen import (
     sequence_length_distribution,
     sequence_length_profile,
 )
-from repro.profiler.sweeps import (
-    CompressedTrace,
-    GridSweepResult,
-    SweepResult,
-    batch_step_grid,
-    batch_sweep,
-    compress_trace,
-    evaluate_profiles,
-    seqlen_sweep,
-    step_sweep,
-)
 from repro.profiler.trace_export import (
     CATEGORY_LANES,
     distributed_to_chrome_trace,
@@ -57,18 +46,9 @@ from repro.profiler.trace_export import (
 __all__ = [
     "CATEGORY_LANES",
     "ComponentSummary",
-    "CompressedTrace",
     "DiffEntry",
     "DistributedProfileResult",
-    "GridSweepResult",
-    "SweepResult",
     "TraceDiff",
-    "batch_step_grid",
-    "batch_sweep",
-    "compress_trace",
-    "evaluate_profiles",
-    "seqlen_sweep",
-    "step_sweep",
     "diff_traces",
     "distributed_to_chrome_trace",
     "render_diff",

@@ -145,7 +145,7 @@ def _matmul_flops_of_kind(trace: Trace, kind: AttentionKind) -> float:
     from repro.ir.ops import FusedAttention, Gemm
 
     total = 0.0
-    for _, op, cost, _, _ in trace.rows():
+    for _, op, cost, _, repeat in trace.rows():
         info = op.attention
         if info is None or info.kind is not kind:
             continue
@@ -155,7 +155,6 @@ def _matmul_flops_of_kind(trace: Trace, kind: AttentionKind) -> float:
             pairs = (
                 info.batch * info.num_heads * info.seq_q * info.seq_kv
             )
-            repeat = cost.flops / op.flops()
             total += 4.0 * pairs * info.head_dim * repeat
     return total
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.ir.context import AttentionImpl, ExecutionContext
 from repro.ir.ops import Elementwise, Gemm, OpCategory
-from repro.ir.trace import KernelCost, Trace, combine_costs
+from repro.ir.trace import KernelCost, Trace
 
 
 def make_cost(time_s=1.0, flops=10.0, moved=20.0) -> KernelCost:
@@ -42,11 +42,6 @@ class TestKernelCost:
         for time_s in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=re.escape(repr(time_s))):
                 KernelCost(time_s, 0, 0, 0, 0, 0, "compute")
-
-    def test_combine_sums(self):
-        combined = combine_costs([make_cost(), make_cost(2.0)])
-        assert combined.time_s == 3.0
-        assert combined.flops == 20.0
 
 
 class TestContext:

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.ir.context import AttentionImpl, ExecutionContext
-from repro.ir.ops import Elementwise, Gemm, OpCategory
+from repro.ir.ops import (
+    AttentionInfo,
+    AttentionKind,
+    AttentionRole,
+    Elementwise,
+    FusedAttention,
+    Gemm,
+    OpCategory,
+)
 from repro.profiler.breakdown import (
     attention_core_time,
     attention_module_time,
@@ -92,7 +100,31 @@ class TestSpeedupReport:
         assert attention_core_time(base) < attention_module_time(base)
 
 
+def fused_attention_trace(kind, fold):
+    """One fused attention kernel of ``kind``, folded ``fold`` times."""
+    dims = dict(batch=2, seq_q=64, seq_kv=64, head_dim=32, num_heads=4)
+    info = AttentionInfo(role=AttentionRole.SELF, kind=kind, **dims)
+    ctx = ExecutionContext(attention_impl=AttentionImpl.FLASH)
+    with ctx.named_scope(f"{kind.value}_attention"):
+        with ctx.repeat_scope(fold):
+            ctx.emit(FusedAttention("flash_attention", attention=info, **dims))
+    return ctx.trace
+
+
 class TestTemporalSpatialReport:
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            (AttentionKind.SPATIAL, "spatial_matmul_flops"),
+            (AttentionKind.TEMPORAL, "temporal_matmul_flops"),
+        ],
+    )
+    def test_folded_fused_attention_counts_each_launch(self, kind, field):
+        once = temporal_spatial_report(fused_attention_trace(kind, 1))
+        folded = temporal_spatial_report(fused_attention_trace(kind, 3))
+        assert getattr(once, field) == 4.0 * 2 * 4 * 64 * 64 * 32
+        assert getattr(folded, field) == 3 * getattr(once, field)
+
     def test_mav_report_ratios(self, suite_profiles):
         baseline, _ = suite_profiles["make_a_video"]
         report = temporal_spatial_report(baseline.trace)
