@@ -7,11 +7,14 @@ from repro.analysis.batching import (
     crossover_batch,
     sweep_batch_sizes,
 )
+from repro.distributed.registry import machine_from_name
+from repro.ir.context import AttentionImpl
 from repro.models.muse import Muse, MuseConfig
 from repro.models.stable_diffusion import (
     StableDiffusion,
     StableDiffusionConfig,
 )
+from repro.profiler.profiler import profile_model
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +24,13 @@ def muse_points():
 
 
 @pytest.fixture(scope="module")
-def sd_points():
-    model = StableDiffusion(StableDiffusionConfig(denoising_steps=2))
-    return sweep_batch_sizes(model, [1, 4])
+def sd_model():
+    return StableDiffusion(StableDiffusionConfig(denoising_steps=2))
+
+
+@pytest.fixture(scope="module")
+def sd_points(sd_model):
+    return sweep_batch_sizes(sd_model, [1, 4])
 
 
 class TestSweep:
@@ -44,6 +51,36 @@ class TestSweep:
     def test_per_sample_latency_improves(self, muse_points):
         per_sample = [p.latency_per_sample_s for p in muse_points]
         assert per_sample[-1] < per_sample[0]
+
+    def test_each_point_is_its_profile(self, sd_model, sd_points):
+        for point in sd_points:
+            profile = profile_model(
+                sd_model, attention_impl=AttentionImpl.FLASH,
+                batch=point.batch,
+            )
+            trace = profile.trace
+            assert point.latency_s == profile.total_time_s
+            assert point.traffic_intensity == (
+                trace.total_flops / trace.total_moved_bytes
+            )
+
+    def test_sd_latency_sublinear_in_batch(self, sd_points):
+        """Batching amortizes launch overhead: 4x batch < 4x latency."""
+        first, last = sd_points
+        assert 1.0 < last.latency_s / first.latency_s < last.batch
+
+    def test_gpu_reaches_the_profiler(self):
+        model = Muse(MuseConfig(base_steps=2, sr_steps=1))
+        h100 = machine_from_name("dgx-h100").gpu
+        a100_points = sweep_batch_sizes(model, [1, 2])
+        h100_points = sweep_batch_sizes(model, [1, 2], gpu=h100)
+        for a100, h100_point in zip(a100_points, h100_points):
+            profile = profile_model(
+                model, gpu=h100, attention_impl=AttentionImpl.FLASH,
+                batch=h100_point.batch,
+            )
+            assert h100_point.latency_s == profile.total_time_s
+            assert h100_point.latency_s < a100.latency_s
 
     def test_batches_sorted_in_output(self):
         model = Muse(MuseConfig(base_steps=2, sr_steps=1))

@@ -9,7 +9,7 @@ from repro.distributed.scaling import (
     strong_scaling,
     weak_scaling,
 )
-from repro.distributed.timeline import build_timelines
+from repro.distributed.timeline import TimelineEntry, build_timelines
 from repro.kernels.estimator import DEFAULT_TUNING
 from repro.models.registry import build_model
 from repro.profiler import profile_model, profile_sharded
@@ -71,6 +71,16 @@ class TestWeakScaling:
 
 
 class TestTimelines:
+    def test_entry_is_a_positional_tuple(self):
+        entry = TimelineEntry("comm", "all_reduce", 1.5, 0.25)
+        assert tuple(entry) == ("comm", "all_reduce", 1.5, 0.25)
+        assert entry == TimelineEntry(
+            kind="comm", label="all_reduce", start_s=1.5, duration_s=0.25
+        )
+        assert entry.end_s == 1.75
+        with pytest.raises(AttributeError):
+            entry.start_s = 0.0
+
     def test_overlap_hides_communication(self):
         model = build_model("stable_diffusion@256")
         machine = machine_from_name("dgx-a100-80g")

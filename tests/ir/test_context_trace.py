@@ -140,6 +140,18 @@ class TestTraceQueries:
         assert trace.total_flops > 0
         assert trace.total_moved_bytes > 0
 
+    def test_totals_add_each_cost_in_trace_order(self):
+        ctx = ExecutionContext()
+        first = ctx.emit(Gemm("g", m=64, n=64, k=64))
+        with ctx.repeat_scope(3):
+            second = ctx.emit(Elementwise("e", numel=100))
+        trace = ctx.trace
+        assert trace.total_time_s == first.time_s + second.time_s
+        assert trace.total_flops == first.flops + second.flops
+        assert trace.total_moved_bytes == (
+            first.moved_bytes + second.moved_bytes
+        )
+
     def test_by_category_filter(self):
         linear = self._trace().by_category(OpCategory.LINEAR)
         assert len(linear) == 1

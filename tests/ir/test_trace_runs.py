@@ -137,6 +137,17 @@ def test_events_extend_after_later_appends():
 @pytest.mark.parametrize(
     "name", ["stable_diffusion", "muse", "make_a_video", "llama"]
 )
+def test_clock_ends_at_the_total_time(suite_profiles, name):
+    # The built events' starts and the trace's total add the same costs
+    # left to right, replayed rows one by one: never a subtotal.
+    trace = suite_profiles[name][1].trace
+    assert any(type(run) is Replay for run in trace.runs_since(0))
+    assert trace.events[-1].end_s == trace.total_time_s
+
+
+@pytest.mark.parametrize(
+    "name", ["stable_diffusion", "muse", "make_a_video", "llama"]
+)
 def test_built_events_equal_an_uncached_run(suite_profiles, suite_models, name):
     cached = suite_profiles[name][1]
     # An estimator without the cost cache has no memo token, so the

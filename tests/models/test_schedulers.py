@@ -1,5 +1,7 @@
 """Diffusion-schedule tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,25 @@ from repro.models.schedulers import (
     linear_schedule,
     steps_latency_tradeoff,
 )
+from repro.models.stable_diffusion import (
+    StableDiffusion,
+    StableDiffusionConfig,
+)
+from repro.profiler.profiler import profile_model
+
+
+def sd_profile(steps: int):
+    """Stable Diffusion at 256 px, profiled at ``steps`` denoising steps."""
+    config = StableDiffusionConfig().at_image_size(256)
+    model = StableDiffusion(replace(config, denoising_steps=steps))
+    return profile_model(model)
+
+
+def profiled_step_split(steps: int) -> tuple[float, float]:
+    """(one UNet pass, everything else) of a ``steps``-step profile."""
+    trace = sd_profile(steps).trace
+    step_s = trace.under_module("denoise_0").total_time_s
+    return step_s, trace.total_time_s - steps * step_s
 
 
 class TestSchedules:
@@ -112,6 +133,44 @@ class TestTradeoff:
         quality/latency sweet spot the suite configs encode."""
         points = steps_latency_tradeoff(0.02, [50])
         assert points[0].snr_coverage > 0.9
+
+    def test_profiled_step_latency_reproduces_profile(self):
+        trace = sd_profile(4).trace
+        step_s, overhead_s = profiled_step_split(4)
+        # Every denoising step replays the same UNet pass.
+        assert all(
+            trace.under_module(f"denoise_{i}").total_time_s == step_s
+            for i in range(4)
+        )
+        (point,) = steps_latency_tradeoff(
+            step_s, [4], fixed_overhead_s=overhead_s
+        )
+        assert point.latency_s == pytest.approx(
+            trace.total_time_s, rel=1e-12
+        )
+
+    def test_profiled_step_latency_predicts_other_step_counts(self):
+        step_s, overhead_s = profiled_step_split(4)
+        points = steps_latency_tradeoff(
+            step_s, [2, 8], fixed_overhead_s=overhead_s
+        )
+        for point in points:
+            assert point.latency_s == pytest.approx(
+                sd_profile(point.steps).total_time_s, rel=1e-12
+            )
+
+    def test_step_counts_outside_schedule_rejected(self):
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match="inference steps"):
+                steps_latency_tradeoff(0.02, [10, steps])
+        with pytest.raises(ValueError, match=r"\[1, 100\]"):
+            steps_latency_tradeoff(
+                0.02, [101], schedule=linear_schedule(100)
+            )
+
+    def test_points_sorted_by_steps(self):
+        points = steps_latency_tradeoff(0.02, [50, 10, 25])
+        assert [p.steps for p in points] == [10, 25, 50]
 
     def test_validation(self):
         with pytest.raises(ValueError):

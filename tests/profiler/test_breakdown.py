@@ -111,6 +111,24 @@ def fused_attention_trace(kind, fold):
     return ctx.trace
 
 
+def spatial_matmul_trace(fold):
+    """One unfused spatial QK^T matmul, folded ``fold`` times."""
+    dims = dict(batch=2, seq_q=64, seq_kv=64, head_dim=32, num_heads=4)
+    info = AttentionInfo(
+        role=AttentionRole.SELF, kind=AttentionKind.SPATIAL, **dims
+    )
+    ctx = ExecutionContext()
+    with ctx.named_scope("spatial_attention"):
+        with ctx.repeat_scope(fold):
+            ctx.emit(
+                Gemm(
+                    "qk", m=64, n=64, k=32, batch=8,
+                    category_override=OpCategory.ATTENTION, attention=info,
+                )
+            )
+    return ctx.trace
+
+
 class TestTemporalSpatialReport:
     @pytest.mark.parametrize(
         "kind, field",
@@ -124,6 +142,13 @@ class TestTemporalSpatialReport:
         folded = temporal_spatial_report(fused_attention_trace(kind, 3))
         assert getattr(once, field) == 4.0 * 2 * 4 * 64 * 64 * 32
         assert getattr(folded, field) == 3 * getattr(once, field)
+
+    def test_folded_attention_matmul_counts_each_launch(self):
+        # A Gemm row's cost already carries its fold factor.
+        once = temporal_spatial_report(spatial_matmul_trace(1))
+        folded = temporal_spatial_report(spatial_matmul_trace(3))
+        assert once.spatial_matmul_flops == 2.0 * 8 * 64 * 64 * 32
+        assert folded.spatial_matmul_flops == 3 * once.spatial_matmul_flops
 
     def test_mav_report_ratios(self, suite_profiles):
         baseline, _ = suite_profiles["make_a_video"]

@@ -72,3 +72,31 @@ def test_every_import_is_declared():
     assert not undeclared, (
         f"imports not declared in pyproject.toml: {undeclared}"
     )
+
+
+def test_pyproject_declarations_are_read():
+    assert {
+        "numpy", "pytest", "pytest_benchmark", "hypothesis", "networkx",
+    } <= declared_distributions()
+
+
+def test_imports_inside_functions_count_and_relative_ones_do_not(tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(
+        "import os.path\n"
+        "from . import sibling\n"
+        "\n"
+        "def load():\n"
+        "    import networkx as nx\n"
+        "    from numpy.linalg import norm\n"
+    )
+    assert imported_names(path) == {"os", "networkx", "numpy"}
+
+
+def test_sibling_modules_resolve(tmp_path):
+    (tmp_path / "helpers.py").write_text("")
+    (tmp_path / "package").mkdir()
+    importer = tmp_path / "module.py"
+    assert is_sibling(importer, "helpers")
+    assert is_sibling(importer, "package")
+    assert not is_sibling(importer, "missing")
