@@ -14,10 +14,11 @@ space automatically:
    times, and their running prefix — is built per (tp, microbatch
    size) and then every (pp, dp, m, sp) combination is costed from the
    prefix arrays as a per-config delta: stage sums, point-to-point
-   boundary transfers, pipeline wavefronts.  An axis is priced once
-   per distinct kernel class of the trace
-   (:func:`repro.distributed.partition.trace_classes`) and expanded to
-   events by index, never by partitioning.  :func:`bruteforce_cost` is
+   boundary transfers, pipeline wavefronts.  An axis is rank 0's view
+   of the tensor-parallel plan, priced once per kernel class by the
+   timelines' own pricer
+   (:func:`repro.distributed.timeline.price_classes`) and expanded to
+   events by the plan's class index.  :func:`bruteforce_cost` is
    the slow path that partitions and prices every event afresh per
    config (:func:`bruteforce_axis`); the property suite pins both
    paths to identical floats.
@@ -63,10 +64,10 @@ from repro.distributed.schedule import (
     simulate_1f1b,
     simulate_gpipe,
 )
-from repro.distributed.sharding import ShardRole, even_split, shard_op
+from repro.distributed.sharding import even_split
+from repro.distributed.timeline import price_classes
 from repro.ir.context import AttentionImpl
 from repro.ir.module import Module
-from repro.ir.ops import Op
 from repro.ir.trace import Trace
 from repro.kernels.base import DEFAULT_TUNING, TuningConstants
 from repro.kernels.estimator import CostEstimator
@@ -285,88 +286,70 @@ def build_axis(
 ) -> TPAxis:
     """Price one tensor-parallel axis over ``trace``, once per class.
 
-    This is the only place the planner touches the sharding rules and
-    the kernel estimator; everything downstream works on the arrays.
-    Each class of :func:`repro.distributed.partition.trace_classes`
-    (one op, role, collective and fold factor) is sharded, priced and
-    sized once; the per-event arrays are gathered by class index.
-    Every float equals the per-event pricing of :func:`bruteforce_axis`.
-    For ``tp == 1`` the profiled event costs are taken verbatim — no
-    re-pricing — which is what makes the degenerate config reproduce
-    the single-device trace byte-identically.
+    The axis is rank 0's view of the ``TensorParallel(tp)`` plan, priced
+    per class by :func:`repro.distributed.timeline.price_classes` — the
+    pricer the timelines use — and gathered to events by the plan's
+    class index.  This function adds only what a timeline does not
+    model: the sequence-parallel collective variant, the activation
+    peak and each event's unsharded output bytes.  Every float equals
+    the per-event pricing of :func:`bruteforce_axis`.  At ``tp == 1``
+    the plan has no collective and every op is re-priced on the
+    machine's GPU, which reproduces the profiled trace whenever that
+    GPU profiled it.
     """
-    table = trace_classes(trace)
-    index = table.index
-    out_c = [op.write_bytes() for op in table.ops]
-    out_bytes = list(map(out_c.__getitem__, index))
+    plan = TensorParallel(tp).partition(trace)
+    shard_times, class_comm = price_classes(plan, machine, tuning=tuning)
+    comm_model = machine.topology.cost_model(tp)
+    times_c: list[float] = []
+    comm_c: list[float] = []
+    comm_sp_c: list[float] = []
     act_peak = 0.0
     max_payload = 0.0
-    if tp == 1:
-        times = trace.times_s()
-        comm = [0.0] * len(times)
-        comm_sp = comm.copy()
-        for op in table.ops:
-            transient = op.read_bytes() + op.write_bytes()
+    for cls, rank_times, comm_s in zip(plan.classes, shard_times, class_comm):
+        op0 = cls.ops[0]
+        if op0 is None:
+            times_c.append(0.0)
+        else:
+            times_c.append(rank_times[0])
+            transient = op0.read_bytes() + op0.write_bytes()
             if transient > act_peak:
                 act_peak = transient
-        times_arr = np.array(times)
-        comm_arr = comm_sp_arr = np.zeros(len(times))
-    else:
-        weights = [1] * tp
-        estimator = CostEstimator(machine.gpu, tuning)
-        comm_model = machine.topology.cost_model(tp)
-        first_shard: dict[tuple[int, ShardRole], Op | None] = {}
-        times_c = [0.0] * len(table)
-        comm_c = [0.0] * len(table)
-        comm_sp_c = [0.0] * len(table)
-        for cls, (op, role, kind, repeat) in enumerate(
-            zip(table.ops, table.roles, table.collectives, table.repeats)
-        ):
-            key = (id(op), role)
-            if key not in first_shard:
-                first_shard[key] = shard_op(op, role, weights)[0]
-            op0 = first_shard[key]
-            if op0 is not None:
-                base_s = estimator.estimate(op0).time_s
-                # Same expression as build_timelines so the floats match.
-                times_c[cls] = base_s * repeat if repeat != 1 else base_s
-                transient = op0.read_bytes() + op0.write_bytes()
-                if transient > act_peak:
-                    act_peak = transient
-            if kind is None:
-                continue
-            payload = out_c[cls]
-            plain = comm_model.estimate(kind, payload, tp).time_s
-            if kind is CollectiveKind.ALL_REDUCE:
-                # Sequence parallelism replaces the all-reduce with
-                # reduce-scatter + all-gather around the sharded
-                # activation region.
-                sp_s = (
+        if comm_s is None:
+            comm_c.append(0.0)
+            comm_sp_c.append(0.0)
+            continue
+        comm_c.append(comm_s)
+        payload = cls.comm.payload_bytes
+        if cls.comm.kind is CollectiveKind.ALL_REDUCE:
+            # Sequence parallelism replaces the all-reduce with
+            # reduce-scatter + all-gather around the sharded activation
+            # region.
+            comm_sp_c.append(
+                (
                     comm_model.reduce_scatter(payload, tp).time_s
                     + comm_model.all_gather(payload, tp).time_s
-                )
-            else:
-                sp_s = plain
-            comm_c[cls] = plain * repeat
-            comm_sp_c[cls] = sp_s * repeat
-            if payload > max_payload:
-                max_payload = payload
-        times = list(map(times_c.__getitem__, index))
-        comm = list(map(comm_c.__getitem__, index))
-        comm_sp = list(map(comm_sp_c.__getitem__, index))
-        gather = table.index_array
-        times_arr = np.array(times_c)[gather]
-        comm_arr = np.array(comm_c)[gather]
-        comm_sp_arr = np.array(comm_sp_c)[gather]
+                ) * cls.repeat
+            )
+        else:
+            comm_sp_c.append(comm_s)
+        if payload > max_payload:
+            max_payload = payload
+    table = trace_classes(trace)
+    out_c = [op.write_bytes() for op in table.ops]
+    index = table.index
+    gather = table.index_array
+    times_arr = np.array(times_c)[gather]
+    comm_arr = np.array(comm_c)[gather]
+    comm_sp_arr = np.array(comm_sp_c)[gather]
     return TPAxis(
         tp=tp,
         batch=batch,
-        times=times,
-        comm=comm,
-        comm_sp=comm_sp,
+        times=list(map(times_c.__getitem__, index)),
+        comm=list(map(comm_c.__getitem__, index)),
+        comm_sp=list(map(comm_sp_c.__getitem__, index)),
         acc=_prefix(times_arr, comm_arr),
         acc_sp=_prefix(times_arr, comm_sp_arr),
-        out_bytes=out_bytes,
+        out_bytes=list(map(out_c.__getitem__, index)),
         act_peak_shard=act_peak,
         max_comm_payload=max_payload,
     )
@@ -385,8 +368,10 @@ def bruteforce_axis(
     Partitions the trace with :class:`TensorParallel` and prices every
     event of the plan's per-event view (``plan.sharded_events``, built
     on read) on its own, accumulating the prefix sums in a plain Python
-    loop — no gather, no array arithmetic.  The property suite requires
-    every field to equal :func:`build_axis`'s.
+    loop — no gather, no array arithmetic.  At ``tp == 1`` it reads the
+    profiled event costs verbatim, so :func:`build_axis`'s re-pricing
+    of unsharded ops is checked against the profile itself.  The
+    property suite requires every field to equal :func:`build_axis`'s.
     """
     n = len(trace.events)
     times: list[float] = []
@@ -653,10 +638,7 @@ class PlannerBasis:
         kv_bytes: float = 0.0,
     ):
         self.model = model
-        self.machine = (
-            machine_from_name(machine) if isinstance(machine, str)
-            else machine
-        )
+        self.machine = machine_from_name(machine)
         self.attention_impl = attention_impl
         self.tuning = tuning
         if not (math.isfinite(kv_bytes) and kv_bytes >= 0):

@@ -111,8 +111,15 @@ def machine_names() -> list[str]:
     return sorted(MACHINES)
 
 
-def machine_from_name(name: str) -> MachineSpec:
-    """Look up a registered machine by name."""
+def machine_from_name(name: MachineSpec | str) -> MachineSpec:
+    """Look up a registered machine by name.
+
+    A :class:`MachineSpec` is returned unchanged, so every entry point
+    that takes ``machine: MachineSpec | str`` resolves it with this one
+    call.
+    """
+    if isinstance(name, MachineSpec):
+        return name
     try:
         return MACHINES[name]
     except KeyError:

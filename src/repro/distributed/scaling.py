@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.distributed.partition import (
-    DataParallel,
-    PartitionStrategy,
-    strategy_from_name,
-)
+from repro.distributed.partition import DataParallel, strategy_from_name
 from repro.distributed.registry import MachineSpec, machine_from_name
-from repro.distributed.timeline import DistributedTrace, build_timelines
+from repro.distributed.timeline import build_timelines
 from repro.ir.context import AttentionImpl
 from repro.ir.module import Module
 from repro.ir.trace import Trace
@@ -51,12 +47,6 @@ class ScalingPoint:
     def comm_fraction(self) -> float:
         """Share of the latency spent in exposed communication."""
         return self.comm_time_s / self.time_s if self.time_s > 0 else 0.0
-
-
-def _resolve_machine(machine: MachineSpec | str) -> MachineSpec:
-    if isinstance(machine, str):
-        return machine_from_name(machine)
-    return machine
 
 
 def _profile_trace(
@@ -96,43 +86,26 @@ def strong_scaling(
     """
     if not worlds or any(w < 1 for w in worlds):
         raise ValueError("worlds must be positive")
-    machine = _resolve_machine(machine)
+    machine = machine_from_name(machine)
     trace = _profile_trace(model, machine, attention_impl, tuning, batch)
+    # Single-device reference.  A one-rank plan of any strategy has no
+    # collective and re-prices every op on the GPU that profiled it, so
+    # its makespan is this total too.
+    t1 = trace.total_time_s
     points: list[ScalingPoint] = []
-    t1: float | None = None
     for world in worlds:
-        if world == 1:
-            # A single-device plan executes every source event with no
-            # collectives, and re-pricing it on the machine the trace
-            # was profiled on reproduces each event's cost exactly (the
-            # cost cache returns the same KernelCost objects), so the
-            # makespan is the trace total — skip the partition/pricing
-            # round-trip.
-            time_s = trace.total_time_s
-            compute_s = time_s
-            comm_s = 0.0
-        else:
-            part: PartitionStrategy = strategy_from_name(
-                strategy, world, batch=batch
-            )
-            dist = build_timelines(
-                part.partition(trace), machine, tuning=tuning,
-                overlap=overlap, keep_entries=False,
-            )
-            time_s = dist.total_time_s
-            compute_s = dist.compute_time_s
-            comm_s = dist.exposed_comm_time_s
-        if t1 is None:
-            # Single-device reference; equals the profiled trace total
-            # (see the world == 1 fast path above).
-            t1 = trace.total_time_s
+        dist = build_timelines(
+            strategy_from_name(strategy, world, batch=batch).partition(trace),
+            machine, tuning=tuning, overlap=overlap, keep_entries=False,
+        )
+        time_s = dist.total_time_s
         speedup = t1 / time_s if time_s > 0 else 0.0
         points.append(
             ScalingPoint(
                 world=world,
                 time_s=time_s,
-                compute_time_s=compute_s,
-                comm_time_s=comm_s,
+                compute_time_s=dist.compute_time_s,
+                comm_time_s=dist.exposed_comm_time_s,
                 speedup=speedup,
                 efficiency=speedup / world,
             )
@@ -158,7 +131,7 @@ def weak_scaling(
     """
     if not worlds or any(w < 1 for w in worlds):
         raise ValueError("worlds must be positive")
-    machine = _resolve_machine(machine)
+    machine = machine_from_name(machine)
     points: list[ScalingPoint] = []
     t1: float | None = None
     for world in worlds:

@@ -5,7 +5,10 @@ This is where a hardware-free :class:`DistributedPlan` meets a
 cost models on the machine's GPU (shards are *smaller* shapes, so they
 lose tile/wave efficiency and keep full launch overhead — the
 first-order reason tensor-parallel efficiency decays), and every
-collective is priced by the machine topology's link model.
+collective is priced by the machine topology's link model.  Both happen
+once per plan class in :func:`price_classes`, the one pricer of sharded
+plans: the timelines here and the planner's tensor-parallel axes
+(:func:`repro.distributed.planner.build_axis`) read its floats.
 
 Compute/communication overlap is a dial: ``overlap`` is the fraction of
 each collective hidden under independent compute (0 = fully exposed,
@@ -111,28 +114,75 @@ def build_timelines(
 
     SPMD plans (tensor/data parallel) advance all ranks together and
     synchronize at every collective; pipeline plans chain stages with
-    point-to-point transfers.  Each plan class is priced once, then the
-    plan's class index is walked in trace order, adding each event's
-    times left to right; no event object is built.
+    point-to-point transfers.  Each plan class is priced once
+    (:func:`price_classes`), then the plan's class index is walked in
+    trace order, adding each event's times left to right; no event
+    object is built.
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError("overlap must be in [0, 1]")
-    estimator = CostEstimator(machine.gpu, tuning)
-    if plan.kind == "pipeline":
-        timelines = _build_pipeline(
-            plan, machine, estimator, overlap, keep_entries
-        )
-    else:
-        timelines = _build_spmd(
-            plan, machine, estimator, overlap, keep_entries
-        )
+    times, comms = price_classes(plan, machine, tuning=tuning)
+    # Each class' collective as (modelled, exposed, label), or None.
+    collectives = [
+        None if comm_s is None
+        else (comm_s, comm_s * (1.0 - overlap), cls.comm.label)
+        for cls, comm_s in zip(plan.classes, comms)
+    ]
+    build = _build_pipeline if plan.kind == "pipeline" else _build_spmd
     return DistributedTrace(
         strategy=plan.strategy,
         world=plan.world,
         machine=machine,
-        timelines=timelines,
+        timelines=build(plan, times, collectives, keep_entries),
         overlap=overlap,
     )
+
+
+def price_classes(
+    plan: DistributedPlan,
+    machine: MachineSpec,
+    *,
+    tuning: TuningConstants = DEFAULT_TUNING,
+) -> tuple[list[tuple[float | None, ...]], list[float | None]]:
+    """Every class' per-rank kernel times and its collective time.
+
+    The one place a sharded plan is priced (the planner's per-event
+    reference, :func:`repro.distributed.planner.bruteforce_axis`,
+    aside): each shard is re-priced on the machine's GPU and each
+    collective over the topology's bounding link for the plan's world
+    (a pipeline's boundary sends cross one adjacent pair of ranks).
+    Both carry the class' fold
+    factor, multiplied as :meth:`KernelCost.scaled` does, so an
+    unsharded op on the GPU that profiled it prices to its profiled
+    float.  A rank that idles reads ``None``, as does a class with no
+    collective.  Shard ops are shared between classes, so kernel times
+    are memoized per op object.
+    """
+    estimator = CostEstimator(machine.gpu, tuning)
+    comm_model = machine.topology.cost_model(
+        2 if plan.kind == "pipeline" else plan.world
+    )
+    op_time: dict[int, float] = {}
+    times: list[tuple[float | None, ...]] = []
+    comms: list[float | None] = []
+    for _, ops, comm, _, repeat in plan.classes:
+        rank_times: list[float | None] = []
+        for op in ops:
+            if op is None:
+                rank_times.append(None)
+                continue
+            base_s = op_time.get(id(op))
+            if base_s is None:
+                base_s = op_time[id(op)] = estimator.estimate(op).time_s
+            rank_times.append(base_s * repeat if repeat != 1 else base_s)
+        times.append(tuple(rank_times))
+        comms.append(
+            None if comm is None
+            else comm_model.estimate(
+                comm.kind, comm.payload_bytes, plan.world
+            ).time_s * repeat
+        )
+    return times, comms
 
 
 def _class_name(ops: tuple) -> str | None:
@@ -142,40 +192,11 @@ def _class_name(ops: tuple) -> str | None:
 
 def _build_spmd(
     plan: DistributedPlan,
-    machine: MachineSpec,
-    estimator: CostEstimator,
-    overlap: float,
+    class_times: list[tuple[float | None, ...]],
+    collectives: list[tuple[float, float, str] | None],
     keep_entries: bool,
 ) -> list[DeviceTimeline]:
     world = plan.world
-    comm_model = machine.topology.cost_model(world)
-    world_gt1 = world > 1
-    # Each class is priced once: every rank's kernel time with the fold
-    # factor applied (the same float multiply KernelCost.scaled does;
-    # None where the rank idles), and its collective's modelled and
-    # exposed time.  Shard ops are shared between classes, so kernel
-    # times are memoized per op object.
-    op_time: dict[int, float] = {}
-    class_times: list[tuple[float | None, ...]] = []
-    class_comm: list[tuple[float, float, str] | None] = []
-    for _, ops, comm, _, repeat in plan.classes:
-        times: list[float | None] = []
-        for op in ops:
-            if op is None:
-                times.append(None)
-                continue
-            base_s = op_time.get(id(op))
-            if base_s is None:
-                base_s = op_time[id(op)] = estimator.estimate(op).time_s
-            times.append(base_s * repeat if repeat != 1 else base_s)
-        class_times.append(tuple(times))
-        priced = None
-        if comm is not None and world_gt1:
-            comm_time = comm_model.estimate(
-                comm.kind, comm.payload_bytes, world
-            ).time_s * repeat
-            priced = (comm_time, comm_time * (1.0 - overlap), comm.label)
-        class_comm.append(priced)
     labels = (
         [_class_name(cls.ops) for cls in plan.classes]
         if keep_entries else None
@@ -201,7 +222,7 @@ def _build_spmd(
                 )
             compute[rank] += time_s
             clocks[rank] += time_s
-        priced = class_comm[cls]
+        priced = collectives[cls]
         if priced is not None:
             comm_time, exposed, label = priced
             comm_s += comm_time
@@ -229,31 +250,16 @@ def _build_spmd(
 
 def _build_pipeline(
     plan: DistributedPlan,
-    machine: MachineSpec,
-    estimator: CostEstimator,
-    overlap: float,
+    class_times: list[tuple[float | None, ...]],
+    collectives: list[tuple[float, float, str] | None],
     keep_entries: bool,
 ) -> list[DeviceTimeline]:
     world = plan.world
-    comm_model = machine.topology.cost_model(2)
-    # Each class is priced once: its stage's kernel time and its
-    # boundary send, if any.
-    op_time: dict[int, float] = {}
-    priced: list[tuple[int, float, str, tuple[float, float, str] | None]] = []
-    for _, ops, comm, stage, repeat in plan.classes:
-        op = ops[stage]
-        base_s = op_time.get(id(op))
-        if base_s is None:
-            base_s = op_time[id(op)] = estimator.estimate(op).time_s
-        send = None
-        if comm is not None:
-            comm_time = (
-                comm_model.send_recv(comm.payload_bytes).time_s * repeat
-            )
-            send = (comm_time, comm_time * (1.0 - overlap), comm.label)
-        priced.append(
-            (stage, base_s * repeat if repeat != 1 else base_s, op.name, send)
-        )
+    # Each class runs on its stage's rank alone.
+    stages = [
+        (cls.stage, class_times[number][cls.stage], cls.ops[cls.stage].name)
+        for number, cls in enumerate(plan.classes)
+    ]
     entries: list[list[TimelineEntry]] = [[] for _ in range(world)]
     compute = [0.0] * world
     comm_s = [0.0] * world
@@ -261,7 +267,7 @@ def _build_pipeline(
     ends = [0.0] * world
     clock = 0.0  # single-sample latency: stages execute back to back
     for cls in plan.index:
-        stage, time_s, name, send = priced[cls]
+        stage, time_s, name = stages[cls]
         if keep_entries:
             entries[stage].append(
                 TimelineEntry("compute", name, clock, time_s)
@@ -269,6 +275,7 @@ def _build_pipeline(
         compute[stage] += time_s
         clock += time_s
         ends[stage] = clock
+        send = collectives[cls]
         if send is not None:
             comm_time, exposed, label = send
             if keep_entries and exposed > 0:

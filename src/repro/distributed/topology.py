@@ -3,9 +3,10 @@
 A :class:`Topology` is two link classes and a node size: GPUs inside a
 node talk over the fast fabric (NVLink/NVSwitch, Infinity Fabric, or
 plain PCIe), and communicators spanning nodes are bounded by the network
-link.  This is the same slowest-link abstraction
-:mod:`repro.training.interconnect` uses for FSDP, extended with
-per-link latencies so the collective model can price small messages.
+link.  The collective model (:mod:`repro.distributed.collectives`)
+prices every call over the bounding link with its per-link latency;
+FSDP's training-step model (:mod:`repro.training.fsdp`) reads the same
+link bandwidths and node size.
 """
 
 from __future__ import annotations

@@ -152,13 +152,14 @@ def serve1_summary() -> dict:
         A100_SERVERS,
         CRASH,
         MODELS,
+        SHARES,
         _pool,
         _scenario,
-        _service_times,
     )
     from repro.serving.faults import FaultSchedule
+    from repro.serving.workload import suite_mix_from_profiles
 
-    flash_service = _service_times(use_flash=True)
+    flash_service = suite_mix_from_profiles(all_profiles(), SHARES).service_s
     deadlines = {name: 3.0 * flash_service[name] for name in MODELS}
     summary: dict = {}
     for label, faults in (

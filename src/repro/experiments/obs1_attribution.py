@@ -45,7 +45,11 @@ from repro.serving.fleet import (
 )
 from repro.serving.resilience import CircuitBreakerConfig, ResilienceConfig
 from repro.serving.slo import slo_report
-from repro.serving.workload import WorkloadMix, generate_requests
+from repro.serving.workload import (
+    WorkloadMix,
+    generate_requests,
+    suite_mix_from_profiles,
+)
 
 EXPERIMENT_ID = "obs1"
 
@@ -91,11 +95,6 @@ ALERT_RULES = (
         severity="page",
     ),
 )
-
-
-def _service_times() -> dict[str, float]:
-    profiles = all_profiles()
-    return {name: profiles[name][1].total_time_s for name in MODELS}
 
 
 def _requests(service: dict[str, float]):
@@ -144,7 +143,7 @@ def _run_scenarios():
     and ``blind_report`` is the flappy arm re-simulated with telemetry
     disabled (the inertness control).
     """
-    service = _service_times()
+    service = suite_mix_from_profiles(all_profiles(), SHARES).service_s
     deadlines = {
         name: DEADLINE_FACTOR * service[name] for name in MODELS
     }

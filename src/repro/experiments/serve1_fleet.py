@@ -37,7 +37,11 @@ from repro.serving.fleet import (
     simulate_fleet,
 )
 from repro.serving.slo import SloReport, percentile, slo_report
-from repro.serving.workload import WorkloadMix, generate_requests
+from repro.serving.workload import (
+    WorkloadMix,
+    generate_requests,
+    suite_mix_from_profiles,
+)
 
 EXPERIMENT_ID = "serve1"
 
@@ -49,14 +53,6 @@ TARGET_LOAD = 0.7
 A100_SERVERS = 4
 CRASH = Crash(server=0, at_s=120.0, downtime_s=240.0)
 RETRY = RetryPolicy(max_retries=2, backoff_s=1.0, timeout_s=None)
-
-
-def _service_times(use_flash: bool) -> dict[str, float]:
-    profiles = all_profiles()
-    return {
-        name: profiles[name][1 if use_flash else 0].total_time_s
-        for name in MODELS
-    }
 
 
 def _h100_service_times() -> dict[str, float]:
@@ -114,8 +110,12 @@ def _scenario(
 
 def run() -> ExperimentResult:
     """Regenerate this experiment and check its claims."""
-    baseline_service = _service_times(use_flash=False)
-    flash_service = _service_times(use_flash=True)
+    baseline_service = suite_mix_from_profiles(
+        all_profiles(), SHARES, use_flash=False
+    ).service_s
+    flash_service = suite_mix_from_profiles(
+        all_profiles(), SHARES, use_flash=True
+    ).service_s
     h100_service = _h100_service_times()
     # Deadlines: 3x the flash service time per model, shared by every
     # scenario so goodput numbers are comparable across them.

@@ -61,6 +61,7 @@ from repro.serving.workload import (
     WorkloadMix,
     bursty_rate,
     generate_requests_pattern,
+    suite_mix_from_profiles,
 )
 
 EXPERIMENT_ID = "serve2"
@@ -81,11 +82,6 @@ RETRY = RetryPolicy(
     max_retries=2, backoff_s=1.0, multiplier=2.0, max_backoff_s=8.0,
     jitter=0.5,
 )
-
-
-def _flash_service_times() -> dict[str, float]:
-    profiles = all_profiles()
-    return {name: profiles[name][1].total_time_s for name in MODELS}
 
 
 def _degraded_service_times(rung: int) -> dict[str, float]:
@@ -183,7 +179,7 @@ def _configs(
 
 
 def _run_scenarios() -> list[tuple[str, FleetReport, SloReport]]:
-    service = _flash_service_times()
+    service = suite_mix_from_profiles(all_profiles(), SHARES).service_s
     deadlines = {name: 3.0 * service[name] for name in MODELS}
     brownout = BrownoutConfig(
         rungs=(

@@ -61,6 +61,7 @@ from repro.serving.traffic import (
     poissonized,
     steps_spec,
 )
+from repro.serving.workload import suite_mix_from_profiles
 
 EXPERIMENT_ID = "serve3"
 
@@ -77,11 +78,6 @@ BURST = BurstModel(mean_on_s=60.0, mean_off_s=600.0, on_factor=8.0)
 DISPERSION_BIN_S = 60.0
 RATE_HEADROOM = 1.05
 BUCKET_BURST = 30.0
-
-
-def _flash_service_times() -> dict[str, float]:
-    profiles = all_profiles()
-    return {name: profiles[name][1].total_time_s for name in MODELS}
 
 
 def _population(service: dict[str, float]) -> ClientPopulation:
@@ -191,7 +187,7 @@ def _run_scenarios():
     Returns ``(scenarios, traces, deadlines)`` where ``scenarios`` is
     a list of ``(traffic_label, policy_label, report, slo)``.
     """
-    service = _flash_service_times()
+    service = suite_mix_from_profiles(all_profiles(), SHARES).service_s
     deadlines = {name: 3.0 * service[name] for name in MODELS}
     client_trace = generate_traffic(
         _population(service), duration_s=DURATION_S, seed=SEED

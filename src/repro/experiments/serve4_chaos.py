@@ -60,7 +60,11 @@ from repro.serving.resilience import (
     ResilienceConfig,
 )
 from repro.serving.slo import domain_slo_report, percentile, slo_report
-from repro.serving.workload import WorkloadMix, generate_requests
+from repro.serving.workload import (
+    WorkloadMix,
+    generate_requests,
+    suite_mix_from_profiles,
+)
 
 EXPERIMENT_ID = "serve4"
 
@@ -84,11 +88,6 @@ ORCHESTRATION = OrchestrationConfig(
     detection_delay_s=10.0, readmission_stagger_s=8.0,
     promote_stagger_s=2.0,
 )
-
-
-def _flash_service_times() -> dict[str, float]:
-    profiles = all_profiles()
-    return {name: profiles[name][1].total_time_s for name in MODELS}
 
 
 def _pools(service_s: dict[str, float]) -> list[PoolSpec]:
@@ -163,7 +162,7 @@ def _run_scenarios():
     with the arm label, the report, its SLO and domain reports, and
     its invariant verdict.
     """
-    service = _flash_service_times()
+    service = suite_mix_from_profiles(all_profiles(), SHARES).service_s
     deadlines = {name: 3.0 * service[name] for name in MODELS}
     pools = _pools(service)
     topology = topology_for_pools(pools)

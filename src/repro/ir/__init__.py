@@ -11,7 +11,6 @@ from repro.ir.context import AttentionImpl, ExecutionContext
 from repro.ir.dtypes import BF16, BOOL, FP8, FP16, FP32, INT8, INT32, INT64, TF32, DType, dtype_from_name
 from repro.ir.graph import (
     TimeTreeNode,
-    module_graph,
     modules_of_type,
     parameter_hotspots,
     render_time_tree,
@@ -66,7 +65,6 @@ __all__ = [
     "LayerNorm",
     "Module",
     "TimeTreeNode",
-    "module_graph",
     "modules_of_type",
     "parameter_hotspots",
     "render_time_tree",

@@ -1,10 +1,11 @@
-"""Module-hierarchy graphs and trace flame views.
+"""Module-tree queries and trace flame views.
 
 Structural tooling over the module tree and recorded traces:
 
-* :func:`module_graph` — the model as a ``networkx`` DiGraph (nodes are
-  module paths with type/parameter attributes), for structural queries
-  like "which subtrees hold the parameters" or "how deep is the UNet";
+* :func:`tree_depth`, :func:`modules_of_type` and
+  :func:`parameter_hotspots` walk the module tree
+  (:meth:`Module.named_modules`) for structural queries like "which
+  modules hold the parameters" or "how deep is the UNet";
 * :func:`time_tree` — a flame-graph-style aggregation of a trace's
   execution time by module-path prefix, the textual equivalent of
   reading a profiler timeline top-down.
@@ -13,57 +14,24 @@ Structural tooling over the module tree and recorded traces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.ir.module import Module
 from repro.ir.trace import Trace
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
-
-
-def module_graph(model: Module) -> "nx.DiGraph":
-    """Build the module-containment DAG of a model.
-
-    Node attributes: ``type`` (class name), ``own_params``,
-    ``subtree_params``.
-    """
-    # Imported lazily: networkx costs ~120 ms at interpreter start and
-    # only the structural-query helpers need it.
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    for path, module in model.named_modules():
-        graph.add_node(
-            path,
-            type=type(module).__name__,
-            own_params=module.own_param_count(),
-            subtree_params=module.param_count(),
-        )
-        parent = path.rsplit(".", 1)[0]
-        if parent != path:
-            graph.add_edge(parent, path)
-    return graph
-
 
 def tree_depth(model: Module) -> int:
-    """Longest root-to-leaf containment chain."""
-    import networkx as nx
-
-    graph = module_graph(model)
-    root = model.name
-    return max(
-        (len(nx.shortest_path(graph, root, node)) for node in graph.nodes),
-        default=1,
+    """Longest root-to-leaf containment chain, counted in modules."""
+    return 1 + max(
+        (tree_depth(child) for _, child in model.named_children()),
+        default=0,
     )
 
 
 def modules_of_type(model: Module, type_name: str) -> list[str]:
     """Paths of all modules whose class matches ``type_name``."""
-    graph = module_graph(model)
     return sorted(
-        node for node, data in graph.nodes(data=True)
-        if data["type"] == type_name
+        path for path, module in model.named_modules()
+        if type(module).__name__ == type_name
     )
 
 
@@ -71,17 +39,17 @@ def parameter_hotspots(model: Module, top_k: int = 5) -> list[tuple[str, int]]:
     """Leaf-ish modules carrying the most parameters.
 
     Returns the ``top_k`` modules ranked by *own* parameters — where the
-    capacity actually lives (embedding tables, big projections).
+    capacity actually lives (embedding tables, big projections); ties
+    keep depth-first tree order.
     """
     if top_k <= 0:
         raise ValueError("top_k must be positive")
-    graph = module_graph(model)
+    owned = (
+        (path, module.own_param_count())
+        for path, module in model.named_modules()
+    )
     ranked = sorted(
-        (
-            (node, data["own_params"])
-            for node, data in graph.nodes(data=True)
-            if data["own_params"] > 0
-        ),
+        ((path, params) for path, params in owned if params > 0),
         key=lambda item: item[1],
         reverse=True,
     )

@@ -72,8 +72,7 @@ def profile_sharded(
     is FLASH (unlike the single-device profiler, which defaults to the
     paper's baseline lowering).
     """
-    if isinstance(machine, str):
-        machine = machine_from_name(machine)
+    machine = machine_from_name(machine)
     # Local import: repro.profiler.profiler builds on the same layers
     # this module re-packages; importing lazily keeps module import
     # order flexible for the package __init__.

@@ -79,8 +79,7 @@ def sharded_replica(
     a fleet pool consumes
     (:func:`repro.serving.fleet.pool_from_replicas`).
     """
-    if isinstance(machine, str):
-        machine = machine_from_name(machine)
+    machine = machine_from_name(machine)
     # Local import: repro.serving must stay importable without the
     # profiler stack loaded (workload generation is dependency-free).
     from repro.profiler.distributed import profile_sharded
@@ -120,8 +119,7 @@ def replica_from_plan(
     pipeline wavefront, collectives and boundary transfers included.
     Pass the ``basis`` used for planning to reuse its cached axes.
     """
-    if isinstance(machine, str):
-        machine = machine_from_name(machine)
+    machine = machine_from_name(machine)
     # Local import: repro.serving must stay importable without the
     # profiler/planner stack loaded.
     from repro.distributed.planner import PlannerBasis
@@ -171,8 +169,7 @@ def planned_pool(
     """
     if objective not in ("throughput", "latency"):
         raise ValueError("objective must be 'throughput' or 'latency'")
-    if isinstance(machine, str):
-        machine = machine_from_name(machine)
+    machine = machine_from_name(machine)
     from repro.distributed.planner import PlannerBasis, plan_parallelism
     from repro.serving.fleet import pool_from_replicas
 

@@ -1,8 +1,10 @@
-"""Training-side characterization: FSDP cost, memory, interconnects.
+"""Training-side characterization: FSDP step cost and training memory.
 
 The paper's Figure 1 observations (14x GPUs per parameter, ~10pp higher
 memory utilization for TTI/TTV) are fleet aggregates; this package lets
-the same quantities be derived from the model suite itself.
+the same quantities be derived from the model suite itself.  FSDP's
+collectives run on the registered machines of
+:mod:`repro.distributed.registry`.
 """
 
 from repro.training.fsdp import (
@@ -11,12 +13,6 @@ from repro.training.fsdp import (
     ScalingPoint,
     fsdp_step_cost,
     scaling_sweep,
-)
-from repro.training.interconnect import (
-    DGX_A100,
-    DGX_H100,
-    InterconnectSpec,
-    nodes_for,
 )
 from repro.training.memory import (
     BYTES_PER_PARAM_TRAINING,
@@ -29,16 +25,12 @@ from repro.training.memory import (
 __all__ = [
     "BACKWARD_COMPUTE_MULTIPLIER",
     "BYTES_PER_PARAM_TRAINING",
-    "DGX_A100",
-    "DGX_H100",
     "FsdpStepCost",
-    "InterconnectSpec",
     "ScalingPoint",
     "TrainingMemoryEstimate",
     "activation_bytes_from_trace",
     "estimate_training_memory",
     "fsdp_step_cost",
     "minimum_gpus_for_state",
-    "nodes_for",
     "scaling_sweep",
 ]

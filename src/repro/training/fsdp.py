@@ -9,16 +9,19 @@ multi-node A100 clusters (Section III).  One FSDP step per layer-group:
 
 Compute comes from the same kernel cost models as inference; the
 backward pass is derived from the forward trace (each GEMM/conv has a
-data-gradient and a weight-gradient counterpart).
+data-gradient and a weight-gradient counterpart).  Collectives run over
+a registered machine's topology
+(:mod:`repro.distributed.registry`): a communicator inside one node
+moves at the fabric's bandwidth, a larger one at the network's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.spec import A100_80GB, GPUSpec
+from repro.distributed.registry import MachineSpec, machine_from_name
+from repro.distributed.topology import Topology
 from repro.ir.trace import Trace
-from repro.training.interconnect import DGX_A100, InterconnectSpec
 
 BACKWARD_COMPUTE_MULTIPLIER = 2.0
 """dgrad + wgrad are each roughly one forward's FLOPs for GEMM/conv;
@@ -27,6 +30,26 @@ with selective recompute the multiplier in practice is ~2.0-2.5."""
 RECOMPUTE_FRACTION = 0.7
 """Fraction of the forward re-executed during backward under the
 checkpointing policy assumed in repro.training.memory."""
+
+COLLECTIVE_LATENCY_S = 20e-6
+"""Fixed launch latency of one FSDP collective, flat in world size."""
+
+
+def _ring_collective_s(
+    payload_bytes: float, world_size: int, topology: Topology
+) -> float:
+    """One ring all-gather or reduce-scatter of ``payload_bytes``.
+
+    Each GPU moves ``(w-1)/w`` of the payload over the communicator's
+    bounding link, after one launch latency; one GPU moves nothing.
+    """
+    if world_size <= 1:
+        return 0.0
+    wire = payload_bytes * (world_size - 1) / world_size
+    return (
+        COLLECTIVE_LATENCY_S
+        + wire / topology.link_for(world_size).bandwidth
+    )
 
 
 @dataclass(frozen=True)
@@ -74,7 +97,7 @@ def fsdp_step_cost(
     param_count: int,
     *,
     world_size: int,
-    interconnect: InterconnectSpec = DGX_A100,
+    machine: MachineSpec | str = "dgx-a100-80g",
     layer_groups: int = 32,
     overlap_fraction: float = 0.7,
     dtype_bytes: int = 2,
@@ -86,6 +109,8 @@ def fsdp_step_cost(
             training batch size.
         param_count: total trainable parameters.
         world_size: FSDP world size (data-parallel degree).
+        machine: registered machine (or its name) whose topology
+            carries the collectives.
         layer_groups: FSDP wrapping granularity — each group triggers
             its own collectives (latency term).
         overlap_fraction: how much communication hides behind compute.
@@ -97,18 +122,18 @@ def fsdp_step_cost(
     forward = forward_trace.total_time_s
     backward = forward * BACKWARD_COMPUTE_MULTIPLIER
     recompute = forward * RECOMPUTE_FRACTION
+    topology = machine_from_name(machine).topology
     param_bytes = float(param_count * dtype_bytes)
     group_bytes = param_bytes / max(1, layer_groups)
-    # Two all-gathers (forward + backward) and one reduce-scatter
-    # (fp32 grads are reduced in fp16 here, matching common practice).
-    all_gather = 2 * sum(
-        interconnect.all_gather_time(group_bytes, world_size)
-        for _ in range(layer_groups)
-    )
-    reduce_scatter = sum(
-        interconnect.reduce_scatter_time(group_bytes, world_size)
-        for _ in range(layer_groups)
-    )
+    # Ring all-gather and reduce-scatter move the same volume.  Two
+    # all-gathers (forward + backward) and one reduce-scatter (fp32
+    # grads are reduced in fp16 here, matching common practice), added
+    # group by group.
+    per_group = [
+        _ring_collective_s(group_bytes, world_size, topology)
+    ] * layer_groups
+    all_gather = 2 * sum(per_group)
+    reduce_scatter = sum(per_group)
     return FsdpStepCost(
         forward_compute_s=forward,
         backward_compute_s=backward,
@@ -136,11 +161,10 @@ def scaling_sweep(
     world_sizes: list[int],
     *,
     batch_per_gpu: int = 1,
-    interconnect: InterconnectSpec = DGX_A100,
-    gpu: GPUSpec = A100_80GB,
+    machine: MachineSpec | str = "dgx-a100-80g",
 ) -> list[ScalingPoint]:
     """Weak-scaling sweep: global throughput vs world size."""
-    del gpu  # reserved for device-dependent compute scaling
+    machine = machine_from_name(machine)
     if not world_sizes:
         raise ValueError("need at least one world size")
     points: list[ScalingPoint] = []
@@ -148,7 +172,7 @@ def scaling_sweep(
     for world_size in sorted(world_sizes):
         cost = fsdp_step_cost(
             forward_trace, param_count, world_size=world_size,
-            interconnect=interconnect,
+            machine=machine,
         )
         throughput = world_size * batch_per_gpu / cost.step_time_s
         per_gpu = throughput / world_size

@@ -13,6 +13,11 @@ from repro.distributed.timeline import TimelineEntry, build_timelines
 from repro.kernels.estimator import DEFAULT_TUNING
 from repro.models.registry import build_model
 from repro.profiler import profile_model, profile_sharded
+from tests.distributed.plan_reference import (
+    reference_events,
+    reference_timelines,
+)
+from tests.distributed.test_partition import transformer_trace
 
 WORLDS = (1, 2, 4, 8)
 
@@ -148,3 +153,25 @@ class TestEntriesAreInert:
                 assert rank_totals(kept) == rank_totals(bare), case
                 assert any(t.entries for t in kept.timelines), case
                 assert not any(t.entries for t in bare.timelines), case
+
+
+class TestAcrossNodes:
+    """Plans wider than one node price like the per-event reference.
+
+    A 16-rank collective runs over the network link, while a pipeline's
+    boundary sends always cross one adjacent pair of ranks, inside a
+    node.
+    """
+
+    @pytest.mark.parametrize("strategy", ["tp", "pp"])
+    def test_sixteen_ranks_match_reference(self, strategy):
+        machine = machine_from_name("dgx-a100-80g")
+        trace = transformer_trace(blocks=2)
+        chosen = strategy_from_name(strategy, 16)
+        plan = chosen.partition(trace)
+        reference = reference_timelines(
+            chosen, reference_events(chosen, trace), machine
+        )
+        dist = build_timelines(plan, machine, keep_entries=False)
+        assert rank_totals(dist) == rank_totals(reference)
+        assert dist.comm_time_s > 0.0

@@ -1,0 +1,75 @@
+"""One rank is the profiled trace, on the general pricing path.
+
+A one-rank tensor-parallel axis and a one-rank plan of any strategy
+are priced like every other degree: the plan's ops are re-priced on
+the machine's GPU and it has no collective.  On the GPU and tuning
+that profiled the trace that reproduces the trace's own floats; on
+another machine or tuning it gives that profile's floats instead.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.distributed.planner import TPAxis, bruteforce_axis, build_axis
+from repro.distributed.registry import machine_from_name
+from repro.distributed.scaling import strong_scaling
+from repro.experiments.suite_cache import all_profiles
+from repro.ir.context import AttentionImpl
+from repro.kernels.base import DEFAULT_TUNING
+from repro.models.registry import build_model
+from repro.profiler import profile_model
+
+A100 = machine_from_name("dgx-a100-80g")
+H100 = machine_from_name("dgx-h100")
+AXIS_FIELDS = [f.name for f in dataclasses.fields(TPAxis) if f.compare]
+
+
+@pytest.mark.parametrize(
+    "name", ["stable_diffusion", "muse", "make_a_video", "llama"]
+)
+def test_tp1_axis_is_the_profiled_trace(name):
+    trace = all_profiles()[name][1].trace  # flash, profiled on the A100
+    axis = build_axis(trace, 1, A100)
+    assert axis.times == trace.times_s()
+    assert axis.total_s == trace.total_time_s
+    assert axis.comm_total_s == 0.0
+
+
+@pytest.mark.parametrize(
+    "tuning",
+    [DEFAULT_TUNING, dataclasses.replace(
+        DEFAULT_TUNING, gemm_base_utilization=0.6
+    )],
+    ids=["default", "slow-gemm"],
+)
+def test_tp1_axis_reprices_on_the_axis_machine(tuning):
+    model = build_model("stable_diffusion@256")
+    a100_trace = profile_model(
+        model, gpu=A100.gpu, attention_impl=AttentionImpl.FLASH
+    ).trace
+    h100_trace = profile_model(
+        model, gpu=H100.gpu, attention_impl=AttentionImpl.FLASH,
+        tuning=tuning,
+    ).trace
+    axis = build_axis(a100_trace, 1, H100, tuning=tuning)
+    assert axis.times == h100_trace.times_s()
+    assert axis.total_s == h100_trace.total_time_s
+    reference = bruteforce_axis(h100_trace, 1, H100, tuning=tuning)
+    for field in AXIS_FIELDS:
+        assert getattr(axis, field) == getattr(reference, field), field
+
+
+@pytest.mark.parametrize("strategy", ["tp", "dp", "pp"])
+def test_strong_scaling_one_rank_is_the_trace(strategy):
+    model = build_model("stable_diffusion@256")
+    trace = profile_model(
+        model, gpu=A100.gpu, attention_impl=AttentionImpl.FLASH
+    ).trace
+    (point,) = strong_scaling(
+        model, "dgx-a100-80g", worlds=(1,), strategy=strategy
+    )
+    assert point.time_s == trace.total_time_s
+    assert point.compute_time_s == trace.total_time_s
+    assert point.comm_time_s == 0.0
+    assert point.speedup == 1.0

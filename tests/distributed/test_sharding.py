@@ -158,6 +158,19 @@ class TestMachineRegistry:
         assert topo.link_for(8) is NVLINK3
         assert topo.link_for(16) is IB_HDR
         assert topo.nodes_for(16) == 2
+        assert topo.nodes_for(64) == 8
+        assert topo.nodes_for(9) == 2  # a partial node rounds up
+        with pytest.raises(ValueError):
+            topo.link_for(0)
+
+    def test_spec_resolves_to_itself(self):
+        machine = machine_from_name("dgx-h100")
+        assert machine_from_name(machine) is machine
+        custom = MachineSpec(
+            name="unregistered-box", gpu=A100_80GB,
+            topology=machine.topology,
+        )
+        assert machine_from_name(custom) is custom
 
     def test_machine_gpu_specs_are_real(self):
         assert machine_from_name("dgx-a100-80g").gpu is A100_80GB

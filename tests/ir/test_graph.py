@@ -1,11 +1,9 @@
-"""Module-graph and time-tree tests."""
+"""Module-tree query and time-tree tests."""
 
-import networkx as nx
 import pytest
 
 from repro.ir.context import ExecutionContext
 from repro.ir.graph import (
-    module_graph,
     modules_of_type,
     parameter_hotspots,
     render_time_tree,
@@ -27,19 +25,29 @@ def stack():
 
 class TestModuleGraph:
     def test_is_a_tree(self, stack):
-        graph = module_graph(stack)
-        assert nx.is_directed_acyclic_graph(graph)
-        assert nx.is_tree(graph.to_undirected())
+        # Paths are unique and each one's parent is a path seen before
+        # it, so the depth-first walk the queries use is a tree.
+        seen = []
+        for path, _ in stack.named_modules():
+            assert path not in seen
+            if seen:
+                assert path.rsplit(".", 1)[0] in seen
+            seen.append(path)
+        assert seen[0] == "stack"
 
     def test_root_subtree_params_match_model(self, stack):
-        graph = module_graph(stack)
-        assert graph.nodes["stack"]["subtree_params"] == (
-            stack.param_count()
+        # The walk parameter_hotspots ranks sees every parameter once.
+        owned = sum(
+            module.own_param_count() for _, module in stack.named_modules()
         )
+        assert owned == stack.param_count()
 
     def test_node_count_matches_modules(self, stack):
-        graph = module_graph(stack)
-        assert graph.number_of_nodes() == len(list(stack.modules()))
+        types = {type(module).__name__ for module in stack.modules()}
+        found = [
+            path for name in types for path in modules_of_type(stack, name)
+        ]
+        assert len(found) == len(set(found)) == len(list(stack.modules()))
 
     def test_depth(self, stack):
         # stack -> block -> attention -> projection = 4 levels.
@@ -55,6 +63,16 @@ class TestModuleGraph:
         assert all(params > 0 for _, params in hotspots)
         # FFN projections are the biggest leaves in a transformer.
         assert all(".ff." in path for path, _ in hotspots)
+
+    def test_hotspot_ties_keep_tree_order(self, stack):
+        assert parameter_hotspots(stack, top_k=6) == [
+            ("stack.block_0.ff.up", 16640),
+            ("stack.block_1.ff.up", 16640),
+            ("stack.block_0.ff.down", 16448),
+            ("stack.block_1.ff.down", 16448),
+            ("stack.block_0.self_attn.q_proj", 4096),
+            ("stack.block_0.self_attn.k_proj", 4096),
+        ]
 
     def test_hotspots_invalid_k(self, stack):
         with pytest.raises(ValueError):

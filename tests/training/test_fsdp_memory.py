@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.distributed.registry import machine_from_name
 from repro.ir.context import AttentionImpl, ExecutionContext
 from repro.ir.tensor import TensorSpec
 from repro.models.llama import Llama, LlamaConfig
 from repro.models.stable_diffusion import StableDiffusion
-from repro.training.fsdp import fsdp_step_cost, scaling_sweep
-from repro.training.interconnect import DGX_A100, DGX_H100
+from repro.training.fsdp import (
+    COLLECTIVE_LATENCY_S,
+    fsdp_step_cost,
+    scaling_sweep,
+)
 from repro.training.memory import (
     BYTES_PER_PARAM_TRAINING,
     activation_bytes_from_trace,
@@ -62,13 +66,43 @@ class TestFsdpStep:
         model, trace = sd_forward
         a100 = fsdp_step_cost(
             trace, model.param_count(), world_size=128,
-            interconnect=DGX_A100,
+            machine="dgx-a100-80g",
         )
         h100 = fsdp_step_cost(
             trace, model.param_count(), world_size=128,
-            interconnect=DGX_H100,
+            machine="dgx-h100",
         )
         assert h100.communication_s < a100.communication_s
+
+    def test_all_gather_is_one_ring_per_pass(self, sd_forward):
+        """Launch latency plus (w-1)/w of a group over the bounding link:
+        NVLink3 inside an 8-GPU node, HDR InfiniBand beyond it."""
+        _, trace = sd_forward
+        # 5e8 fp16 parameters in one group: a 1 GB payload.
+        for world, link_bandwidth in ((2, 300e9), (8, 300e9), (16, 25e9)):
+            cost = fsdp_step_cost(
+                trace, 500_000_000, world_size=world, layer_groups=1
+            )
+            ring = COLLECTIVE_LATENCY_S + (
+                1e9 * (world - 1) / world / link_bandwidth
+            )
+            assert cost.all_gather_s == 2 * ring  # forward + backward
+            assert cost.reduce_scatter_s == ring
+
+    def test_machine_name_or_spec(self, sd_forward):
+        model, trace = sd_forward
+        by_name = fsdp_step_cost(
+            trace, model.param_count(), world_size=64, machine="dgx-h100"
+        )
+        by_spec = fsdp_step_cost(
+            trace, model.param_count(), world_size=64,
+            machine=machine_from_name("dgx-h100"),
+        )
+        assert by_name == by_spec
+        with pytest.raises(ValueError, match="unknown machine"):
+            fsdp_step_cost(
+                trace, model.param_count(), world_size=64, machine="tpu-v9"
+            )
 
     def test_invalid_world_size(self, sd_forward):
         model, trace = sd_forward
