@@ -172,6 +172,47 @@ def test_planner_full_sweep(benchmark):
     benchmark.extra_info["axis_builds"] = result.stats["axis_builds"]
 
 
+def test_trace_classes_cold(benchmark):
+    """The tensor-parallel class tables of fresh dist2-sized traces.
+
+    The planner and strong-scaling benchmarks warm the class tables
+    outside their timed spans; this one times nothing else.  Each round
+    profiles fresh Stable Diffusion, Muse and Make-A-Video models
+    (flash attention, batch 8) in an untimed setup, so neither the
+    profile memo nor a cached table answers, and collects the garbage
+    profiling left so no collection of it lands in the timed span.  It
+    then times :func:`repro.distributed.partition.trace_classes` on the
+    three traces: the closed-root rule, each closed replay's segment
+    table and the row pass over everything else.
+    """
+    import gc
+
+    from repro.distributed.partition import trace_classes
+    from repro.ir.context import AttentionImpl
+    from repro.models.registry import build_model
+    from repro.profiler.profiler import profile_model
+
+    def fresh_traces():
+        traces = [
+            profile_model(
+                build_model(name), attention_impl=AttentionImpl.FLASH,
+                batch=8,
+            ).trace
+            for name in ("stable_diffusion", "muse", "make_a_video")
+        ]
+        gc.collect()
+        return (traces,), {}
+
+    def class_tables(traces):
+        return [len(trace_classes(trace)) for trace in traces]
+
+    classes = benchmark.pedantic(
+        class_tables, setup=fresh_traces, rounds=7, iterations=1
+    )
+    assert all(count > 0 for count in classes)
+    benchmark.extra_info["classes"] = classes
+
+
 # Shared fleet setup: fixed service times (no profiling in the loop), so
 # the fleet benchmarks isolate the simulator.
 FLEET_MIX = WorkloadMix(

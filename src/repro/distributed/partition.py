@@ -32,8 +32,9 @@ Tensor-parallel roles are decided in one place, the per-trace class
 table (:func:`trace_classes`): every event maps to one distinct
 (op, role, collective, fold factor) class, so a partition or a priced
 axis shards and prices each class once.  The table reads the trace's
-rows (:meth:`Trace.rows`), and so do the data- and pipeline-parallel
-partitioners: no partitioner builds an event.
+rows in parts (:meth:`Trace.row_runs`), taking a closed replay's
+classes from its segment's own table; the data- and pipeline-parallel
+partitioners read :meth:`Trace.rows`.  No partitioner builds an event.
 
 Every split preserves total FLOPs exactly (see
 :mod:`repro.distributed.sharding`), which the partitioner tests verify
@@ -45,14 +46,16 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.distributed.collectives import CollectiveKind
 from repro.distributed.sharding import ShardRole, even_split, shard_op
+from repro.ir.memo import Segment
 from repro.ir.ops import Op, OpCategory
-from repro.ir.trace import Trace, TraceEvent
+from repro.ir.trace import Row, Trace, TraceEvent
 
 
 def _parent_scope(path: str) -> str:
@@ -60,7 +63,7 @@ def _parent_scope(path: str) -> str:
 
 
 def _assign_leaf_roles(
-    trace: Trace,
+    rows: Iterable[Row],
 ) -> dict[str, tuple[ShardRole, CollectiveKind | None]]:
     """Column/row placement per parameter-bearing module path.
 
@@ -74,7 +77,7 @@ def _assign_leaf_roles(
     next_is_column: dict[str, bool] = {}
     pending_column: dict[str, str] = {}
     param_memo: dict[int, bool] = {}
-    for leaf, op, _, flags, _ in trace.rows():
+    for leaf, op, _, flags, _ in rows:
         if "attention_anchor" in flags:
             anchor_seen[leaf] = True
         op_id = id(op)
@@ -159,6 +162,14 @@ def trace_classes(trace: Trace) -> TraceClasses:
     The only place tensor-parallel roles are decided: weight ops take
     their module leaf's column/row role, attention math is head-split,
     and every other activation op is sequence-split.
+
+    A replay whose root is closed (:meth:`Trace.row_runs`) takes its
+    segment's own table, built once per segment from the segment's
+    relative rows by the same role and class passes: every path those
+    rules key on lies at or under the root, where no other run reaches.
+    The exception is a weight op at the root itself, whose column/row
+    pairing belongs to the parent scope; such a replay stays with the
+    other runs, whose rows make one role pass and one class pass.
     """
     table = _CLASS_CACHE.get(trace)
     if table is None or len(table.index) != len(trace):
@@ -167,69 +178,165 @@ def trace_classes(trace: Trace) -> TraceClasses:
     return table
 
 
-def _build_classes(trace: Trace) -> TraceClasses:
-    # (role, collective) pairs are interned to small ints so the class
-    # key hashes three ints instead of a tuple of enums (enum.__hash__
-    # is a Python function and would dominate at trace scale).
-    pairs: list[tuple[ShardRole, CollectiveKind | None]] = []
-    pair_tokens: dict[tuple[ShardRole, CollectiveKind | None], int] = {}
+class _ClassIndex:
+    """Classes in first-appearance order and the class of every row.
 
-    def token_of(pair: tuple[ShardRole, CollectiveKind | None]) -> int:
-        token = pair_tokens.get(pair)
+    (role, collective) pairs are interned to small ints so the class
+    key hashes three ints instead of a tuple of enums (enum.__hash__
+    is a Python function and would dominate at trace scale).  Ops are
+    frozen value objects, and a trace holds many equal copies of one op
+    (replay re-emits them per scope): equal ops shard and price
+    identically, so a class keys on the identity of the first equal op.
+    Each op object is hashed by value once; per row the lookup is by id
+    (the trace keeps every op alive).
+    """
+
+    def __init__(
+        self, roles: dict[str, tuple[ShardRole, CollectiveKind | None]]
+    ) -> None:
+        self.pairs: list[tuple[ShardRole, CollectiveKind | None]] = []
+        self._pair_tokens: dict[
+            tuple[ShardRole, CollectiveKind | None], int
+        ] = {}
+        self._head = self._token_of((ShardRole.HEAD, None))
+        self._sequence = self._token_of((ShardRole.SEQUENCE, None))
+        self._leaf_tokens = {
+            path: self._token_of(pair) for path, pair in roles.items()
+        }
+        self._first_equal: dict[Op, Op] = {}
+        # id(op) -> (first equal op, token); token -1 marks a weight op,
+        # whose role depends on the emitting leaf.
+        self._op_info: dict[int, tuple[Op, int]] = {}
+        self._classes: dict[tuple[int, int, int], int] = {}
+        self.ops: list[Op] = []
+        self.tokens: list[int] = []
+        self.repeats: list[int] = []
+        self.index: list[int] = []
+
+    def _token_of(self, pair: tuple[ShardRole, CollectiveKind | None]) -> int:
+        token = self._pair_tokens.get(pair)
         if token is None:
-            token = pair_tokens[pair] = len(pairs)
-            pairs.append(pair)
+            token = self._pair_tokens[pair] = len(self.pairs)
+            self.pairs.append(pair)
         return token
 
-    head = token_of((ShardRole.HEAD, None))
-    sequence = token_of((ShardRole.SEQUENCE, None))
-    leaf_tokens = {
-        path: token_of(pair)
-        for path, pair in _assign_leaf_roles(trace).items()
-    }
-    # Ops are frozen value objects, and a trace holds many equal copies
-    # of one op (replay re-emits them per scope): equal ops shard and
-    # price identically, so a class keys on the identity of the first
-    # equal op.  Each op object is hashed by value once; per row the
-    # lookup is by id (the trace keeps every op alive).  Token -1 marks
-    # a weight op, whose role depends on the emitting leaf.
-    first_equal: dict[Op, Op] = {}
-    op_info: dict[int, tuple[Op, int]] = {}
-    classes: dict[tuple[int, int, int], int] = {}
-    ops: list[Op] = []
-    repeats_of: list[int] = []
-    tokens: list[int] = []
-    index: list[int] = []
-    append = index.append
-    for path, op, _, _, repeat in trace.rows():
-        info = op_info.get(id(op))
-        if info is None:
-            if op.param_bytes() > 0:
-                token = -1
-            elif op.category is OpCategory.ATTENTION:
-                token = head
-            else:
-                token = sequence
-            info = op_info[id(op)] = (first_equal.setdefault(op, op), token)
-        op, token = info
-        if token < 0:
-            token = leaf_tokens[path]
+    def _new_info(self, op: Op) -> tuple[Op, int]:
+        """(first equal op, token) of an op object seen for the first time."""
+        if op.param_bytes() > 0:
+            token = -1
+        elif op.category is OpCategory.ATTENTION:
+            token = self._head
+        else:
+            token = self._sequence
+        info = self._op_info[id(op)] = (
+            self._first_equal.setdefault(op, op), token
+        )
+        return info
+
+    def _class_of(self, op: Op, token: int, repeat: int) -> int:
         key = (id(op), token, repeat)
-        cls = classes.get(key)
+        cls = self._classes.get(key)
         if cls is None:
-            cls = classes[key] = len(ops)
-            ops.append(op)
-            tokens.append(token)
-            repeats_of.append(repeat)
-        append(cls)
-    return TraceClasses(
-        ops=tuple(ops),
-        roles=tuple(pairs[token][0] for token in tokens),
-        collectives=tuple(pairs[token][1] for token in tokens),
-        repeats=tuple(repeats_of),
-        index=tuple(index),
-        index_array=np.array(index, dtype=np.intp),
+            cls = self._classes[key] = len(self.ops)
+            self.ops.append(op)
+            self.tokens.append(token)
+            self.repeats.append(repeat)
+        return cls
+
+    def add_rows(self, rows: Iterable[Row]) -> None:
+        """Append the class of every row."""
+        op_info = self._op_info
+        new_info = self._new_info
+        leaf_tokens = self._leaf_tokens
+        classes = self._classes
+        class_of = self._class_of
+        append = self.index.append
+        for path, op, _, _, repeat in rows:
+            info = op_info.get(id(op))
+            if info is None:
+                info = new_info(op)
+            op, token = info
+            if token < 0:
+                token = leaf_tokens[path]
+            cls = classes.get((id(op), token, repeat))
+            append(class_of(op, token, repeat) if cls is None else cls)
+
+    def add_table(self, other: "_ClassIndex") -> list[int]:
+        """This index's class of each of ``other``'s rows, in order.
+
+        ``other`` holds rows that follow every row added so far; its
+        classes are added in its first-appearance order, which is the
+        order a pass over those rows would add them in.
+        """
+        op_info = self._op_info
+        mapped = [
+            self._class_of(
+                (op_info.get(id(op)) or self._new_info(op))[0],
+                self._token_of(other.pairs[token]),
+                repeat,
+            )
+            for op, token, repeat in zip(other.ops, other.tokens, other.repeats)
+        ]
+        return [mapped[cls] for cls in other.index]
+
+    def table(self) -> TraceClasses:
+        pairs = self.pairs
+        return TraceClasses(
+            ops=tuple(self.ops),
+            roles=tuple(pairs[token][0] for token in self.tokens),
+            collectives=tuple(pairs[token][1] for token in self.tokens),
+            repeats=tuple(self.repeats),
+            index=tuple(self.index),
+            index_array=np.array(self.index, dtype=np.intp),
+        )
+
+
+def _segment_classes(segment: Segment) -> _ClassIndex | None:
+    """Classes of a segment's relative rows; ``None`` when a weight op
+    sits at the segment's root."""
+    root = segment.root
+    rows = segment.rows
+    if any(
+        path == root and op.param_bytes() > 0 for path, op, _, _, _ in rows
+    ):
+        return None
+    classes = _ClassIndex(_assign_leaf_roles(rows))
+    classes.add_rows(rows)
+    return classes
+
+
+def _build_classes(trace: Trace) -> TraceClasses:
+    own: dict[int, _ClassIndex | None] = {}
+
+    def own_classes(segment: Segment | None) -> _ClassIndex | None:
+        if segment is None:
+            return None
+        if id(segment) not in own:
+            own[id(segment)] = _segment_classes(segment)
+        return own[id(segment)]
+
+    classes = _ClassIndex(
+        _assign_leaf_roles(
+            chain.from_iterable(
+                rows
+                for segment, rows in trace.row_runs()
+                if own_classes(segment) is None
+            )
+        )
     )
+    # Each segment's rows mapped to this trace's classes, on its first
+    # closed replay; later replays of it extend the index by the same.
+    mapped: dict[int, list[int]] = {}
+    for segment, rows in trace.row_runs():
+        segment_classes = own_classes(segment)
+        if segment_classes is None:
+            classes.add_rows(rows)
+            continue
+        index = mapped.get(id(segment))
+        if index is None:
+            index = mapped[id(segment)] = classes.add_table(segment_classes)
+        classes.index.extend(index)
+    return classes.table()
 
 
 def split_cumulative(cumulative: Sequence[float], stages: int) -> list[int]:

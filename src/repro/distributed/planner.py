@@ -10,15 +10,15 @@ space automatically:
    within a GPU budget, microbatch counts, and sequence-parallel
    on/off — canonicalized so degenerate axes appear exactly once.
 2. :class:`PlannerBasis` prices configs **symbolically**: one tensor-
-   parallel *axis* — per-event critical-rank kernel times, collective
-   times, and their running prefix — is built per (tp, microbatch
-   size) and then every (pp, dp, m, sp) combination is costed from the
-   prefix arrays as a per-config delta: stage sums, point-to-point
-   boundary transfers, pipeline wavefronts.  An axis is rank 0's view
-   of the tensor-parallel plan, priced once per kernel class by the
-   timelines' own pricer
-   (:func:`repro.distributed.timeline.price_classes`) and expanded to
-   events by the plan's class index.  :func:`bruteforce_cost` is
+   parallel *axis* — per-class critical-rank kernel times and
+   collective times, the class of every event, and the events' running
+   prefix — is built per (tp, microbatch size) and then every (pp, dp,
+   m, sp) combination is costed from the prefix arrays as a per-config
+   delta: stage sums, point-to-point boundary transfers, pipeline
+   wavefronts.  An axis is rank 0's view of the tensor-parallel plan,
+   priced once per kernel class by the timelines' own pricer
+   (:func:`repro.distributed.timeline.price_classes`); only its prefix
+   sums and collective totals walk the events.  :func:`bruteforce_cost` is
    the slow path that partitions and prices every event afresh per
    config (:func:`bruteforce_axis`); the property suite pins both
    paths to identical floats.
@@ -199,41 +199,71 @@ def enumerate_configs(
     return configs
 
 
-@dataclass
+@dataclass(eq=False)
 class TPAxis:
     """Symbolic cost basis of one (tp degree, microbatch size) pair.
 
-    Per-event arrays over the profiled trace, all fold factors applied:
+    Stored per kernel class of the trace (:func:`trace_classes`), all
+    fold factors applied, with ``index`` the class of every event:
 
-    * ``times[i]`` — rank 0's kernel time for event ``i`` (rank 0 holds
-      the largest shard, hence the critical path);
-    * ``comm[i]`` / ``comm_sp[i]`` — exposed collective time after
-      event ``i``, plain and sequence-parallel variants;
-    * ``acc`` / ``acc_sp`` — running prefix of ``times + comm`` in
-      trace order (``acc[i+1] = acc[i] + times[i] + comm[i]``), so any
-      contiguous stage's wall time is one subtraction;
-    * ``out_bytes[i]`` — the unsharded activation each event writes
-      (pipeline boundary payloads).
+    * ``class_times[c]`` — rank 0's kernel time for an event of class
+      ``c`` (rank 0 holds the largest shard, hence the critical path);
+    * ``class_comm[c]`` / ``class_comm_sp[c]`` — exposed collective time
+      after such an event, plain and sequence-parallel variants;
+    * ``class_out_bytes[c]`` — the unsharded activation it writes
+      (pipeline boundary payloads);
+    * ``acc`` / ``acc_sp`` — running prefix over the events of kernel
+      plus collective time in trace order (``acc[i+1] = acc[i] +
+      times[i] + comm[i]``), so any contiguous stage's wall time is one
+      subtraction;
+    * ``comm_total_s`` / ``comm_sp_total_s`` — each variant's
+      collective time over the trace, added once left to right.
+
+    The per-event lists :attr:`times`, :attr:`comm`, :attr:`comm_sp`
+    and :attr:`out_bytes` are read-only views, built when read.
     """
 
     tp: int
     batch: int
-    times: list[float]
-    comm: list[float]
-    comm_sp: list[float]
-    acc: list[float]
-    acc_sp: list[float]
-    out_bytes: list[float]
+    class_times: np.ndarray
+    class_comm: np.ndarray
+    class_comm_sp: np.ndarray
+    class_out_bytes: np.ndarray
+    index: np.ndarray
+    acc: np.ndarray
+    acc_sp: np.ndarray
+    comm_total_s: float
+    comm_sp_total_s: float
     act_peak_shard: float
     max_comm_payload: float
     # Stage-weight running sums per sequence-parallel flag, built on the
     # first pipeline split and dying with the axis.
     _cumulative: dict[bool, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+        default_factory=dict, init=False, repr=False
     )
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.index)
+
+    @property
+    def times(self) -> list[float]:
+        """Rank 0's kernel time for every event."""
+        return self.class_times[self.index].tolist()
+
+    @property
+    def comm(self) -> list[float]:
+        """Exposed collective time after every event (plain variant)."""
+        return self.class_comm[self.index].tolist()
+
+    @property
+    def comm_sp(self) -> list[float]:
+        """Exposed collective time after every event (sequence parallel)."""
+        return self.class_comm_sp[self.index].tolist()
+
+    @property
+    def out_bytes(self) -> list[float]:
+        """The unsharded activation every event writes."""
+        return self.class_out_bytes[self.index].tolist()
 
     def cumulative_weights(self, sequence_parallel: bool) -> np.ndarray:
         """Left-to-right running sum of per-event stage weights.
@@ -253,15 +283,10 @@ class TPAxis:
     @property
     def total_s(self) -> float:
         """Whole-trace wall time at this tp degree (pp = 1)."""
-        return self.acc[-1]
-
-    @property
-    def comm_total_s(self) -> float:
-        """Collective time summed over the trace (plain variant)."""
-        return sum(self.comm)
+        return float(self.acc[-1])
 
 
-def _prefix(times: np.ndarray, comm: np.ndarray) -> list[float]:
+def _prefix(times: np.ndarray, comm: np.ndarray) -> np.ndarray:
     """``acc`` with ``acc[i+1] = acc[i] + times[i] + comm[i]``, in order.
 
     Time first, then the collective — the order build_timelines
@@ -273,7 +298,12 @@ def _prefix(times: np.ndarray, comm: np.ndarray) -> list[float]:
     steps = np.zeros(2 * len(times) + 1)
     steps[1::2] = times
     steps[2::2] = comm
-    return np.cumsum(steps)[0::2].tolist()
+    return np.cumsum(steps)[0::2].copy()
+
+
+def _running_total(values: np.ndarray) -> float:
+    """``values`` added strictly left to right (``np.cumsum``)."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def build_axis(
@@ -288,14 +318,16 @@ def build_axis(
 
     The axis is rank 0's view of the ``TensorParallel(tp)`` plan, priced
     per class by :func:`repro.distributed.timeline.price_classes` — the
-    pricer the timelines use — and gathered to events by the plan's
-    class index.  This function adds only what a timeline does not
-    model: the sequence-parallel collective variant, the activation
-    peak and each event's unsharded output bytes.  Every float equals
-    the per-event pricing of :func:`bruteforce_axis`.  At ``tp == 1``
-    the plan has no collective and every op is re-priced on the
-    machine's GPU, which reproduces the profiled trace whenever that
-    GPU profiled it.
+    pricer the timelines use — and kept per class with the plan's class
+    index.  This function adds only what a timeline does not model:
+    the sequence-parallel collective variant, the activation peak and
+    each class's unsharded output bytes.  The prefix sums and
+    collective totals are the only per-event work, each one
+    ``np.cumsum`` over the gathered events.  Every float equals the
+    per-event pricing of :func:`bruteforce_axis`.  At ``tp == 1`` the
+    plan has no collective and every op is re-priced on the machine's
+    GPU, which reproduces the profiled trace whenever that GPU
+    profiled it.
     """
     plan = TensorParallel(tp).partition(trace)
     shard_times, class_comm = price_classes(plan, machine, tuning=tuning)
@@ -335,21 +367,25 @@ def build_axis(
         if payload > max_payload:
             max_payload = payload
     table = trace_classes(trace)
-    out_c = [op.write_bytes() for op in table.ops]
-    index = table.index
-    gather = table.index_array
-    times_arr = np.array(times_c)[gather]
-    comm_arr = np.array(comm_c)[gather]
-    comm_sp_arr = np.array(comm_sp_c)[gather]
+    index = table.index_array
+    class_times = np.array(times_c)
+    class_comm = np.array(comm_c)
+    class_comm_sp = np.array(comm_sp_c)
+    times = class_times[index]
+    comm = class_comm[index]
+    comm_sp = class_comm_sp[index]
     return TPAxis(
         tp=tp,
         batch=batch,
-        times=list(map(times_c.__getitem__, index)),
-        comm=list(map(comm_c.__getitem__, index)),
-        comm_sp=list(map(comm_sp_c.__getitem__, index)),
-        acc=_prefix(times_arr, comm_arr),
-        acc_sp=_prefix(times_arr, comm_sp_arr),
-        out_bytes=list(map(out_c.__getitem__, index)),
+        class_times=class_times,
+        class_comm=class_comm,
+        class_comm_sp=class_comm_sp,
+        class_out_bytes=np.array([op.write_bytes() for op in table.ops]),
+        index=index,
+        acc=_prefix(times, comm),
+        acc_sp=_prefix(times, comm_sp),
+        comm_total_s=_running_total(comm),
+        comm_sp_total_s=_running_total(comm_sp),
         act_peak_shard=act_peak,
         max_comm_payload=max_payload,
     )
@@ -367,11 +403,13 @@ def bruteforce_axis(
 
     Partitions the trace with :class:`TensorParallel` and prices every
     event of the plan's per-event view (``plan.sharded_events``, built
-    on read) on its own, accumulating the prefix sums in a plain Python
-    loop — no gather, no array arithmetic.  At ``tp == 1`` it reads the
-    profiled event costs verbatim, so :func:`build_axis`'s re-pricing
-    of unsharded ops is checked against the profile itself.  The
-    property suite requires every field to equal :func:`build_axis`'s.
+    on read) on its own, accumulating the prefix sums and collective
+    totals in a plain Python loop — no class table, no gather, no
+    array arithmetic.  Each event is its own class of the returned
+    axis.  At ``tp == 1`` it reads the profiled event costs verbatim,
+    so :func:`build_axis`'s re-pricing of unsharded ops is checked
+    against the profile itself.  The property suite requires every
+    per-event view and total to equal :func:`build_axis`'s.
     """
     n = len(trace.events)
     times: list[float] = []
@@ -428,7 +466,7 @@ def bruteforce_axis(
                 max_payload = spec.payload_bytes
     acc = [0.0] * (n + 1)
     acc_sp = [0.0] * (n + 1)
-    run = run_sp = 0.0
+    run = run_sp = comm_total = comm_sp_total = 0.0
     for i in range(n):
         run += times[i]
         run += comm[i]
@@ -436,15 +474,20 @@ def bruteforce_axis(
         run_sp += times[i]
         run_sp += comm_sp[i]
         acc_sp[i + 1] = run_sp
+        comm_total += comm[i]
+        comm_sp_total += comm_sp[i]
     return TPAxis(
         tp=tp,
         batch=batch,
-        times=times,
-        comm=comm,
-        comm_sp=comm_sp,
-        acc=acc,
-        acc_sp=acc_sp,
-        out_bytes=out_bytes,
+        class_times=np.array(times),
+        class_comm=np.array(comm),
+        class_comm_sp=np.array(comm_sp),
+        class_out_bytes=np.array(out_bytes),
+        index=np.arange(n),
+        acc=np.array(acc),
+        acc_sp=np.array(acc_sp),
+        comm_total_s=comm_total,
+        comm_sp_total_s=comm_sp_total,
         act_peak_shard=act_peak,
         max_comm_payload=max_payload,
     )
@@ -457,25 +500,26 @@ def split_stages(
 
     Stages are balanced by :func:`repro.distributed.partition.split_cumulative`
     over the axis' cached stage-weight sums (one bisection per stage).
-    Stage wall time is one prefix subtraction per stage; the boundary
-    activation (the last event's unsharded output, divided by ``tp``
-    under sequence parallelism) is priced as an adjacent-rank
+    Stage wall time is one subtraction of the ``pp + 1`` prefix entries
+    at the stage edges; the boundary activation (the stage's last
+    event's unsharded output, read through the class index, divided by
+    ``tp`` under sequence parallelism) is priced as an adjacent-rank
     point-to-point transfer.  ``pp == 1`` returns the whole-trace total
-    unchanged with a zero p2p — the degenerate-axis contract.
+    unchanged with a zero p2p — the degenerate-axis contract.  Every
+    time is a Python float.
     """
     acc = axis.acc_sp if sequence_parallel else axis.acc
     if pp == 1:
-        return (acc[-1],), (0.0,)
+        return (float(acc[-1]),), (0.0,)
     bounds = split_cumulative(axis.cumulative_weights(sequence_parallel), pp)
-    starts = [0] + bounds
-    ends = bounds + [len(axis)]
+    edges = acc[[0, *bounds, len(axis)]].tolist()
     p2p_model = machine.topology.cost_model(2)
     stage_times: list[float] = []
     p2p_times: list[float] = []
     for s in range(pp):
-        stage_times.append(acc[ends[s]] - acc[starts[s]])
+        stage_times.append(edges[s + 1] - edges[s])
         if s < pp - 1:
-            payload = axis.out_bytes[ends[s] - 1]
+            payload = float(axis.class_out_bytes[axis.index[bounds[s] - 1]])
             if sequence_parallel:
                 # The boundary activation stays sharded 1/tp per rank.
                 payload = payload / axis.tp
@@ -567,14 +611,16 @@ def _compose_point(
         # activation a collective reconstitutes.
         activation += axis.max_comm_payload
     memory = param_bytes / shard + kv_bytes / shard + activation
-    comm = axis.comm_sp if config.sequence_parallel else axis.comm
     return PlanPoint(
         config=config,
         latency_s=latency,
         throughput_rps=throughput,
         per_gpu_rps=throughput / config.world,
         stage_times_s=forward,
-        tp_comm_s=sum(comm),
+        tp_comm_s=(
+            axis.comm_sp_total_s if config.sequence_parallel
+            else axis.comm_total_s
+        ),
         p2p_s=sum(p2p_times),
         bubble_fraction=bubble,
         gpipe=gpipe,

@@ -84,9 +84,12 @@ def even_split(total: int, parts: int) -> list[int]:
 
 
 def _replace_dim(op: Op, dim_name: str, parts: list[int]) -> list[Op | None]:
-    """Per-rank copies of ``op`` with ``dim_name`` set to each part."""
+    """Per-rank copies of ``op`` with ``dim_name`` set to each part.
+
+    A rank whose part is the whole dimension runs ``op`` itself.
+    """
     shards: list[Op | None] = []
-    cache: dict[int, Op] = {}
+    cache: dict[int, Op] = {getattr(op, dim_name): op}
     for part in parts:
         if part == 0:
             shards.append(None)

@@ -34,17 +34,23 @@ class Segment:
     ``rows`` are ``(relative path, op, cost, flags, repeat)`` tuples,
     ``repeat`` being the row's fold factor; ``times`` holds each row's
     ``cost.time_s`` so replay advances the clock without an attribute
-    lookup per row.
+    lookup per row.  ``root`` is the called module's own scope, relative
+    like the rows: every row's path is ``root`` or lies under it.
     """
 
-    __slots__ = ("rows", "times", "output", "_categories")
+    __slots__ = ("rows", "times", "output", "root", "_categories")
 
     def __init__(
-        self, rows: tuple[tuple, ...], times: tuple[float, ...], output: Any
+        self,
+        rows: tuple[tuple, ...],
+        times: tuple[float, ...],
+        output: Any,
+        root: str,
     ) -> None:
         self.rows = rows
         self.times = times
         self.output = output
+        self.root = root
         self._categories: tuple[OpCategory, ...] | None = None
 
     def __len__(self) -> int:
@@ -76,14 +82,16 @@ def output_is_replayable(output: Any) -> bool:
 
 
 def capture_segment(
-    runs: list[TraceEvent | Replay], prefix: str, output: Any
+    runs: list[TraceEvent | Replay], prefix: str, output: Any, root: str
 ) -> Segment | None:
     """Build a segment from the runs a module call just appended.
 
-    ``runs`` come from :meth:`repro.ir.trace.Trace.runs_since` and
-    ``prefix`` is the scope path *outside* the call; stored paths are
-    relative to it so replay can re-root them (``denoise_0.unet.mid`` is
-    stored as ``unet.mid`` and replayed as ``denoise_17.unet.mid``).
+    ``runs`` come from :meth:`repro.ir.trace.Trace.runs_since`,
+    ``prefix`` is the scope path *outside* the call and ``root`` the
+    scope the called module pushed inside it; stored paths are
+    relative to ``prefix`` so replay can re-root them
+    (``denoise_0.unet.mid`` is stored as ``unet.mid``, root ``unet``,
+    and replayed as ``denoise_17.unet.mid``).
     Rows of segments replayed inside the call are copied in, so a
     segment is always flat.  Returns ``None`` when the output cannot be
     safely shared.
@@ -109,4 +117,4 @@ def capture_segment(
                 ]
             )
             times.extend(run.segment.times)
-    return Segment(tuple(rows), tuple(times), output)
+    return Segment(tuple(rows), tuple(times), output, root)

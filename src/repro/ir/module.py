@@ -182,7 +182,7 @@ class Module:
             with ctx.module_scope(self):
                 output = self.forward(ctx, *args, **kwargs)
             segment = capture_segment(
-                ctx.trace.runs_since(mark), prefix, output
+                ctx.trace.runs_since(mark), prefix, output, self.name
             )
             # Outputs that cannot be shared leave the entry at 1; the
             # next call lands here again and simply re-executes.

@@ -70,7 +70,12 @@ class KernelCost:
         )
 
 
-# The cost of a segment row ``(path, op, cost, flags, repeat)``.
+# One event without its index and start: ``(path, op, cost, flags,
+# repeat)``, the form of :meth:`Trace.rows` and of segment rows (whose
+# paths are relative).
+Row = tuple[str, Op, KernelCost, frozenset[str], int]
+
+# The cost of a segment row.
 _ROW_COST = operator.itemgetter(2)
 
 
@@ -313,17 +318,87 @@ class Trace:
                 index += 1
         return anchors
 
-    def rows(self) -> Iterator[tuple[str, Op, KernelCost, frozenset[str], int]]:
+    def rows(self) -> Iterator[Row]:
         """``(module path, op, cost, flags, repeat)`` of every event, in
         trace order, without building events: for readers that need
         neither an event's index nor its start time."""
-        for run in self._runs:
+        return self._rows(0, len(self._runs))
+
+    def _rows(self, start: int, stop: int) -> Iterator[Row]:
+        """:meth:`rows` of the runs at positions ``start:stop``."""
+        for run in self._runs[start:stop]:
             if type(run) is TraceEvent:
                 yield run.module_path, run.op, run.cost, run.flags, run.repeat
             else:
                 base = run.base
                 for rel_path, op, cost, flags, repeat in run.segment.rows:
                     yield base + rel_path, op, cost, flags, repeat
+
+    def row_runs(self) -> Iterator[tuple["Segment | None", Iterator[Row]]]:
+        """:meth:`rows` in consecutive parts, each with its segment or None.
+
+        Each replay whose *root* (its base path plus the segment's
+        ``root``) is closed is a part of its own, paired with its
+        segment: exactly one run has that root, no emitted event lies
+        at or under it, and no other replay's root lies above or below
+        it.  Its rows are then the only rows of the trace at or under
+        the root, so a reader keyed by module path can take them from
+        the segment's relative rows alone.  The runs between two such
+        replays form one part paired with ``None``.  Rows are re-rooted
+        only when a part is iterated.
+        """
+        start = 0
+        for position in self._closed_replays():
+            if start < position:
+                yield None, self._rows(start, position)
+            yield self._runs[position].segment, self._rows(
+                position, position + 1
+            )
+            start = position + 1
+        if start < len(self._runs):
+            yield None, self._rows(start, len(self._runs))
+
+    def _closed_replays(self) -> list[int]:
+        """Run positions of the replays whose roots are closed, in order."""
+
+        def compute() -> list[int]:
+            # Every emitted path and each of its ancestors; a touched
+            # path's ancestors are all touched, so the walk stops early.
+            touched: set[str] = set()
+            # Root -> position of its one replay, or -1 once shared.
+            roots: dict[str, int] = {}
+            for position, run in enumerate(self._runs):
+                if type(run) is TraceEvent:
+                    path = run.module_path
+                    while path not in touched:
+                        touched.add(path)
+                        cut = path.rfind(".")
+                        if cut < 0:
+                            break
+                        path = path[:cut]
+                else:
+                    root = run.base + run.segment.root
+                    roots[root] = -1 if root in roots else position
+            # Two nested roots are both open: the outer replay's rows
+            # may lie under the inner root.
+            nested: set[str] = set()
+            for root in roots:
+                cut = root.rfind(".")
+                while cut >= 0:
+                    ancestor = root[:cut]
+                    if ancestor in roots:
+                        nested.update((root, ancestor))
+                        break
+                    cut = ancestor.rfind(".")
+            return sorted(
+                position
+                for root, position in roots.items()
+                if position >= 0
+                and root not in touched
+                and root not in nested
+            )
+
+        return self._aggregate("closed", compute)
 
     def time_by_category(self) -> dict[OpCategory, float]:
         """Execution time grouped by operator category (Figure 6 bars)."""

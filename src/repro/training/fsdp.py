@@ -114,9 +114,18 @@ def fsdp_step_cost(
         layer_groups: FSDP wrapping granularity — each group triggers
             its own collectives (latency term).
         overlap_fraction: how much communication hides behind compute.
+        dtype_bytes: bytes per parameter the collectives move.
+
+    ``world_size``, ``layer_groups`` and ``dtype_bytes`` must each be an
+    int >= 1; otherwise the ``ValueError`` names the field.
     """
-    if world_size <= 0:
-        raise ValueError("world size must be positive")
+    for name, value in (
+        ("world_size", world_size),
+        ("layer_groups", layer_groups),
+        ("dtype_bytes", dtype_bytes),
+    ):
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     if not 0.0 <= overlap_fraction <= 1.0:
         raise ValueError("overlap fraction must be in [0, 1]")
     forward = forward_trace.total_time_s
@@ -124,7 +133,7 @@ def fsdp_step_cost(
     recompute = forward * RECOMPUTE_FRACTION
     topology = machine_from_name(machine).topology
     param_bytes = float(param_count * dtype_bytes)
-    group_bytes = param_bytes / max(1, layer_groups)
+    group_bytes = param_bytes / layer_groups
     # Ring all-gather and reduce-scatter move the same volume.  Two
     # all-gathers (forward + backward) and one reduce-scatter (fp32
     # grads are reduced in fp16 here, matching common practice), added

@@ -11,7 +11,8 @@ import dataclasses
 
 import pytest
 
-from repro.distributed.planner import TPAxis, bruteforce_axis, build_axis
+from repro.distributed.partition import TensorParallel, trace_classes
+from repro.distributed.planner import bruteforce_axis, build_axis
 from repro.distributed.registry import machine_from_name
 from repro.distributed.scaling import strong_scaling
 from repro.experiments.suite_cache import all_profiles
@@ -19,10 +20,10 @@ from repro.ir.context import AttentionImpl
 from repro.kernels.base import DEFAULT_TUNING
 from repro.models.registry import build_model
 from repro.profiler import profile_model
+from tests.distributed.test_axis_classes import assert_axes_equal
 
 A100 = machine_from_name("dgx-a100-80g")
 H100 = machine_from_name("dgx-h100")
-AXIS_FIELDS = [f.name for f in dataclasses.fields(TPAxis) if f.compare]
 
 
 @pytest.mark.parametrize(
@@ -55,9 +56,23 @@ def test_tp1_axis_reprices_on_the_axis_machine(tuning):
     axis = build_axis(a100_trace, 1, H100, tuning=tuning)
     assert axis.times == h100_trace.times_s()
     assert axis.total_s == h100_trace.total_time_s
-    reference = bruteforce_axis(h100_trace, 1, H100, tuning=tuning)
-    for field in AXIS_FIELDS:
-        assert getattr(axis, field) == getattr(reference, field), field
+    assert_axes_equal(
+        axis, bruteforce_axis(h100_trace, 1, H100, tuning=tuning)
+    )
+
+
+@pytest.mark.parametrize(
+    "name", ["stable_diffusion", "muse", "make_a_video", "llama"]
+)
+def test_one_rank_shards_are_the_source_ops(name):
+    # A one-rank part is the whole dimension: the shard is the op itself,
+    # not an equal copy.
+    trace = all_profiles()[name][1].trace
+    table = trace_classes(trace)
+    plan = TensorParallel(1).partition(trace)
+    assert len(plan.classes) == len(table.ops)
+    for cls, op in zip(plan.classes, table.ops):
+        assert len(cls.ops) == 1 and cls.ops[0] is op
 
 
 @pytest.mark.parametrize("strategy", ["tp", "dp", "pp"])

@@ -106,8 +106,27 @@ class TestFsdpStep:
 
     def test_invalid_world_size(self, sd_forward):
         model, trace = sd_forward
-        with pytest.raises(ValueError):
-            fsdp_step_cost(trace, model.param_count(), world_size=0)
+        for world_size in (0, -1, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="world_size"):
+                fsdp_step_cost(
+                    trace, model.param_count(), world_size=world_size
+                )
+
+    @pytest.mark.parametrize("field", ["layer_groups", "dtype_bytes"])
+    @pytest.mark.parametrize(
+        "value", [0, -4, -2, 2.5, float("nan"), float("inf")]
+    )
+    def test_invalid_count_fields_name_the_field(
+        self, sd_forward, field, value
+    ):
+        # Before, layer_groups 0 or -4 priced an int 0 communication_s,
+        # dtype_bytes -2 a negative one, NaN a NaN, and 2.5 failed inside
+        # list multiplication.
+        model, trace = sd_forward
+        with pytest.raises(ValueError, match=field):
+            fsdp_step_cost(
+                trace, model.param_count(), world_size=64, **{field: value}
+            )
 
 
 class TestScalingSweep:
