@@ -55,7 +55,6 @@ from repro.distributed.partition import (
     PartitionStrategy,
     PipelineParallel,
     PlanClass,
-    ShardedEvent,
     TensorParallel,
     TraceClasses,
     stage_boundaries,
@@ -68,8 +67,6 @@ from repro.distributed.planner import (
     PlannerResult,
     PlanPoint,
     TPAxis,
-    bruteforce_axis,
-    bruteforce_cost,
     build_axis,
     enumerate_configs,
     pareto_frontier,
@@ -151,14 +148,11 @@ __all__ = [
     "ScalingPoint",
     "ScheduleResult",
     "ShardRole",
-    "ShardedEvent",
     "TPAxis",
     "TensorParallel",
     "TimelineEntry",
     "Topology",
     "TraceClasses",
-    "bruteforce_axis",
-    "bruteforce_cost",
     "build_axis",
     "build_timelines",
     "enumerate_configs",

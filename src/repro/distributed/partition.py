@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -55,7 +55,7 @@ from repro.distributed.collectives import CollectiveKind
 from repro.distributed.sharding import ShardRole, even_split, shard_op
 from repro.ir.memo import Segment
 from repro.ir.ops import Op, OpCategory
-from repro.ir.trace import Row, Trace, TraceEvent
+from repro.ir.trace import Row, Trace
 
 
 def _parent_scope(path: str) -> str:
@@ -394,37 +394,11 @@ class CommSpec:
     label: str
 
 
-class ShardedEvent(NamedTuple):
-    """One source trace event split across the parallel group.
-
-    The per-event view of a :class:`DistributedPlan`
-    (:attr:`DistributedPlan.sharded_events`): the plan itself stores
-    one :class:`PlanClass` per distinct kind of event.  The fold factor
-    is the source event's ``repeat``; every shard and the collective
-    issue that many times.
-
-    Attributes:
-        source: the single-device event this shards.
-        role: how the split was chosen.
-        ops: per-rank operator shards (``None`` = rank idle).
-        comm: collective required after this event, if any.
-        stage: owning pipeline stage (pipeline plans only).
-    """
-
-    source: TraceEvent
-    role: ShardRole
-    ops: tuple[Op | None, ...]
-    comm: CommSpec | None
-    stage: int = 0
-
-
 class PlanClass(NamedTuple):
     """One distinct kind of sharded event in a :class:`DistributedPlan`.
 
     Every source event of a class shards, communicates and is staged
-    identically, so a class is sharded and priced once; a
-    :class:`ShardedEvent` is its source event followed by the class'
-    first four fields.
+    identically, so a class is sharded and priced once.
 
     Attributes:
         role: how the split was chosen.
@@ -448,8 +422,8 @@ class DistributedPlan:
     Stored by class: ``classes`` holds one row per distinct (role,
     shards, collective, stage, fold factor) and ``index`` the class of
     every source event, in trace order.  Suite traces hold 20-35k
-    events but a few hundred classes, so nothing here is per event
-    until :attr:`sharded_events` is read.
+    events but a few hundred classes, so nothing here is per event but
+    the index.
     """
 
     strategy: str
@@ -458,24 +432,6 @@ class DistributedPlan:
     source: Trace
     classes: tuple[PlanClass, ...]
     index: Sequence[int]
-    _sharded: list[ShardedEvent] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def sharded_events(self) -> list[ShardedEvent]:
-        """Every source event with its class' shards, in trace order.
-
-        Read-only; built from the source trace's events on first read
-        and the same list on every later read.
-        """
-        if self._sharded is None:
-            heads = [cls[:4] for cls in self.classes]
-            self._sharded = [
-                ShardedEvent(event, *heads[cls])
-                for event, cls in zip(self.source.events, self.index)
-            ]
-        return self._sharded
 
     def flops_per_rank(self) -> list[float]:
         """Total FLOPs each rank executes (folded loops included)."""

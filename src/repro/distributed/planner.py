@@ -18,10 +18,10 @@ space automatically:
    wavefronts.  An axis is rank 0's view of the tensor-parallel plan,
    priced once per kernel class by the timelines' own pricer
    (:func:`repro.distributed.timeline.price_classes`); only its prefix
-   sums and collective totals walk the events.  :func:`bruteforce_cost` is
-   the slow path that partitions and prices every event afresh per
-   config (:func:`bruteforce_axis`); the property suite pins both
-   paths to identical floats.
+   sums and collective totals walk the events.  The property suite
+   pins this path to identical floats against a slow per-event
+   reference that partitions and prices every event afresh per config
+   (``tests/distributed/plan_reference.py``).
 3. Pipeline behaviour comes from :mod:`repro.distributed.schedule`
    (GPipe vs 1F1B with explicit bubble accounting) for training and
    the forward wavefront for serving latency.
@@ -70,7 +70,7 @@ from repro.ir.context import AttentionImpl
 from repro.ir.module import Module
 from repro.ir.trace import Trace
 from repro.kernels.base import DEFAULT_TUNING, TuningConstants
-from repro.kernels.estimator import CostEstimator
+from repro.ordered_sum import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,6 @@ class TPAxis:
       subtraction;
     * ``comm_total_s`` / ``comm_sp_total_s`` — each variant's
       collective time over the trace, added once left to right.
-
-    The per-event lists :attr:`times`, :attr:`comm`, :attr:`comm_sp`
-    and :attr:`out_bytes` are read-only views, built when read.
     """
 
     tp: int
@@ -244,26 +241,6 @@ class TPAxis:
 
     def __len__(self) -> int:
         return len(self.index)
-
-    @property
-    def times(self) -> list[float]:
-        """Rank 0's kernel time for every event."""
-        return self.class_times[self.index].tolist()
-
-    @property
-    def comm(self) -> list[float]:
-        """Exposed collective time after every event (plain variant)."""
-        return self.class_comm[self.index].tolist()
-
-    @property
-    def comm_sp(self) -> list[float]:
-        """Exposed collective time after every event (sequence parallel)."""
-        return self.class_comm_sp[self.index].tolist()
-
-    @property
-    def out_bytes(self) -> list[float]:
-        """The unsharded activation every event writes."""
-        return self.class_out_bytes[self.index].tolist()
 
     def cumulative_weights(self, sequence_parallel: bool) -> np.ndarray:
         """Left-to-right running sum of per-event stage weights.
@@ -301,11 +278,6 @@ def _prefix(times: np.ndarray, comm: np.ndarray) -> np.ndarray:
     return np.cumsum(steps)[0::2].copy()
 
 
-def _running_total(values: np.ndarray) -> float:
-    """``values`` added strictly left to right (``np.cumsum``)."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
-
-
 def build_axis(
     trace: Trace,
     tp: int,
@@ -324,7 +296,8 @@ def build_axis(
     each class's unsharded output bytes.  The prefix sums and
     collective totals are the only per-event work, each one
     ``np.cumsum`` over the gathered events.  Every float equals the
-    per-event pricing of :func:`bruteforce_axis`.  At ``tp == 1`` the
+    per-event reference pricing (``bruteforce_axis`` in
+    ``tests/distributed/plan_reference.py``).  At ``tp == 1`` the
     plan has no collective and every op is re-priced on the machine's
     GPU, which reproduces the profiled trace whenever that GPU
     profiled it.
@@ -384,110 +357,8 @@ def build_axis(
         index=index,
         acc=_prefix(times, comm),
         acc_sp=_prefix(times, comm_sp),
-        comm_total_s=_running_total(comm),
-        comm_sp_total_s=_running_total(comm_sp),
-        act_peak_shard=act_peak,
-        max_comm_payload=max_payload,
-    )
-
-
-def bruteforce_axis(
-    trace: Trace,
-    tp: int,
-    machine: MachineSpec,
-    *,
-    tuning: TuningConstants = DEFAULT_TUNING,
-    batch: int = 1,
-) -> TPAxis:
-    """Per-event reference for :func:`build_axis`.
-
-    Partitions the trace with :class:`TensorParallel` and prices every
-    event of the plan's per-event view (``plan.sharded_events``, built
-    on read) on its own, accumulating the prefix sums and collective
-    totals in a plain Python loop — no class table, no gather, no
-    array arithmetic.  Each event is its own class of the returned
-    axis.  At ``tp == 1`` it reads the profiled event costs verbatim,
-    so :func:`build_axis`'s re-pricing of unsharded ops is checked
-    against the profile itself.  The property suite requires every
-    per-event view and total to equal :func:`build_axis`'s.
-    """
-    n = len(trace.events)
-    times: list[float] = []
-    comm: list[float] = []
-    comm_sp: list[float] = []
-    out_bytes: list[float] = []
-    act_peak = 0.0
-    max_payload = 0.0
-    if tp == 1:
-        for event in trace.events:
-            times.append(event.cost.time_s)
-            comm.append(0.0)
-            comm_sp.append(0.0)
-            op = event.op
-            out_bytes.append(op.write_bytes())
-            transient = op.read_bytes() + op.write_bytes()
-            if transient > act_peak:
-                act_peak = transient
-    else:
-        plan = TensorParallel(tp).partition(trace)
-        estimator = CostEstimator(machine.gpu, tuning)
-        comm_model = machine.topology.cost_model(tp)
-        for event in plan.sharded_events:
-            source, _, ops, spec, _ = event
-            repeat = source.repeat
-            op0 = ops[0]
-            if op0 is None:
-                times.append(0.0)
-                transient = 0.0
-            else:
-                base_s = estimator.estimate(op0).time_s
-                times.append(base_s * repeat if repeat != 1 else base_s)
-                transient = op0.read_bytes() + op0.write_bytes()
-            if transient > act_peak:
-                act_peak = transient
-            out_bytes.append(source.op.write_bytes())
-            if spec is None:
-                comm.append(0.0)
-                comm_sp.append(0.0)
-                continue
-            plain = comm_model.estimate(
-                spec.kind, spec.payload_bytes, tp
-            ).time_s
-            if spec.kind is CollectiveKind.ALL_REDUCE:
-                sp_s = (
-                    comm_model.reduce_scatter(spec.payload_bytes, tp).time_s
-                    + comm_model.all_gather(spec.payload_bytes, tp).time_s
-                )
-            else:
-                sp_s = plain
-            comm.append(plain * repeat)
-            comm_sp.append(sp_s * repeat)
-            if spec.payload_bytes > max_payload:
-                max_payload = spec.payload_bytes
-    acc = [0.0] * (n + 1)
-    acc_sp = [0.0] * (n + 1)
-    run = run_sp = comm_total = comm_sp_total = 0.0
-    for i in range(n):
-        run += times[i]
-        run += comm[i]
-        acc[i + 1] = run
-        run_sp += times[i]
-        run_sp += comm_sp[i]
-        acc_sp[i + 1] = run_sp
-        comm_total += comm[i]
-        comm_sp_total += comm_sp[i]
-    return TPAxis(
-        tp=tp,
-        batch=batch,
-        class_times=np.array(times),
-        class_comm=np.array(comm),
-        class_comm_sp=np.array(comm_sp),
-        class_out_bytes=np.array(out_bytes),
-        index=np.arange(n),
-        acc=np.array(acc),
-        acc_sp=np.array(acc_sp),
-        comm_total_s=comm_total,
-        comm_sp_total_s=comm_sp_total,
+        comm_total_s=ordered_sum(comm),
+        comm_sp_total_s=ordered_sum(comm_sp),
         act_peak_shard=act_peak,
         max_comm_payload=max_payload,
     )
@@ -587,9 +458,10 @@ def _compose_point(
 ) -> PlanPoint:
     """Pure composition of a priced axis into a :class:`PlanPoint`.
 
-    Shared verbatim by the symbolic path and :func:`bruteforce_cost`,
-    so any disagreement between the two is confined to the axis arrays
-    themselves — exactly what the property suite compares.
+    Shared verbatim by the symbolic path and the property suite's
+    per-event reference (``bruteforce_cost`` in
+    ``tests/distributed/plan_reference.py``), so any disagreement
+    between the two is confined to the axis arrays themselves.
     """
     forward = tuple(t + p for t, p in zip(stage_times, p2p_times))
     latency = forward_makespan(forward, m_eff)
@@ -599,7 +471,7 @@ def _compose_point(
     if config.pp == 1:
         bubble = 0.0
     else:
-        work = m_eff * sum(forward)
+        work = m_eff * ordered_sum(forward)
         bubble = 1.0 - work / (config.pp * latency)
     backward = tuple(t * backward_ratio for t in forward)
     gpipe = simulate_gpipe(forward, backward, m_eff)
@@ -621,7 +493,7 @@ def _compose_point(
             axis.comm_sp_total_s if config.sequence_parallel
             else axis.comm_total_s
         ),
-        p2p_s=sum(p2p_times),
+        p2p_s=ordered_sum(p2p_times),
         bubble_fraction=bubble,
         gpipe=gpipe,
         one_f1b=one_f1b,
@@ -805,50 +677,6 @@ class PlannerBasis:
             backward_ratio=backward_ratio,
             memory_margin=memory_margin,
         )
-
-
-def bruteforce_cost(
-    basis: PlannerBasis,
-    config: ParallelConfig,
-    *,
-    global_batch: int = 8,
-    backward_ratio: float = 2.0,
-    memory_margin: float = 0.9,
-) -> PlanPoint:
-    """Cost one config by fully re-partitioning and re-pricing the trace.
-
-    The reference the symbolic-delta path is validated against: a fresh
-    per-event :func:`bruteforce_axis` per call (re-partition + kernel/
-    collective re-pricing of every event, no class table, no axis or
-    stage-split reuse) composed through the same pure
-    :func:`_compose_point`.  The property suite asserts the resulting
-    :class:`PlanPoint` floats are *identical* to
-    :meth:`PlannerBasis.cost_config`'s.
-    """
-    _check_costing(global_batch, backward_ratio, memory_margin)
-    replica_batch = even_split(global_batch, config.dp)[0]
-    m_eff = min(config.microbatches, replica_batch)
-    mb = even_split(replica_batch, m_eff)[0]
-    axis = bruteforce_axis(
-        basis.trace(mb), config.tp, basis.machine,
-        tuning=basis.tuning, batch=mb,
-    )
-    if config.pp > len(axis):
-        raise ValueError(
-            f"pp={config.pp} exceeds the trace's {len(axis)} events"
-        )
-    stage_times, p2p_times = split_stages(
-        axis, config.pp, config.sequence_parallel, basis.machine
-    )
-    return _compose_point(
-        axis, stage_times, p2p_times, m_eff, mb, config,
-        param_bytes=basis.param_bytes,
-        kv_bytes=basis.kv_bytes,
-        capacity_bytes=basis.machine.gpu.dram_capacity,
-        global_batch=global_batch,
-        backward_ratio=backward_ratio,
-        memory_margin=memory_margin,
-    )
 
 
 @dataclass

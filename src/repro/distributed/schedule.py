@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.ordered_sum import ordered_sum
+
 
 @dataclass(frozen=True)
 class ScheduleResult:
@@ -132,7 +134,9 @@ def simulate_gpipe(
             bwd[s] = start + backward_s[s]
             prev = bwd[s]
     makespan = bwd[0]
-    work = microbatches * (sum(forward_s) + sum(backward_s))
+    work = microbatches * (
+        ordered_sum(forward_s) + ordered_sum(backward_s)
+    )
     return ScheduleResult(
         name="gpipe",
         stages=stages,
@@ -217,7 +221,7 @@ def simulate_1f1b(
         free[s] = finish
         remaining -= 1
     makespan = max(free)
-    work = m * (sum(forward_s) + sum(backward_s))
+    work = m * (ordered_sum(forward_s) + ordered_sum(backward_s))
     return ScheduleResult(
         name="1f1b",
         stages=stages,

@@ -146,12 +146,10 @@ def price_classes(
 ) -> tuple[list[tuple[float | None, ...]], list[float | None]]:
     """Every class' per-rank kernel times and its collective time.
 
-    The one place a sharded plan is priced (the planner's per-event
-    reference, :func:`repro.distributed.planner.bruteforce_axis`,
-    aside): each shard is re-priced on the machine's GPU and each
-    collective over the topology's bounding link for the plan's world
-    (a pipeline's boundary sends cross one adjacent pair of ranks).
-    Both carry the class' fold
+    The one place a sharded plan is priced: each shard is re-priced on
+    the machine's GPU and each collective over the topology's bounding
+    link for the plan's world (a pipeline's boundary sends cross one
+    adjacent pair of ranks).  Both carry the class' fold
     factor, multiplied as :meth:`KernelCost.scaled` does, so an
     unsharded op on the GPU that profiled it prices to its profiled
     float.  A rank that idles reads ``None``, as does a class with no

@@ -17,9 +17,37 @@ class ClaimCheck:
     holds: bool
 
 
+def fleet_values(report, slo) -> dict:
+    """The values every serving experiment keeps for one fleet run.
+
+    Goodput, the terminal-state counts (as floats) and each model's
+    p50/p95/p99, from a :class:`~repro.serving.fleet.FleetReport` and
+    its :class:`~repro.serving.slo.SloReport`.
+    """
+    return {
+        "goodput": slo.goodput,
+        "completed": float(report.completed_count),
+        "failed": float(report.failed_count),
+        "shed": float(report.shed_count),
+        "per_model": {
+            entry.model: {
+                "p50_s": entry.p50_s,
+                "p95_s": entry.p95_s,
+                "p99_s": entry.p99_s,
+            }
+            for entry in slo.per_model
+        },
+    }
+
+
 @dataclass
 class ExperimentResult:
-    """Rows + claim checks for one table or figure."""
+    """Rows + claim checks for one table or figure.
+
+    ``values`` is a JSON-ready tree (str keys; lists, not tuples) of
+    the full-precision numbers the rows and claims are formatted from.
+    ``tests/golden/<experiment_id>.json`` pins it.
+    """
 
     experiment_id: str
     title: str
@@ -27,6 +55,7 @@ class ExperimentResult:
     rows: list[list[object]]
     claims: list[ClaimCheck] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    values: dict = field(default_factory=dict)
 
     @property
     def all_claims_hold(self) -> bool:

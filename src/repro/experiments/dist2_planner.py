@@ -28,8 +28,6 @@ auto-planned pool out-serves the tp=8 pool on a replayed stream.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.distributed.planner import (
     ParallelConfig,
     PlannerBasis,
@@ -73,7 +71,6 @@ FLEET_DEADLINE_S = 4.0
 FLEET_COMBO = ("stable_diffusion", MACHINES[0])
 
 
-@lru_cache(maxsize=1)
 def _run_planner() -> tuple[
     dict[tuple[str, str], tuple[PlannerResult, PlanPoint]], dict[str, float]
 ]:
@@ -82,8 +79,8 @@ def _run_planner() -> tuple[
     Returns the planner search and the costed tp=8 baseline per combo,
     and the fleet-leg metrics.  The fleet leg replays SD@A100 on that
     combo's basis after its search, so it reuses the search's traces
-    and axes instead of planning again from scratch.  Only results are
-    cached: each basis is released when its combo is done.
+    and axes instead of planning again from scratch.  Each basis is
+    released when its combo is done.
     """
     searches: dict[tuple[str, str], tuple[PlannerResult, PlanPoint]] = {}
     fleet: dict[str, float] = {}
@@ -138,9 +135,20 @@ def _fleet_leg(model: Module, basis: PlannerBasis) -> dict[str, float]:
     return metrics
 
 
+def _point_values(point: PlanPoint) -> dict:
+    return {
+        "config": point.config.label,
+        "latency_s": point.latency_s,
+        "throughput_rps": point.throughput_rps,
+        "memory_bytes": point.memory_bytes,
+        "bubble_fraction": point.bubble_fraction,
+    }
+
+
 def run() -> ExperimentResult:
     """Regenerate this experiment and check its claims."""
     searches, fleet = _run_planner()
+    values: dict = {"fleet": fleet}
     rows: list[list[object]] = []
     beats_baseline = []
     latency_worlds = []
@@ -166,6 +174,15 @@ def run() -> ExperimentResult:
                 result.stats["configs_costed"]
                 >= 4 * result.stats["axis_builds"]
             )
+            values[f"{registry_name}|{machine}"] = {
+                "baseline": _point_values(baseline),
+                "best_throughput": _point_values(best),
+                "best_latency": _point_values(fastest),
+                "frontier": [_point_values(p) for p in result.frontier],
+                "stats": {
+                    key: float(value) for key, value in result.stats.items()
+                },
+            }
             rows.append(
                 [
                     model_name,
@@ -259,4 +276,5 @@ def run() -> ExperimentResult:
                  "speedup", "fastest plan", "latency ms", "frontier"],
         rows=rows,
         claims=claims,
+        values=values,
     )

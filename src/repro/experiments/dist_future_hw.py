@@ -41,12 +41,22 @@ def run() -> ExperimentResult:
     """Regenerate this experiment and check its claims."""
     rows: list[list[object]] = []
     sweeps: dict[tuple[str, str], list[ScalingPoint]] = {}
+    values: dict = {}
     for model_name, registry_name in MODELS:
         for machine in MACHINES:
             points = strong_scaling(
                 model_instance(registry_name), machine, WORLDS
             )
             sweeps[(model_name, machine)] = points
+            values[f"{registry_name}|{machine}"] = {
+                str(point.world): {
+                    "time_s": point.time_s,
+                    "compute_time_s": point.compute_time_s,
+                    "comm_time_s": point.comm_time_s,
+                    "efficiency": point.efficiency,
+                }
+                for point in points
+            }
             for point in points:
                 rows.append(
                     [
@@ -148,4 +158,5 @@ def run() -> ExperimentResult:
                  "comm ms", "efficiency"],
         rows=rows,
         claims=claims,
+        values=values,
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from repro.analysis.fleet import summarize_fleet, synthesize_fleet
 from repro.experiments.base import ClaimCheck, ExperimentResult
 
@@ -12,16 +14,17 @@ def run(num_jobs: int = 120, seed: int = 2024) -> ExperimentResult:
     """Regenerate this experiment and check its claims."""
     jobs = synthesize_fleet(num_jobs=num_jobs, seed=seed)
     summary = summarize_fleet(jobs)
+    llm_jobs = sum(1 for job in jobs if job.workload == "llm")
     rows = [
         [
             "LLM",
-            sum(1 for job in jobs if job.workload == "llm"),
+            llm_jobs,
             f"{summary.llm_gpus_per_param:.3e}",
             f"{summary.llm_memory_utilization:.2f}",
         ],
         [
             "TTI/TTV",
-            sum(1 for job in jobs if job.workload != "llm"),
+            len(jobs) - llm_jobs,
             f"{summary.tti_gpus_per_param:.3e}",
             f"{summary.tti_memory_utilization:.2f}",
         ],
@@ -52,4 +55,10 @@ def run(num_jobs: int = 120, seed: int = 2024) -> ExperimentResult:
             "Fleet telemetry is proprietary; jobs are synthesized to the "
             "published aggregate ratios (see DESIGN.md substitutions).",
         ],
+        values={
+            "jobs": {"llm": llm_jobs, "tti": len(jobs) - llm_jobs},
+            **asdict(summary),
+            "gpus_per_param_ratio": ratio,
+            "memory_utilization_ratio": mem_ratio,
+        },
     )

@@ -95,11 +95,17 @@ def run() -> ExperimentResult:
     capacity = capacity_intensities()
     rows: list[list[object]] = []
     traffic_bound: dict[str, str] = {}
+    values: dict = {"ridge_flop_per_byte": spec.ridge_point()}
     for name, (_baseline, flash) in all_profiles().items():
         trace = flash.trace
         traffic = trace.total_flops / trace.total_moved_bytes
         bound = classify_bound(spec, traffic)
         traffic_bound[name] = bound
+        values[name] = {
+            "capacity_flop_per_byte": capacity[name],
+            "traffic_flop_per_byte": traffic,
+            "bound": bound,
+        }
         rows.append(
             [
                 DISPLAY_NAMES[name],
@@ -169,4 +175,5 @@ def run() -> ExperimentResult:
             "Capacity intensity per sequential generation iteration; "
             "LLaMA/Parti use their decode steps (Table III semantics).",
         ],
+        values=values,
     )

@@ -6,6 +6,7 @@ from repro.experiments.base import ClaimCheck, ExperimentResult
 from repro.experiments.suite_cache import all_profiles
 from repro.ir.ops import OpCategory
 from repro.models.registry import DISPLAY_NAMES
+from repro.ordered_sum import ordered_sum
 from repro.profiler.breakdown import breakdown
 
 EXPERIMENT_ID = "fig6"
@@ -28,6 +29,7 @@ def run() -> ExperimentResult:
     baseline_attention: dict[str, float] = {}
     flash_fraction: dict[str, dict[OpCategory, float]] = {}
     baseline_fraction: dict[str, dict[OpCategory, float]] = {}
+    values: dict = {}
     for name, (baseline, flash) in all_profiles().items():
         base_breakdown = breakdown(baseline.trace)
         flash_breakdown = breakdown(flash.trace)
@@ -36,6 +38,11 @@ def run() -> ExperimentResult:
         )
         baseline_fraction[name] = base_breakdown.fractions()
         flash_fraction[name] = flash_breakdown.fractions()
+        values[name] = {
+            impl: {category.value: share for category, share in shares.items()}
+            for impl, shares in (("baseline", baseline_fraction[name]),
+                                 ("flash", flash_fraction[name]))
+        }
         for impl, result in (("baseline", base_breakdown),
                              ("flash", flash_breakdown)):
             # Flash bar is normalized to the model's baseline time,
@@ -46,11 +53,11 @@ def run() -> ExperimentResult:
                     DISPLAY_NAMES[name],
                     impl,
                     *(f"{normalized.get(cat, 0.0):.3f}" for cat in _SHOWN),
-                    f"{sum(normalized.values()):.3f}",
+                    f"{ordered_sum(normalized.values()):.3f}",
                 ]
             )
 
-    avg_attention = sum(baseline_attention.values()) / len(
+    avg_attention = ordered_sum(baseline_attention.values()) / len(
         baseline_attention
     )
     max_conv_flash = max(
@@ -161,4 +168,5 @@ def run() -> ExperimentResult:
         ],
         rows=rows,
         claims=claims,
+        values=values,
     )

@@ -121,4 +121,5 @@ def run() -> ExperimentResult:
             "Parti's ramp is a staircase because decode steps are "
             "bucketed (32 steps per bucket) for trace-size control.",
         ],
+        values=per_model,
     )

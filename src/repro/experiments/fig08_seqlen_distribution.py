@@ -105,4 +105,8 @@ def run() -> ExperimentResult:
         headers=["image size", "seq:frequency", "max seq"],
         rows=rows,
         claims=claims,
+        values={
+            str(size): {str(seq): counts[seq] for seq in sorted(counts)}
+            for size, counts in per_size.items()
+        },
     )

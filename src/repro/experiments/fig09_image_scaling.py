@@ -20,8 +20,17 @@ def run() -> ExperimentResult:
         SIZES, attention_impl=AttentionImpl.FLASH
     )
     rows = []
+    values: dict = {}
     for impl, points in (("baseline", baseline_points),
                          ("flash", flash_points)):
+        values[impl] = {
+            str(point.image_size): {
+                "attention_time_s": point.attention_time_s,
+                "conv_time_s": point.conv_time_s,
+                "total_time_s": point.total_time_s,
+            }
+            for point in points
+        }
         for point in points:
             rows.append(
                 [
@@ -38,6 +47,12 @@ def run() -> ExperimentResult:
     baseline_conv_rate = scaling_rate(baseline_points, "conv_time_s")
     flash_attention_rate = scaling_rate(flash_points, "attention_time_s")
     flash_conv_rate = scaling_rate(flash_points, "conv_time_s")
+    values["growth"] = {
+        "baseline": {"attention": baseline_attention_rate,
+                     "conv": baseline_conv_rate},
+        "flash": {"attention": flash_attention_rate,
+                  "conv": flash_conv_rate},
+    }
     conv_dominates_large_flash = (
         flash_points[-1].conv_time_s > flash_points[-1].attention_time_s
     )
@@ -79,4 +94,5 @@ def run() -> ExperimentResult:
         headers=["impl", "image", "attention ms", "conv ms", "total ms"],
         rows=rows,
         claims=claims,
+        values=values,
     )

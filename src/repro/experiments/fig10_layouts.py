@@ -84,4 +84,9 @@ def run(
         headers=["kind", "batch", "seq len", "width", "seq governed by"],
         rows=rows,
         claims=claims,
+        values={
+            "spatial": list(spatial),
+            "temporal": list(temporal),
+            "temporal_layer": {"batch": info.batch, "seq_q": info.seq_q},
+        },
     )

@@ -13,6 +13,8 @@ baseline-attention ratio is reported alongside.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from repro.experiments.base import ClaimCheck, ExperimentResult
 from repro.experiments.suite_cache import suite_profiles
 from repro.profiler.breakdown import temporal_spatial_report
@@ -78,4 +80,13 @@ def run() -> ExperimentResult:
             "Module time includes projections, rearranges and norms "
             "emitted by the attention modules (hook attribution).",
         ],
+        values={
+            impl: {
+                **asdict(report),
+                "time_ratio": report.time_ratio,
+                "flop_ratio": report.flop_ratio,
+            }
+            for impl, report in (("flash", flash_report),
+                                 ("baseline", baseline_report))
+        },
     )

@@ -8,10 +8,14 @@ simulator (see repro.kernels.attention for the mechanism).
 from __future__ import annotations
 
 from repro.experiments.base import ClaimCheck, ExperimentResult
+from repro.hw.spec import A100_80GB
 from repro.ir.ops import AttentionInfo, AttentionKind, AttentionRole
 from repro.kernels.attention import simulate_attention_cache
 
 EXPERIMENT_ID = "fig12"
+
+# Simulated SMs: each has its own L1, all share the L2.
+NUM_SMS = 4
 
 
 def attention_configs(
@@ -51,8 +55,12 @@ def attention_configs(
 def run() -> ExperimentResult:
     """Regenerate this experiment and check its claims."""
     spatial_info, temporal_info = attention_configs()
-    spatial = simulate_attention_cache(spatial_info)
-    temporal = simulate_attention_cache(temporal_info)
+    spatial = simulate_attention_cache(
+        spatial_info, A100_80GB, num_sms=NUM_SMS
+    )
+    temporal = simulate_attention_cache(
+        temporal_info, A100_80GB, num_sms=NUM_SMS
+    )
     rows = []
     for kernel in ("gemm", "softmax", "elementwise"):
         spatial_rates = spatial.as_dict()[kernel]
@@ -140,4 +148,10 @@ def run() -> ExperimentResult:
             "simulator fed with the kernels' address streams "
             "(DESIGN.md substitutions).",
         ],
+        values={
+            f"{A100_80GB.name}|{NUM_SMS}": {
+                "spatial": spatial.as_dict(),
+                "temporal": temporal.as_dict(),
+            },
+        },
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.analysis.scaling import crossover_frames, sweep_frame_counts
 from repro.experiments.base import ClaimCheck, ExperimentResult
+from repro.ordered_sum import ordered_sum
 
 EXPERIMENT_ID = "fig13"
 
@@ -43,7 +44,7 @@ def run() -> ExperimentResult:
             getattr(b, attribute) / getattr(a, attribute)
             for a, b in zip(points, points[1:])
         ]
-        return sum(doubled) / len(doubled)
+        return ordered_sum(doubled) / len(doubled)
 
     small = sweeps[GRIDS[0]]
     spatial_growth = growth(small, "spatial_flops")
@@ -102,4 +103,23 @@ def run() -> ExperimentResult:
                  "dominant"],
         rows=rows,
         claims=claims,
+        values={
+            "flops": {
+                str(grid): {
+                    str(point.frames): {
+                        "spatial": point.spatial_flops,
+                        "temporal": point.temporal_flops,
+                    }
+                    for point in points
+                }
+                for grid, points in sweeps.items()
+            },
+            "growth_per_doubling": {
+                "spatial": spatial_growth, "temporal": temporal_growth,
+            },
+            "crossover_frames": {
+                str(GRIDS[0]): crossover_small,
+                str(GRIDS[1]): crossover_large,
+            },
+        },
     )

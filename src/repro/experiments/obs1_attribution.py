@@ -34,7 +34,7 @@ the byte-identical completion stream.  The committed golden
 
 from __future__ import annotations
 
-from repro.experiments.base import ClaimCheck, ExperimentResult
+from repro.experiments.base import ClaimCheck, ExperimentResult, fleet_values
 from repro.experiments.suite_cache import all_profiles
 from repro.obs import BurnRateRule, Telemetry, TelemetryLog, evaluate_alerts
 from repro.serving.faults import FaultSchedule, RetryPolicy, Straggler
@@ -272,6 +272,37 @@ def run() -> ExperimentResult:
     )
     pages = [f for f in flappy_alerts if f.severity == "page"]
 
+    alerts = {"tuned": tuned_alerts, "flappy": flappy_alerts}
+    overlaps = {
+        "tuned": tail_overlap_fraction(tuned_log, tuned_sd_p99),
+        "flappy": overlap,
+    }
+    values: dict = {"blind_completed": float(blind_report.completed_count)}
+    for label, (report, slo, log) in scenarios.items():
+        values[label] = {
+            **fleet_values(report, slo),
+            "breaker_opens": log.counter_final("breaker_opens"),
+            "retries": log.counter_final("retries"),
+            "queue_depth_peak": log.series_named(
+                "pool.a100.queue_depth"
+            ).peak,
+            "open_intervals_per_server": {
+                str(server): float(len(intervals))
+                for server, intervals in
+                log.breaker_open_intervals().items()
+            },
+            "tail_overlap": overlaps[label],
+            "alerts": [
+                {
+                    "rule": firing.rule,
+                    "start_s": firing.start_s,
+                    "end_s": firing.end_s,
+                    "peak_burn": firing.peak_burn,
+                }
+                for firing in alerts[label]
+            ],
+        }
+
     claims = [
         ClaimCheck(
             claim="telemetry collection is inert: the flappy arm "
@@ -373,4 +404,5 @@ def run() -> ExperimentResult:
         rows=rows,
         claims=claims,
         notes=notes,
+        values=values,
     )

@@ -26,7 +26,7 @@ utilization.
 from __future__ import annotations
 
 from repro.distributed.registry import machine_from_name
-from repro.experiments.base import ClaimCheck, ExperimentResult
+from repro.experiments.base import ClaimCheck, ExperimentResult, fleet_values
 from repro.experiments.suite_cache import all_profiles, model_instance
 from repro.ir.context import AttentionImpl
 from repro.serving.faults import Crash, FaultSchedule, RetryPolicy
@@ -122,11 +122,12 @@ def run() -> ExperimentResult:
     deadlines = {name: 3.0 * flash_service[name] for name in MODELS}
     one_crash = FaultSchedule(crashes=(CRASH,))
 
-    scenarios: list[tuple[str, str, FleetReport, SloReport]] = []
-    for label, service, faults in (
-        ("a100x4 baseline", baseline_service, FaultSchedule()),
-        ("a100x4 flash", flash_service, FaultSchedule()),
-        ("a100x4 flash +crash", flash_service, one_crash),
+    # (values key, row label, fault injected, report, slo)
+    scenarios: list[tuple[str, str, str, FleetReport, SloReport]] = []
+    for key, label, service, faults in (
+        ("baseline", "a100x4 baseline", baseline_service, FaultSchedule()),
+        ("flash", "a100x4 flash", flash_service, FaultSchedule()),
+        ("flash_crash", "a100x4 flash +crash", flash_service, one_crash),
     ):
         pools = [
             _pool("a100", "dgx-a100-80g", A100_SERVERS, service),
@@ -135,7 +136,7 @@ def run() -> ExperimentResult:
             service, pools, faults=faults, deadlines=deadlines
         )
         injected = "yes" if not faults.is_empty else "no"
-        scenarios.append((label, injected, report, slo))
+        scenarios.append((key, label, injected, report, slo))
     mixed_pools = [
         _pool("a100", "dgx-a100-80g", 2, flash_service),
         _pool("h100", "dgx-h100", 2, h100_service),
@@ -144,13 +145,28 @@ def run() -> ExperimentResult:
         flash_service, mixed_pools, faults=FaultSchedule(),
         deadlines=deadlines,
     )
-    scenarios.append(("a100x2+h100x2 flash", "no", mixed_report, mixed_slo))
+    scenarios.append(
+        ("mixed", "a100x2+h100x2 flash", "no", mixed_report, mixed_slo)
+    )
 
     rows: list[list[object]] = []
     fleet_p95: dict[str, float] = {}
-    for label, injected, report, slo in scenarios:
+    values: dict = {}
+    for key, label, injected, report, slo in scenarios:
         latencies = report.latency_s.tolist()
         fleet_p95[label] = percentile(latencies, 95.0)
+        values[key] = {
+            **fleet_values(report, slo),
+            "p50_s": percentile(latencies, 50.0),
+            "p95_s": fleet_p95[label],
+            "p99_s": percentile(latencies, 99.0),
+            "violation_s": slo.violation_s,
+            "availability": slo.availability,
+            "completion_rate": report.completion_rate,
+            "utilization": {
+                stats.name: stats.utilization for stats in report.pools
+            },
+        }
         utilization = ", ".join(
             f"{stats.name} {stats.utilization * 100:.0f}%"
             for stats in report.pools
@@ -173,9 +189,9 @@ def run() -> ExperimentResult:
     flash_label = "a100x4 flash"
     crash_label = "a100x4 flash +crash"
     mixed_label = "a100x2+h100x2 flash"
-    slo_by_label = {label: slo for label, _, _, slo in scenarios}
+    slo_by_label = {label: slo for _, label, _, _, slo in scenarios}
     report_by_label = {
-        label: report for label, _, report, _ in scenarios
+        label: report for _, label, _, report, _ in scenarios
     }
     p95_cut = 1.0 - fleet_p95[flash_label] / fleet_p95[baseline_label]
     goodput_drop = (
@@ -249,4 +265,5 @@ def run() -> ExperimentResult:
             "H100 pool service times are profiled on the H100 spec, "
             "not peak-ratio scaled.",
         ],
+        values=values,
     )

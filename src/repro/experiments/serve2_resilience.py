@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.experiments.base import ClaimCheck, ExperimentResult
+from repro.experiments.base import ClaimCheck, ExperimentResult, fleet_values
 from repro.experiments.suite_cache import all_profiles
 from repro.ir.context import AttentionImpl
 from repro.models.muse import Muse, MuseConfig
@@ -214,11 +214,30 @@ def run() -> ExperimentResult:
     rows: list[list[object]] = []
     p99: dict[str, float] = {}
     by_label: dict[str, tuple[FleetReport, SloReport]] = {}
+    values: dict = {}
     for label, report, slo in scenarios:
         by_label[label] = (report, slo)
         latencies = report.latency_s.tolist()
         p99[label] = percentile(latencies, 99.0)
         stats = report.resilience
+        values[label] = {
+            **fleet_values(report, slo),
+            "p50_s": percentile(latencies, 50.0),
+            "p95_s": percentile(latencies, 95.0),
+            "p99_s": p99[label],
+            "burn_rate_90": slo.burn_rate(0.9),
+            "hedges_launched": float(stats.hedges_launched),
+            "hedge_wins": float(stats.hedge_wins),
+            "hedge_wasted_s": stats.hedge_wasted_s,
+            "breaker_opens": float(stats.breaker_opens),
+            "degraded": float(stats.degraded_completions),
+            "quality_debt": slo.quality_debt,
+            "rung_changes": stats.rung_changes,
+            "rung_completions": {
+                str(rung): float(count)
+                for rung, count in enumerate(stats.rung_completions)
+            },
+        }
         rows.append(
             [
                 label,
@@ -350,4 +369,5 @@ def run() -> ExperimentResult:
             "burn@0.9 is the error-budget burn rate against a 90% "
             "goodput objective.",
         ],
+        values=values,
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments.base import ClaimCheck, ExperimentResult
+from repro.experiments.base import ClaimCheck, ExperimentResult, fleet_values
 from repro.experiments.suite_cache import all_profiles
 from repro.serving.fleet import (
     PoolSpec,
@@ -222,10 +222,12 @@ def run() -> ExperimentResult:
     rows: list[list[object]] = []
     goodput: dict[tuple[str, str], float] = {}
     by_key: dict[tuple[str, str], tuple] = {}
+    values: dict = {}
     for traffic_label, policy_label, report, slo in scenarios:
         key = (traffic_label, policy_label)
         by_key[key] = (report, slo)
         goodput[key] = slo.goodput
+        values[f"{traffic_label}|{policy_label}"] = fleet_values(report, slo)
         entry = {m.model: m for m in slo.per_model}
         sd = entry["stable_diffusion"]
         rows.append([
@@ -248,10 +250,30 @@ def run() -> ExperimentResult:
     )
     disp_client = dispersion_index(client_trace)
     disp_poisson = dispersion_index(poisson_trace)
+    values["traces"] = {
+        label: {
+            "requests": float(len(trace)),
+            "service_sum_s": float(trace.batch.service_s.sum()),
+            "dispersion": dispersion,
+        }
+        for label, trace, dispersion in (
+            ("client", client_trace, disp_client),
+            ("poisson", poisson_trace, disp_poisson),
+        )
+    }
 
     tiers = tier_slo_report(
         by_key[("client", "no-admission")][0], client_trace, deadlines
     )
+    values["client_tiers"] = {
+        entry.tier: {
+            "clients": float(entry.clients),
+            "offered": float(entry.offered),
+            "p95_s": entry.p95_s,
+            "goodput": entry.goodput,
+        }
+        for entry in tiers.per_tier
+    }
     heavy = tiers.tier("heavy")
     light = tiers.tier("light")
     total_offered = sum(t.offered for t in tiers.per_tier)
@@ -365,6 +387,7 @@ def run() -> ExperimentResult:
         rows=rows,
         claims=claims,
         notes=notes,
+        values=values,
     )
 
 

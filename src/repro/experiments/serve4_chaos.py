@@ -30,7 +30,7 @@ corrupt the accounting.
 
 from __future__ import annotations
 
-from repro.experiments.base import ClaimCheck, ExperimentResult
+from repro.experiments.base import ClaimCheck, ExperimentResult, fleet_values
 from repro.experiments.serve2_resilience import (
     _degraded_service_times,
     _rung,
@@ -218,11 +218,23 @@ def run() -> ExperimentResult:
     by_label = {entry["label"]: entry for entry in scenarios}
     rows: list[list[object]] = []
     p99: dict[str, float] = {}
+    values: dict = {}
     for entry in scenarios:
         report = entry["report"]
         latencies = report.latency_s.tolist()
         p99[entry["label"]] = percentile(latencies, 99.0)
         zone0 = entry["domains"].domain("zone:0")
+        values[entry["label"]] = {
+            **fleet_values(report, entry["slo"]),
+            "p50_s": percentile(latencies, 50.0),
+            "p99_s": p99[entry["label"]],
+            "makespan_s": report.makespan_s,
+            "invariant_violations": float(
+                len(entry["invariants"].violations)
+            ),
+            "zone0_availability": zone0.availability,
+            "zone0_mttr_s": zone0.mttr_s,
+        }
         rows.append([
             entry["label"],
             f"{percentile(latencies, 50.0):.2f}",
@@ -244,6 +256,17 @@ def run() -> ExperimentResult:
     managed = by_label["all-on+orchestration"]
     invariants_ok = all(entry["invariants"].ok for entry in scenarios)
     zone0_managed = managed["domains"].domain("zone:0")
+    values["domains"] = {
+        domain.domain: {
+            "servers": float(domain.servers),
+            "events": float(domain.events),
+            "down_server_s": domain.down_server_s,
+            "availability": domain.availability,
+            "mttd_s": domain.mttd_s,
+            "mttr_s": domain.mttr_s,
+        }
+        for domain in managed["domains"].per_domain
+    }
     claims = [
         ClaimCheck(
             claim="a zone outage with synchronized recovery degrades "
@@ -334,4 +357,5 @@ def run() -> ExperimentResult:
             "the backlog but not to its cause); pairing it with "
             "recovery orchestration recovers the loss.",
         ],
+        values=values,
     )

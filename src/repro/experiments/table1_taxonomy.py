@@ -47,6 +47,7 @@ def run() -> ExperimentResult:
     params_ok: dict[str, bool] = {}
     latencies: dict[str, float] = {}
     computes: dict[str, float] = {}
+    values: dict = {}
     for name in _TTI_MODELS:
         model = model_instance(name)
         baseline, _ = profiles[name]
@@ -57,6 +58,11 @@ def run() -> ExperimentResult:
         latency = baseline.total_time_s
         latencies[name] = latency
         computes[name] = flops
+        values[name] = {
+            "generator_params": float(params),
+            "baseline_latency_s": latency,
+            "baseline_flops": flops,
+        }
         rows.append(
             [
                 DISPLAY_NAMES[name],
@@ -118,4 +124,5 @@ def run() -> ExperimentResult:
             "recompute decoding; the compute/latency qualitative columns "
             "use coarse thresholds.",
         ],
+        values=values,
     )

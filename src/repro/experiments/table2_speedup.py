@@ -103,4 +103,5 @@ def run() -> ExperimentResult:
         headers=["model", "paper", "measured", "delta"],
         rows=rows,
         claims=claims,
+        values=measured,
     )

@@ -19,6 +19,7 @@ from repro.ir.context import AttentionImpl, ExecutionContext
 from repro.ir.ops import AttentionKind, AttentionRole
 from repro.layers.attention import emit_attention_core
 from repro.models.registry import DISPLAY_NAMES
+from repro.ordered_sum import ordered_sum
 from repro.profiler.breakdown import speedup_report
 
 EXPERIMENT_ID = "table3"
@@ -67,10 +68,10 @@ def run() -> ExperimentResult:
         ).attention_module_speedup
         for name, (baseline, flash) in all_profiles().items()
     }
-    diffusion_mean = sum(
+    diffusion_mean = ordered_sum(
         module_speedups[name] for name in DIFFUSION
     ) / len(DIFFUSION)
-    transformer_mean = sum(
+    transformer_mean = ordered_sum(
         module_speedups[name] for name in TRANSFORMER
     ) / len(TRANSFORMER)
     suite_ratio = diffusion_mean / transformer_mean
@@ -110,4 +111,11 @@ def run() -> ExperimentResult:
         rows=rows,
         claims=claims,
         notes=notes,
+        values={
+            "prefill_kernel_speedup": prefill_speedup,
+            "decode_kernel_speedup": decode_speedup,
+            "attention_module_speedup": module_speedups,
+            "diffusion_mean": diffusion_mean,
+            "transformer_mean": transformer_mean,
+        },
     )

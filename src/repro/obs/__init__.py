@@ -55,7 +55,6 @@ from repro.obs.spans import (
     TERMINAL_STATES,
     RequestSpan,
     SpanEvent,
-    validate_span,
 )
 from repro.obs.telemetry import FleetEvent, Telemetry, TelemetryLog
 
@@ -80,5 +79,4 @@ __all__ = [
     "loads_telemetry",
     "save_telemetry",
     "telemetry_to_chrome_trace",
-    "validate_span",
 ]

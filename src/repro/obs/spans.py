@@ -402,50 +402,3 @@ def _template(key: str | tuple, strings: _Encoded) -> str:
         )
         fields.append(f"{json.dumps(name)}:{value}")
     return f"[%r,{json.dumps(state)},{{{','.join(fields)}}}]"
-
-
-def validate_span(span: RequestSpan) -> list[str]:
-    """Check span well-formedness; returns human-readable violations.
-
-    An empty list means the span satisfies the contract documented in
-    the module docstring.  This is the reference implementation the
-    property suite asserts against and
-    ``tools/check_jsonl.py`` mirrors line-by-line.
-    """
-    errors: list[str] = []
-    if not span.events:
-        return [f"span {span.request_id}: no events"]
-    if span.events[0].state != "submit":
-        errors.append(
-            f"span {span.request_id}: first event is "
-            f"{span.events[0].state!r}, not 'submit'"
-        )
-    terminal_at: float | None = None
-    terminal_count = 0
-    last_ts = span.events[0].ts_s
-    for event in span.events:
-        if event.state not in SPAN_STATES:
-            errors.append(
-                f"span {span.request_id}: unknown state "
-                f"{event.state!r}"
-            )
-        if event.ts_s < last_ts:
-            errors.append(
-                f"span {span.request_id}: timestamp {event.ts_s} "
-                f"goes backwards (previous {last_ts})"
-            )
-        last_ts = event.ts_s
-        if terminal_at is not None and event.state != "cancel":
-            errors.append(
-                f"span {span.request_id}: {event.state!r} event "
-                f"after terminal state"
-            )
-        if event.state in TERMINAL_STATES:
-            terminal_count += 1
-            terminal_at = event.ts_s
-    if terminal_count != 1:
-        errors.append(
-            f"span {span.request_id}: {terminal_count} terminal "
-            f"events (want exactly 1)"
-        )
-    return errors

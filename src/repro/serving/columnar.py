@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.ordered_sum import ordered_sum
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.telemetry import Telemetry
 
@@ -1224,8 +1225,8 @@ class _ColumnarState:
         self, pool: _ColPool, makespan: float, completed: int, shed: int
     ) -> PoolStats:
         sids = range(pool.sid0, pool.sid0 + pool.nserv)
-        busy = sum(self.s_busy_s[sid] for sid in sids)
-        wasted = sum(self.s_wasted_s[sid] for sid in sids)
+        busy = ordered_sum(self.s_busy_s[sid] for sid in sids)
+        wasted = ordered_sum(self.s_wasted_s[sid] for sid in sids)
         swaps = sum(self.s_swaps[sid] for sid in sids)
         down = 0.0
         capacity = 0.0

@@ -49,6 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.ordered_sum import ordered_sum
 from repro.reporting.table import render_table
 from repro.serving.fleet import FleetReport
 
@@ -154,7 +155,7 @@ class SloReport:
     @property
     def violation_s(self) -> float:
         """Total excess latency beyond deadlines, fleet-wide."""
-        return sum(model.violation_s for model in self.per_model)
+        return ordered_sum(model.violation_s for model in self.per_model)
 
     @property
     def failed(self) -> int:
@@ -174,7 +175,7 @@ class SloReport:
     @property
     def quality_debt(self) -> float:
         """Total ``1 - quality`` over degraded completions."""
-        return sum(model.quality_debt for model in self.per_model)
+        return ordered_sum(model.quality_debt for model in self.per_model)
 
     def burn_rate(self, objective: float = 0.999) -> float:
         """Fleet-wide error-budget burn against a goodput objective.
@@ -285,8 +286,10 @@ def deadline_for(
 
 def _availability(pools) -> float:
     """``1 - down / scheduled`` over the pool stats (shared tail)."""
-    down = sum(stats.down_s for stats in pools)
-    scheduled = sum(stats.capacity_s + stats.down_s for stats in pools)
+    down = ordered_sum(stats.down_s for stats in pools)
+    scheduled = ordered_sum(
+        stats.capacity_s + stats.down_s for stats in pools
+    )
     return 1.0 - down / scheduled if scheduled > 0 else 1.0
 
 
@@ -299,10 +302,11 @@ def slo_report(
     ``deadlines`` maps model name to its latency deadline in seconds;
     a scalar applies one deadline to every model.  Reads the report's
     columns without materializing per-request records.  Per-element
-    arithmetic runs on numpy (IEEE elementwise ops); reductions use
-    Python's left-to-right ``sum`` over ``tolist()`` (never
-    ``np.sum``, whose pairwise summation moves the last ulps), so the
-    numbers the recorded corpus pins do not drift.
+    arithmetic runs on numpy (IEEE elementwise ops); float reductions
+    add left to right through :func:`repro.ordered_sum.ordered_sum`
+    (never ``np.sum``, whose pairwise summation moves the last ulps,
+    nor Python 3.12's compensated ``sum()``), so the numbers the
+    recorded corpus pins do not drift.
     """
     comp_mid = report.req_model_ids[report.comp_req]
     fail_mid = report.req_model_ids[report.fail_req]
@@ -343,23 +347,18 @@ def slo_report(
                     if count else None
                 ),
                 mean_queueing_s=(
-                    sum(queueing[mask].tolist()) / count
-                    if count else 0.0
+                    ordered_sum(queueing[mask]) / count if count else 0.0
                 ),
                 mean_service_s=(
-                    sum(service[mask].tolist()) / count
-                    if count else 0.0
+                    ordered_sum(service[mask]) / count if count else 0.0
                 ),
                 within_deadline=int((lat_m <= deadline).sum()),
-                violation_s=sum(
-                    np.maximum(0.0, lat_m - deadline).tolist()
-                ),
+                violation_s=ordered_sum(np.maximum(0.0, lat_m - deadline)),
                 shed=int((shed_mid == mid).sum()),
                 hedged=int(report.comp_hedged[mask].sum()),
                 degraded=int(degraded_mask.sum()),
-                quality_debt=sum(
-                    (1.0 - report.comp_quality[mask][degraded_mask])
-                    .tolist()
+                quality_debt=ordered_sum(
+                    1.0 - report.comp_quality[mask][degraded_mask]
                 ),
             )
         )
@@ -641,11 +640,11 @@ def domain_slo_report(
             down_server_s=down,
             availability=availability,
             mttd_s=(
-                sum(detections) / len(detections)
+                ordered_sum(detections) / len(detections)
                 if detections else None
             ),
             mttr_s=(
-                sum(repairs) / len(repairs) if repairs else None
+                ordered_sum(repairs) / len(repairs) if repairs else None
             ),
         ))
     return DomainSloReport(

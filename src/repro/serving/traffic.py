@@ -96,6 +96,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro import jsonl
+from repro.ordered_sum import ordered_sum
 from repro.serving.faults import _require_finite
 from repro.serving.workload import Request, RequestBatch, WorkloadMix
 
@@ -149,7 +150,7 @@ class PropertySpec:
                 f"weights[{index}]", weight, weight >= 0, "non-negative"
             )
             _require_finite(f"scales[{index}]", scale, scale > 0, "positive")
-        total = sum(self.weights)
+        total = ordered_sum(self.weights)
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ValueError(f"weights must sum to 1, got {total}")
 
@@ -401,7 +402,7 @@ class ClientPopulation:
         names = [card.name for card in self.cards]
         if len(set(names)) != len(names):
             raise ValueError("model names must be unique")
-        total = sum(card.share for card in self.cards)
+        total = ordered_sum(card.share for card in self.cards)
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ValueError(f"card shares must sum to 1, got {total}")
         if self.n_clients < 0:
@@ -447,7 +448,7 @@ class ClientPopulation:
         """Population-average service time (jitter averages out)."""
         total = 0.0
         for card in self.cards:
-            combo_mean = sum(
+            combo_mean = ordered_sum(
                 combo.weight * combo.scale
                 for combo in combos_for_card(card)
             )

@@ -56,6 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.ordered_sum import ordered_sum
 from repro.serving.faults import _require_finite
 
 
@@ -218,13 +219,13 @@ class WorkloadMix:
             _require_finite(
                 f"service_s[{name!r}]", service, service > 0, "positive"
             )
-        total = sum(self.shares.values())
+        total = ordered_sum(self.shares.values())
         if not math.isclose(total, 1.0, rel_tol=1e-6):
             raise ValueError(f"shares must sum to 1, got {total}")
 
     @property
     def mean_service_s(self) -> float:
-        return sum(
+        return ordered_sum(
             self.shares[name] * self.service_s[name]
             for name in self.shares
         )

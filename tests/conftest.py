@@ -2,15 +2,18 @@
 are computed once per session through the experiments-level cache.
 The fixture bodies live in :mod:`repro.testing`, shared with
 ``benchmarks/conftest.py`` so the two harnesses warm identical caches.
+The experiment battery also runs once per session (``results``), for
+``tests/experiments`` and ``tests/golden`` alike.
 
 Also registers the ``--update-golden`` flag used by ``tests/golden``
-to refresh the committed golden-trace JSON files after an intentional
-performance-model change."""
+to refresh the committed golden JSON files and ``EXPERIMENTS.md``
+after an intentional performance-model change."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.experiments.runner import EXPERIMENTS
 from repro.testing import suite_model_map, suite_profile_map
 
 
@@ -19,8 +22,8 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite tests/golden/*.json from the current model "
-        "instead of comparing against them",
+        help="rewrite tests/golden/<experiment>.json and EXPERIMENTS.md "
+        "from the current model instead of comparing against them",
     )
 
 
@@ -40,3 +43,9 @@ def suite_profiles():
 def suite_models():
     """{name: GenerativeModel} singletons matching the cached profiles."""
     return suite_model_map()
+
+
+@pytest.fixture(scope="session")
+def results():
+    """{experiment id: ExperimentResult}: the battery, run once."""
+    return {name: run() for name, run in EXPERIMENTS.items()}

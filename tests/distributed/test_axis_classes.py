@@ -2,9 +2,9 @@
 
 :func:`build_axis` prices each (op, role, collective, fold factor)
 class of a trace once and gathers the per-event arrays by class index;
-:func:`bruteforce_axis` partitions the trace and prices every event on
-its own.  Classes compare ops by value, so equal op copies share one.
-A toy model reuses one op object under a column leaf and a row leaf,
+the reference :func:`bruteforce_axis` partitions the trace and prices
+every event on its own.  Classes compare ops by value, so equal op
+copies share one.  A toy model reuses one op object under a column leaf and a row leaf,
 at two fold factors, so a class key that dropped the role or the fold
 factor would merge events that price differently.  A real Muse trace
 pins the equality at suite scale.
@@ -21,7 +21,6 @@ from repro.distributed.planner import (
     ParallelConfig,
     PlannerBasis,
     TPAxis,
-    bruteforce_axis,
     build_axis,
 )
 from repro.distributed.registry import machine_from_name
@@ -31,6 +30,14 @@ from repro.experiments.suite_cache import model_instance
 from repro.ir.context import ExecutionContext
 from repro.ir.module import Module
 from repro.ir.ops import Gemm
+from tests.distributed.plan_reference import (
+    axis_comm,
+    axis_comm_sp,
+    axis_out_bytes,
+    axis_times,
+    bruteforce_axis,
+    sharded_events,
+)
 
 MACHINE = machine_from_name("dgx-a100-80g")
 TP_DEGREES = (1, 2, 4, 8)
@@ -41,6 +48,12 @@ AXIS_VIEWS = (
     "acc_sp", "comm_total_s", "comm_sp_total_s", "total_s",
     "act_peak_shard", "max_comm_payload",
 )
+EVENT_VIEWS = {
+    "times": axis_times,
+    "comm": axis_comm,
+    "comm_sp": axis_comm_sp,
+    "out_bytes": axis_out_bytes,
+}
 
 
 class SharedOpModel(Module):
@@ -66,6 +79,8 @@ class SharedOpModel(Module):
 
 def axis_view(axis: TPAxis, name: str):
     """One of :data:`AXIS_VIEWS`, arrays as lists of Python floats."""
+    if name in EVENT_VIEWS:
+        return EVENT_VIEWS[name](axis)
     value = getattr(axis, name)
     return value.tolist() if isinstance(value, np.ndarray) else value
 
@@ -101,7 +116,7 @@ class TestSharedOpClasses:
         reduce = CollectiveKind.ALL_REDUCE if tp > 1 else None
         assert [
             (e.role, e.comm.kind if e.comm else None, e.source.repeat)
-            for e in plan.sharded_events
+            for e in sharded_events(plan)
         ] == [
             (ShardRole.COLUMN, None, 1),
             (ShardRole.ROW, reduce, 1),
@@ -112,12 +127,13 @@ class TestSharedOpClasses:
         assert_axes_equal(axis, bruteforce_axis(toy_trace, tp, MACHINE))
         # Independently of the partition: a 3x fold costs three 1x
         # launches, and only the row leaf issues a collective.
-        assert axis.times[2] == axis.times[0] * 3
-        assert axis.times[3] == axis.times[1] * 3
+        times, comm = axis_times(axis), axis_comm(axis)
+        assert times[2] == times[0] * 3
+        assert times[3] == times[1] * 3
         if tp > 1:
-            assert axis.comm[0] == axis.comm[2] == 0.0
-            assert axis.comm[1] > 0.0
-            assert axis.comm[3] == axis.comm[1] * 3
+            assert comm[0] == comm[2] == 0.0
+            assert comm[1] > 0.0
+            assert comm[3] == comm[1] * 3
 
 
 @pytest.fixture(scope="module")

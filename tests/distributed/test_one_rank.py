@@ -12,7 +12,7 @@ import dataclasses
 import pytest
 
 from repro.distributed.partition import TensorParallel, trace_classes
-from repro.distributed.planner import bruteforce_axis, build_axis
+from repro.distributed.planner import build_axis
 from repro.distributed.registry import machine_from_name
 from repro.distributed.scaling import strong_scaling
 from repro.experiments.suite_cache import all_profiles
@@ -20,6 +20,7 @@ from repro.ir.context import AttentionImpl
 from repro.kernels.base import DEFAULT_TUNING
 from repro.models.registry import build_model
 from repro.profiler import profile_model
+from tests.distributed.plan_reference import axis_times, bruteforce_axis
 from tests.distributed.test_axis_classes import assert_axes_equal
 
 A100 = machine_from_name("dgx-a100-80g")
@@ -32,7 +33,7 @@ H100 = machine_from_name("dgx-h100")
 def test_tp1_axis_is_the_profiled_trace(name):
     trace = all_profiles()[name][1].trace  # flash, profiled on the A100
     axis = build_axis(trace, 1, A100)
-    assert axis.times == trace.times_s()
+    assert axis_times(axis) == trace.times_s()
     assert axis.total_s == trace.total_time_s
     assert axis.comm_total_s == 0.0
 
@@ -54,7 +55,7 @@ def test_tp1_axis_reprices_on_the_axis_machine(tuning):
         tuning=tuning,
     ).trace
     axis = build_axis(a100_trace, 1, H100, tuning=tuning)
-    assert axis.times == h100_trace.times_s()
+    assert axis_times(axis) == h100_trace.times_s()
     assert axis.total_s == h100_trace.total_time_s
     assert_axes_equal(
         axis, bruteforce_axis(h100_trace, 1, H100, tuning=tuning)

@@ -15,6 +15,7 @@ from repro.distributed.partition import (
 from repro.ir.context import ExecutionContext
 from repro.ir.ops import Elementwise, FusedAttention, Gemm, OpCategory
 from repro.ir.trace import KernelCost, Trace, TraceEvent
+from tests.distributed.plan_reference import sharded_events
 
 
 def transformer_trace(blocks: int = 2, repeat: int = 1):
@@ -101,7 +102,7 @@ class TestTensorParallelInvariants:
         trace = transformer_trace(blocks=3)
         plan = TensorParallel(2).partition(trace)
         roles = {}
-        for sharded in plan.sharded_events:
+        for sharded in sharded_events(plan):
             leaf = sharded.source.module_path.split(".", 1)[-1]
             key = (leaf, sharded.source.op.name)
             if key in roles:
@@ -139,7 +140,7 @@ class TestPipelineParallel:
 
     def test_stages_are_contiguous(self):
         plan = PipelineParallel(2).partition(transformer_trace(blocks=4))
-        stages = [event.stage for event in plan.sharded_events]
+        stages = [event.stage for event in sharded_events(plan)]
         assert stages == sorted(stages)
         assert set(stages) == set(range(max(stages) + 1))
 
@@ -154,9 +155,9 @@ class TestPipelineParallel:
         # SEND_RECV into the empty stage after it.
         trace = transformer_trace(blocks=1)  # 6 events
         plan = PipelineParallel(8).partition(trace)
-        populated = {event.stage for event in plan.sharded_events}
+        populated = {event.stage for event in sharded_events(plan)}
         sends = [
-            event for event in plan.sharded_events
+            event for event in sharded_events(plan)
             if event.comm is not None
         ]
         # One boundary per *populated* stage pair, none into the void.
@@ -168,10 +169,10 @@ class TestPipelineParallel:
         trace = transformer_trace(blocks=1)  # 6 events
         plan = PipelineParallel(6).partition(trace)
         sends = sum(
-            1 for event in plan.sharded_events if event.comm is not None
+            1 for event in sharded_events(plan) if event.comm is not None
         )
         assert sends == 5
-        assert {event.stage for event in plan.sharded_events} == set(
+        assert {event.stage for event in sharded_events(plan)} == set(
             range(6)
         )
 
@@ -202,14 +203,14 @@ class TestPipelineStagesNeverEmpty:
         # 1 empty and sending stage 0's activation into it.
         trace = timed_trace([4.2e-3, 4e-6, 4e-6, 4e-6])
         plan = PipelineParallel(3).partition(trace)
-        assert [e.stage for e in plan.sharded_events] == [0, 1, 2, 2]
-        sends = [e.stage for e in plan.sharded_events if e.comm is not None]
+        assert [e.stage for e in sharded_events(plan)] == [0, 1, 2, 2]
+        sends = [e.stage for e in sharded_events(plan) if e.comm is not None]
         assert sends == [0, 1]
 
     def test_more_ranks_than_events_populate_a_stage_per_event(self):
         trace = timed_trace([4.2e-3, 4e-6, 4e-6])
         plan = PipelineParallel(5).partition(trace)
-        assert [e.stage for e in plan.sharded_events] == [0, 1, 2]
+        assert [e.stage for e in sharded_events(plan)] == [0, 1, 2]
 
 
 def greedy_boundaries(weights, stages):

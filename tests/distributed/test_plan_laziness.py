@@ -1,9 +1,8 @@
-"""Partitioning and pricing build no events; the per-event view is lazy.
+"""Partitioning and pricing build no events.
 
 A plan is stored by kernel class, so the partitioners read the trace's
 rows and timings, not its events, and ``build_timelines`` walks the
-class index.  ``plan.sharded_events`` builds the source events and one
-:class:`ShardedEvent` each on first read, then returns the same list.
+class index.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from collections import Counter
 from repro.distributed.partition import (
     DataParallel,
     PipelineParallel,
-    ShardedEvent,
     TensorParallel,
 )
 from repro.distributed.registry import machine_from_name
@@ -30,23 +28,17 @@ MACHINE = machine_from_name("dgx-a100-80g")
 def test_plans_build_no_events(monkeypatch):
     built = Counter()
     init = TraceEvent.__init__
-    new = ShardedEvent.__new__
     emit = ExecutionContext.emit
 
     def counting_init(self, *args, **kwargs):
         built["TraceEvent"] += 1
         init(self, *args, **kwargs)
 
-    def counting_new(cls, *args, **kwargs):
-        built["ShardedEvent"] += 1
-        return new(cls, *args, **kwargs)
-
     def counting_emit(self, *args, **kwargs):
         built["emit"] += 1
         return emit(self, *args, **kwargs)
 
     monkeypatch.setattr(TraceEvent, "__init__", counting_init)
-    monkeypatch.setattr(ShardedEvent, "__new__", counting_new)
     monkeypatch.setattr(ExecutionContext, "emit", counting_emit)
     # A fresh instance, so the profile memo cannot answer; the scaling
     # sweeps and profile_sharded below reuse this profile through it.
@@ -73,22 +65,4 @@ def test_plans_build_no_events(monkeypatch):
     ]
     for plan in plans:
         build_timelines(plan, MACHINE)
-    assert built["ShardedEvent"] == 0
     assert built["TraceEvent"] == built["emit"]
-
-    # The view builds every source event once and one sharded event per
-    # source event, then returns the cached list.
-    emitted = built["TraceEvent"]
-    replayed = len(trace) - sum(
-        1 for run in trace.runs_since(0) if type(run) is TraceEvent
-    )
-    sharded = plans[0].sharded_events
-    assert len(sharded) == len(trace)
-    assert built["ShardedEvent"] == len(trace)
-    assert built["TraceEvent"] == emitted + replayed
-    assert plans[0].sharded_events is sharded
-    assert [event.source for event in sharded] == trace.events
-    for plan in plans[1:]:
-        assert len(plan.sharded_events) == len(trace)
-    assert built["ShardedEvent"] == 3 * len(trace)
-    assert built["TraceEvent"] == emitted + replayed

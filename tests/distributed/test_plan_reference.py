@@ -29,6 +29,7 @@ from tests.distributed.plan_reference import (
     reference_events,
     reference_flops_per_rank,
     reference_timelines,
+    sharded_events,
 )
 from tests.distributed.test_partition import timed_trace, transformer_trace
 
@@ -90,7 +91,7 @@ def assert_matches_reference(
     chosen = strategy(name, world)
     plan = chosen.partition(trace)
     sharded = reference_events(chosen, trace)
-    assert plan.sharded_events == sharded
+    assert sharded_events(plan) == sharded
     assert (plan.strategy, plan.world) == (chosen.describe(), world)
     for overlap in overlaps:
         reference = reference_timelines(

@@ -22,7 +22,6 @@ from repro.distributed.partition import TensorParallel
 from repro.distributed.planner import (
     ParallelConfig,
     PlannerBasis,
-    bruteforce_cost,
     enumerate_configs,
     pareto_frontier,
     plan_parallelism,
@@ -33,6 +32,11 @@ from repro.distributed.timeline import build_timelines
 from repro.ir.context import ExecutionContext
 from repro.ir.module import Module
 from repro.ir.ops import Elementwise, FusedAttention, Gemm, OpCategory
+from tests.distributed.plan_reference import (
+    axis_comm,
+    axis_comm_sp,
+    bruteforce_cost,
+)
 
 MACHINE = machine_from_name("dgx-a100-80g")
 GLOBAL_BATCH = 8
@@ -296,8 +300,8 @@ class TestDegenerateAxes:
 
     def test_tp1_axis_carries_no_collectives(self):
         axis = BASIS.axis(1, 1)
-        assert all(c == 0.0 for c in axis.comm)
-        assert all(c == 0.0 for c in axis.comm_sp)
+        assert all(c == 0.0 for c in axis_comm(axis))
+        assert all(c == 0.0 for c in axis_comm_sp(axis))
         assert axis.max_comm_payload == 0.0
         assert axis.acc[-1] == BASIS.trace(1).total_time_s
 

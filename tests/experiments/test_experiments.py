@@ -1,14 +1,12 @@
-"""Every experiment runs, renders, and its paper claims hold."""
+"""Every experiment runs, renders, and its paper claims hold.
+
+``results`` is the session's one battery run (``tests/conftest.py``).
+"""
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import EXPERIMENTS, run_experiments
-
-
-@pytest.fixture(scope="module")
-def results():
-    """Run the full harness once (suite profiles are session-cached)."""
-    return {name: run() for name, run in EXPERIMENTS.items()}
 
 
 class TestHarness:
@@ -25,10 +23,17 @@ class TestHarness:
         }
         assert set(EXPERIMENTS) == expected
 
-    def test_run_experiments_expands_all(self, results):
-        del results  # ensure cache is warm first
-        out = run_experiments(["all"])
-        assert len(out) == 21
+    def test_run_experiments_expands_all(self, monkeypatch):
+        """'all' runs every registered experiment once, in registry
+        order, and may be mixed with ids (stubs stand in for the runs)."""
+        for name in EXPERIMENTS:
+            monkeypatch.setitem(
+                runner.EXPERIMENTS, name, lambda name=name: name
+            )
+        assert run_experiments(["all"]) == list(EXPERIMENTS)
+        assert run_experiments(["fig4", "all"]) == [
+            "fig4", *EXPERIMENTS
+        ]
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):

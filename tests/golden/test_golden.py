@@ -1,8 +1,12 @@
-"""Golden-trace regression suite.
+"""Golden suite: every experiment's numbers and the rendered battery.
 
-Pins exact numeric outputs of the performance model — Table I params/
-latencies, Table II speedups, Figure 6 breakdown shares, dist1 scaling
-efficiencies — against committed JSON files.  The experiment claim
+Each experiment's ``values`` tree — the full-precision numbers its rows
+and claim checks are formatted from — is pinned to
+``tests/golden/<experiment_id>.json`` at a relative tolerance of 1e-9
+(loose enough for libm variation across platforms, tight enough that
+any real model change trips it), and ``EXPERIMENTS.md`` pins the
+rendered battery byte for byte.  Both read the session's one
+in-process battery (the ``results`` fixture).  The experiment claim
 checks tolerate recalibration by design; this suite exists so that a
 kernel-cost change which silently shifts the paper numbers fails
 tier-1 instead of drifting unnoticed.
@@ -16,38 +20,103 @@ number shift.
 """
 
 import dataclasses
+import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.golden import (
-    GOLDEN_SUMMARIES,
-    compare_summaries,
-    dist1_summary,
-    write_golden,
-)
+from repro.distributed.scaling import strong_scaling
+from repro.experiments.runner import EXPERIMENTS
+from repro.experiments.suite_cache import model_instance
 from repro.kernels.base import DEFAULT_TUNING
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+REPO_ROOT = GOLDEN_DIR.parents[1]
+EXPERIMENTS_MD = REPO_ROOT / "EXPERIMENTS.md"
+# Pinned by tests/serving/test_fleet_corpus.py, never by a refresh.
+NOT_AN_EXPERIMENT = {"fleet_corpus"}
+
+_SPEC = importlib.util.spec_from_file_location(
+    "gen_experiments_md", REPO_ROOT / "tools" / "gen_experiments_md.py"
+)
+gen_experiments_md = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(gen_experiments_md)
 
 
 def golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"{name}.json"
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SUMMARIES))
-def test_summary_matches_golden(name, update_golden):
+def write_golden(values: dict, path: Path) -> None:
+    """The one on-disk format of a golden file."""
+    path.write_text(json.dumps(values, indent=2, sort_keys=True) + "\n")
+
+
+def _flatten(tree: dict, prefix: str = "") -> dict[str, object]:
+    flat: dict[str, object] = {}
+    for key, value in tree.items():
+        path = f"{prefix}.{key}" if prefix else str(key)
+        if isinstance(value, dict):
+            flat.update(_flatten(value, path))
+        else:
+            flat[path] = value
+    return flat
+
+
+def compare_summaries(
+    expected: dict,
+    actual: dict,
+    *,
+    rel_tol: float = 1e-9,
+    abs_tol: float = 1e-12,
+) -> list[str]:
+    """Diff two value trees; returns human-readable mismatches.
+
+    An empty list means the trees agree to within the tolerances.
+    Missing or extra keys are mismatches too — a model that stops (or
+    starts) reporting a number is as much a regression as one that
+    shifts it.
+    """
+    flat_expected = _flatten(expected)
+    flat_actual = _flatten(actual)
+    mismatches: list[str] = []
+    for path in sorted(set(flat_expected) | set(flat_actual)):
+        if path not in flat_expected:
+            mismatches.append(f"{path}: unexpected new value")
+            continue
+        if path not in flat_actual:
+            mismatches.append(f"{path}: missing from actual")
+            continue
+        want, got = flat_expected[path], flat_actual[path]
+        if isinstance(want, float) and isinstance(got, (int, float)):
+            if not math.isclose(
+                want, float(got), rel_tol=rel_tol, abs_tol=abs_tol
+            ):
+                drift = (
+                    (float(got) - want) / want * 100.0 if want else 0.0
+                )
+                mismatches.append(
+                    f"{path}: expected {want!r}, got {got!r} "
+                    f"({drift:+.3f}%)"
+                )
+        elif want != got:
+            mismatches.append(f"{path}: expected {want!r}, got {got!r}")
+    return mismatches
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_values_match_golden(name, results, update_golden):
     path = golden_path(name)
+    values = results[name].values
     if update_golden:
-        write_golden(name, path)
+        write_golden(values, path)
         return
     assert path.exists(), (
         f"{path} missing; generate it with --update-golden"
     )
-    actual = GOLDEN_SUMMARIES[name]()
-    expected = json.loads(path.read_text())
-    mismatches = compare_summaries(expected, actual)
+    mismatches = compare_summaries(json.loads(path.read_text()), values)
     assert not mismatches, (
         f"{name} drifted from golden ({len(mismatches)} values):\n  "
         + "\n  ".join(mismatches[:20])
@@ -55,37 +124,61 @@ def test_summary_matches_golden(name, update_golden):
     )
 
 
-class TestRefreshPath:
-    """The --update-golden path itself is under test: a refreshed file
-    must round-trip through the comparison and a second refresh must be
-    byte-identical (the model is deterministic, so re-generating a
-    golden file with no model change produces no diff to review)."""
-
-    def test_refresh_round_trips(self, tmp_path):
-        path = tmp_path / "table2.json"
-        written = write_golden("table2", path)
-        loaded = json.loads(path.read_text())
-        assert compare_summaries(loaded, written) == []
-
-    def test_refresh_is_deterministic(self, tmp_path):
-        path = tmp_path / "serve1.json"
-        write_golden("serve1", path)
-        first = path.read_text()
-        write_golden("serve1", path)
-        assert path.read_text() == first
-
-    def test_refresh_matches_checked_in_golden(self):
-        """What --update-golden would write equals what is committed
-        (i.e. the working tree never sits one refresh away from a
-        silent diff)."""
-        path = golden_path("serve1")
-        assert path.exists(), (
-            f"{path} missing; generate it with --update-golden"
+def test_experiments_md_is_the_rendered_battery(results, update_golden):
+    """EXPERIMENTS.md holds every experiment's ``render()``, byte for
+    byte, as ``tools/gen_experiments_md.py`` prints it."""
+    text = gen_experiments_md.experiments_md(results.values())
+    if update_golden:
+        EXPERIMENTS_MD.write_text(text)
+        return
+    committed = EXPERIMENTS_MD.read_text()
+    if text != committed:
+        pairs = zip(committed.splitlines(), text.splitlines())
+        for line, (want, got) in enumerate(pairs, start=1):
+            assert want == got, (
+                f"EXPERIMENTS.md line {line} differs:\n"
+                f"  committed: {want!r}\n  rendered:  {got!r}\n"
+                "If intentional, refresh with --update-golden and commit."
+            )
+        raise AssertionError(
+            f"EXPERIMENTS.md has {len(committed.splitlines())} lines, "
+            f"the battery renders {len(text.splitlines())}"
         )
-        committed = json.loads(path.read_text())
-        assert compare_summaries(
-            committed, GOLDEN_SUMMARIES["serve1"]()
-        ) == []
+
+
+class TestCoverage:
+    """Every experiment is pinned, and every golden file pins one."""
+
+    def test_every_experiment_has_a_golden_file(self):
+        missing = [
+            name for name in EXPERIMENTS if not golden_path(name).exists()
+        ]
+        assert not missing, f"no tests/golden/<id>.json for {missing}"
+
+    def test_every_experiment_reports_values(self, results):
+        empty = [name for name, result in results.items()
+                 if not result.values]
+        assert not empty, f"experiments with empty values: {empty}"
+
+    def test_every_golden_file_names_an_experiment(self):
+        stray = sorted(
+            path.name for path in GOLDEN_DIR.glob("*.json")
+            if path.stem not in EXPERIMENTS
+            and path.stem not in NOT_AN_EXPERIMENT
+        )
+        assert not stray, f"golden files that pin no experiment: {stray}"
+
+
+class TestRefreshPath:
+    def test_refresh_round_trips(self, results, tmp_path):
+        """What --update-golden writes reads back equal, for every
+        experiment (tuples or non-str keys would not)."""
+        for name, result in results.items():
+            path = tmp_path / f"{name}.json"
+            write_golden(result.values, path)
+            assert compare_summaries(
+                json.loads(path.read_text()), result.values
+            ) == [], name
 
 
 class TestComparison:
@@ -112,33 +205,48 @@ class TestComparison:
         assert compare_summaries({"a": "x"}, {"a": "y"})
 
 
+def _scaling_values(points) -> dict:
+    """dist1's pinned fields for one strong-scaling sweep."""
+    return {
+        str(point.world): {
+            "time_s": point.time_s,
+            "efficiency": point.efficiency,
+            "comm_time_s": point.comm_time_s,
+        }
+        for point in points
+    }
+
+
 class TestPerturbationIsDetected:
     """The acceptance demonstration: nudge one kernel-cost constant
     and the golden comparison must fail (and the numbers must actually
-    move — the suite is sensitive, not vacuously green)."""
+    move — the suite is sensitive, not vacuously green).  One
+    model/machine/world pair of dist1 is enough to show it without
+    re-running the whole sweep."""
+
+    KEY = "stable_diffusion|dgx-a100-80g"
+
+    def _pinned(self, worlds):
+        expected = json.loads(golden_path("dist1").read_text())[self.KEY]
+        return {
+            world: {field: expected[world][field]
+                    for field in ("time_s", "efficiency", "comm_time_s")}
+            for world in worlds
+        }
 
     def test_gemm_utilization_perturbation_fails_golden(self):
-        path = golden_path("dist1")
-        if not path.exists():
-            pytest.skip("golden files not generated yet")
-        expected = json.loads(path.read_text())
         perturbed = dataclasses.replace(
             DEFAULT_TUNING,
             gemm_base_utilization=(
                 DEFAULT_TUNING.gemm_base_utilization * 1.02
             ),
         )
-        # One model/machine/world-pair is enough to demonstrate the
-        # sensitivity without re-profiling the full dist1 sweep.
-        actual = dist1_summary(
-            perturbed,
-            models=("stable_diffusion",),
-            machines=("dgx-a100-80g",),
-            worlds=(1, 2),
-        )
-        key = "stable_diffusion|dgx-a100-80g"
+        actual = _scaling_values(strong_scaling(
+            model_instance("stable_diffusion"), "dgx-a100-80g", (1, 2),
+            tuning=perturbed,
+        ))
         mismatches = compare_summaries(
-            {key: expected[key]["1"]}, {key: actual[key]["1"]}
+            self._pinned(["1"]), {"1": actual["1"]}
         )
         assert mismatches, (
             "a 2% GEMM-utilization change did not move dist1 latency; "
@@ -146,17 +254,7 @@ class TestPerturbationIsDetected:
         )
 
     def test_unperturbed_subset_still_matches(self):
-        path = golden_path("dist1")
-        if not path.exists():
-            pytest.skip("golden files not generated yet")
-        expected = json.loads(path.read_text())
-        actual = dist1_summary(
-            models=("stable_diffusion",),
-            machines=("dgx-a100-80g",),
-            worlds=(1, 2),
-        )
-        key = "stable_diffusion|dgx-a100-80g"
-        for world in ("1", "2"):
-            assert compare_summaries(
-                {key: expected[key][world]}, {key: actual[key][world]}
-            ) == []
+        actual = _scaling_values(strong_scaling(
+            model_instance("stable_diffusion"), "dgx-a100-80g", (1, 2),
+        ))
+        assert compare_summaries(self._pinned(["1", "2"]), actual) == []

@@ -2,11 +2,13 @@
 
 The kernel-cost cache, subgraph replay and the profile memo exist only
 to make the simulator faster; ``REPRO_NO_CACHE=1`` switches every layer
-off.  This suite runs the full experiment battery in both modes in
-fresh interpreters and diffs the complete stdout — the strongest
-end-to-end statement of cache transparency (the property tests cover
-the per-kernel contract; this covers accumulation order, replay
-re-rooting, shared block memos, everything).
+off.  This suite regenerates ``EXPERIMENTS.md`` with every cache off in
+a fresh interpreter and diffs it against the committed file — the
+strongest end-to-end statement of cache transparency (the property
+tests cover the per-kernel contract; this covers accumulation order,
+replay re-rooting, shared block memos, everything).  The cached side
+is ``tests/golden``, which requires the session's in-process battery
+to render that same file byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _run_experiments(*args: str, no_cache: bool) -> str:
+def _run(*args: str, no_cache: bool) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     if no_cache:
@@ -29,7 +31,7 @@ def _run_experiments(*args: str, no_cache: bool) -> str:
     else:
         env.pop("REPRO_NO_CACHE", None)
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -42,23 +44,23 @@ def _run_experiments(*args: str, no_cache: bool) -> str:
 
 @pytest.mark.slow
 def test_all_experiments_identical_without_caches():
-    """`python -m repro.experiments all` is bit-identical either way."""
-    cached = _run_experiments("all", no_cache=False)
-    uncached = _run_experiments("all", no_cache=True)
-    assert cached, "experiment run produced no output"
-    if cached != uncached:
-        cached_lines = cached.splitlines()
+    """The uncached battery renders the committed EXPERIMENTS.md."""
+    committed = (REPO_ROOT / "EXPERIMENTS.md").read_text()
+    uncached = _run("tools/gen_experiments_md.py", no_cache=True)
+    assert uncached, "experiment run produced no output"
+    if committed != uncached:
+        committed_lines = committed.splitlines()
         uncached_lines = uncached.splitlines()
         for index, (want, got) in enumerate(
-            zip(cached_lines, uncached_lines)
+            zip(committed_lines, uncached_lines)
         ):
             assert want == got, (
                 f"first divergence at line {index}:\n"
-                f"  cached:   {want!r}\n"
-                f"  uncached: {got!r}"
+                f"  committed: {want!r}\n"
+                f"  uncached:  {got!r}"
             )
         raise AssertionError(
-            f"outputs differ in length: {len(cached_lines)} vs "
+            f"outputs differ in length: {len(committed_lines)} vs "
             f"{len(uncached_lines)} lines"
         )
 
@@ -66,6 +68,6 @@ def test_all_experiments_identical_without_caches():
 def test_repeated_cached_runs_identical():
     """Two cached runs of one experiment agree byte for byte (the cache
     is deterministic run to run, not only against the uncached path)."""
-    first = _run_experiments("fig5", no_cache=False)
-    second = _run_experiments("fig5", no_cache=False)
+    first = _run("-m", "repro.experiments", "fig5", no_cache=False)
+    second = _run("-m", "repro.experiments", "fig5", no_cache=False)
     assert first == second

@@ -142,3 +142,37 @@ class TestValidation:
     def test_rejects_non_positive_caps(self, field, value):
         with pytest.raises(ValueError, match=field):
             simulate_attention_cache(temporal_info(), **{field: value})
+
+
+# fig12's spatial and temporal configs replayed on H100-80GB with 7
+# simulated SMs (fig12 itself renders the A100, 4-SM geometry, pinned
+# by tests/golden/fig12.json).  One hit more or fewer in any stream
+# moves a rate past the tolerance.
+H100_7SM_RATES = {
+    "spatial": {
+        "elementwise": {"l1": 0.1033935546875, "l2": 0.007639361621662507},
+        "gemm": {"l1": 0.7272727272727273, "l2": 0.7777777777777778},
+        "softmax": {"l1": 0.5, "l2": 0.0},
+    },
+    "temporal": {
+        "elementwise": {"l1": 0.10503472222222222, "l2": 0.9990300678952473},
+        "gemm": {"l1": 0.0, "l2": 0.0},
+        "softmax": {"l1": 0.0, "l2": 1.0},
+    },
+}
+
+
+def test_fig12_configs_on_h100_with_seven_sms_are_pinned():
+    from repro.experiments.fig12_cache import attention_configs
+    from repro.hw.spec import H100_80GB
+
+    spatial, temporal = attention_configs()
+    for label, info in (("spatial", spatial), ("temporal", temporal)):
+        rates = simulate_attention_cache(info, H100_80GB, num_sms=7)
+        for kernel, levels in rates.as_dict().items():
+            for level, rate in levels.items():
+                assert rate == pytest.approx(
+                    H100_7SM_RATES[label][kernel][level],
+                    rel=1e-9, abs=1e-12,
+                ), (label, kernel, level)
+        assert set(rates.as_dict()) == set(H100_7SM_RATES[label])

@@ -7,7 +7,8 @@
 before spans were stored as a :class:`~repro.obs.spans.SpanTable`.
 ``log.spans`` must equal :func:`reference_spans` and
 ``dumps_telemetry(log)`` must equal :func:`reference_dumps` byte for
-byte.
+byte.  :func:`validate_span` checks one span against the
+well-formedness contract of :mod:`repro.obs.spans`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.obs import (
     SpanEvent,
     TelemetryLog,
 )
+from repro.obs.spans import SPAN_STATES, TERMINAL_STATES
 
 
 def materialize(raw: tuple) -> SpanEvent:
@@ -133,3 +135,50 @@ def reference_dumps(
             "counts": [list(row) for row in histogram.counts],
         } for histogram in log.histograms),
     ))
+
+
+def validate_span(span: RequestSpan) -> list[str]:
+    """Check span well-formedness; returns human-readable violations.
+
+    An empty list means the span satisfies the contract documented in
+    the :mod:`repro.obs.spans` docstring.  This is the reference
+    implementation the property suite asserts against and
+    ``tools/check_jsonl.py`` mirrors line-by-line.
+    """
+    errors: list[str] = []
+    if not span.events:
+        return [f"span {span.request_id}: no events"]
+    if span.events[0].state != "submit":
+        errors.append(
+            f"span {span.request_id}: first event is "
+            f"{span.events[0].state!r}, not 'submit'"
+        )
+    terminal_at: float | None = None
+    terminal_count = 0
+    last_ts = span.events[0].ts_s
+    for event in span.events:
+        if event.state not in SPAN_STATES:
+            errors.append(
+                f"span {span.request_id}: unknown state "
+                f"{event.state!r}"
+            )
+        if event.ts_s < last_ts:
+            errors.append(
+                f"span {span.request_id}: timestamp {event.ts_s} "
+                f"goes backwards (previous {last_ts})"
+            )
+        last_ts = event.ts_s
+        if terminal_at is not None and event.state != "cancel":
+            errors.append(
+                f"span {span.request_id}: {event.state!r} event "
+                f"after terminal state"
+            )
+        if event.state in TERMINAL_STATES:
+            terminal_count += 1
+            terminal_at = event.ts_s
+    if terminal_count != 1:
+        errors.append(
+            f"span {span.request_id}: {terminal_count} terminal "
+            f"events (want exactly 1)"
+        )
+    return errors

@@ -5,8 +5,8 @@ from repro.obs import (
     TERMINAL_STATES,
     RequestSpan,
     SpanEvent,
-    validate_span,
 )
+from tests.obs.span_reference import validate_span
 
 
 def _span(*events):

@@ -17,7 +17,6 @@ from repro.obs import (
     Telemetry,
     dumps_telemetry,
     loads_telemetry,
-    validate_span,
 )
 from repro.serving.faults import (
     FAULT_FREE,
@@ -40,7 +39,11 @@ from repro.serving.resilience import (
     ResilienceConfig,
 )
 from repro.serving.workload import WorkloadMix, generate_requests
-from tests.obs.span_reference import reference_dumps, reference_spans
+from tests.obs.span_reference import (
+    reference_dumps,
+    reference_spans,
+    validate_span,
+)
 
 MODELS = ("sd", "muse")
 SERVICE_S = {"sd": 2.0, "muse": 0.5}

@@ -35,6 +35,7 @@ it announces, with the reason the engine's output moved — is::
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import hashlib
 import json
@@ -82,6 +83,7 @@ from repro.serving.traffic import (
     steps_spec,
 )
 from repro.serving.workload import WorkloadMix, generate_requests
+from tests.py312_sum import py312_sum
 
 CORPUS_PATH = (
     Path(__file__).resolve().parents[1] / "golden" / "fleet_corpus.json"
@@ -725,6 +727,30 @@ def test_fleet_matches_corpus(fleet_id):
     assert fleet_digests(fleet, report, telemetry) == (
         _corpus()["fleets"][fleet_id]
     )
+
+
+def test_corpus_unchanged_under_python312_sum(monkeypatch):
+    """Python 3.12's compensated ``sum()`` moves no digest.
+
+    Runs every fleet, planned pools included, with CPython 3.12's
+    algorithm patched into ``builtins.sum``: each float total the
+    digests cover must add left to right whatever the interpreter.
+    """
+    monkeypatch.setattr(builtins, "sum", py312_sum)
+    _planned_pools.cache_clear()
+    try:
+        moved = []
+        for fleet_id in corpus_ids():
+            fleet = build_fleet(fleet_id)
+            digests = fleet_digests(fleet, *run_fleet(fleet))
+            expected = _corpus()["fleets"][fleet_id]
+            moved.extend(
+                f"{fleet_id}:{key}" for key in expected
+                if digests.get(key) != expected[key]
+            )
+    finally:
+        _planned_pools.cache_clear()
+    assert not moved, f"{len(moved)} digests moved: {moved[:10]}"
 
 
 def test_planned_pool_curve_reaches_engine():

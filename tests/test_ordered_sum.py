@@ -1,0 +1,74 @@
+"""The left-to-right float reduction against ``sum()`` on 3.10/3.11
+and against CPython 3.12's compensated ``sum()``."""
+
+import random
+
+import numpy as np
+import pytest
+
+from repro.ordered_sum import ordered_sum
+from tests.py312_sum import py312_sum
+
+
+def left_to_right(values):
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+class TestPy312Sum:
+    """The emulation differs from the plain loop where 3.12 does."""
+
+    def test_compensates_floats(self):
+        assert py312_sum([0.1] * 10) == 1.0
+        assert left_to_right([0.1] * 10) == 0.9999999999999999
+        assert py312_sum([1e16, 1.0, -1e16]) == 1.0
+
+    def test_ints_and_empty_stay_ints(self):
+        assert py312_sum([]) == 0 and type(py312_sum([])) is int
+        assert py312_sum([1, 2, True]) == 4
+        assert py312_sum([1.5, 2]) == 3.5
+
+    def test_infinite_total_is_not_nan(self):
+        assert py312_sum([1e308, 1e308, -1.0]) == float("inf")
+
+    def test_start_value(self):
+        assert py312_sum([0.5, 0.25], 1.0) == 1.75
+        with pytest.raises(TypeError):
+            py312_sum(["a"], "")
+
+
+class TestOrderedSum:
+    def test_matches_left_to_right_loop(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            values = [
+                rng.uniform(-1e3, 1e3) * 10 ** rng.randint(-8, 8)
+                for _ in range(rng.randint(1, 60))
+            ]
+            want = left_to_right(values)
+            assert ordered_sum(values).hex() == want.hex()
+            assert ordered_sum(np.array(values)).hex() == want.hex()
+
+    def test_ignores_a_compensated_builtin(self, monkeypatch):
+        import builtins
+
+        monkeypatch.setattr(builtins, "sum", py312_sum)
+        values = [0.1] * 10
+        assert ordered_sum(values) == 0.9999999999999999
+        assert ordered_sum(np.array(values)) == 0.9999999999999999
+
+    def test_empty_is_int_zero(self):
+        for empty in ([], (), iter(()), np.array([])):
+            total = ordered_sum(empty)
+            assert total == 0 and type(total) is int
+
+    def test_zero_total_is_positive_zero(self):
+        for values in ([-0.0], np.array([-0.0, -0.0])):
+            assert ordered_sum(values).hex() == sum([-0.0]).hex()
+            assert str(ordered_sum(values)) == "0.0"
+
+    def test_array_result_is_a_python_float(self):
+        assert type(ordered_sum(np.array([1.0, 2.0]))) is float
+        assert type(ordered_sum(np.array([1, 2]))) is int

@@ -1,7 +1,7 @@
 """Unit tests for the benchmark-regression gate.
 
 The checker script is plain Python with an importable ``main``; these
-tests exercise the update path (baseline and history line), the
+tests exercise the update path (the baseline file), the
 pass/fail threshold, the missing benchmark case, and the calibration
 normalization that keeps a slower CI runner from tripping the gate.
 """
@@ -60,31 +60,6 @@ class TestUpdate:
         assert payload["format"] == "repro-bench-baseline-v1"
         assert payload["median_s"] == dict(sorted(BASE.items()))
         assert payload["threshold"] == pytest.approx(0.30)
-
-    def test_update_appends_one_history_line_per_refresh(self, tmp_path):
-        target = tmp_path / "out.json"
-        faster = {name: median / 2 for name, median in BASE.items()}
-        for medians in (BASE, faster):
-            results = results_file(tmp_path, medians)
-            assert checker.main([str(results), "--update",
-                                 "--baseline", str(target)]) == 0
-        lines = (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
-        records = [json.loads(line) for line in lines]
-        assert [r["median_s"] for r in records] == [
-            dict(sorted(BASE.items())), dict(sorted(faster.items())),
-        ]
-        # The commit checked out, as git reports it (None outside git).
-        assert all(r["commit"] == checker.git_head() for r in records)
-        assert json.loads(target.read_text())["median_s"] == dict(
-            sorted(faster.items())
-        )
-
-    def test_check_leaves_the_history_alone(self, tmp_path):
-        baseline = baseline_file(tmp_path, BASE)
-        results = results_file(tmp_path, BASE)
-        assert checker.main(
-            [str(results), "--baseline", str(baseline)]) == 0
-        assert not (tmp_path / "BENCH_history.jsonl").exists()
 
 
 class TestCompare:

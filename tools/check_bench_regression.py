@@ -11,11 +11,7 @@ Usage::
     python tools/check_bench_regression.py /tmp/bench.json --update
 
 The baseline (``benchmarks/BENCH_baseline.json`` by default) maps each
-benchmark's fullname to its recorded median seconds.  Every ``--update``
-also appends one line to ``BENCH_history.jsonl`` next to the baseline:
-the commit checked out (``git rev-parse HEAD``, ``null`` outside a git
-checkout) and the medians written, so refreshes keep the performance
-trajectory instead of overwriting its only copy.  Comparison is
+benchmark's fullname to its recorded median seconds.  Comparison is
 *calibration-normalized*: the suite contains a fixed pure-Python
 benchmark (``test_calibration_reference``) whose median tracks machine
 speed but never the simulator, so every ratio is divided by the
@@ -39,13 +35,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "BENCH_baseline.json"
-HISTORY_NAME = "BENCH_history.jsonl"
 CALIBRATION_KEY = "test_calibration_reference"
 DEFAULT_THRESHOLD = 0.30
 NOISE_FLOOR_S = 0.002
@@ -73,26 +67,6 @@ def write_baseline(
         "median_s": dict(sorted(medians.items())),
     }
     baseline_path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def git_head() -> str | None:
-    """The checked-out commit, or ``None`` when git cannot tell."""
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
-            capture_output=True, text=True, timeout=30,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    commit = result.stdout.strip()
-    return commit if result.returncode == 0 and commit else None
-
-
-def append_history(medians: dict[str, float], history_path: Path) -> None:
-    """Append one JSON line: the commit and the medians just written."""
-    record = {"commit": git_head(), "median_s": dict(sorted(medians.items()))}
-    with history_path.open("a") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def calibration_ratio(
@@ -167,18 +141,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--update", action="store_true",
-        help="rewrite the baseline from the results (and append them to "
-        f"{HISTORY_NAME}) instead of checking",
+        help="rewrite the baseline from the results instead of checking",
     )
     args = parser.parse_args(argv)
 
     medians = load_medians(args.results)
     if args.update:
         write_baseline(medians, args.baseline)
-        history = args.baseline.with_name(HISTORY_NAME)
-        append_history(medians, history)
         print(f"wrote {len(medians)} medians to {args.baseline}")
-        print(f"appended them to {history}")
         return 0
 
     if not args.baseline.exists():

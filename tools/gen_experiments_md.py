@@ -1,5 +1,14 @@
-"""Generate EXPERIMENTS.md from the live experiment harness."""
-from repro.experiments.runner import EXPERIMENTS
+"""Generate EXPERIMENTS.md from the live experiment harness.
+
+Run from the repo root::
+
+    PYTHONPATH=src python tools/gen_experiments_md.py > EXPERIMENTS.md
+
+:func:`experiments_md` is also what ``tests/golden`` pins the file
+with, and what ``pytest tests/golden --update-golden`` rewrites it
+through.
+"""
+from repro.experiments.runner import run_experiments
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -83,13 +92,22 @@ NOTES = {
     ),
 }
 
-parts = [HEADER]
-for name, run in EXPERIMENTS.items():
-    result = run()
-    parts.append(f"## {result.experiment_id}: {result.title}\n")
-    parts.append("```text")
-    parts.append(result.render())
-    parts.append("```\n")
-    if name in NOTES:
-        parts.append(f"**Reproduction note.** {NOTES[name]}\n")
-print("\n".join(parts))
+
+
+def experiments_md(results) -> str:
+    """The text of EXPERIMENTS.md for the battery's ``results``."""
+    parts = [HEADER]
+    for result in results:
+        parts.append(f"## {result.experiment_id}: {result.title}\n")
+        parts.append("```text")
+        parts.append(result.render())
+        parts.append("```\n")
+        if result.experiment_id in NOTES:
+            parts.append(
+                f"**Reproduction note.** {NOTES[result.experiment_id]}\n"
+            )
+    return "\n".join(parts) + "\n"
+
+
+if __name__ == "__main__":
+    print(experiments_md(run_experiments(["all"])), end="")
