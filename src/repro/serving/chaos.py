@@ -328,6 +328,7 @@ INVARIANTS = (
     "no_post_makespan_events",
     "quality_debt_bounded",
     "pool_accounting",
+    "finite_times",
 )
 """Names of the structural invariants, in check order."""
 
@@ -391,6 +392,9 @@ def check_invariants(
     6. **pool_accounting** — pool completion counts sum to the
        completion total, utilization stays in ``[0, 1]``, and pool
        shed counts never exceed the shed total.
+    7. **finite_times** — every completion's queued-since, start and
+       finish, every failure and shed time, and ``makespan_s`` are
+       finite (an ``inf`` passes the clock and makespan checks).
 
     ``requests`` is what was submitted (a ``Request`` sequence, a
     ``RequestBatch`` or a ``TrafficTrace``).  The checks run over the
@@ -535,6 +539,20 @@ def check_invariants(
             f"pool_accounting: pool shed counts sum to {pool_shed} "
             f"> {shed} shed records"
         )
+
+    for kind, req, at in (
+        ("completion queued-since", report.comp_req, queued),
+        ("completion start", report.comp_req, start),
+        ("completion finish", report.comp_req, finish),
+        ("failure", report.fail_req, report.fail_at_s),
+        ("shed", report.shed_req, report.shed_at_s),
+    ):
+        for row in np.flatnonzero(~np.isfinite(at)).tolist():
+            violations.append(
+                f"finite_times: {kind} of {rids[req[row]]} at {at[row]}"
+            )
+    if not np.isfinite(makespan):
+        violations.append(f"finite_times: makespan {makespan}")
 
     return InvariantReport(
         checked=INVARIANTS, violations=tuple(violations)

@@ -7,11 +7,14 @@ million-request client traces replay in seconds:
 * **Struct-of-arrays state.**  Requests live as four aligned columns
   (:class:`repro.serving.workload.RequestBatch`); queue entries,
   servers and breakers are parallel Python lists / bytearrays indexed
-  by integer id, not heap-allocated objects.  numpy handles ingestion
-  (stable argsort of arrivals, model interning) and report assembly
-  (stable sorts, bincounts); the decision loop itself runs on scalar
-  list indexing, which beats numpy scalar access for this access
-  pattern.
+  by integer id, not heap-allocated objects.  Entry ``i < n`` is
+  request ``i``'s first attempt, so the entry columns are filled once
+  and only hedge copies append; a completion keeps its entry id, and
+  the report gathers its request, attempts and queued-since from the
+  entry columns.  numpy handles ingestion (stable argsort of arrivals,
+  model interning) and report assembly (stable sorts, bincounts,
+  gathers); the decision loop runs on scalar list indexing, which
+  beats numpy scalar access for this access pattern.
 * **No heap traffic for arrivals.**  Arrivals are a pre-sorted column
   merged against the (much smaller) runtime event heap; they still
   take their place in the global ``(time, seq)`` event order, so
@@ -209,27 +212,29 @@ class _ColumnarState:
         self.latency_memo: dict[tuple[int, int, int, int], float] = {}
         self.timeout_s = retry.timeout_s
 
-        # Entry SoA (grows; hedge copies append like arrivals).
-        self.e_req: list[int] = []
-        self.e_attempts: list[int] = []
-        self.e_queued_since: list[float] = []
-        self.e_in_queue = bytearray()
-        self.e_token: list[int] = []
-        self.e_pool: list[int] = []
-        self.e_twin: list[int] = []
-        self.e_is_hedge = bytearray()
-        self.e_cancelled = bytearray()
-        self.e_done = bytearray()
+        # Entry SoA.  Entry ``i < n`` is request ``i``'s first attempt,
+        # queued since its arrival; retries reuse their entry, and only
+        # hedge copies append (``_on_hedge``).
+        n = len(self.r_arrival)
+        self.e_req = list(range(n))
+        self.e_attempts = [1] * n
+        self.e_queued_since = list(self.r_arrival)
+        self.e_in_queue = bytearray(n)
+        self.e_token = [0] * n
+        self.e_pool = [-1] * n
+        self.e_twin = [-1] * n
+        self.e_is_hedge = bytearray(n)
+        self.e_cancelled = bytearray(n)
+        self.e_done = bytearray(n)
 
-        # Terminal-record buffers (append order breaks sort ties).
-        self.c_req: list[int] = []
-        self.c_pool: list[int] = []
+        # Terminal-record buffers (append order breaks sort ties).  A
+        # completion keeps its entry id: an entry's request, attempts,
+        # queued-since and twin are final once it completes, so
+        # ``_build_report`` gathers them from the entry columns.
+        self.c_eid: list[int] = []
         self.c_server: list[int] = []
-        self.c_queued_since: list[float] = []
         self.c_start: list[float] = []
         self.c_finish: list[float] = []
-        self.c_attempts: list[int] = []
-        self.c_hedged = bytearray()
         self.c_rung: list[int] = []
         self.f_req: list[int] = []
         self.f_pool: list[int] = []
@@ -271,44 +276,13 @@ class _ColumnarState:
         self.seq += 1
         heapq.heappush(self.heap, (time, self.seq, kind, payload))
 
-    def _new_entry(
-        self, ridx: int, attempts: int, queued_since: float
-    ) -> int:
-        eid = len(self.e_req)
-        self.e_req.append(ridx)
-        self.e_attempts.append(attempts)
-        self.e_queued_since.append(queued_since)
-        self.e_in_queue.append(0)
-        self.e_token.append(0)
-        self.e_pool.append(-1)
-        self.e_twin.append(-1)
-        self.e_is_hedge.append(0)
-        self.e_cancelled.append(0)
-        self.e_done.append(0)
-        return eid
-
     def _sid_free(self, sid: int) -> bool:
-        if not (
+        state = self.b_state[sid]  # stays 0 (closed) without a breaker
+        return bool(
             self.s_alive[sid] and self.s_active[sid]
             and self.s_batch[sid] is None
-        ):
-            return False
-        if not self.use_breaker:
-            return True
-        state = self.b_state[sid]
-        if state == 0:
-            return True
-        if state == 2:
-            return not self.b_probe[sid]
-        return False
-
-    def _pop_free(self, pool: _ColPool) -> int | None:
-        heap = pool.free_heap
-        while heap:
-            sid = heapq.heappop(heap)
-            if self._sid_free(sid):
-                return sid
-        return None
+            and (state == 0 or (state == 2 and not self.b_probe[sid]))
+        )
 
     def _mark_maybe_free(self, sid: int) -> None:
         heapq.heappush(self.pools[self.s_pool[sid]].free_heap, sid)
@@ -373,6 +347,10 @@ class _ColumnarState:
         )
         ai = 0
         pop = heapq.heappop
+        enqueue = self._enqueue
+        hedge = self.res.hedge
+        e_done = self.e_done
+        r_model = self.r_model
         while True:
             if ai < n:
                 at = arr_times[ai]
@@ -387,11 +365,19 @@ class _ColumnarState:
                             tel.advance(now)
                         handlers[kind](now, payload)
                         continue
+                # An arrival: request ``ridx`` enters as entry ``ridx``.
                 ridx = order_list[ai]
                 ai += 1
                 if tel is not None:
                     tel.advance(at)
-                self._on_arrival(at, ridx)
+                    tel.record_submit(
+                        self.r_rid[ridx], self.models[r_model[ridx]], at
+                    )
+                enqueue(at, ridx)
+                if hedge is not None and not e_done[ridx]:
+                    delay = self._hedge_delay(r_model[ridx])
+                    if delay is not None:
+                        self._push(at + delay, _HEDGE, ridx)
             elif heap:
                 now, _, kind, payload = pop(heap)
                 if tel is not None:
@@ -425,19 +411,6 @@ class _ColumnarState:
 
     # -- event handlers ------------------------------------------------
 
-    def _on_arrival(self, now: float, ridx: int) -> None:
-        if self.tel is not None:
-            self.tel.record_submit(
-                self.r_rid[ridx], self.models[self.r_model[ridx]],
-                now,
-            )
-        eid = self._new_entry(ridx, attempts=1, queued_since=now)
-        self._enqueue(now, eid)
-        if self.res.hedge is not None and not self.e_done[eid]:
-            delay = self._hedge_delay(self.r_model[ridx])
-            if delay is not None:
-                self._push(now + delay, _HEDGE, eid)
-
     def _on_retry(self, now: float, eid: int) -> None:
         if self.e_cancelled[eid] or self.e_done[eid]:
             return
@@ -446,51 +419,51 @@ class _ColumnarState:
 
     def _on_free(self, now: float, payload) -> None:
         sid, generation = payload
-        if (
-            self.s_generation[sid] != generation
-            or self.s_batch[sid] is None
-        ):
-            return  # aborted by a crash
         batch = self.s_batch[sid]
+        if batch is None or self.s_generation[sid] != generation:
+            return  # aborted by a crash
         start = self.s_batch_start[sid]
         duration = now - start
         self.s_busy_s[sid] += duration
         rung = self.s_batch_rung[sid]
         pool = self.pools[self.s_pool[sid]]
         hedging = self.res.hedge is not None
+        tel = self.tel
+        e_cancelled = self.e_cancelled
+        e_done = self.e_done
+        e_twin = self.e_twin
+        e_req = self.e_req
+        completed = 0
         for eid in batch:
-            if self.e_cancelled[eid]:
+            if e_cancelled[eid]:
                 self.hedge_wasted_s += duration / len(batch)
                 continue
-            self.e_done[eid] = 1
-            self.rung_completions[rung] += 1
-            twin = self.e_twin[eid]
-            if twin != -1 and self.e_is_hedge[eid]:
-                self.hedge_wins += 1
-            ridx = self.e_req[eid]
-            if self.tel is not None:
-                self.tel.record_complete(
-                    self.r_rid[ridx], now, pool.spec.name, sid,
+            e_done[eid] = 1
+            completed += 1
+            twin = e_twin[eid]
+            if tel is not None:
+                tel.record_complete(
+                    self.r_rid[e_req[eid]], now, pool.spec.name, sid,
                     self.e_attempts[eid], rung,
                     hedged=twin != -1,
                     win=self.e_is_hedge[eid],
                 )
-            self.c_req.append(ridx)
-            self.c_pool.append(pool.index)
+            self.c_eid.append(eid)
             self.c_server.append(sid)
-            self.c_queued_since.append(self.e_queued_since[eid])
             self.c_start.append(start)
             self.c_finish.append(now)
-            self.c_attempts.append(self.e_attempts[eid])
-            self.c_hedged.append(1 if twin != -1 else 0)
             self.c_rung.append(rung)
             if twin != -1:
+                if self.e_is_hedge[eid]:
+                    self.hedge_wins += 1
                 self._cancel(twin, now)
             if hedging:
+                ridx = e_req[eid]
                 insort(
                     self.samples_sorted[self.r_model[ridx]],
                     now - self.r_arrival[ridx],
                 )
+        self.rung_completions[rung] += completed
         if self.use_breaker:
             self._observe_batch(sid, now, duration)
         self.s_last_model[sid] = self.s_batch_model[sid]
@@ -676,12 +649,18 @@ class _ColumnarState:
         )
         if pool is None:
             return
-        copy = self._new_entry(
-            self.e_req[eid], attempts=self.e_attempts[eid],
-            queued_since=now,
-        )
-        self.e_is_hedge[copy] = 1
-        self.e_twin[copy] = eid
+        # The copy is a new entry, appended after the first attempts.
+        copy = len(self.e_req)
+        self.e_req.append(self.e_req[eid])
+        self.e_attempts.append(self.e_attempts[eid])
+        self.e_queued_since.append(now)
+        self.e_in_queue.append(0)
+        self.e_token.append(0)
+        self.e_pool.append(-1)
+        self.e_twin.append(eid)
+        self.e_is_hedge.append(1)
+        self.e_cancelled.append(0)
+        self.e_done.append(0)
         self.e_twin[eid] = copy
         self.hedges_launched += 1
         if self.tel is not None:
@@ -691,11 +670,9 @@ class _ColumnarState:
         self._place(now, copy, pool)
 
     def _on_probe(self, now: float, sid: int) -> None:
+        # A probe is pushed only as its breaker opens, at the end of
+        # the cooldown, and an open breaker does not trip again.
         if self.b_state[sid] != 1:
-            return
-        if now < (
-            self.b_opened_at[sid] + self.res.breaker.cooldown_s - 1e-12
-        ):
             return
         self.b_state[sid] = 2
         self.b_probe[sid] = 0
@@ -802,7 +779,9 @@ class _ColumnarState:
                 return
             budget = admission.budget_for(self.models[mid])
             if budget is not None:
-                estimate = self._load(pool) * self._latency(pool, mid, 1)
+                estimate = self._load(pool) * self._latency(
+                    pool, mid, self._rung_for(pool, mid), 1
+                )
                 if estimate > budget:
                     self._shed(
                         now, eid, reason=_R_SHED_WAIT, pool=pool.index
@@ -812,7 +791,6 @@ class _ColumnarState:
 
     def _place(self, now: float, eid: int, pool: _ColPool) -> None:
         self.e_in_queue[eid] = 1
-        self.e_token[eid] += 1
         self.e_pool[eid] = pool.index
         pool.queue.append(eid)
         if self.tel is not None:
@@ -821,6 +799,8 @@ class _ColumnarState:
                 self.e_attempts[eid], self.e_is_hedge[eid],
             )
         if self.timeout_s is not None:
+            # Only timeouts read the token: a re-queue makes older stale.
+            self.e_token[eid] += 1
             self._push(
                 now + self.timeout_s, _TIMEOUT,
                 (eid, pool.index, self.e_token[eid]),
@@ -902,8 +882,9 @@ class _ColumnarState:
             return pool.rung
         return 0
 
-    def _latency(self, pool: _ColPool, mid: int, size: int) -> float:
-        rung = self._rung_for(pool, mid)
+    def _latency(
+        self, pool: _ColPool, mid: int, rung: int, size: int
+    ) -> float:
         key = (pool.index, mid, rung, size)
         value = self.latency_memo.get(key)
         if value is None:
@@ -1065,18 +1046,34 @@ class _ColumnarState:
 
     def _dispatch(self, pool: _ColPool, now: float) -> None:
         queue = pool.queue
+        if not queue:
+            return
+        free_heap = pool.free_heap
+        s_alive = self.s_alive
+        s_active = self.s_active
+        s_batch = self.s_batch
+        b_state = self.b_state
+        b_probe = self.b_probe
+        in_queue = self.e_in_queue
+        tel = self.tel
         while queue:
-            sid = self._pop_free(pool)
-            if sid is None:
+            while free_heap:  # pop until one passes ``_sid_free``'s test
+                sid = heapq.heappop(free_heap)
+                if (
+                    s_alive[sid] and s_active[sid] and s_batch[sid] is None
+                    and (b_state[sid] == 0
+                         or (b_state[sid] == 2 and not b_probe[sid]))
+                ):
+                    break
+            else:
                 return
             indices, mid = self._select_indices(pool, sid)
-            batch = [queue[pos] for pos in indices]
-            for pos in reversed(indices):
-                queue.pop(pos)
-            in_queue = self.e_in_queue
+            batch = [queue.pop(pos) for pos in reversed(indices)]
+            batch.reverse()
             for eid in batch:
                 in_queue[eid] = 0
-            nominal = self._latency(pool, mid, len(batch))
+            rung = self._rung_for(pool, mid)
+            nominal = self._latency(pool, mid, rung, len(batch))
             factor = 1.0
             if self.has_stragglers:
                 windows = self.straggler_by_sid.get(sid)
@@ -1091,25 +1088,26 @@ class _ColumnarState:
                 latency += pool.spec.swap_cost_s
                 nominal += pool.spec.swap_cost_s
                 self.s_swaps[sid] += 1
-            self.s_batch[sid] = batch
+            s_batch[sid] = batch
             self.s_batch_start[sid] = now
             self.s_batch_model[sid] = mid
             self.s_batch_nominal[sid] = nominal
-            self.s_batch_rung[sid] = self._rung_for(pool, mid)
-            if self.tel is not None:
+            self.s_batch_rung[sid] = rung
+            if tel is not None:
                 for eid in batch:
-                    self.tel.record_dispatch(
+                    tel.record_dispatch(
                         self.r_rid[self.e_req[eid]], now,
-                        pool.spec.name, sid, len(batch),
-                        self.s_batch_rung[sid],
+                        pool.spec.name, sid, len(batch), rung,
                         self.e_is_hedge[eid],
                     )
             pool.busy_count += 1
-            if self.use_breaker and self.b_state[sid] == 2:
-                self.b_probe[sid] = 1
-            self._push(
-                now + latency, _FREE, (sid, self.s_generation[sid])
-            )
+            if b_state[sid] == 2:
+                b_probe[sid] = 1
+            self.seq += 1
+            heapq.heappush(self.heap, (
+                now + latency, self.seq, _FREE,
+                (sid, self.s_generation[sid]),
+            ))
 
     # -- report assembly ----------------------------------------------
 
@@ -1148,8 +1146,10 @@ class _ColumnarState:
 
         c_finish = np.asarray(self.c_finish, dtype=np.float64)
         c_order = np.argsort(c_finish, kind="stable")
-        c_pool = np.asarray(self.c_pool, dtype=np.int64)
-        c_rung = np.asarray(self.c_rung, dtype=np.int64)
+        c_eid = np.asarray(self.c_eid, dtype=np.int64)[c_order]
+        c_server = np.asarray(self.c_server, dtype=np.int64)[c_order]
+        c_pool = np.asarray(self.s_pool, dtype=np.int64)[c_server]
+        c_rung = np.asarray(self.c_rung, dtype=np.int64)[c_order]
         f_at = np.asarray(self.f_at, dtype=np.float64)
         f_order = np.argsort(f_at, kind="stable")
         sh_at = np.asarray(self.sh_at, dtype=np.float64)
@@ -1177,26 +1177,22 @@ class _ColumnarState:
             req_service_s=self.batch.service_s,
             req_model_ids=self.batch.model_ids,
             req_request_ids=self.batch.request_ids,
-            comp_req=np.asarray(self.c_req, dtype=np.int64)[c_order],
-            comp_pool=c_pool[c_order],
-            comp_server=np.asarray(
-                self.c_server, dtype=np.int64
-            )[c_order],
+            comp_req=np.asarray(self.e_req, dtype=np.int64)[c_eid],
+            comp_pool=c_pool,
+            comp_server=c_server,
             comp_queued_since_s=np.asarray(
-                self.c_queued_since, dtype=np.float64
-            )[c_order],
+                self.e_queued_since, dtype=np.float64
+            )[c_eid],
             comp_start_s=np.asarray(
                 self.c_start, dtype=np.float64
             )[c_order],
             comp_finish_s=c_finish[c_order],
             comp_attempts=np.asarray(
-                self.c_attempts, dtype=np.int64
-            )[c_order],
-            comp_hedged=np.frombuffer(
-                bytes(self.c_hedged), dtype=np.uint8
-            ).astype(bool)[c_order],
-            comp_rung=c_rung[c_order],
-            comp_quality=rung_quality[c_rung][c_order],
+                self.e_attempts, dtype=np.int64
+            )[c_eid],
+            comp_hedged=np.asarray(self.e_twin, dtype=np.int64)[c_eid] != -1,
+            comp_rung=c_rung,
+            comp_quality=rung_quality[c_rung],
             fail_req=np.asarray(self.f_req, dtype=np.int64)[f_order],
             fail_pool=np.asarray(self.f_pool, dtype=np.int64)[f_order],
             fail_attempts=np.asarray(

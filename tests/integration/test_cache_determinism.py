@@ -8,7 +8,9 @@ strongest end-to-end statement of cache transparency (the property
 tests cover the per-kernel contract; this covers accumulation order,
 replay re-rooting, shared block memos, everything).  The cached side
 is ``tests/golden``, which requires the session's in-process battery
-to render that same file byte for byte.
+to render that same file byte for byte.  ``tests/conftest.py`` starts
+the uncached run when its test is collected, so it overlaps the
+in-process tests; the test waits for it.
 """
 
 from __future__ import annotations
@@ -23,13 +25,10 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def _run(*args: str, no_cache: bool) -> str:
+def _run_cached(*args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    if no_cache:
-        env["REPRO_NO_CACHE"] = "1"
-    else:
-        env.pop("REPRO_NO_CACHE", None)
+    env.pop("REPRO_NO_CACHE", None)
     result = subprocess.run(
         [sys.executable, *args],
         capture_output=True,
@@ -43,10 +42,15 @@ def _run(*args: str, no_cache: bool) -> str:
 
 
 @pytest.mark.slow
-def test_all_experiments_identical_without_caches():
+def test_all_experiments_identical_without_caches(uncached_battery):
     """The uncached battery renders the committed EXPERIMENTS.md."""
+    process, stdout, stderr = uncached_battery
+    returncode = process.wait(timeout=600)
+    stderr.seek(0)
+    assert returncode == 0, stderr.read()
+    stdout.seek(0)
+    uncached = stdout.read()
     committed = (REPO_ROOT / "EXPERIMENTS.md").read_text()
-    uncached = _run("tools/gen_experiments_md.py", no_cache=True)
     assert uncached, "experiment run produced no output"
     if committed != uncached:
         committed_lines = committed.splitlines()
@@ -68,6 +72,6 @@ def test_all_experiments_identical_without_caches():
 def test_repeated_cached_runs_identical():
     """Two cached runs of one experiment agree byte for byte (the cache
     is deterministic run to run, not only against the uncached path)."""
-    first = _run("-m", "repro.experiments", "fig5", no_cache=False)
-    second = _run("-m", "repro.experiments", "fig5", no_cache=False)
+    first = _run_cached("-m", "repro.experiments", "fig5")
+    second = _run_cached("-m", "repro.experiments", "fig5")
     assert first == second

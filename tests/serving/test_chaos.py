@@ -331,6 +331,40 @@ class TestInvariants:
             for violation in verdict.violations
         )
 
+    @pytest.mark.parametrize("makespan", [math.inf, math.nan])
+    def test_detects_non_finite_makespan(self, makespan):
+        requests = generate_requests(
+            MIX, arrival_rate=2.0, duration_s=60.0, seed=3
+        )
+        report = self._run(requests, _pools())
+        verdict = check_invariants(
+            requests, dataclasses.replace(report, makespan_s=makespan)
+        )
+        assert verdict.violations == (
+            f"finite_times: makespan {makespan}",
+        )
+
+    def test_detects_a_day_that_ends_at_infinity(self):
+        """An infinite finish under an infinite makespan passes the
+        clock and makespan checks; only ``finite_times`` sees it."""
+        requests = generate_requests(
+            MIX, arrival_rate=2.0, duration_s=60.0, seed=3
+        )
+        report = self._run(requests, _pools())
+        finish = report.comp_finish_s.copy()
+        finish[-1] = math.inf
+        verdict = check_invariants(
+            requests,
+            dataclasses.replace(
+                report, comp_finish_s=finish, makespan_s=math.inf
+            ),
+        )
+        rid = report.req_request_ids[report.comp_req[-1]]
+        assert verdict.violations == (
+            f"finite_times: completion finish of {rid} at inf",
+            "finite_times: makespan inf",
+        )
+
 
 class TestShrinking:
     def test_shrinks_to_the_triggering_event(self):

@@ -213,6 +213,8 @@ class TestCrashSemantics:
         record = report.completed[0]
         assert record.attempts == 2
         # Retry enqueued at 3.0, server down until 6.0, service 5.0.
+        assert record.queued_since_s == 3.0
+        assert not record.hedged
         assert record.finish_s == pytest.approx(11.0)
 
     def test_crash_degrades_goodput_under_load(self):

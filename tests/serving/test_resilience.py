@@ -439,8 +439,12 @@ class TestHedging:
             if record.request.request_id == 0
         )
         # The straggled primary would have taken 10 s; the hedge won.
+        # The winner is the copy: queued since its launch at 0 + 2 s.
         assert first.hedged
         assert first.latency_s < 10.0
+        assert first.queued_since_s == 2.0
+        assert first.attempts == 1
+        assert first.server == 1
         # Each request completed exactly once.
         ids = [r.request.request_id for r in report.completed]
         assert len(ids) == len(set(ids)) == 10
@@ -461,7 +465,12 @@ class TestHedging:
         conserve(report)
         assert report.failed == ()
         assert len(report.completed) == 1
-        assert report.completed[0].hedged
+        (record,) = report.completed
+        # The copy launched at 0 + 0.2 s on the surviving server.
+        assert record.hedged
+        assert record.queued_since_s == 0.2
+        assert record.attempts == 1
+        assert record.server == 1
 
     def test_quantile_delay_needs_samples(self):
         config = ResilienceConfig(
