@@ -53,30 +53,47 @@ def test_gemm_cost_evaluation_throughput(benchmark):
 
 
 def test_unet_trace_generation(benchmark):
-    unet = UNet(StableDiffusionConfig().unet)
+    """One SD denoising step traced by a UNet built for the round.
+
+    A module memoizes its calls: a reused UNet would replay the whole
+    step from its third call on, so each round builds a fresh one in
+    the untimed setup.
+    """
     latent = TensorSpec((2, 4, 64, 64))
 
-    def one_denoising_step():
+    def fresh_unet():
+        return (UNet(StableDiffusionConfig().unet),), {}
+
+    def one_denoising_step(unet):
         ctx = ExecutionContext()
         unet(ctx, latent)
         return len(ctx.trace)
 
-    events = benchmark(one_denoising_step)
+    events = benchmark.pedantic(
+        one_denoising_step, setup=fresh_unet, rounds=20, iterations=1
+    )
     assert events > 500
 
 
 def test_llama_prefill_trace_generation(benchmark):
+    """One LLaMA prefill traced by a model built for the round (see
+    :func:`test_unet_trace_generation`)."""
     from repro.models.llama import Llama, LlamaConfig
 
-    model = Llama(LlamaConfig(prompt_tokens=2048, decode_tokens=1,
-                              decode_bucket=1))
+    def fresh_model():
+        config = LlamaConfig(
+            prompt_tokens=2048, decode_tokens=1, decode_bucket=1
+        )
+        return (Llama(config),), {}
 
-    def prefill():
+    def prefill(model):
         ctx = ExecutionContext()
         model.prefill(ctx)
         return ctx.trace.total_time_s
 
-    assert benchmark(prefill) > 0
+    assert benchmark.pedantic(
+        prefill, setup=fresh_model, rounds=50, iterations=1
+    ) > 0
 
 
 def test_cache_simulation_speed(benchmark):

@@ -99,10 +99,7 @@ ALERT_RULES = (
 
 def _requests(service: dict[str, float]):
     mix = WorkloadMix(shares=SHARES, service_s=service)
-    mean_service = sum(
-        SHARES[name] * service[name] for name in MODELS
-    )
-    rate = LOAD * SERVERS / mean_service
+    rate = LOAD * SERVERS / mix.mean_service_s
     return generate_requests(
         mix, arrival_rate=rate, duration_s=DURATION_S, seed=SEED
     )

@@ -54,10 +54,9 @@ from repro.serving.traffic import (
     BurstModel,
     ClientPopulation,
     ModelTrafficCard,
+    RateWindow,
     TrafficTrace,
-    apply_scenario,
     generate_traffic,
-    launch_day_spike,
     poissonized,
     steps_spec,
 )
@@ -86,8 +85,9 @@ def _population(service: dict[str, float]) -> ClientPopulation:
     SD requests vary their denoising-step count (the base service time
     is the 20-step point; 30- and 50-step variants scale it), Muse
     requests are fixed-shape.  ``mean_rate_per_client`` is solved so
-    the *time-average* offered load — including the spike window —
-    lands at ``BASE_LOAD``-weighted capacity.
+    the offered load outside the spike lands at ``BASE_LOAD`` of
+    capacity; the 3x spike over a fifth of the day lifts the time
+    average to 1.4x that.
     """
     cards = (
         ModelTrafficCard(
@@ -113,7 +113,7 @@ def _population(service: dict[str, float]) -> ClientPopulation:
         property_spread=1.5,
     )
     capacity = SERVERS / base.mean_service_s()
-    population = ClientPopulation(
+    return ClientPopulation(
         cards=cards,
         n_clients=N_CLIENTS,
         mean_rate_per_client=BASE_LOAD * capacity / N_CLIENTS,
@@ -121,8 +121,9 @@ def _population(service: dict[str, float]) -> ClientPopulation:
         burst=BURST,
         model_loyalty=0.5,
         property_spread=1.5,
+        # The launch-day spike: 3x over the middle fifth of the day.
+        rate_windows=(RateWindow(0.4 * DURATION_S, 0.2 * DURATION_S, 3.0),),
     )
-    return apply_scenario(population, launch_day_spike(DURATION_S))
 
 
 def _pool(service: dict[str, float]) -> PoolSpec:

@@ -278,17 +278,6 @@ class Trace:
         """New trace holding only the events the predicate accepts."""
         return Trace([event for event in self.events if predicate(event)])
 
-    def by_category(self, category: OpCategory) -> "Trace":
-        """Events of one operator category."""
-        return self.filter(lambda event: event.category is category)
-
-    def under_module(self, path_prefix: str) -> "Trace":
-        """Events emitted by a module subtree (path prefix match)."""
-        return self.filter(
-            lambda event: event.module_path == path_prefix
-            or event.module_path.startswith(path_prefix + ".")
-        )
-
     def attention_anchors(self) -> list[TraceEvent]:
         """One event per attention-layer invocation (see anchor flag).
 

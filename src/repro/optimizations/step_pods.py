@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.hw.spec import A100_80GB, GPUSpec
 from repro.ir.trace import Trace
+from repro.ordered_sum import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def _simulate(
     makespan = 0.0
     peak = 0.0
     for index in range(bins):
-        total_rate = sum(
+        total_rate = ordered_sum(
             profile[(index - offset) % bins].bytes_per_s
             for offset in offsets
         )
@@ -136,10 +137,10 @@ def schedule_pods(
     staggered_makespan, staggered_peak = _simulate(
         profile, staggered_offsets, gpu.dram_bandwidth
     )
-    average = copies * sum(
+    average = copies * ordered_sum(
         demand_bin.bytes_per_s * demand_bin.duration_s
         for demand_bin in profile
-    ) / sum(demand_bin.duration_s for demand_bin in profile)
+    ) / ordered_sum(demand_bin.duration_s for demand_bin in profile)
     return PodScheduleReport(
         copies=copies,
         aligned_makespan_s=aligned_makespan,

@@ -1,4 +1,4 @@
-"""Client-structured traffic generation, replayable traces, scenarios.
+"""Client-structured traffic generation and replayable traces.
 
 The workload generators in :mod:`repro.serving.workload` draw
 homogeneous (or rate-modulated) Poisson arrivals: every request is
@@ -24,26 +24,16 @@ Three layers:
   client is on its favourite model) and ``property_spread`` (how far a
   client's property mix tilts towards cheap or expensive variants).
   Time structure is layered on with piecewise-constant
-  :class:`RateWindow` envelopes, :class:`MixWindow` model boosts, and a
-  gradual client-activation ramp (``ramp_s``).
+  :class:`RateWindow` envelopes in ``rate_windows``: a launch-day spike
+  is one window with multiplier 3, a blackout one with multiplier 0.
 * **Generator** — :func:`generate_traffic` samples a concrete
   :class:`TrafficTrace` from a population under the byte-determinism
   contract below.
 * **Trace format** — :class:`TrafficTrace` round-trips loss-lessly
   through a versioned JSON-lines schema (:func:`dumps_trace` /
   :func:`loads_trace` / :func:`save_trace` / :func:`load_trace`), and
-  exposes the stream as both a columnar :class:`RequestBatch`
-  (``trace.batch``) and a ``list[Request]`` (``trace.to_requests()``),
-  so the fleet engine replays it natively.
-
-Scenario edits (:class:`ScaleRates`, :class:`ScaleClients`,
-:class:`AddRateWindow`, :class:`AddMixWindow`, :class:`SetRamp`) are
-small frozen values with ``apply(population) -> population``; the
-:data:`SCENARIOS` library (launch-day spike, region failover,
-viral-video hour, million-user ramp) composes them.  Edits can only
-produce valid populations — every constructor validates, so a scenario
-can never create negative rates or out-of-range properties (pinned by
-``tests/serving/test_traffic_properties.py``).
+  holds the stream as a columnar :class:`RequestBatch`
+  (``trace.batch``), so the fleet engine replays it natively.
 
 :func:`poissonized` builds the control arm for experiments: the same
 request multiset (identical offered load and service-time distribution)
@@ -89,16 +79,16 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from repro import jsonl
 from repro.ordered_sum import ordered_sum
 from repro.serving.faults import _require_finite
-from repro.serving.workload import Request, RequestBatch, WorkloadMix
+from repro.serving.workload import RequestBatch, WorkloadMix
 
 TRACE_SCHEMA = "repro-traffic-trace"
 """Schema identifier written into every trace header record."""
@@ -313,11 +303,6 @@ class BurstModel:
         return max(0.0, (1.0 - p * self.on_factor) / (1.0 - p))
 
 
-def _check_window(start_s: float, duration_s: float) -> None:
-    _require_finite("start_s", start_s, start_s >= 0, "non-negative")
-    _require_finite("duration_s", duration_s, duration_s > 0, "positive")
-
-
 @dataclass(frozen=True)
 class RateWindow:
     """A piecewise-constant global rate multiplier over a window.
@@ -332,31 +317,16 @@ class RateWindow:
     multiplier: float
 
     def __post_init__(self) -> None:
-        _check_window(self.start_s, self.duration_s)
+        _require_finite(
+            "start_s", self.start_s, self.start_s >= 0, "non-negative"
+        )
+        _require_finite(
+            "duration_s", self.duration_s, self.duration_s > 0, "positive"
+        )
         _require_finite(
             "multiplier", self.multiplier, self.multiplier >= 0,
             "non-negative",
         )
-
-
-@dataclass(frozen=True)
-class MixWindow:
-    """A temporary popularity boost for one model.
-
-    During the window the model's share weight is multiplied by
-    ``boost`` and the mix renormalized — the viral-video mechanism:
-    total rate needn't change for the *composition* to shift towards
-    expensive requests.
-    """
-
-    start_s: float
-    duration_s: float
-    model: str
-    boost: float
-
-    def __post_init__(self) -> None:
-        _check_window(self.start_s, self.duration_s)
-        _require_finite("boost", self.boost, self.boost >= 0, "non-negative")
 
 
 @dataclass(frozen=True)
@@ -377,10 +347,8 @@ class ClientPopulation:
         property_spread: >= 0; how strongly clients tilt towards cheap
             or expensive property combos (0 = everyone uses the
             population-average mix).
-        rate_windows: global piecewise-constant rate envelope edits.
-        mix_windows: temporary model-popularity boosts.
-        ramp_s: client ``c`` activates at ``ramp_s * c / n_clients``
-            (0 = everyone active from t=0) — the gradual-ramp lever.
+        rate_windows: global piecewise-constant rate multipliers
+            (a launch-day spike, a blackout, ...).
         service_jitter: uniform ±fraction applied to service times.
     """
 
@@ -392,8 +360,6 @@ class ClientPopulation:
     model_loyalty: float = 0.0
     property_spread: float = 0.0
     rate_windows: tuple[RateWindow, ...] = ()
-    mix_windows: tuple[MixWindow, ...] = ()
-    ramp_s: float = 0.0
     service_jitter: float = 0.05
 
     def __post_init__(self) -> None:
@@ -423,26 +389,14 @@ class ClientPopulation:
             "property_spread", self.property_spread,
             self.property_spread >= 0, "non-negative",
         )
-        _require_finite("ramp_s", self.ramp_s, self.ramp_s >= 0, "non-negative")
         _require_finite(
             "service_jitter", self.service_jitter,
             0.0 <= self.service_jitter < 1.0, "in [0, 1)",
         )
-        known = set(names)
-        for window in self.mix_windows:
-            if window.model not in known:
-                raise ValueError(
-                    f"mix window boosts unknown model {window.model!r}"
-                )
 
     @property
     def model_names(self) -> tuple[str, ...]:
         return tuple(card.name for card in self.cards)
-
-    @property
-    def total_rate(self) -> float:
-        """Population-mean offered rate (req/s) before windows/ramp."""
-        return self.n_clients * self.mean_rate_per_client
 
     def mean_service_s(self) -> float:
         """Population-average service time (jitter averages out)."""
@@ -476,166 +430,6 @@ def cards_from_mix(
         )
         for name in mix.shares
     )
-
-
-# --------------------------------------------------------------------
-# Scenario edits
-
-
-@dataclass(frozen=True)
-class ScaleRates:
-    """Multiply every client's mean rate by ``factor`` (>= 0)."""
-
-    factor: float
-
-    def __post_init__(self) -> None:
-        _require_finite("factor", self.factor, self.factor >= 0, "non-negative")
-
-    def apply(self, population: ClientPopulation) -> ClientPopulation:
-        """Return a copy of ``population`` with rates scaled."""
-        return replace(
-            population,
-            mean_rate_per_client=(
-                population.mean_rate_per_client * self.factor
-            ),
-        )
-
-
-@dataclass(frozen=True)
-class ScaleClients:
-    """Scale the client count by ``factor`` (>= 0, rounded)."""
-
-    factor: float
-
-    def __post_init__(self) -> None:
-        _require_finite("factor", self.factor, self.factor >= 0, "non-negative")
-
-    def apply(self, population: ClientPopulation) -> ClientPopulation:
-        """Return a copy of ``population`` with the count scaled."""
-        return replace(
-            population,
-            n_clients=int(round(population.n_clients * self.factor)),
-        )
-
-
-@dataclass(frozen=True)
-class AddRateWindow:
-    """Append a :class:`RateWindow` to the population envelope."""
-
-    window: RateWindow
-
-    def apply(self, population: ClientPopulation) -> ClientPopulation:
-        """Return a copy of ``population`` with the window appended."""
-        return replace(
-            population,
-            rate_windows=population.rate_windows + (self.window,),
-        )
-
-
-@dataclass(frozen=True)
-class AddMixWindow:
-    """Append a :class:`MixWindow` model-popularity boost."""
-
-    window: MixWindow
-
-    def apply(self, population: ClientPopulation) -> ClientPopulation:
-        """Return a copy of ``population`` with the boost appended."""
-        return replace(
-            population,
-            mix_windows=population.mix_windows + (self.window,),
-        )
-
-
-@dataclass(frozen=True)
-class SetRamp:
-    """Set the client-activation ramp duration (seconds, >= 0)."""
-
-    ramp_s: float
-
-    def __post_init__(self) -> None:
-        _require_finite("ramp_s", self.ramp_s, self.ramp_s >= 0, "non-negative")
-
-    def apply(self, population: ClientPopulation) -> ClientPopulation:
-        """Return a copy of ``population`` with the ramp replaced."""
-        return replace(population, ramp_s=self.ramp_s)
-
-
-ScenarioEdit = (
-    ScaleRates | ScaleClients | AddRateWindow | AddMixWindow | SetRamp
-)
-"""Union of the composable population edits."""
-
-
-def apply_scenario(
-    population: ClientPopulation,
-    edits: Sequence[ScenarioEdit],
-) -> ClientPopulation:
-    """Fold a sequence of edits over a population, left to right.
-
-    Every edit returns a fully re-validated population, so a scenario
-    can never produce an invalid one (negative rates, bad shares, ...).
-    """
-    for edit in edits:
-        population = edit.apply(population)
-    return population
-
-
-def launch_day_spike(duration_s: float) -> tuple[ScenarioEdit, ...]:
-    """A 3x flash crowd over the middle fifth of the horizon."""
-    return (
-        AddRateWindow(RateWindow(
-            start_s=0.4 * duration_s,
-            duration_s=0.2 * duration_s,
-            multiplier=3.0,
-        )),
-    )
-
-
-def region_failover(duration_s: float) -> tuple[ScenarioEdit, ...]:
-    """Rerouted traffic: rates step up 1.8x from mid-horizon on."""
-    return (
-        AddRateWindow(RateWindow(
-            start_s=0.5 * duration_s,
-            duration_s=0.5 * duration_s,
-            multiplier=1.8,
-        )),
-    )
-
-
-def viral_video_hour(
-    duration_s: float, video_model: str
-) -> tuple[ScenarioEdit, ...]:
-    """A viral clip: video share boosted 4x, total rate up 1.5x."""
-    start = 0.3 * duration_s
-    length = 0.25 * duration_s
-    return (
-        AddMixWindow(MixWindow(
-            start_s=start, duration_s=length,
-            model=video_model, boost=4.0,
-        )),
-        AddRateWindow(RateWindow(
-            start_s=start, duration_s=length, multiplier=1.5,
-        )),
-    )
-
-
-def million_user_ramp(
-    duration_s: float, growth: float = 4.0
-) -> tuple[ScenarioEdit, ...]:
-    """Gradual user-base growth: more clients, activated over 80%."""
-    return (
-        ScaleClients(growth),
-        SetRamp(0.8 * duration_s),
-    )
-
-
-SCENARIOS: dict[str, Callable[..., tuple[ScenarioEdit, ...]]] = {
-    "launch_day_spike": launch_day_spike,
-    "region_failover": region_failover,
-    "viral_video_hour": viral_video_hour,
-    "million_user_ramp": million_user_ramp,
-}
-"""Scenario library: name -> factory(duration_s, ...) -> edits."""
 
 
 # --------------------------------------------------------------------
@@ -744,18 +538,6 @@ class TrafficTrace:
     def offered_rate(self) -> float:
         """Realized offered load (requests per second)."""
         return len(self.batch) / self.duration_s
-
-    def to_requests(self) -> list[Request]:
-        """Materialize the stream as ``Request`` objects."""
-        return self.batch.to_requests()
-
-    def client_of(self, request_id: int) -> int:
-        """Client id of a request (request ids are row indices)."""
-        return int(self.client_ids[request_id])
-
-    def tier_of_request(self, request_id: int) -> int:
-        """Tier id of the client behind a request."""
-        return int(self.client_tiers[self.client_of(request_id)])
 
 
 def dumps_trace(trace: TrafficTrace) -> str:
@@ -939,43 +721,6 @@ def _envelope_pieces(
     return pieces
 
 
-def _mix_regimes(
-    population: ClientPopulation, duration_s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-regime cumulative model-share tables.
-
-    Returns ``(starts, cum)`` where ``starts`` are regime start times
-    and ``cum[r]`` is the cumulative (renormalized, boosted) share
-    vector in force from ``starts[r]`` to ``starts[r+1]``.
-    """
-    shares = np.array(
-        [card.share for card in population.cards], dtype=np.float64
-    )
-    index = {name: i for i, name in enumerate(population.model_names)}
-    breaks = {0.0}
-    for window in population.mix_windows:
-        if window.start_s < duration_s:
-            breaks.add(window.start_s)
-            breaks.add(min(duration_s, window.start_s + window.duration_s))
-    starts = sorted(breaks)
-    cums = []
-    for i, lo in enumerate(starts):
-        hi = starts[i + 1] if i + 1 < len(starts) else duration_s
-        mid = 0.5 * (lo + hi)
-        weights = shares.copy()
-        for window in population.mix_windows:
-            if window.start_s <= mid < window.start_s + window.duration_s:
-                weights[index[window.model]] *= window.boost
-        total = float(weights.sum())
-        if total <= 0:
-            weights = shares.copy()
-            total = float(weights.sum())
-        cum = np.cumsum(weights / total)
-        cum[-1] = 1.0
-        cums.append(cum)
-    return np.array(starts, dtype=np.float64), np.array(cums)
-
-
 def _client_segments(
     rng: np.random.Generator,
     burst: BurstModel | None,
@@ -1055,9 +800,6 @@ def generate_traffic(
     client_parts: list[np.ndarray] = []
     for client in range(n_clients):
         base_rate = rates_list[client]
-        activation = (
-            population.ramp_s * client / n_clients if n_clients else 0.0
-        )
         segments = _client_segments(
             rng, population.burst, phases_list[client], duration_s
         )
@@ -1067,7 +809,7 @@ def generate_traffic(
             for env_lo, env_hi, env_mult in envelope[lo_index:]:
                 if env_lo >= seg_hi:
                     break
-                lo = max(seg_lo, env_lo, activation)
+                lo = max(seg_lo, env_lo)
                 hi = min(seg_hi, env_hi)
                 rate = base_rate * seg_mult * env_mult
                 if hi <= lo or rate <= 0.0:
@@ -1101,10 +843,8 @@ def generate_traffic(
         -population.service_jitter, population.service_jitter, size=n
     )
 
-    regime_starts, regime_cum = _mix_regimes(population, duration_s)
-    regimes = np.maximum(
-        0, np.searchsorted(regime_starts, all_arrivals, side="right") - 1
-    )
+    mix_cum = np.cumsum(shares / float(shares.sum()))
+    mix_cum[-1] = 1.0
     loyalty = population.model_loyalty
     loyal = u_model < loyalty
     if loyalty < 1.0:
@@ -1113,9 +853,7 @@ def generate_traffic(
         )
     else:
         rescaled = np.zeros(n)
-    mix_pick = (
-        regime_cum[regimes] < rescaled[:, None]
-    ).sum(axis=1).astype(np.int64)
+    mix_pick = (mix_cum < rescaled[:, None]).sum(axis=1).astype(np.int64)
     mix_pick = np.minimum(mix_pick, len(population.cards) - 1)
     model_ids = np.where(
         loyal, favorites[all_clients], mix_pick
@@ -1178,7 +916,6 @@ def generate_traffic(
         "tail_alpha": population.tail_alpha,
         "model_loyalty": population.model_loyalty,
         "property_spread": population.property_spread,
-        "ramp_s": population.ramp_s,
         "service_jitter": population.service_jitter,
         "burst": (
             None if population.burst is None else {
@@ -1190,10 +927,6 @@ def generate_traffic(
         "rate_windows": [
             [w.start_s, w.duration_s, w.multiplier]
             for w in population.rate_windows
-        ],
-        "mix_windows": [
-            [w.start_s, w.duration_s, w.model, w.boost]
-            for w in population.mix_windows
         ],
     }
     return TrafficTrace(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from repro.distributed.registry import MachineSpec, machine_from_name
 from repro.distributed.topology import Topology
 from repro.ir.trace import Trace
+from repro.ordered_sum import ordered_sum
 
 BACKWARD_COMPUTE_MULTIPLIER = 2.0
 """dgrad + wgrad are each roughly one forward's FLOPs for GEMM/conv;
@@ -141,8 +142,8 @@ def fsdp_step_cost(
     per_group = [
         _ring_collective_s(group_bytes, world_size, topology)
     ] * layer_groups
-    all_gather = 2 * sum(per_group)
-    reduce_scatter = sum(per_group)
+    all_gather = 2 * ordered_sum(per_group)
+    reduce_scatter = ordered_sum(per_group)
     return FsdpStepCost(
         forward_compute_s=forward,
         backward_compute_s=backward,

@@ -55,7 +55,10 @@ class TestImageSweep:
             replace(config, denoising_steps=1, guidance=False)
         )
         profile = profile_model(model, attention_impl=AttentionImpl.FLASH)
-        unet = profile.trace.under_module("denoise_0")
+        unet = profile.trace.filter(
+            lambda event: event.module_path == "denoise_0"
+            or event.module_path.startswith("denoise_0.")
+        )
         times = unet.time_by_category()
         assert point.total_time_s == unet.total_time_s
         assert point.attention_time_s == times[OpCategory.ATTENTION]

@@ -5,7 +5,7 @@
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import runner, serve3_traffic
 from repro.experiments.runner import EXPERIMENTS, run_experiments
 
 
@@ -38,6 +38,30 @@ class TestHarness:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_experiments(["fig99"])
+
+
+class TestServe3Population:
+    def test_launch_day_spike_over_base_load(self):
+        """Outside the spike the offered load is ``BASE_LOAD`` of the
+        pool; the 3x spike over the middle fifth of the day lifts the
+        time average to 1.4x that."""
+        pop = serve3_traffic._population(
+            {"stable_diffusion": 2.0, "muse": 0.5}
+        )
+        (spike,) = pop.rate_windows
+        duration = serve3_traffic.DURATION_S
+        assert spike.start_s == pytest.approx(0.4 * duration)
+        assert spike.duration_s == pytest.approx(0.2 * duration)
+        assert spike.multiplier == 3.0
+        base_load = (
+            pop.n_clients * pop.mean_rate_per_client
+            * pop.mean_service_s() / serve3_traffic.SERVERS
+        )
+        assert base_load == pytest.approx(serve3_traffic.BASE_LOAD)
+        average = 1.0 + (spike.multiplier - 1.0) * (
+            spike.duration_s / duration
+        )
+        assert average == pytest.approx(1.4)
 
 
 class TestResults:

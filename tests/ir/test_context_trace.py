@@ -152,19 +152,25 @@ class TestTraceQueries:
             first.moved_bytes + second.moved_bytes
         )
 
-    def test_by_category_filter(self):
-        linear = self._trace().by_category(OpCategory.LINEAR)
+    def test_filter_by_category(self):
+        linear = self._trace().filter(
+            lambda event: event.category is OpCategory.LINEAR
+        )
         assert len(linear) == 1
 
-    def test_under_module_exact_and_prefix(self):
+    def test_filter_by_module_subtree(self):
         ctx = ExecutionContext()
         with ctx.named_scope("unet"):
             with ctx.named_scope("down"):
                 ctx.emit(Elementwise("e", numel=1))
         with ctx.named_scope("unet_other"):
             ctx.emit(Elementwise("e", numel=1))
-        scoped = ctx.trace.under_module("unet")
+        scoped = ctx.trace.filter(
+            lambda event: event.module_path == "unet"
+            or event.module_path.startswith("unet.")
+        )
         assert len(scoped) == 1  # prefix must match on path segments
+        assert scoped.events[0].module_path == "unet.down"
 
     def test_events_end_time(self):
         trace = self._trace()

@@ -70,19 +70,25 @@ class TestResnetBlock2D:
     def test_emits_two_main_convs(self):
         ctx = ExecutionContext()
         ResnetBlock2D(8, 8)(ctx, tensor(1, 8, 16, 16))
-        convs = ctx.trace.by_category(OpCategory.CONV)
+        convs = ctx.trace.filter(
+            lambda event: event.category is OpCategory.CONV
+        )
         assert len(convs) == 2
 
     def test_two_groupnorms(self):
         ctx = ExecutionContext()
         ResnetBlock2D(8, 8)(ctx, tensor(1, 8, 16, 16))
-        assert len(ctx.trace.by_category(OpCategory.GROUPNORM)) == 2
+        assert len(ctx.trace.filter(
+            lambda event: event.category is OpCategory.GROUPNORM
+        )) == 2
 
     def test_time_embedding_projection(self):
         ctx = ExecutionContext()
         block = ResnetBlock2D(8, 8, time_embed_dim=32)
         block(ctx, tensor(1, 8, 16, 16), tensor(1, 32))
-        assert len(ctx.trace.by_category(OpCategory.LINEAR)) == 1
+        assert len(ctx.trace.filter(
+            lambda event: event.category is OpCategory.LINEAR
+        )) == 1
 
     def test_output_shape_changes_channels(self):
         ctx = ExecutionContext()
@@ -95,7 +101,8 @@ class TestResnetBlock3D:
         ctx = ExecutionContext()
         ResnetBlock3D(8, 8)(ctx, tensor(1, 8, 4, 16, 16))
         convs = [
-            event.op for event in ctx.trace.by_category(OpCategory.CONV)
+            event.op for event in ctx.trace
+            if event.category is OpCategory.CONV
         ]
         temporal = [op for op in convs if isinstance(op, Conv3d)]
         assert len(temporal) == 1  # exactly one temporal conv
@@ -104,7 +111,9 @@ class TestResnetBlock3D:
     def test_frames_folded_into_spatial_batch(self):
         ctx = ExecutionContext()
         ResnetBlock3D(8, 8)(ctx, tensor(2, 8, 4, 16, 16))
-        first_conv = ctx.trace.by_category(OpCategory.CONV).events[0].op
+        first_conv = ctx.trace.filter(
+            lambda event: event.category is OpCategory.CONV
+        ).events[0].op
         assert first_conv.batch == 8  # 2 videos x 4 frames
 
     def test_rank_validation(self):

@@ -130,7 +130,9 @@ class TestUNet:
         ctx = ExecutionContext()
         UNet(config)(ctx, tensor(1, 3, 16, 16))
         assert ctx.trace.attention_anchors() == []
-        assert len(ctx.trace.by_category(OpCategory.CONV)) > 4
+        assert len(ctx.trace.filter(
+            lambda event: event.category is OpCategory.CONV
+        )) > 4
 
     def test_invalid_attention_level_rejected(self):
         with pytest.raises(ValueError):

@@ -111,7 +111,9 @@ class TestEmbeddings:
     def test_timestep_embedding_two_linears(self):
         ctx = ExecutionContext()
         TimestepEmbedding(64)(ctx, batch=1)
-        assert len(ctx.trace.by_category(OpCategory.LINEAR)) == 2
+        assert len(ctx.trace.filter(
+            lambda event: event.category is OpCategory.LINEAR
+        )) == 2
 
 
 class TestSuiteCache:

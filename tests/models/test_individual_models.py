@@ -121,7 +121,9 @@ class TestImagen:
             lambda event: event.module_path.startswith("stage_1024px")
         )
         assert sr2.attention_anchors() == []
-        assert len(sr2.by_category(OpCategory.CONV)) > 10
+        assert len(sr2.filter(
+            lambda event: event.category is OpCategory.CONV
+        )) > 10
 
 
 class TestMuse:

@@ -8,6 +8,7 @@ make this hold are documented in ``repro.serving.workload``,
 ``repro.serving.traffic`` and ``repro.serving.faults``.
 """
 
+import hashlib
 import json
 
 from repro.serving.faults import Crash, FaultSchedule, RetryPolicy, generate_faults
@@ -19,11 +20,13 @@ from repro.serving.fleet import (
 from repro.serving.traffic import (
     BurstModel,
     ClientPopulation,
+    RateWindow,
     cards_from_mix,
     dumps_trace,
     generate_traffic,
     poissonized,
     save_trace,
+    steps_spec,
 )
 from repro.serving.workload import (
     WorkloadMix,
@@ -129,7 +132,7 @@ class TestTrafficDeterminism:
         trace = generate_traffic(
             self.population(), duration_s=600.0, seed=23
         )
-        requests = trace.to_requests()
+        requests = trace.batch.to_requests()
         assert len(requests) == len(trace.batch)
         for i, request in enumerate(requests):
             assert request.request_id == int(
@@ -140,6 +143,38 @@ class TestTrafficDeterminism:
             assert request.model == trace.models[
                 int(trace.batch.model_ids[i])
             ]
+
+    def test_columns_pinned_with_a_rate_window(self):
+        # Every column's dtype and bytes, for a population that sets
+        # each feature shaping a stream: bursts, a steps property,
+        # loyalty, spread and a 3x rate window.  Any change to a draw,
+        # a float expression or a dtype of the generator moves it.
+        population = ClientPopulation(
+            cards=cards_from_mix(MIX, {"sd": (steps_spec(),)}),
+            n_clients=50,
+            mean_rate_per_client=0.1,
+            burst=BurstModel(
+                mean_on_s=30.0, mean_off_s=120.0, on_factor=4.0
+            ),
+            model_loyalty=0.4,
+            property_spread=0.5,
+            rate_windows=(RateWindow(240.0, 120.0, multiplier=3.0),),
+        )
+        trace = generate_traffic(population, duration_s=600.0, seed=21)
+        digest = hashlib.sha256()
+        for column in (
+            trace.batch.arrival_s, trace.batch.service_s,
+            trace.batch.model_ids, trace.batch.request_ids,
+            trace.client_ids, trace.combo_ids,
+            trace.client_rates, trace.client_tiers,
+        ):
+            digest.update(column.dtype.str.encode())
+            digest.update(column.tobytes())
+        assert len(trace) == 7401
+        assert digest.hexdigest() == (
+            "b3bf4e0cd8ac15b1583b4ff48af9f895"
+            "1f988095435fc16a88bb17aaeba98184"
+        )
 
     def test_poissonized_twin_deterministic(self):
         trace = generate_traffic(

@@ -1,15 +1,16 @@
 """Unit tests for the client-structured traffic layer.
 
-Covers the population model (cards, properties, bursts), the scenario
-library, tier assignment, trace generation invariants, the versioned
-JSONL round trip, the poissonized twin, and the per-tier SLO breakdown
-— including every empty-stream edge (zero clients, zero rate, idle
-tiers) as first-class outputs rather than errors.
+Covers the population model (cards, properties, bursts), tier
+assignment, trace generation invariants, the versioned JSONL round
+trip, the poissonized twin, and the per-tier SLO breakdown — including
+every empty-stream edge (zero clients, zero rate, idle tiers) as
+first-class outputs rather than errors.
 """
 
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,38 +24,26 @@ from repro.serving.slo import tier_slo_report
 from repro.serving.traffic import (
     HEAVY_TIER_FRACTION,
     MEDIUM_TIER_FRACTION,
-    SCENARIOS,
     TIER_NAMES,
     TRACE_SCHEMA,
     TRACE_VERSION,
-    AddMixWindow,
-    AddRateWindow,
     BurstModel,
     ClientPopulation,
-    MixWindow,
     ModelTrafficCard,
     PropertySpec,
     RateWindow,
-    ScaleClients,
-    ScaleRates,
-    SetRamp,
-    apply_scenario,
     assign_tiers,
     cards_from_mix,
     combos_for_card,
     dumps_trace,
     generate_traffic,
     image_size_spec,
-    launch_day_spike,
     load_trace,
     loads_trace,
-    million_user_ramp,
     poissonized,
-    region_failover,
     save_trace,
     steps_spec,
     video_length_spec,
-    viral_video_hour,
 )
 from repro.serving.workload import WorkloadMix
 from tests.jsonl_helpers import CodecContract
@@ -110,14 +99,35 @@ class TestPropertySpec:
             PropertySpec("", (1.0,), (1.0,), (1.0,))
 
 
-def _window(cls, **overrides):
-    base = dict(start_s=0.0, duration_s=10.0)
-    if cls is RateWindow:
-        base["multiplier"] = 2.0
-    else:
-        base.update(model="sd", boost=2.0)
+def _window(**overrides):
+    base = dict(start_s=0.0, duration_s=10.0, multiplier=2.0)
     base.update(overrides)
-    return cls(**base)
+    return RateWindow(**base)
+
+
+class TestRateWindow:
+    @pytest.mark.parametrize("overrides, message", [
+        pytest.param(
+            {"start_s": -1.0}, "start_s must be finite and non-negative",
+            id="negative-start",
+        ),
+        pytest.param(
+            {"duration_s": 0.0}, "duration_s must be finite and positive",
+            id="empty",
+        ),
+        pytest.param(
+            {"duration_s": -5.0}, "duration_s must be finite and positive",
+            id="negative-duration",
+        ),
+        pytest.param(
+            {"multiplier": -0.5},
+            "multiplier must be finite and non-negative",
+            id="negative-multiplier",
+        ),
+    ])
+    def test_rejects_out_of_bound_fields(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _window(**overrides)
 
 
 class TestFiniteConfigs:
@@ -161,46 +171,23 @@ class TestFiniteConfigs:
                 "on_factor", id="BurstModel.on_factor",
             ),
             pytest.param(
-                lambda v: _window(RateWindow, start_s=v),
+                lambda v: _window(start_s=v),
                 "start_s", id="RateWindow.start_s",
             ),
             pytest.param(
-                lambda v: _window(RateWindow, duration_s=v),
+                lambda v: _window(duration_s=v),
                 "duration_s", id="RateWindow.duration_s",
             ),
             pytest.param(
-                lambda v: _window(RateWindow, multiplier=v),
+                lambda v: _window(multiplier=v),
                 "multiplier", id="RateWindow.multiplier",
             ),
-            pytest.param(
-                lambda v: _window(MixWindow, start_s=v),
-                "start_s", id="MixWindow.start_s",
-            ),
-            pytest.param(
-                lambda v: _window(MixWindow, duration_s=v),
-                "duration_s", id="MixWindow.duration_s",
-            ),
-            pytest.param(
-                lambda v: _window(MixWindow, boost=v),
-                "boost", id="MixWindow.boost",
-            ),
-            pytest.param(
-                lambda v: ScaleRates(v), "factor", id="ScaleRates.factor"
-            ),
-            pytest.param(
-                lambda v: ScaleClients(v), "factor", id="ScaleClients.factor"
-            ),
-            pytest.param(lambda v: SetRamp(v), "ramp_s", id="SetRamp.ramp_s"),
         ],
     )
     def test_rejects_non_finite(self, make, field, bad):
         message = re.escape(f"{field} must be finite")
         with pytest.raises(ValueError, match=message):
             make(bad)
-
-    def test_nan_ramp_no_longer_yields_a_stream(self):
-        with pytest.raises(ValueError, match="ramp_s"):
-            generate_traffic(population(ramp_s=math.nan), duration_s=60.0)
 
     def test_infinite_tail_alpha_names_the_field(self):
         with pytest.raises(ValueError, match="tail_alpha"):
@@ -287,17 +274,13 @@ class TestPopulation:
             population(model_loyalty=1.5)
         with pytest.raises(ValueError):
             population(service_jitter=1.0)
-        with pytest.raises(ValueError):
-            population(mix_windows=(
-                MixWindow(0.0, 10.0, model="phantom", boost=2.0),
-            ))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field",
         [
             "mean_rate_per_client", "tail_alpha", "model_loyalty",
-            "property_spread", "ramp_s", "service_jitter",
+            "property_spread", "service_jitter",
         ],
     )
     def test_float_fields_must_be_finite(self, field, bad):
@@ -323,61 +306,6 @@ class TestPopulation:
         assert cards[0].base_service_s == 2.0
 
 
-class TestScenarios:
-    def test_edits_validate_their_parameters(self):
-        with pytest.raises(ValueError):
-            ScaleRates(-1.0)
-        with pytest.raises(ValueError):
-            ScaleClients(-0.5)
-        with pytest.raises(ValueError):
-            SetRamp(-1.0)
-        with pytest.raises(ValueError):
-            AddRateWindow(RateWindow(0.0, 10.0, multiplier=-1.0))
-        with pytest.raises(ValueError):
-            AddMixWindow(MixWindow(0.0, 0.0, model="sd", boost=1.0))
-
-    def test_apply_scenario_folds_left_to_right(self):
-        pop = apply_scenario(
-            population(), (ScaleRates(2.0), ScaleRates(3.0))
-        )
-        assert pop.mean_rate_per_client == pytest.approx(0.3)
-
-    def test_library_factories_produce_valid_edits(self):
-        pop = population()
-        for name, factory in SCENARIOS.items():
-            edits = (
-                factory(600.0, "sd") if name == "viral_video_hour"
-                else factory(600.0)
-            )
-            edited = apply_scenario(pop, edits)
-            trace = generate_traffic(edited, duration_s=60.0, seed=1)
-            assert trace.duration_s == 60.0
-
-    def test_launch_day_spike_shape(self):
-        (edit,) = launch_day_spike(1000.0)
-        assert edit.window.start_s == pytest.approx(400.0)
-        assert edit.window.duration_s == pytest.approx(200.0)
-        assert edit.window.multiplier == pytest.approx(3.0)
-
-    def test_region_failover_steps_up_second_half(self):
-        (edit,) = region_failover(1000.0)
-        assert edit.window.start_s == pytest.approx(500.0)
-        assert edit.window.multiplier == pytest.approx(1.8)
-
-    def test_viral_video_hour_boosts_mix_and_rate(self):
-        mix_edit, rate_edit = viral_video_hour(1000.0, "muse")
-        assert mix_edit.window.model == "muse"
-        assert mix_edit.window.boost == pytest.approx(4.0)
-        assert rate_edit.window.multiplier == pytest.approx(1.5)
-
-    def test_million_user_ramp_grows_and_ramps(self):
-        pop = apply_scenario(
-            population(), million_user_ramp(1000.0, growth=4.0)
-        )
-        assert pop.n_clients == 80
-        assert pop.ramp_s == pytest.approx(800.0)
-
-
 class TestTiers:
     def test_rank_cut_sizes(self):
         rates = np.linspace(1.0, 0.1, 100)
@@ -399,6 +327,11 @@ class TestTiers:
 
     def test_empty_population(self):
         assert assign_tiers(np.array([])).tolist() == []
+
+
+def _rate_over(arrivals: np.ndarray, lo: float, hi: float) -> float:
+    """Arrivals per second inside ``[lo, hi)``."""
+    return int(((arrivals >= lo) & (arrivals < hi)).sum()) / (hi - lo)
 
 
 class TestGenerate:
@@ -429,16 +362,6 @@ class TestGenerate:
             service = float(trace.batch.service_s[i])
             assert base * 0.9 - 1e-9 <= service <= base * 1.1 + 1e-9
 
-    def test_ramp_delays_late_clients(self):
-        pop = population(
-            n_clients=10, mean_rate_per_client=1.0, ramp_s=500.0
-        )
-        trace = generate_traffic(pop, duration_s=600.0, seed=4)
-        for i in range(len(trace)):
-            client = int(trace.client_ids[i])
-            activation = 500.0 * client / 10
-            assert trace.batch.arrival_s[i] >= activation - 1e-9
-
     def test_blackout_window_silences_traffic(self):
         pop = population(
             n_clients=30,
@@ -449,6 +372,62 @@ class TestGenerate:
         arrivals = trace.batch.arrival_s
         assert len(trace) > 0
         assert not ((arrivals > 100.0) & (arrivals < 200.0)).any()
+
+    def test_spike_window_multiplies_the_arrival_rate(self):
+        # serve3's launch-day shape: 3x over the middle fifth.
+        pop = population(
+            n_clients=200,
+            rate_windows=(RateWindow(400.0, 200.0, multiplier=3.0),),
+        )
+        arrivals = generate_traffic(
+            pop, duration_s=1000.0, seed=16
+        ).batch.arrival_s
+        inside = _rate_over(arrivals, 400.0, 600.0)
+        outside = (len(arrivals) - inside * 200.0) / 800.0
+        assert inside / outside == pytest.approx(3.0, rel=0.1)
+
+    def test_overlapping_windows_multiply(self):
+        pop = population(
+            n_clients=200,
+            rate_windows=(
+                RateWindow(200.0, 400.0, multiplier=2.0),
+                RateWindow(400.0, 400.0, multiplier=1.5),
+            ),
+        )
+        arrivals = generate_traffic(
+            pop, duration_s=1000.0, seed=17
+        ).batch.arrival_s
+        base = 0.5 * (
+            _rate_over(arrivals, 0.0, 200.0)
+            + _rate_over(arrivals, 800.0, 1000.0)
+        )
+        for lo, hi, multiplier in (
+            (200.0, 400.0, 2.0), (400.0, 600.0, 3.0), (600.0, 800.0, 1.5)
+        ):
+            assert _rate_over(arrivals, lo, hi) / base == pytest.approx(
+                multiplier, rel=0.1
+            )
+
+    def test_window_from_the_horizon_on_changes_no_column(self):
+        plain = generate_traffic(population(), duration_s=600.0, seed=18)
+        late = generate_traffic(
+            population(
+                rate_windows=(RateWindow(600.0, 100.0, multiplier=5.0),)
+            ),
+            duration_s=600.0, seed=18,
+        )
+        assert len(plain) > 0
+        for column in ("arrival_s", "service_s", "model_ids", "request_ids"):
+            np.testing.assert_array_equal(
+                getattr(late.batch, column), getattr(plain.batch, column)
+            )
+        for column in (
+            "client_ids", "combo_ids", "client_rates", "client_tiers"
+        ):
+            np.testing.assert_array_equal(
+                getattr(late, column), getattr(plain, column)
+            )
+        assert late.meta["rate_windows"] == [[600.0, 100.0, 5.0]]
 
     def test_empty_streams_are_valid(self):
         zero_rate = generate_traffic(
@@ -471,6 +450,99 @@ class TestGenerate:
             duration_s=300.0, seed=6,
         )
         assert set(trace.batch.model_ids.tolist()) <= {0}
+
+
+def _set(column: np.ndarray, index: int, value: int) -> np.ndarray:
+    """A copy of ``column`` with entry ``index`` set to ``value``."""
+    column = column.copy()
+    column[index] = value
+    return column
+
+
+class TestTraceValidation:
+    """A trace whose columns break an invariant fails to construct."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_traffic(population(), duration_s=120.0, seed=8)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        pytest.param(
+            lambda t: replace(t, duration_s=0.0),
+            "trace duration must be positive", id="zero-duration",
+        ),
+        pytest.param(
+            lambda t: replace(t, combos=t.combos[:1]),
+            "combo tables must align with models", id="short-combo-tables",
+        ),
+        pytest.param(
+            lambda t: replace(
+                t, batch=replace(t.batch, models=("sd", "flux"))
+            ),
+            "batch model table must match trace", id="batch-model-table",
+        ),
+        pytest.param(
+            lambda t: replace(t, client_ids=t.client_ids[:-1]),
+            "request annotations must be aligned", id="short-client-ids",
+        ),
+        pytest.param(
+            lambda t: replace(t, combo_ids=t.combo_ids[:-1]),
+            "request annotations must be aligned", id="short-combo-ids",
+        ),
+        pytest.param(
+            lambda t: replace(t, client_tiers=t.client_tiers[:-1]),
+            "client columns must be aligned", id="short-client-tiers",
+        ),
+        pytest.param(
+            lambda t: replace(t, batch=replace(
+                t.batch, arrival_s=t.batch.arrival_s[::-1].copy()
+            )),
+            "trace arrivals must be sorted", id="unsorted-arrivals",
+        ),
+        pytest.param(
+            lambda t: replace(t, batch=replace(
+                t.batch, request_ids=t.batch.request_ids + 1
+            )),
+            "trace request ids must be 0..n-1", id="shifted-request-ids",
+        ),
+        pytest.param(
+            lambda t: replace(
+                t, client_ids=_set(t.client_ids, 0, t.n_clients)
+            ),
+            "client ids must index the client base",
+            id="client-id-past-base",
+        ),
+        pytest.param(
+            lambda t: replace(t, client_ids=_set(t.client_ids, 0, -1)),
+            "client ids must index the client base",
+            id="negative-client-id",
+        ),
+        pytest.param(
+            lambda t: replace(t, combo_ids=_set(
+                t.combo_ids, 0, len(t.combos[int(t.batch.model_ids[0])])
+            )),
+            "combo ids must index the combo table",
+            id="combo-id-past-table",
+        ),
+        pytest.param(
+            lambda t: replace(t, combo_ids=_set(t.combo_ids, 0, -1)),
+            "combo ids must index the combo table",
+            id="negative-combo-id",
+        ),
+        pytest.param(
+            lambda t: replace(
+                t, client_tiers=_set(t.client_tiers, 0, len(TIER_NAMES))
+            ),
+            "tier ids must index TIER_NAMES", id="tier-past-names",
+        ),
+        pytest.param(
+            lambda t: replace(t, client_tiers=_set(t.client_tiers, 0, -1)),
+            "tier ids must index TIER_NAMES", id="negative-tier",
+        ),
+    ])
+    def test_rejects_broken_columns(self, trace, corrupt, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            corrupt(trace)
 
 
 class TestRoundTrip(CodecContract):
@@ -547,6 +619,23 @@ class TestRoundTrip(CodecContract):
         pytest.param(
             21, {"model": "nope"}, "request 0 names model 'nope'",
             id="unknown-model",
+        ),
+        pytest.param(
+            1, {"tier": "platinum"},
+            "line 2: bad client record .*unknown tier 'platinum'",
+            id="unknown-tier",
+        ),
+        pytest.param(
+            21, {"client": 20}, "client ids must index the client base",
+            id="request-client-past-base",
+        ),
+        pytest.param(
+            21, {"combo": 99}, "combo ids must index the combo table",
+            id="request-combo-past-table",
+        ),
+        pytest.param(
+            21, {"arrival_s": 60.0}, "trace arrivals must be sorted",
+            id="arrivals-out-of-order",
         ),
     ])
     def test_parser_rejects_malformed_traces(

@@ -72,3 +72,38 @@ class TestOrderedSum:
     def test_array_result_is_a_python_float(self):
         assert type(ordered_sum(np.array([1.0, 2.0]))) is float
         assert type(ordered_sum(np.array([1, 2]))) is int
+
+
+def test_training_and_pod_totals_unchanged_under_python312_sum(monkeypatch):
+    """FSDP collective totals and the pod scheduler's floats keep their
+    bits when CPython 3.12's compensated ``sum()`` is patched in."""
+    import builtins
+
+    from repro.ir.context import AttentionImpl, ExecutionContext
+    from repro.ir.tensor import TensorSpec
+    from repro.models.stable_diffusion import StableDiffusion
+    from repro.optimizations.step_pods import schedule_pods
+    from repro.training.fsdp import fsdp_step_cost
+
+    model = StableDiffusion()
+    ctx = ExecutionContext(attention_impl=AttentionImpl.FLASH)
+    model.unet(ctx, TensorSpec((1, 4, 64, 64)))
+    trace, params = ctx.trace, model.param_count()
+
+    def totals():
+        values = []
+        for world_size in (1, 2, 4, 8, 16, 32, 64, 128):
+            cost = fsdp_step_cost(trace, params, world_size=world_size)
+            values += [cost.all_gather_s, cost.reduce_scatter_s]
+        for copies in (2, 4, 8, 16):
+            report = schedule_pods(trace, copies)
+            values += [
+                report.aligned_makespan_s, report.staggered_makespan_s,
+                report.aligned_peak_demand, report.staggered_peak_demand,
+                report.average_demand,
+            ]
+        return [value.hex() for value in values]
+
+    plain = totals()
+    monkeypatch.setattr(builtins, "sum", py312_sum)
+    assert totals() == plain
