@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.ordered_sum import ordered_sum
+
 BYTES_PER_PARAM = 2  # FP16, as the paper assumes.
 
 
@@ -138,11 +140,11 @@ def memory_scaling_exponent(
     logs_x = [math.log(size) for size in sizes]
     logs_y = [math.log(memory) for memory in memories]
     n = len(sizes)
-    mean_x = sum(logs_x) / n
-    mean_y = sum(logs_y) / n
-    slope = sum(
+    mean_x = ordered_sum(logs_x) / n
+    mean_y = ordered_sum(logs_y) / n
+    slope = ordered_sum(
         (x - mean_x) * (y - mean_y) for x, y in zip(logs_x, logs_y)
-    ) / sum((x - mean_x) ** 2 for x in logs_x)
+    ) / ordered_sum((x - mean_x) ** 2 for x in logs_x)
     return MemoryScalingFit(
         exponent=slope, sizes=tuple(sizes), memories=tuple(memories)
     )

@@ -56,6 +56,7 @@ from repro.distributed.sharding import ShardRole, even_split, shard_op
 from repro.ir.memo import Segment
 from repro.ir.ops import Op, OpCategory
 from repro.ir.trace import Row, Trace
+from repro.ordered_sum import ordered_sum
 
 
 def _parent_scope(path: str) -> str:
@@ -169,11 +170,14 @@ def trace_classes(trace: Trace) -> TraceClasses:
     rules key on lies at or under the root, where no other run reaches.
     The exception is a weight op at the root itself, whose column/row
     pairing belongs to the parent scope; such a replay stays with the
-    other runs, whose rows make one role pass and one class pass.
+    other runs, whose rows make one role pass and one class pass.  A
+    trace priced from another (:meth:`Trace.priced`) takes its table.
     """
     table = _CLASS_CACHE.get(trace)
     if table is None or len(table.index) != len(trace):
-        table = _build_classes(trace)
+        source = trace.priced_from
+        shared = source is not None and len(source) == len(trace)
+        table = trace_classes(source) if shared else _build_classes(trace)
         _CLASS_CACHE[trace] = table
     return table
 
@@ -451,7 +455,7 @@ class DistributedPlan:
 
     def total_flops(self) -> float:
         """FLOPs summed over every rank (invariant: == source total)."""
-        return sum(self.flops_per_rank())
+        return ordered_sum(self.flops_per_rank())
 
     def comm_payload_bytes(self) -> float:
         """Logical bytes entering collectives across the whole plan."""
@@ -460,7 +464,7 @@ class DistributedPlan:
             if cls.comm is not None else None
             for cls in self.classes
         ]
-        return sum(
+        return ordered_sum(
             payloads[cls] for cls in self.index if payloads[cls] is not None
         )
 

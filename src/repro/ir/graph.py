@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from repro.ir.module import Module
 from repro.ir.trace import Trace
+from repro.ordered_sum import ordered_sum
 
 
 def tree_depth(model: Module) -> int:
@@ -80,7 +81,7 @@ def time_tree(trace: Trace, max_depth: int = 3) -> TimeTreeNode:
             event for event in trace
             if tuple(event.module_path.split(".")[:prefix_len]) == prefix
         ]
-        time_s = sum(event.cost.time_s for event in events)
+        time_s = ordered_sum(event.cost.time_s for event in events)
         children: tuple[TimeTreeNode, ...] = ()
         if depth < max_depth:
             next_parts = sorted(

@@ -21,11 +21,11 @@ recording and replay along with the kernel-cost cache.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
-from repro.ir.ops import OpCategory
+from repro.ir.ops import Op, OpCategory
 from repro.ir.tensor import TensorSpec
-from repro.ir.trace import Replay, TraceEvent
+from repro.ir.trace import KernelCost, Replay, TraceEvent
 
 
 class Segment:
@@ -64,6 +64,15 @@ class Segment:
                 op.category for _, op, _, _, _ in self.rows
             )
         return self._categories
+
+    def priced(self, price: Callable[[Op, int], KernelCost]) -> "Segment":
+        """This call with each row's cost ``price(op, repeat)``."""
+        rows = tuple(
+            (path, op, price(op, repeat), flags, repeat)
+            for path, op, _, flags, repeat in self.rows
+        )
+        times = tuple([row[2].time_s for row in rows])
+        return Segment(rows, times, self.output, self.root)
 
 
 def output_is_replayable(output: Any) -> bool:

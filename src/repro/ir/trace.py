@@ -19,6 +19,7 @@ from repro.ir.ops import Op, OpCategory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.memo import Segment
+    from repro.kernels.estimator import CostEstimator
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,7 @@ class Trace:
         self._events: list[TraceEvent] = []
         self._built = 0
         self._agg: dict[str, tuple[int, object]] = {}
+        self.priced_from: Trace | None = None  # see :meth:`priced`
 
     def append(self, event: TraceEvent) -> None:
         """Append one emitted event."""
@@ -167,6 +169,45 @@ class Trace:
         if segment.rows:
             self._runs.append(Replay(segment, base, start_s))
             self._count += len(segment.rows)
+
+    def priced(self, estimator: "CostEstimator") -> "Trace":
+        """The trace the model records under ``estimator`` (no model
+        reads a cost): each row costs ``estimate(op).scaled(repeat)``,
+        and the clock advances left to right as ``ExecutionContext``'s
+        ``emit`` and ``replay_segment`` advance it.  Each distinct
+        segment, and each op object per fold factor (by id: this trace
+        keeps its ops alive), is priced once.
+        """
+        costs: dict[tuple[int, int], KernelCost] = {}
+
+        def price(op: Op, repeat: int) -> KernelCost:
+            key = (id(op), repeat)
+            if key not in costs:
+                costs[key] = estimator.estimate(op).scaled(repeat)
+            return costs[key]
+
+        segments: dict["Segment", "Segment"] = {}
+        trace = Trace()
+        runs, clock = trace._runs, 0.0
+        for run in self._runs:
+            if type(run) is TraceEvent:
+                cost = price(run.op, run.repeat)
+                runs.append(
+                    TraceEvent(
+                        run.index, run.module_path, run.op, cost, clock,
+                        run.flags, run.repeat,
+                    )
+                )
+                clock += cost.time_s
+                continue
+            segment = segments.get(run.segment)
+            if segment is None:
+                segment = segments[run.segment] = run.segment.priced(price)
+            runs.append(Replay(segment, run.base, clock))
+            for time_s in segment.times:
+                clock += time_s
+        trace._count, trace.priced_from = self._count, self
+        return trace
 
     def mark(self) -> int:
         """Position after the last run, for :meth:`runs_since`."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.analysis.amdahl import amdahl_speedup
 from repro.ir.trace import Trace
+from repro.ordered_sum import ordered_sum
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,10 @@ def evaluate_specialization(
     if not buckets:
         raise ValueError("trace has no attention kernels")
     chosen = buckets[:top_k]
-    covered = sum(bucket.time_fraction for bucket in chosen)
-    attention_total = sum(bucket.attention_time_s for bucket in buckets)
+    covered = ordered_sum(b.time_fraction for b in chosen)
+    attention_total = ordered_sum(b.attention_time_s for b in buckets)
     coverage_of_attention = (
-        sum(bucket.attention_time_s for bucket in chosen) / attention_total
+        ordered_sum(b.attention_time_s for b in chosen) / attention_total
     )
     return SpecializationReport(
         target_seq_lens=tuple(bucket.seq_len for bucket in chosen),

@@ -19,19 +19,20 @@ from repro.kernels.base import DEFAULT_TUNING, TuningConstants
 from repro.kernels.estimator import CostEstimator
 
 # Process-wide profile memo: model instance -> {(machine token,
-# attention impl, batch): ProfileResult}.  Different experiments ask for
-# the same configuration (the serving experiments re-profile the suite
-# models on H100 that the distributed sweeps already priced); profiling
-# is deterministic, so they can share one result object.  Keyed weakly
-# so profiles die with their model.  Disabled along with every other
-# layer by REPRO_NO_CACHE=1 (the estimator then carries no cache token).
+# attention impl, batch): ProfileResult, (attention impl, batch): the
+# first trace run for it}.  Different experiments ask for the same
+# configuration; profiling is deterministic, so they share one result,
+# and another machine prices the recorded trace instead of running the
+# model again.  Keyed weakly so profiles die with their model.
+# Disabled along with every other layer by REPRO_NO_CACHE=1 (the
+# estimator then carries no cache token, and every call runs the model).
 _PROFILE_CACHE: "weakref.WeakKeyDictionary[Module, dict]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def clear_profile_cache() -> None:
-    """Drop memoized profiles (tests and tuning ablations)."""
+    """Drop memoized profiles and recordings (tests, tuning ablations)."""
     _PROFILE_CACHE.clear()
 
 
@@ -67,13 +68,17 @@ def profile_model(
     ``model`` must expose ``run_inference(ctx, batch=...)`` (every model
     in :mod:`repro.models` does).  Results are memoized per (model,
     machine, attention impl, batch): repeated profiles of one
-    configuration return the same :class:`ProfileResult` object.
+    configuration return the same :class:`ProfileResult` object.  The
+    model runs once per (attention impl, batch): another machine or
+    tuning prices that recording (:meth:`repro.ir.trace.Trace.priced`),
+    and like a memo hit fires no module hooks.
     """
     if not isinstance(batch, int) or batch < 1:
         raise ValueError(f"batch must be an int >= 1, got {batch!r}")
     estimator = CostEstimator(gpu, tuning)
     key = None
     table = None
+    recording = None
     if estimator.cache_token is not None:
         key = (estimator.cache_token, attention_impl, batch)
         table = _PROFILE_CACHE.get(model)
@@ -82,21 +87,27 @@ def profile_model(
         cached = table.get(key)
         if cached is not None:
             return cached
-    ctx = ExecutionContext(
-        gpu=gpu,
-        attention_impl=attention_impl,
-        estimator=estimator,
-    )
-    model.run_inference(ctx, batch=batch)
+        recording = table.get((attention_impl, batch))
+    if recording is not None:
+        trace = recording.priced(estimator)
+    else:
+        ctx = ExecutionContext(
+            gpu=gpu,
+            attention_impl=attention_impl,
+            estimator=estimator,
+        )
+        model.run_inference(ctx, batch=batch)
+        trace = ctx.trace
     result = ProfileResult(
         model_name=model.name,
         gpu=gpu,
         attention_impl=attention_impl,
-        trace=ctx.trace,
+        trace=trace,
         parameters=model.param_count(),
     )
     if table is not None:
         table[key] = result
+        table.setdefault((attention_impl, batch), trace)
     return result
 
 

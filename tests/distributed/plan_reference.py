@@ -47,6 +47,7 @@ from repro.ir.ops import Op
 from repro.ir.trace import Trace, TraceEvent
 from repro.kernels.base import DEFAULT_TUNING, TuningConstants
 from repro.kernels.estimator import CostEstimator
+from repro.ordered_sum import ordered_sum
 
 
 class ShardedEvent(NamedTuple):
@@ -179,7 +180,7 @@ def reference_flops_per_rank(
 
 def reference_comm_payload_bytes(sharded: list[ShardedEvent]) -> float:
     """Collective payload bytes, summed event by event."""
-    return sum(
+    return ordered_sum(
         event.comm.payload_bytes * event.source.repeat
         for event in sharded
         if event.comm is not None
