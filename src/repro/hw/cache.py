@@ -10,8 +10,10 @@ would issue (contiguous rows for spatial attention, large strides for
 temporal attention after the (B, HW, F) transpose) and replay them
 through a :class:`CacheHierarchy` here.
 
-Replays take whole streams: NumPy maps every access to its line, tag
-and set index, and one Python loop updates the per-set LRU order.
+Replays take whole streams and run as array operations, with no loop
+per access.  They rest on LRU's stack property (Mattson et al., 1970):
+an access hits exactly when fewer than ``ways`` distinct lines of its
+set were touched since that line's previous use.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.hw.spec import CacheSpec
+
+# Window cells one counting round of a replay may examine at once: it
+# bounds the round's temporary arrays.
+_ROUND_CELLS = 1 << 18
 
 
 @dataclass
@@ -50,23 +56,69 @@ class CacheStats:
         )
 
 
+def _addresses(addresses: Sequence[int] | np.ndarray) -> np.ndarray:
+    """``addresses`` as an int64 array; negative addresses are rejected."""
+    addresses = np.asarray(addresses, dtype=np.int64)
+    if addresses.size and addresses.min() < 0:
+        raise ValueError(
+            f"addresses must be >= 0, got {addresses.min()!r}"
+        )
+    return addresses
+
+
+def _lru_hits(previous: np.ndarray, ways: int) -> np.ndarray:
+    """LRU hit flags of accesses listed set by set, each set's in
+    stream order; ``previous[i]`` is the place in that list of access
+    ``i``'s previous use of its line, or -1.
+
+    An access hits when fewer than ``ways`` distinct lines lie between
+    it and its previous use.  Fewer than ``ways`` accesses in between
+    settle that at once; otherwise the distinct lines are counted as the
+    window positions whose own previous use lies before the window, in
+    rounds of growing length, until the count reaches ``ways``.
+    """
+    position = np.arange(len(previous))
+    seen = previous >= 0
+    gap = position - previous - 1
+    hits = seen & (gap < ways)
+    end = np.flatnonzero(seen & ~hits)
+    before = previous[end]
+    distinct = np.zeros(len(end), dtype=np.int64)
+    counted = 0
+    width = ways
+    while len(end):
+        step = min(width, max(1, _ROUND_CELLS // len(end)))
+        window = before[:, None] + 1 + counted + np.arange(step)
+        inside = window < end[:, None]
+        first = previous[np.minimum(window, end[:, None])] < before[:, None]
+        distinct += np.count_nonzero(inside & first, axis=1)
+        counted += step
+        full = distinct >= ways
+        settled = full | (before + 1 + counted >= end)
+        hits[end[settled & ~full]] = True
+        end, before, distinct = (
+            end[~settled], before[~settled], distinct[~settled]
+        )
+        width *= 2
+    return hits
+
+
 class SetAssociativeCache:
     """An LRU set-associative cache operating on byte addresses.
 
     Only tags are tracked (no data), which is all that hit-rate
-    simulation needs.  LRU is implemented with per-set dicts relying on
-    Python's insertion-ordered dictionaries: re-inserting a key moves it
-    to MRU position.
+    simulation needs.  The state is one ``(num_sets, ways)`` tag array,
+    each set's resident lines least recently used first, with ``-1``
+    marking an empty way.
     """
 
     def __init__(self, spec: CacheSpec):
         self.spec = spec
         self._accesses = 0
         self._hits = 0
-        # One ordered dict of {tag: None} per set, least recent first.
-        self._sets: list[dict[int, None]] = [
-            {} for _ in range(spec.num_sets)
-        ]
+        self._tags = np.full(
+            (spec.num_sets, spec.associativity), -1, dtype=np.int64
+        )
 
     @property
     def stats(self) -> CacheStats:
@@ -77,8 +129,7 @@ class SetAssociativeCache:
         """Clear contents and statistics."""
         self._accesses = 0
         self._hits = 0
-        for entry in self._sets:
-            entry.clear()
+        self._tags.fill(-1)
 
     def clear_stats(self) -> None:
         """Zero the counters but keep cached lines (for warm-up phases)."""
@@ -94,26 +145,52 @@ class SetAssociativeCache:
 
         Returns one bool hit flag per access, in stream order.  The
         counters advance by the stream's accesses and hits.
+
+        Raises:
+            ValueError: when an address is negative.
         """
-        lines = np.asarray(addresses, dtype=np.int64) // self.spec.line_bytes
-        tags, indices = np.divmod(lines, self.spec.num_sets)
-        hits = bytearray(len(lines))
-        sets = self._sets
+        lines = _addresses(addresses) // self.spec.line_bytes
+        num_sets = self.spec.num_sets
         ways = self.spec.associativity
-        # The only per-access Python loop: locals and operators only.
-        for position, tag, index in zip(
-            range(len(lines)), tags.tolist(), indices.tolist()
-        ):
-            entries = sets[index]
-            if tag in entries:
-                # Hit: re-inserted below, which refreshes LRU position.
-                del entries[tag]
-                hits[position] = 1
-            elif len(entries) >= ways:
-                # Evict LRU (first inserted).
-                del entries[next(iter(entries))]
-            entries[tag] = None
-        flags = np.frombuffer(hits, dtype=bool)
+        sets = lines % num_sets
+        touched = np.flatnonzero(np.bincount(sets, minlength=num_sets))
+        # The touched sets' resident lines enter first, LRU to MRU:
+        # replayed into empty sets, they rebuild the current state.
+        resident = self._tags[touched]
+        held = resident >= 0
+        stream = np.concatenate(
+            ((resident * num_sets + touched[:, None])[held], lines)
+        )
+        sets = np.concatenate(
+            (np.broadcast_to(touched[:, None], held.shape)[held], sets)
+        )
+        # ``order`` lists the accesses set by set, each set's in stream
+        # order (narrow keys sort by radix); ``rank`` is each access's
+        # place in that list.
+        order = np.argsort(
+            sets.astype(np.min_scalar_type(num_sets - 1)), kind="stable"
+        )
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        # Link each access to the previous access of its line, both as
+        # places in ``order``.
+        by_line = np.argsort(stream, kind="stable")
+        sorted_lines = stream[by_line]
+        same = sorted_lines[1:] == sorted_lines[:-1]
+        previous = np.full(len(stream), -1, dtype=np.int64)
+        previous[rank[by_line[1:][same]]] = rank[by_line[:-1][same]]
+        flags = _lru_hits(previous, ways)[rank[len(stream) - len(lines):]]
+        # Each touched set keeps its last ``ways`` distinct lines, the
+        # most recent in the last way.
+        last = np.ones(len(stream), dtype=bool)
+        last[previous[previous >= 0]] = False
+        kept = order[last]
+        kept, sets = stream[kept], sets[kept]
+        run_end = np.cumsum(np.bincount(sets, minlength=num_sets))[sets]
+        column = np.arange(len(kept)) + ways - run_end
+        fits = column >= 0
+        self._tags[touched] = -1
+        self._tags[sets[fits], column[fits]] = kept[fits] // num_sets
         self._accesses += len(flags)
         self._hits += int(np.count_nonzero(flags))
         return flags
@@ -157,8 +234,12 @@ class CacheHierarchy:
 
         ``sms[i]`` is the SM that issues ``addresses[i]`` (SM 0 for
         every access when omitted).
+
+        Raises:
+            ValueError: when an address is negative, or the SM ids do
+                not match the addresses or name no SM.
         """
-        addresses = np.asarray(addresses, dtype=np.int64)
+        addresses = _addresses(addresses)
         if sms is None:
             sms = np.zeros(len(addresses), dtype=np.int64)
         sms = np.asarray(sms, dtype=np.int64)

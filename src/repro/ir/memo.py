@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.ir.ops import Op, OpCategory
+from repro.ir.ops import Op
 from repro.ir.tensor import TensorSpec
-from repro.ir.trace import KernelCost, Replay, TraceEvent
+from repro.ir.trace import CATEGORY_CODES, KernelCost, Replay, TraceEvent
 
 
 class Segment:
@@ -38,7 +38,7 @@ class Segment:
     like the rows: every row's path is ``root`` or lies under it.
     """
 
-    __slots__ = ("rows", "times", "output", "root", "_categories")
+    __slots__ = ("rows", "times", "output", "root", "_category_codes")
 
     def __init__(
         self,
@@ -51,19 +51,20 @@ class Segment:
         self.times = times
         self.output = output
         self.root = root
-        self._categories: tuple[OpCategory, ...] | None = None
+        self._category_codes: tuple[int, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def categories(self) -> tuple[OpCategory, ...]:
-        """Each row's op category, built once and shared by every
-        replay's :meth:`repro.ir.trace.Trace.time_by_category`."""
-        if self._categories is None:
-            self._categories = tuple(
-                op.category for _, op, _, _, _ in self.rows
+    def category_codes(self) -> tuple[int, ...]:
+        """Each row's op category as its ``CATEGORY_CODES`` code, built
+        once and shared by every replay's
+        :meth:`repro.ir.trace.Trace.time_by_category`."""
+        if self._category_codes is None:
+            self._category_codes = tuple(
+                CATEGORY_CODES[op.category] for _, op, _, _, _ in self.rows
             )
-        return self._categories
+        return self._category_codes
 
     def priced(self, price: Callable[[Op, int], KernelCost]) -> "Segment":
         """This call with each row's cost ``price(op, repeat)``."""

@@ -21,6 +21,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.memo import Segment
     from repro.kernels.estimator import CostEstimator
 
+# Op categories by integer code: per-row totals index a list by code
+# instead of hashing an enum member per row.
+CATEGORIES = tuple(OpCategory)
+CATEGORY_CODES = {category: code for code, category in enumerate(CATEGORIES)}
+
 
 @dataclass(frozen=True)
 class KernelCost:
@@ -431,19 +436,25 @@ class Trace:
         return self._aggregate("closed", compute)
 
     def time_by_category(self) -> dict[OpCategory, float]:
-        """Execution time grouped by operator category (Figure 6 bars)."""
+        """Execution time grouped by operator category (Figure 6 bars).
+
+        Each category's rows add left to right in trace order, and the
+        keys come in the order their categories first appear.
+        """
 
         def compute() -> dict[OpCategory, float]:
-            times: dict[OpCategory, float] = {}
-            get = times.get
+            totals = [0.0] * len(CATEGORIES)
+            seen: dict[int, None] = {}
             for run in self._runs:
                 if type(run) is TraceEvent:
-                    pairs = ((run.op.category, run.cost.time_s),)
+                    codes = (CATEGORY_CODES[run.op.category],)
+                    times = (run.cost.time_s,)
                 else:
-                    segment = run.segment
-                    pairs = zip(segment.categories(), segment.times)
-                for category, time_s in pairs:
-                    times[category] = get(category, 0.0) + time_s
-            return times
+                    codes = run.segment.category_codes()
+                    times = run.segment.times
+                seen.update(dict.fromkeys(codes))
+                for code, time_s in zip(codes, times):
+                    totals[code] += time_s
+            return {CATEGORIES[code]: totals[code] for code in seen}
 
         return dict(self._aggregate("by_category", compute))

@@ -11,6 +11,9 @@ Two jobs live here:
    streams the GEMM / softmax / elementwise kernels inside an attention
    module issue, and replays each kernel's stream in one call through a
    :class:`repro.hw.cache.CacheHierarchy` of per-SM L1s and a shared L2.
+   A stream is a NumPy array expanded from (start byte, size) segments
+   (a query tile, a K tile or one of its rows, a similarity-matrix
+   row), with a parallel array of issuing SMs.
 
    The model is built on how hits actually arise in these kernels:
 
@@ -35,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.hw.cache import CacheHierarchy, HierarchyStats
 from repro.hw.spec import A100_80GB, GPUSpec
@@ -92,35 +97,18 @@ SOFTMAX_REGISTER_THRESHOLD_BYTES = 8192
 _LINE = 128
 
 
-def _lines(base: int, num_bytes: int) -> range:
-    """Line addresses covering ``num_bytes`` starting at ``base``."""
-    first = base // _LINE
-    last = (base + num_bytes + _LINE - 1) // _LINE
-    return range(first * _LINE, last * _LINE, _LINE)
-
-
-def _k_tile_lines(
-    base: int,
-    tile_start: int,
-    tile_rows: int,
-    seq_kv: int,
-    head_dim: int,
-    stride_bytes: int,
-    dtype: DType,
-) -> list[int]:
-    """Line addresses of one K tile (rows ``tile_start..+tile_rows``).
-
-    Contiguous layout packs rows back to back; a strided (temporal) view
-    places successive sequence positions ``stride_bytes`` apart.
-    """
-    row_bytes = head_dim * dtype.size
-    rows = min(tile_rows, seq_kv - tile_start)
-    if stride_bytes <= row_bytes:
-        return list(_lines(base + tile_start * row_bytes, rows * row_bytes))
-    addresses: list[int] = []
-    for row in range(tile_start, tile_start + rows):
-        addresses.extend(_lines(base + row * stride_bytes, row_bytes))
-    return addresses
+def _segment_lines(
+    starts: np.ndarray, sizes: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Line addresses covering each ``(start byte, size)`` segment, one
+    segment after another, and each segment's line count."""
+    first = starts // _LINE
+    counts = (starts + sizes + _LINE - 1) // _LINE - first
+    # Output position minus the segment's offset, plus its first line.
+    lines = np.arange(counts.sum()) + np.repeat(
+        first - (np.cumsum(counts) - counts), counts
+    )
+    return lines * _LINE, counts
 
 
 # CTAs co-resident on one SM. Co-resident CTAs walk the K operand in
@@ -153,30 +141,52 @@ def _simulate_gemm(
         batch_heads,
         (max_groups * _CORESIDENT_CTAS) // tiles_q + 1,
     )
-    ctas = [
-        (bh, qt) for bh in range(needed_bh) for qt in range(tiles_q)
-    ]
+    # CTAs (batch-head, query tile) in order, in groups of co-resident
+    # CTAs; a slot past the last CTA is padding.
+    ctas = min(needed_bh * tiles_q, max_groups * _CORESIDENT_CTAS)
+    groups = -(-ctas // _CORESIDENT_CTAS)
+    cta = np.arange(groups * _CORESIDENT_CTAS).reshape(groups, -1)
+    present = cta < ctas
+    # Each K tile's segments from its batch-head's base, one per tile
+    # when rows pack back to back, else one per row (a strided, temporal
+    # view places successive positions ``element_stride_bytes`` apart).
+    tile_row = np.arange(tiles_kv)[:, None] * tile_kv
+    if info.element_stride_bytes <= row_bytes:
+        rows = np.minimum(tile_kv, info.seq_kv - tile_row)
+        k_offsets, k_sizes = tile_row * row_bytes, rows * row_bytes
+        k_present = np.ones(k_offsets.shape, dtype=bool)
+    else:
+        row = tile_row + np.arange(tile_kv)
+        k_offsets = row * info.element_stride_bytes
+        k_sizes = np.full(row.shape, row_bytes)
+        k_present = row < info.seq_kv
+    # A group loads its CTAs' Q tiles, then per K tile each CTA's copy:
+    # a (group, CTA) Q part and a (group, K tile, CTA, segment) K part
+    # flatten, group by group, in load order.
+    k_shape = (groups, tiles_kv, _CORESIDENT_CTAS, k_offsets.shape[1])
+
+    def load_order(q_part, k_part) -> np.ndarray:
+        return np.hstack((
+            np.broadcast_to(q_part, cta.shape),
+            np.broadcast_to(k_part, k_shape).reshape(groups, -1),
+        ))
+
     q_tile_bytes = tile_q * row_bytes
-    addresses: list[int] = []
-    sms: list[int] = []
-    for group_index, start in enumerate(range(0, len(ctas), _CORESIDENT_CTAS)):
-        if group_index >= max_groups:
-            break
-        group_start = len(addresses)
-        members = ctas[start:start + _CORESIDENT_CTAS]
-        for bh, qt in members:
-            q_base = q_region_base + (bh * tiles_q + qt) * q_tile_bytes
-            addresses.extend(_lines(q_base, q_tile_bytes))
-        for kvt in range(tiles_kv):
-            for bh, qt in members:
-                addresses.extend(_k_tile_lines(
-                    bh * region, kvt * tile_kv, tile_kv,
-                    info.seq_kv, info.head_dim,
-                    info.element_stride_bytes, dtype,
-                ))
-        sms.extend([group_index % num_sms] * (len(addresses) - group_start))
+    bh = (cta // tiles_q)[:, None, :, None]
+    starts = load_order(
+        q_region_base + cta * q_tile_bytes,
+        bh * region + k_offsets[None, :, None, :],
+    )
+    sizes = load_order(q_tile_bytes, k_sizes[None, :, None, :])
+    keep = load_order(
+        present, present[:, None, :, None] & k_present[None, :, None, :]
+    )
+    addresses, counts = _segment_lines(starts[keep], sizes[keep])
+    group_sm = np.broadcast_to(
+        np.arange(groups)[:, None] % num_sms, keep.shape
+    )
     hierarchy = CacheHierarchy(spec.l1_per_sm, spec.l2, num_sms)
-    return hierarchy.replay(addresses, sms)
+    return hierarchy.replay(addresses, np.repeat(group_sm[keep], counts))
 
 
 def _simulate_softmax(
@@ -193,23 +203,17 @@ def _simulate_softmax(
     # Sample rows uniformly across the similarity matrix so the fraction
     # falling in the L2-warm tail (most recent QK^T writes) is faithful.
     step = max(1, total_rows // rows)
-    sampled = list(range(0, total_rows, step))[:rows]
+    starts = np.arange(0, total_rows, step)[:rows] * row_bytes
     s_bytes_total = total_rows * row_bytes
     warm_bytes = min(s_bytes_total, spec.l2.capacity_bytes)
     warm_start = s_bytes_total - warm_bytes
-    warm: list[int] = []
-    addresses: list[int] = []
-    sms: list[int] = []
-    for index, row in enumerate(sampled):
-        row_lines = _lines(row * row_bytes, row_bytes)
-        if row * row_bytes >= warm_start:
-            warm.extend(row_lines)
-        for _ in range(passes):
-            addresses.extend(row_lines)
-        sms.extend([index % num_sms] * (passes * len(row_lines)))
+    warm, _ = _segment_lines(starts[starts >= warm_start], row_bytes)
+    # Each sampled row is read ``passes`` times in a row by one SM.
+    addresses, counts = _segment_lines(np.repeat(starts, passes), row_bytes)
+    row_sm = np.repeat(np.arange(len(starts)) % num_sms, passes)
     hierarchy = CacheHierarchy(spec.l1_per_sm, spec.l2, num_sms)
     hierarchy.l2.replay(warm)  # the QK^T writes still resident in L2
-    return hierarchy.replay(addresses, sms)
+    return hierarchy.replay(addresses, np.repeat(row_sm, counts))
 
 
 def _simulate_elementwise(
@@ -226,25 +230,23 @@ def _simulate_elementwise(
     lines = min(total_lines, max_lines)
     # Sample lines uniformly so the L2-warm tail fraction is faithful.
     step = max(1, total_lines // lines)
-    sampled = list(range(0, total_lines, step))[:lines]
+    sampled = np.arange(0, total_lines, step)[:lines]
     warm_lines = min(total_lines, spec.l2.capacity_bytes // _LINE)
     warm_start_line = total_lines - warm_lines
-    warm = [line * _LINE for line in sampled if line >= warm_start_line]
+    warm = sampled[sampled >= warm_start_line] * _LINE
     # Broadcast scale vector re-read per chunk gives both variants a
-    # small amount of genuine L1 reuse.
+    # small amount of genuine L1 reuse: every eighth line read is
+    # followed, on the same SM, by a read of the vector.
     broadcast_base = 1 << 45
-    addresses: list[int] = []
-    sms: list[int] = []
-    for index, line in enumerate(sampled):
-        sm = index % num_sms
-        addresses.append(line * _LINE)
-        sms.append(sm)
-        if index % 8 == 0:
-            addresses.append(broadcast_base + (index // 1024) * _LINE)
-            sms.append(sm)
+    index = np.arange(len(sampled))
+    addresses = np.stack(
+        (sampled * _LINE, broadcast_base + (index // 1024) * _LINE), axis=1
+    )
+    sms = np.stack((index % num_sms, index % num_sms), axis=1)
+    keep = np.stack((np.ones(len(index), dtype=bool), index % 8 == 0), 1)
     hierarchy = CacheHierarchy(spec.l1_per_sm, spec.l2, num_sms)
     hierarchy.l2.replay(warm)  # the producer's output still in L2
-    return hierarchy.replay(addresses, sms)
+    return hierarchy.replay(addresses[keep], sms[keep])
 
 
 def simulate_attention_cache(

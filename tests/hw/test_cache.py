@@ -60,6 +60,15 @@ class TestBasics:
         merged = CacheStats(10, 4).merge(CacheStats(6, 2))
         assert merged.accesses == 16 and merged.hits == 6
 
+    def test_rejects_negative_addresses(self):
+        # A negative line would alias the -1 that marks an empty way.
+        cache = small_cache()
+        for addresses in ([-128], [0, 64, -1]):
+            with pytest.raises(ValueError, match="addresses"):
+                cache.replay(addresses)
+        assert cache.stats.accesses == 0
+        assert cache.access(0) is False
+
 
 class TestEviction:
     def test_lru_eviction_within_set(self):
@@ -153,6 +162,17 @@ class TestHierarchy:
                 hierarchy.replay([0, 64], sms=sms)
         with pytest.raises(ValueError, match="num_sms"):
             CacheHierarchy(A100_80GB.l1_per_sm, A100_80GB.l2, num_sms=0)
+
+    def test_rejects_negative_addresses_before_replaying(self):
+        hierarchy = CacheHierarchy(
+            A100_80GB.l1_per_sm, A100_80GB.l2, num_sms=2
+        )
+        with pytest.raises(ValueError, match="addresses"):
+            hierarchy.replay([0, 128, -128], sms=[0, 1, 1])
+        # No level saw any of the stream.
+        stats = hierarchy.replay([0, 128], sms=[0, 1])
+        assert (stats.l1.hits, stats.l2.hits) == (0, 0)
+        assert hierarchy.l1s[0].stats.accesses == 1
 
 
 @settings(max_examples=50, deadline=None)
@@ -266,3 +286,64 @@ def test_two_pass_replay_matches_interleaved_reference(l1, l2, case):
     assert (stats.l2.accesses, stats.l2.hits) == (
         ref_l2.accesses, ref_l2.hits
     )
+
+
+def _resident_lines(cache: SetAssociativeCache) -> list[list[int]]:
+    """Each set's resident lines, least recently used first."""
+    num_sets = cache.spec.num_sets
+    return [
+        [tag * num_sets + index for tag in tags if tag >= 0]
+        for index, tags in enumerate(cache._tags.tolist())
+    ]
+
+
+@st.composite
+def replay_plans(draw):
+    """A tiny geometry and up to four streams for one cache, each after
+    an optional ``reset()`` or ``clear_stats()``."""
+    spec = draw(tiny_geometries)
+    sets, ways = spec.num_sets, spec.associativity
+    lines = st.integers(0, 3 * sets * ways)
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        action = draw(st.sampled_from((None, None, "reset", "clear_stats")))
+        kind = draw(st.sampled_from(("random", "hot", "sweep")))
+        if kind == "random":
+            stream = draw(st.lists(lines, max_size=120))
+        elif kind == "hot":
+            hot = draw(st.lists(lines, min_size=1, max_size=3))
+            stream = draw(
+                st.lists(st.sampled_from(hot) | lines, max_size=120)
+            )
+        else:
+            # ways + 1 lines of one set, cycled: LRU misses every access.
+            first = draw(st.integers(0, sets - 1))
+            cycle = [first + k * sets for k in range(ways + 1)]
+            stream = cycle * draw(st.integers(1, 4))
+        offset = draw(st.integers(0, spec.line_bytes - 1))
+        steps.append(
+            (action, [line * spec.line_bytes + offset for line in stream])
+        )
+    return spec, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan=replay_plans())
+def test_replays_match_list_lru_flags_and_resident_lines(plan):
+    """Replays on one cache, state carried between them, give the list
+    LRU's flag for every access and leave its lines, LRU first."""
+    spec, steps = plan
+    cache, reference = SetAssociativeCache(spec), _ListLRU(spec)
+    for action, addresses in steps:
+        if action == "reset":
+            cache.reset()
+            reference = _ListLRU(spec)
+        elif action == "clear_stats":
+            cache.clear_stats()
+            reference.accesses = reference.hits = 0
+        flags = cache.replay(addresses)
+        assert flags.tolist() == [reference.access(a) for a in addresses]
+        assert _resident_lines(cache) == reference.sets
+        assert (cache.stats.accesses, cache.stats.hits) == (
+            reference.accesses, reference.hits
+        )

@@ -174,3 +174,20 @@ def test_built_events_equal_an_uncached_run(suite_profiles, suite_models, name):
         uncached.time_by_category().items()
     )
     assert cached.trace.times_s() == [e.cost.time_s for e in uncached.events]
+
+
+def test_time_by_category_equals_a_per_row_loop(suite_profiles):
+    # The totals index a list by category code; a dict keyed by the
+    # category itself, filled row by row in trace order, must give the
+    # same keys in the same order and the same float bits.
+    for name, profiles in suite_profiles.items():
+        for profile in profiles:
+            expected: dict = {}
+            for _, op, cost, _, _ in profile.trace.rows():
+                expected[op.category] = (
+                    expected.get(op.category, 0.0) + cost.time_s
+                )
+            got = profile.trace.time_by_category()
+            assert [(key, value.hex()) for key, value in got.items()] == [
+                (key, value.hex()) for key, value in expected.items()
+            ], (name, profile.attention_impl)
