@@ -4,6 +4,8 @@ Run with ``pytest benchmarks/ --benchmark-only``; each benchmark prints
 the regenerated figure as a table and asserts its claim checks.
 """
 
+import gc
+
 from repro.experiments import (
     fig01_fleet,
     fig04_pareto,
@@ -17,6 +19,9 @@ from repro.experiments import (
     fig12_cache,
     fig13_frame_scaling,
 )
+from repro.experiments.suite_cache import clear_cache
+from repro.profiler.profiler import clear_profile_cache
+from repro.testing import assert_claims_hold, suite_profile_map
 
 from conftest import run_and_render
 
@@ -34,7 +39,25 @@ def test_fig05_roofline(benchmark):
 
 
 def test_fig06_operator_breakdown(benchmark):
-    run_and_render(benchmark, fig06_op_breakdown.run)
+    """Figure 6 totals every suite trace by category.  Each round gets
+    freshly profiled suite traces from an untimed setup, so it times
+    those totals whatever entries ran before it.  The setup freezes the
+    heap after the rebuild, as the session fixture does."""
+
+    def fresh_suite():
+        clear_cache()
+        clear_profile_cache()
+        suite_profile_map()
+        gc.collect()
+        gc.freeze()
+        return (), {}
+
+    result = benchmark.pedantic(
+        fig06_op_breakdown.run, setup=fresh_suite, rounds=5, iterations=1
+    )
+    print()
+    print(result.render())
+    assert_claims_hold(result)
 
 
 def test_fig07_sequence_length_profile(benchmark):

@@ -24,6 +24,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from repro.ir.interned import IdentityEnum
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -63,7 +65,7 @@ INFINITY_FABRIC = LinkSpec("InfinityFabric3", bandwidth=384e9,
                            latency_s=2.5e-6)
 
 
-class CollectiveKind(enum.Enum):
+class CollectiveKind(IdentityEnum):
     """The collective operations the partitioners emit."""
 
     ALL_REDUCE = "all_reduce"

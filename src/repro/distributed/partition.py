@@ -77,15 +77,13 @@ def _assign_leaf_roles(
     anchor_seen: dict[str, bool] = {}
     next_is_column: dict[str, bool] = {}
     pending_column: dict[str, str] = {}
-    param_memo: dict[int, bool] = {}
+    param_memo: dict[Op, bool] = {}
     for leaf, op, _, flags, _ in rows:
         if "attention_anchor" in flags:
             anchor_seen[leaf] = True
-        op_id = id(op)
-        owns = param_memo.get(op_id)
+        owns = param_memo.get(op)
         if owns is None:
-            owns = op.param_bytes() > 0
-            param_memo[op_id] = owns
+            owns = param_memo[op] = op.param_bytes() > 0
         if not owns:
             continue
         scope = _parent_scope(leaf)
@@ -122,10 +120,10 @@ class TraceClasses:
     """The distinct tensor-parallel kernel classes of one trace.
 
     A class is one (op, shard role, collective kind, fold factor)
-    combination, with ops compared by value: every event of a class
-    shards, prices and sizes identically at any tp degree.  Suite
-    traces hold 20-35k events but only 78-385 classes, so per-class
-    work followed by an index gather replaces per-event work.
+    combination: every event of a class shards, prices and sizes
+    identically at any tp degree.  Suite traces hold 20-35k events but
+    only 78-385 classes, so per-class work followed by an index gather
+    replaces per-event work.
 
     Attributes:
         ops: source operator of each class.
@@ -182,88 +180,58 @@ def trace_classes(trace: Trace) -> TraceClasses:
     return table
 
 
+# Activation ops' (role, collective) pairs; a weight op takes its leaf's.
+_HEAD = (ShardRole.HEAD, None)
+_SEQUENCE = (ShardRole.SEQUENCE, None)
+
+
 class _ClassIndex:
     """Classes in first-appearance order and the class of every row.
 
-    (role, collective) pairs are interned to small ints so the class
-    key hashes three ints instead of a tuple of enums (enum.__hash__
-    is a Python function and would dominate at trace scale).  Ops are
-    frozen value objects, and a trace holds many equal copies of one op
-    (replay re-emits them per scope): equal ops shard and price
-    identically, so a class keys on the identity of the first equal op.
-    Each op object is hashed by value once; per row the lookup is by id
-    (the trace keeps every op alive).
+    A class key is (op, (role, collective) pair, fold factor).
     """
 
     def __init__(
         self, roles: dict[str, tuple[ShardRole, CollectiveKind | None]]
     ) -> None:
-        self.pairs: list[tuple[ShardRole, CollectiveKind | None]] = []
-        self._pair_tokens: dict[
-            tuple[ShardRole, CollectiveKind | None], int
-        ] = {}
-        self._head = self._token_of((ShardRole.HEAD, None))
-        self._sequence = self._token_of((ShardRole.SEQUENCE, None))
-        self._leaf_tokens = {
-            path: self._token_of(pair) for path, pair in roles.items()
-        }
-        self._first_equal: dict[Op, Op] = {}
-        # id(op) -> (first equal op, token); token -1 marks a weight op,
-        # whose role depends on the emitting leaf.
-        self._op_info: dict[int, tuple[Op, int]] = {}
-        self._classes: dict[tuple[int, int, int], int] = {}
+        self._roles = roles
+        # Op -> its pair, or False for a weight op.
+        self._op_pairs: dict[Op, tuple | bool] = {}
+        self._classes: dict[tuple, int] = {}
         self.ops: list[Op] = []
-        self.tokens: list[int] = []
+        self.pairs: list[tuple[ShardRole, CollectiveKind | None]] = []
         self.repeats: list[int] = []
         self.index: list[int] = []
 
-    def _token_of(self, pair: tuple[ShardRole, CollectiveKind | None]) -> int:
-        token = self._pair_tokens.get(pair)
-        if token is None:
-            token = self._pair_tokens[pair] = len(self.pairs)
-            self.pairs.append(pair)
-        return token
-
-    def _new_info(self, op: Op) -> tuple[Op, int]:
-        """(first equal op, token) of an op object seen for the first time."""
-        if op.param_bytes() > 0:
-            token = -1
-        elif op.category is OpCategory.ATTENTION:
-            token = self._head
-        else:
-            token = self._sequence
-        info = self._op_info[id(op)] = (
-            self._first_equal.setdefault(op, op), token
-        )
-        return info
-
-    def _class_of(self, op: Op, token: int, repeat: int) -> int:
-        key = (id(op), token, repeat)
+    def _class_of(self, op: Op, pair: tuple, repeat: int) -> int:
+        key = (op, pair, repeat)
         cls = self._classes.get(key)
         if cls is None:
             cls = self._classes[key] = len(self.ops)
             self.ops.append(op)
-            self.tokens.append(token)
+            self.pairs.append(pair)
             self.repeats.append(repeat)
         return cls
 
     def add_rows(self, rows: Iterable[Row]) -> None:
         """Append the class of every row."""
-        op_info = self._op_info
-        new_info = self._new_info
-        leaf_tokens = self._leaf_tokens
+        op_pairs = self._op_pairs
+        roles = self._roles
         classes = self._classes
         class_of = self._class_of
         append = self.index.append
         for path, op, _, _, repeat in rows:
-            info = op_info.get(id(op))
-            if info is None:
-                info = new_info(op)
-            op, token = info
-            if token < 0:
-                token = leaf_tokens[path]
-            cls = classes.get((id(op), token, repeat))
-            append(class_of(op, token, repeat) if cls is None else cls)
+            pair = op_pairs.get(op)
+            if pair is None:
+                pair = op_pairs[op] = (
+                    False if op.param_bytes() > 0
+                    else _HEAD if op.category is OpCategory.ATTENTION
+                    else _SEQUENCE
+                )
+            if pair is False:
+                pair = roles[path]
+            cls = classes.get((op, pair, repeat))
+            append(class_of(op, pair, repeat) if cls is None else cls)
 
     def add_table(self, other: "_ClassIndex") -> list[int]:
         """This index's class of each of ``other``'s rows, in order.
@@ -272,23 +240,17 @@ class _ClassIndex:
         classes are added in its first-appearance order, which is the
         order a pass over those rows would add them in.
         """
-        op_info = self._op_info
         mapped = [
-            self._class_of(
-                (op_info.get(id(op)) or self._new_info(op))[0],
-                self._token_of(other.pairs[token]),
-                repeat,
-            )
-            for op, token, repeat in zip(other.ops, other.tokens, other.repeats)
+            self._class_of(op, pair, repeat)
+            for op, pair, repeat in zip(other.ops, other.pairs, other.repeats)
         ]
         return [mapped[cls] for cls in other.index]
 
     def table(self) -> TraceClasses:
-        pairs = self.pairs
         return TraceClasses(
             ops=tuple(self.ops),
-            roles=tuple(pairs[token][0] for token in self.tokens),
-            collectives=tuple(pairs[token][1] for token in self.tokens),
+            roles=tuple(role for role, _ in self.pairs),
+            collectives=tuple(kind for _, kind in self.pairs),
             repeats=tuple(self.repeats),
             index=tuple(self.index),
             index_array=np.array(self.index, dtype=np.intp),
@@ -516,15 +478,15 @@ class TensorParallel(PartitionStrategy):
         table = trace_classes(trace)
         weights = [1] * self.world
         world_gt1 = self.world > 1
-        shard_memo: dict[tuple[int, ShardRole], tuple[Op | None, ...]] = {}
+        shard_memo: dict[tuple[Op, ShardRole], tuple[Op | None, ...]] = {}
         classes: list[PlanClass] = []
         for op, role, kind, repeat in zip(
             table.ops, table.roles, table.collectives, table.repeats
         ):
-            shards = shard_memo.get((id(op), role))
+            shards = shard_memo.get((op, role))
             if shards is None:
                 shards = tuple(shard_op(op, role, weights))
-                shard_memo[(id(op), role)] = shards
+                shard_memo[(op, role)] = shards
             comm = None
             if kind is not None and world_gt1:
                 short = "ar" if kind is CollectiveKind.ALL_REDUCE else "ag"
@@ -566,19 +528,19 @@ class DataParallel(PartitionStrategy):
         """
         weights = even_split(self.batch, self.world)
         batch_role = ShardRole.BATCH
-        shard_memo: dict[int, tuple[Op | None, ...]] = {}
-        class_of: dict[tuple[int, int], int] = {}
+        shard_memo: dict[Op, tuple[Op | None, ...]] = {}
+        class_of: dict[tuple[Op, int], int] = {}
         classes: list[PlanClass] = []
         index: list[int] = []
         append = index.append
         for _, op, _, _, repeat in trace.rows():
-            key = (id(op), repeat)
+            key = (op, repeat)
             cls = class_of.get(key)
             if cls is None:
-                shards = shard_memo.get(id(op))
+                shards = shard_memo.get(op)
                 if shards is None:
                     shards = tuple(shard_op(op, batch_role, weights))
-                    shard_memo[id(op)] = shards
+                    shard_memo[op] = shards
                 cls = class_of[key] = len(classes)
                 classes.append(PlanClass(batch_role, shards, None, 0, repeat))
             append(cls)
@@ -613,7 +575,7 @@ class PipelineParallel(PartitionStrategy):
         ends = stage_boundaries(trace.times_s(), min(world, n))
         stage = 0
         close = ends[0] if ends else n
-        class_of: dict[tuple[int, int, int, bool], int] = {}
+        class_of: dict[tuple[Op, int, int, bool], int] = {}
         classes: list[PlanClass] = []
         index: list[int] = []
         append = index.append
@@ -622,7 +584,7 @@ class PipelineParallel(PartitionStrategy):
                 stage += 1
                 close = ends[stage] if stage < len(ends) else n
             send = position == close - 1 and close < n
-            key = (id(op), repeat, stage, send)
+            key = (op, repeat, stage, send)
             cls = class_of.get(key)
             if cls is None:
                 ops: list[Op | None] = [None] * world

@@ -16,9 +16,9 @@ sharded 8 ways, or a batch-1 op under data parallelism).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import replace
 
+from repro.ir.interned import IdentityEnum
 from repro.ir.ops import (
     Conv2d,
     Conv3d,
@@ -35,7 +35,7 @@ from repro.ir.ops import (
 )
 
 
-class ShardRole(enum.Enum):
+class ShardRole(IdentityEnum):
     """How one trace event is split across a tensor-parallel group."""
 
     COLUMN = "column"        # weight op, output-feature split (no comm)

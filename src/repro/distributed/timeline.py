@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from repro.distributed.partition import DistributedPlan
 from repro.distributed.registry import MachineSpec
+from repro.ir.ops import Op
 from repro.kernels.base import DEFAULT_TUNING, TuningConstants
 from repro.kernels.estimator import CostEstimator
 
@@ -154,13 +155,13 @@ def price_classes(
     unsharded op on the GPU that profiled it prices to its profiled
     float.  A rank that idles reads ``None``, as does a class with no
     collective.  Shard ops are shared between classes, so kernel times
-    are memoized per op object.
+    are memoized per op.
     """
     estimator = CostEstimator(machine.gpu, tuning)
     comm_model = machine.topology.cost_model(
         2 if plan.kind == "pipeline" else plan.world
     )
-    op_time: dict[int, float] = {}
+    op_time: dict[Op, float] = {}
     times: list[tuple[float | None, ...]] = []
     comms: list[float | None] = []
     for _, ops, comm, _, repeat in plan.classes:
@@ -169,9 +170,9 @@ def price_classes(
             if op is None:
                 rank_times.append(None)
                 continue
-            base_s = op_time.get(id(op))
+            base_s = op_time.get(op)
             if base_s is None:
-                base_s = op_time[id(op)] = estimator.estimate(op).time_s
+                base_s = op_time[op] = estimator.estimate(op).time_s
             rank_times.append(base_s * repeat if repeat != 1 else base_s)
         times.append(tuple(rank_times))
         comms.append(

@@ -11,9 +11,9 @@ kernel (the before/after comparison of Figure 6).
 from __future__ import annotations
 
 import contextlib
-import enum
 from typing import TYPE_CHECKING, Iterator
 
+from repro.ir.interned import IdentityEnum
 from repro.ir.ops import Op
 from repro.ir.trace import KernelCost, Trace, TraceEvent
 
@@ -29,11 +29,15 @@ def _check_fold_factor(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
-class AttentionImpl(enum.Enum):
+class AttentionImpl(IdentityEnum):
     """How attention layers lower to kernels."""
 
     BASELINE = "baseline"
     FLASH = "flash"
+
+
+# One small int per (machine token, attention lowering): memo keys hash it.
+_MEMO_TOKENS: dict[tuple, int] = {}
 
 
 class ExecutionContext:
@@ -68,9 +72,10 @@ class ExecutionContext:
         # without a content token (custom test doubles, or caching
         # disabled via REPRO_NO_CACHE) leave memoization off.
         machine = getattr(estimator, "cache_token", None)
-        self.memo_token = (
-            None if machine is None else (machine, attention_impl)
-        )
+        self.memo_token = None
+        if machine is not None:
+            key = (machine, attention_impl)
+            self.memo_token = _MEMO_TOKENS.setdefault(key, len(_MEMO_TOKENS))
 
     # -- module scoping ----------------------------------------------------
 

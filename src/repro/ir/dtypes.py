@@ -9,11 +9,12 @@ precisions from CUDA-core ones.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
+from repro.ir.interned import IdentityEnum, Interned
 
-class DTypeKind(enum.Enum):
+
+class DTypeKind(IdentityEnum):
     """Coarse numeric family of a dtype."""
 
     FLOAT = "float"
@@ -22,7 +23,7 @@ class DTypeKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DType:
+class DType(metaclass=Interned):
     """A numeric element type.
 
     Attributes:

@@ -41,11 +41,13 @@ class Module:
     :mod:`repro.ir.memo`) instead of re-walking generation loops.
     """
 
+    # Most modules never get a hook: a list is made when one registers.
+    _forward_hooks: list[ForwardHook] | tuple = ()
+    _pre_forward_hooks: list[PreForwardHook] | tuple = ()
+
     def __init__(self, name: str | None = None):
         # Bypass __setattr__ child registration for internal state.
         object.__setattr__(self, "_children", {})
-        object.__setattr__(self, "_forward_hooks", [])
-        object.__setattr__(self, "_pre_forward_hooks", [])
         object.__setattr__(self, "name", name or type(self).__name__)
         # Subgraph memo table: call key -> 1 (seen once) | Segment.
         object.__setattr__(self, "_memo", {})
@@ -102,7 +104,7 @@ class Module:
 
     def register_forward_hook(self, hook: ForwardHook) -> Callable[[], None]:
         """Add a post-forward hook; returns a remover callable."""
-        self._forward_hooks.append(hook)
+        self.__dict__.setdefault("_forward_hooks", []).append(hook)
         _bump_hook_epoch()
 
         def remove() -> None:
@@ -115,7 +117,7 @@ class Module:
         self, hook: PreForwardHook
     ) -> Callable[[], None]:
         """Add a hook that fires before forward; returns a remover."""
-        self._pre_forward_hooks.append(hook)
+        self.__dict__.setdefault("_pre_forward_hooks", []).append(hook)
         _bump_hook_epoch()
 
         def remove() -> None:

@@ -14,14 +14,14 @@ directly against the published bars.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 from repro.ir.dtypes import FP16, DType
+from repro.ir.interned import IdentityEnum, Interned
 
 
-class OpCategory(enum.Enum):
+class OpCategory(IdentityEnum):
     """Operator classes used in the paper's execution-time breakdowns."""
 
     ATTENTION = "attention"
@@ -35,14 +35,14 @@ class OpCategory(enum.Enum):
     OTHER = "other"
 
 
-class AttentionRole(enum.Enum):
+class AttentionRole(IdentityEnum):
     """Whether an attention op attends to the sequence itself or to text."""
 
     SELF = "self"
     CROSS = "cross"
 
 
-class AttentionKind(enum.Enum):
+class AttentionKind(IdentityEnum):
     """Spatial vs temporal attention (Section VI / Figure 10)."""
 
     SPATIAL = "spatial"
@@ -51,7 +51,7 @@ class AttentionKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class AttentionInfo:
+class AttentionInfo(metaclass=Interned):
     """Metadata attached to every kernel emitted by an attention layer.
 
     ``seq_q``/``seq_kv`` feed the sequence-length profiler (Figure 7/8);
@@ -74,7 +74,7 @@ class AttentionInfo:
 
 
 @dataclass(frozen=True)
-class Op:
+class Op(metaclass=Interned):
     """Base class for all operators.
 
     Subclasses implement :meth:`flops`, :meth:`read_bytes` and

@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass, field
 
 from repro.ir.dtypes import FP16, DType
+from repro.ir.interned import Interned
 
 
 @dataclass(frozen=True)
-class TensorSpec:
+class TensorSpec(metaclass=Interned):
     """Shape + dtype description of a tensor flowing between operators.
 
     Attributes:

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernels.estimator import CostEstimator
 
 # Op categories by integer code: per-row totals index a list by code
-# instead of hashing an enum member per row.
+# instead of updating a dict keyed by member.
 CATEGORIES = tuple(OpCategory)
 CATEGORY_CODES = {category: code for code, category in enumerate(CATEGORIES)}
 
@@ -180,13 +180,12 @@ class Trace:
         reads a cost): each row costs ``estimate(op).scaled(repeat)``,
         and the clock advances left to right as ``ExecutionContext``'s
         ``emit`` and ``replay_segment`` advance it.  Each distinct
-        segment, and each op object per fold factor (by id: this trace
-        keeps its ops alive), is priced once.
+        segment, and each op per fold factor, is priced once.
         """
-        costs: dict[tuple[int, int], KernelCost] = {}
+        costs: dict[tuple[Op, int], KernelCost] = {}
 
         def price(op: Op, repeat: int) -> KernelCost:
-            key = (id(op), repeat)
+            key = (op, repeat)
             if key not in costs:
                 costs[key] = estimator.estimate(op).scaled(repeat)
             return costs[key]

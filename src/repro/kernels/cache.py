@@ -127,6 +127,10 @@ class KernelCostCache:
         """Record a hit served from a bucket reference (fast path)."""
         self._hits += 1
 
+    def count_miss(self) -> None:
+        """Record a miss priced into a bucket reference (fast path)."""
+        self._misses += 1
+
     # -- invalidation ------------------------------------------------------
 
     def invalidate_machine(self, name: str) -> int:

@@ -61,8 +61,8 @@ class CostEstimator:
             # call in the simulator and runs a few hundred thousand
             # times per experiment sweep.
             self._bucket = GLOBAL_COST_CACHE.bucket(self.cache_token)
-            self._get_or_compute = GLOBAL_COST_CACHE.get_or_compute
             self._count_hit = GLOBAL_COST_CACHE.count_hit
+            self._count_miss = GLOBAL_COST_CACHE.count_miss
 
     def compute_estimate(self, op: Op) -> KernelCost:
         """Price one operator launch via its kernel model (uncached)."""
@@ -86,10 +86,10 @@ class CostEstimator:
             return self.compute_estimate(op)
         cost = self._bucket.get(op)
         if cost is None:
-            return self._get_or_compute(
-                self.cache_token, op, self.compute_estimate
-            )
-        self._count_hit()
+            cost = self._bucket[op] = self.compute_estimate(op)
+            self._count_miss()
+        else:
+            self._count_hit()
         return cost
 
     def cache_size(self) -> int:

@@ -327,6 +327,7 @@ class Telemetry:
             self._emit(makespan_s)
         self._makespan = makespan_s
         self._finished = True
+        self._sampler = None  # a bound method: it holds the engine state
 
     def _emit(self, t: float) -> None:
         self._sample_times.append(t)

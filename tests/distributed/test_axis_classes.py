@@ -103,11 +103,13 @@ class TestSharedOpClasses:
         assert table.index == (0, 1, 2, 3)
 
     def test_equal_op_copies_share_a_class(self):
+        # Ops are interned: an equal copy is the same object, and both
+        # events fall in one class.
         ctx = ExecutionContext()
         op = Gemm("g", m=64, n=64, k=64)
+        assert dataclasses.replace(op) is op
         ctx.emit(op)
         ctx.emit(dataclasses.replace(op))
-        assert ctx.trace.events[0].op is not ctx.trace.events[1].op
         assert trace_classes(ctx.trace).index == (0, 0)
 
     @pytest.mark.parametrize("tp", TP_DEGREES)

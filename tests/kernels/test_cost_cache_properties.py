@@ -10,16 +10,19 @@ contracts:
 * **No aliasing across machines** — any change to a priced GPU-spec
   field produces a different machine token, so a mutated machine can
   never be served a cost computed for the original (and vice versa).
+
+It also checks that every priced kernel stays under its machine's roof.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hw.spec import A100_80GB, H100_80GB, GPUSpec
+from repro.hw.spec import A100_80GB, H100_80GB, PRESETS, GPUSpec
 from repro.ir.dtypes import BF16, FP8, FP16, FP32
 from repro.ir.ops import Conv2d, Elementwise, Gemm, LayerNorm, Softmax
 from repro.kernels.cache import (
@@ -196,3 +199,21 @@ def test_registry_replacement_invalidates_costs():
         assert not GLOBAL_COST_CACHE.bucket(estimator.cache_token)
     finally:
         register_machine(original, replace=True)
+
+
+@pytest.mark.parametrize("gpu", PRESETS.values(), ids=PRESETS)
+@given(op=ops)
+@settings(max_examples=100, deadline=None)
+def test_priced_kernels_stay_under_the_roof(gpu, op):
+    """No kernel runs faster than its machine allows: its time covers
+    its FLOPs at the fastest peak for its dtype and its bytes at the
+    fastest residence level's bandwidth."""
+    cost = CostEstimator(gpu).estimate(op)
+    peak = max(gpu.peak_flops_for(op.dtype), gpu.vector_flops)
+    bandwidth = max(
+        gpu.l1_per_sm.bandwidth_bytes_per_s,
+        gpu.l2.bandwidth_bytes_per_s,
+        gpu.dram_bandwidth,
+    )
+    assert cost.time_s >= cost.flops / peak
+    assert cost.time_s >= cost.moved_bytes / bandwidth

@@ -1,10 +1,12 @@
 """Collector lifecycle, configuration guards and derived views."""
 
+import gc
 import math
 
 import pytest
 
 from repro.obs import Telemetry
+from repro.serving.columnar import _ColumnarState
 
 
 class TestConstruction:
@@ -95,3 +97,21 @@ class TestDerivedViews:
         for span in hedged:
             # The losing copy settles with a cancel in the same span.
             assert span.all("cancel") or span.state != "complete"
+
+
+def test_a_finished_run_leaves_no_engine_state_alive(instrumented_runner):
+    """The collector outlives the run but holds no reference back into
+    the engine: with the cyclic collector off, the engine state is
+    freed as soon as the run returns."""
+    gc.collect()
+    gc.disable()
+    try:
+        telemetry = Telemetry(sample_interval_s=5.0)
+        instrumented_runner(telemetry)
+        states = [
+            obj for obj in gc.get_objects() if type(obj) is _ColumnarState
+        ]
+    finally:
+        gc.enable()
+    assert states == []
+    assert telemetry.log().makespan_s > 0.0
