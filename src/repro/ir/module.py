@@ -13,6 +13,7 @@ operators via ``ctx.emit`` or call child modules.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Iterator
 
 from repro.ir.memo import Segment, capture_segment
@@ -24,6 +25,9 @@ PreForwardHook = Callable[["Module", "Any", tuple], None]
 # cache their subtree-hook scan against it so the memoization fast path
 # does not walk the tree on every call.
 _hook_epoch = 0
+# The live modules holding a hook; while it is empty no subtree has one,
+# so a scan needs no walk.
+_hooked_modules: "weakref.WeakSet[Module]" = weakref.WeakSet()
 
 
 def _bump_hook_epoch() -> None:
@@ -104,24 +108,23 @@ class Module:
 
     def register_forward_hook(self, hook: ForwardHook) -> Callable[[], None]:
         """Add a post-forward hook; returns a remover callable."""
-        self.__dict__.setdefault("_forward_hooks", []).append(hook)
-        _bump_hook_epoch()
-
-        def remove() -> None:
-            self._forward_hooks.remove(hook)
-            _bump_hook_epoch()
-
-        return remove
+        return self._register_hook("_forward_hooks", hook)
 
     def register_pre_forward_hook(
         self, hook: PreForwardHook
     ) -> Callable[[], None]:
         """Add a hook that fires before forward; returns a remover."""
-        self.__dict__.setdefault("_pre_forward_hooks", []).append(hook)
+        return self._register_hook("_pre_forward_hooks", hook)
+
+    def _register_hook(self, kind: str, hook: Callable) -> Callable[[], None]:
+        self.__dict__.setdefault(kind, []).append(hook)
+        _hooked_modules.add(self)
         _bump_hook_epoch()
 
         def remove() -> None:
-            self._pre_forward_hooks.remove(hook)
+            getattr(self, kind).remove(hook)
+            if not (self._forward_hooks or self._pre_forward_hooks):
+                _hooked_modules.discard(self)
             _bump_hook_epoch()
 
         return remove
@@ -131,13 +134,13 @@ class Module:
 
         Hooked subtrees must really execute (the hooks are the point),
         so they are excluded from record/replay.  The scan is cached
-        against the global hook epoch; in hook-free runs it costs one
-        tree walk per module for the whole process lifetime.
+        against the global hook epoch, and walks nothing while no live
+        module holds a hook.
         """
         epoch, hooked = self._hooks_scan
         if epoch == _hook_epoch:
             return hooked
-        hooked = any(
+        hooked = bool(_hooked_modules) and any(
             module._forward_hooks or module._pre_forward_hooks
             for module in self.modules()
         )

@@ -11,10 +11,12 @@ million-request client traces replay in seconds:
   request ``i``'s first attempt, so the entry columns are filled once
   and only hedge copies append; a completion keeps its entry id, and
   the report gathers its request, attempts and queued-since from the
-  entry columns.  numpy handles ingestion (stable argsort of arrivals,
-  model interning) and report assembly (stable sorts, bincounts,
-  gathers); the decision loop runs on scalar list indexing, which
-  beats numpy scalar access for this access pattern.
+  entry columns.  A pool queues its entries in one FIFO per model and
+  keeps their count, so a batch is popped off its model's FIFO.  numpy
+  handles ingestion (stable argsort of arrivals, model interning) and
+  report assembly (stable sorts, bincounts, gathers); the decision
+  loop runs on scalar list indexing, which beats numpy scalar access
+  for this access pattern.
 * **No heap traffic for arrivals.**  Arrivals are a pre-sorted column
   merged against the (much smaller) runtime event heap; they still
   take their place in the global ``(time, seq)`` event order, so
@@ -34,9 +36,11 @@ for bit.  All times are **seconds** of simulation time.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import insort
+from collections import deque
+from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -68,20 +72,29 @@ _ACTIVATE, _TICK, _HEDGE, _PROBE, _BROWNOUT = 5, 6, 7, 8, 9
 _CORDON, _UNCORDON, _MARKER = 10, 11, 12
 
 
+def _load(pool: "_ColPool") -> float:
+    """Queued plus busy entries per active server (routing, admission)."""
+    return (pool.queued + pool.busy_count) / (pool.active_count or 1)
+
+
 class _ColPool:
     """Mutable per-pool engine state."""
 
     __slots__ = (
-        "spec", "index", "queue", "sid0", "nserv", "last_scale_at",
-        "peak_servers", "pending_activations", "rung",
+        "spec", "index", "fifos", "queued", "sid0", "nserv",
+        "last_scale_at", "peak_servers", "pending_activations", "rung",
         "last_rung_change", "active_count", "busy_count", "free_heap",
         "policy_mode", "spec_fns", "rung_fns", "max_batch",
     )
 
-    def __init__(self, spec: PoolSpec, index: int, sid0: int):
+    def __init__(
+        self, spec: PoolSpec, index: int, sid0: int, models: int
+    ):
         self.spec = spec
         self.index = index
-        self.queue: list[int] = []
+        # Queued entry ids, one FIFO per model id, and their total.
+        self.fifos = [deque() for _ in range(models)]
+        self.queued = 0
         self.sid0 = sid0
         self.nserv = spec.servers + spec.standby_servers
         self.last_scale_at = float("-inf")
@@ -164,7 +177,7 @@ class _ColumnarState:
 
         sid = 0
         for pidx, spec in enumerate(pools):
-            pool = _ColPool(spec, pidx, sid)
+            pool = _ColPool(spec, pidx, sid, len(self.models))
             for model, fn in spec.latency_fns.items():
                 mid = model_index.get(model)
                 if mid is not None:
@@ -183,7 +196,7 @@ class _ColumnarState:
                     self.s_activated_at[sid] = 0.0
                     pool.free_heap.append(sid)
                 sid += 1
-            heapq.heapify(pool.free_heap)
+            heapify(pool.free_heap)
             self.pools.append(pool)
         self.nserv_total = nserv_total
 
@@ -214,13 +227,16 @@ class _ColumnarState:
 
         # Entry SoA.  Entry ``i < n`` is request ``i``'s first attempt,
         # queued since its arrival; retries reuse their entry, and only
-        # hedge copies append (``_on_hedge``).
+        # hedge copies append (``_on_hedge``).  ``e_stamp`` is 0 unless
+        # the entry is queued, else its place in queue order: a stamp
+        # drawn on every placement, so a pending timeout of an older
+        # placement reads a different one.
         n = len(self.r_arrival)
         self.e_req = list(range(n))
         self.e_attempts = [1] * n
         self.e_queued_since = list(self.r_arrival)
-        self.e_in_queue = bytearray(n)
-        self.e_token = [0] * n
+        self.e_stamp = [0] * n
+        self.stamps = count(1)
         self.e_pool = [-1] * n
         self.e_twin = [-1] * n
         self.e_is_hedge = bytearray(n)
@@ -249,12 +265,19 @@ class _ColumnarState:
 
         self.last_arrival = 0.0
         admission = resilience.admission
+        self.admission = admission
         self.bucket_tokens = (
             admission.burst if admission is not None else 0.0
         )
         self.bucket_last = 0.0
+        # Wait budget per model id (``None`` = no cap).
+        self.wait_budgets = [
+            admission.budget_for(name) if admission is not None else None
+            for name in self.models
+        ]
         # Hedging: per-model latency samples kept *sorted* (insort) so
         # the running quantile never re-sorts a growing list.
+        self.hedging = resilience.hedge is not None
         self.samples_sorted: list[list[float]] = [
             [] for _ in self.models
         ]
@@ -262,9 +285,6 @@ class _ColumnarState:
         self.hedge_wins = 0
         self.hedge_wasted_s = 0.0
         ladder = resilience.brownout
-        self.rung_completions = [0] * (
-            1 + (len(ladder.rungs) if ladder is not None else 0)
-        )
         self.rung_quality = (1.0,) + tuple(
             rung.quality for rung in ladder.rungs
         ) if ladder is not None else (1.0,)
@@ -274,7 +294,7 @@ class _ColumnarState:
 
     def _push(self, time: float, kind: int, payload: object) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
+        heappush(self.heap, (time, self.seq, kind, payload))
 
     def _sid_free(self, sid: int) -> bool:
         state = self.b_state[sid]  # stays 0 (closed) without a breaker
@@ -285,7 +305,7 @@ class _ColumnarState:
         )
 
     def _mark_maybe_free(self, sid: int) -> None:
-        heapq.heappush(self.pools[self.s_pool[sid]].free_heap, sid)
+        heappush(self.pools[self.s_pool[sid]].free_heap, sid)
 
     # -- run loop ------------------------------------------------------
 
@@ -303,9 +323,6 @@ class _ColumnarState:
         else:
             arr_times = []
             order_list = []
-        # Arrivals own seqs 1..n in input order (the tie-break at equal
-        # times); reserve them without pushing.
-        self.seq = n
         for crash in self.faults.crashes:
             if crash.server < self.nserv_total:
                 self._push(
@@ -345,46 +362,34 @@ class _ColumnarState:
             self._on_brownout, self._on_cordon, self._on_uncordon,
             self._on_marker,
         )
-        ai = 0
-        pop = heapq.heappop
         enqueue = self._enqueue
-        hedge = self.res.hedge
+        hedging = self.hedging
         e_done = self.e_done
         r_model = self.r_model
-        while True:
-            if ai < n:
-                at = arr_times[ai]
-                if heap:
-                    head = heap[0]
-                    ht = head[0]
-                    if ht < at or (
-                        ht == at and head[1] < order_list[ai] + 1
-                    ):
-                        now, _, kind, payload = pop(heap)
-                        if tel is not None:
-                            tel.advance(now)
-                        handlers[kind](now, payload)
-                        continue
-                # An arrival: request ``ridx`` enters as entry ``ridx``.
-                ridx = order_list[ai]
-                ai += 1
-                if tel is not None:
-                    tel.advance(at)
-                    tel.record_submit(
-                        self.r_rid[ridx], self.models[r_model[ridx]], at
-                    )
-                enqueue(at, ridx)
-                if hedge is not None and not e_done[ridx]:
-                    delay = self._hedge_delay(r_model[ridx])
-                    if delay is not None:
-                        self._push(at + delay, _HEDGE, ridx)
-            elif heap:
-                now, _, kind, payload = pop(heap)
+        # An arrival goes before every heap event at its time (and
+        # arrivals at one time in input order: the sort is stable).
+        for at, ridx in zip(arr_times, order_list):
+            while heap and heap[0][0] < at:
+                now, _, kind, payload = heappop(heap)
                 if tel is not None:
                     tel.advance(now)
                 handlers[kind](now, payload)
-            else:
-                break
+            # An arrival: request ``ridx`` enters as entry ``ridx``.
+            if tel is not None:
+                tel.advance(at)
+                tel.record_submit(
+                    self.r_rid[ridx], self.models[r_model[ridx]], at
+                )
+            enqueue(at, ridx)
+            if hedging and not e_done[ridx]:
+                delay = self._hedge_delay(r_model[ridx])
+                if delay is not None:
+                    self._push(at + delay, _HEDGE, ridx)
+        while heap:
+            now, _, kind, payload = heappop(heap)
+            if tel is not None:
+                tel.advance(now)
+            handlers[kind](now, payload)
         return self._build_report(offered)
 
     def _sample_gauges(self) -> list[tuple]:
@@ -401,7 +406,7 @@ class _ColumnarState:
                     if b_state[sid] == 1
                 )
             rows.append((
-                len(pool.queue),
+                pool.queued,
                 pool.busy_count,
                 pool.active_count,
                 pool.rung,
@@ -427,25 +432,17 @@ class _ColumnarState:
         self.s_busy_s[sid] += duration
         rung = self.s_batch_rung[sid]
         pool = self.pools[self.s_pool[sid]]
-        hedging = self.res.hedge is not None
         tel = self.tel
-        e_cancelled = self.e_cancelled
-        e_done = self.e_done
-        e_twin = self.e_twin
-        e_req = self.e_req
-        completed = 0
         for eid in batch:
-            if e_cancelled[eid]:
+            if self.e_cancelled[eid]:
                 self.hedge_wasted_s += duration / len(batch)
                 continue
-            e_done[eid] = 1
-            completed += 1
-            twin = e_twin[eid]
+            self.e_done[eid] = 1
             if tel is not None:
                 tel.record_complete(
-                    self.r_rid[e_req[eid]], now, pool.spec.name, sid,
-                    self.e_attempts[eid], rung,
-                    hedged=twin != -1,
+                    self.r_rid[self.e_req[eid]], now, pool.spec.name,
+                    sid, self.e_attempts[eid], rung,
+                    hedged=self.e_twin[eid] != -1,
                     win=self.e_is_hedge[eid],
                 )
             self.c_eid.append(eid)
@@ -453,24 +450,25 @@ class _ColumnarState:
             self.c_start.append(start)
             self.c_finish.append(now)
             self.c_rung.append(rung)
-            if twin != -1:
-                if self.e_is_hedge[eid]:
-                    self.hedge_wins += 1
-                self._cancel(twin, now)
-            if hedging:
-                ridx = e_req[eid]
+            if self.hedging:  # only hedging makes twins
+                twin = self.e_twin[eid]
+                if twin != -1:
+                    if self.e_is_hedge[eid]:
+                        self.hedge_wins += 1
+                    self._cancel(twin, now)
+                ridx = self.e_req[eid]
                 insort(
                     self.samples_sorted[self.r_model[ridx]],
                     now - self.r_arrival[ridx],
                 )
-        self.rung_completions[rung] += completed
         if self.use_breaker:
             self._observe_batch(sid, now, duration)
         self.s_last_model[sid] = self.s_batch_model[sid]
         self.s_batch[sid] = None
         pool.busy_count -= 1
-        heapq.heappush(pool.free_heap, sid)
-        self._dispatch(pool, now)
+        heappush(pool.free_heap, sid)
+        if pool.queued:
+            self._dispatch(pool, now)
 
     def _on_crash(self, now: float, payload) -> None:
         sid, recover_s = payload
@@ -515,11 +513,10 @@ class _ColumnarState:
         self._dispatch(self.pools[self.s_pool[sid]], now)
 
     def _on_timeout(self, now: float, payload) -> None:
-        eid, pidx, token = payload
-        if not self.e_in_queue[eid] or self.e_token[eid] != token:
-            return
-        self.pools[pidx].queue.remove(eid)
-        self.e_in_queue[eid] = 0
+        eid, pidx, stamp = payload
+        if self.e_stamp[eid] != stamp:
+            return  # dispatched, cancelled or queued again since
+        self._unqueue(eid)
         self._retry_or_fail(now, eid, reason=_R_TIMEOUT, pool=pidx)
 
     def _on_activate(self, now: float, sid: int) -> None:
@@ -542,7 +539,7 @@ class _ColumnarState:
         for pool in self.pools:
             if now - pool.last_scale_at < config.cooldown_s:
                 continue
-            backlog = len(pool.queue) / max(1, pool.active_count)
+            backlog = pool.queued / max(1, pool.active_count)
             scalable = pool.active_count + pool.pending_activations
             if (
                 backlog >= config.scale_up_backlog
@@ -589,7 +586,7 @@ class _ColumnarState:
                         self.s_activated_at[idle] = None
                     pool.last_scale_at = now
         pending = (
-            any(pool.queue for pool in self.pools)
+            any(pool.queued for pool in self.pools)
             or any(pool.busy_count for pool in self.pools)
             or any(pool.pending_activations for pool in self.pools)
             or now < self.last_arrival
@@ -640,22 +637,12 @@ class _ColumnarState:
             or self.e_twin[eid] != -1
         ):
             return
-        # The hedge goes to a different pool when one is eligible.
-        eligible = self.route_pools[self.r_model[self.e_req[eid]]]
-        home = self.e_pool[eid]
-        pool = self._least_loaded(
-            [other for other in eligible if other.index != home]
-            or eligible
-        )
-        if pool is None:
-            return
         # The copy is a new entry, appended after the first attempts.
         copy = len(self.e_req)
         self.e_req.append(self.e_req[eid])
         self.e_attempts.append(self.e_attempts[eid])
         self.e_queued_since.append(now)
-        self.e_in_queue.append(0)
-        self.e_token.append(0)
+        self.e_stamp.append(0)
         self.e_pool.append(-1)
         self.e_twin.append(eid)
         self.e_is_hedge.append(1)
@@ -663,11 +650,15 @@ class _ColumnarState:
         self.e_done.append(0)
         self.e_twin[eid] = copy
         self.hedges_launched += 1
-        if self.tel is not None:
-            self.tel.record_hedge(
-                self.r_rid[self.e_req[eid]], now, pool.spec.name
-            )
-        self._place(now, copy, pool)
+        # The hedge goes to a different pool when one is eligible (the
+        # first attempt was routed, so one is).
+        eligible = self.route_pools[self.r_model[self.e_req[eid]]]
+        home = self.e_pool[eid]
+        self._enqueue(
+            now, copy,
+            [other for other in eligible if other.index != home]
+            or eligible,
+        )
 
     def _on_probe(self, now: float, sid: int) -> None:
         # A probe is pushed only as its breaker opens, at the end of
@@ -688,7 +679,7 @@ class _ColumnarState:
     def _on_brownout(self, now: float, _payload: None) -> None:
         config = self.res.brownout
         for pool in self.pools:
-            backlog = len(pool.queue) / max(1, pool.active_count)
+            backlog = pool.queued / max(1, pool.active_count)
             if now - pool.last_rung_change < config.dwell_s:
                 continue
             if (
@@ -711,7 +702,7 @@ class _ColumnarState:
                         now, pool.spec.name, pool.rung, -1
                     )
         pending = (
-            any(pool.queue for pool in self.pools)
+            any(pool.queued for pool in self.pools)
             or any(pool.busy_count for pool in self.pools)
             or any(pool.rung > 0 for pool in self.pools)
             or now < self.last_arrival
@@ -721,94 +712,98 @@ class _ColumnarState:
 
     # -- mechanics -----------------------------------------------------
 
-    def _load(self, pool: _ColPool) -> float:
-        return (
-            (len(pool.queue) + pool.busy_count)
-            / max(1, pool.active_count)
-        )
+    def _enqueue(
+        self, now: float, eid: int,
+        hedge_pools: list[_ColPool] | None = None,
+    ) -> None:
+        """Route entry ``eid``, admit it, queue it and dispatch its pool.
 
-    def _least_loaded(self, pools: list[_ColPool]) -> _ColPool | None:
-        """The first pool with the lowest load (``None`` if empty)."""
-        if not pools:
-            return None
-        best = pools[0]
+        The entry joins the first eligible pool with the lowest load
+        (queued plus busy entries per active server).  A hedge copy
+        being launched passes its candidate ``hedge_pools`` and skips
+        admission control.
+        """
+        mid = self.r_model[self.e_req[eid]]
+        admission = self.admission
+        if hedge_pools is None:
+            pools = self.route_pools[mid]
+            if (
+                admission is not None
+                and admission.rate_per_s is not None
+                and self.e_attempts[eid] == 1
+                and not self._bucket_admits(now)
+            ):
+                self._shed(now, eid, reason=_R_SHED_RATE, pool=-1)
+                return
+        else:
+            pools = hedge_pools
+            admission = None
         if len(pools) == 1:
-            return best
-        best_load = self._load(best)
-        for pool in pools[1:]:
-            load = self._load(pool)
-            if load < best_load:
-                best = pool
-                best_load = load
-        return best
-
-    def _enqueue(self, now: float, eid: int) -> None:
-        admission = self.res.admission
-        ridx = self.e_req[eid]
-        if (
-            admission is not None
-            and admission.rate_per_s is not None
-            and self.e_attempts[eid] == 1
-            and not self._bucket_admits(now)
-        ):
-            self._shed(now, eid, reason=_R_SHED_RATE, pool=-1)
-            return
-        mid = self.r_model[ridx]
-        pool = self._least_loaded(self.route_pools[mid])
+            pool = pools[0]
+        else:
+            pool = None
+            for other in pools:
+                load = _load(other)
+                if pool is None or load < least:
+                    pool = other
+                    least = load
         if pool is None:
-            self.f_req.append(ridx)
+            self.e_done[eid] = 1
+            self.f_req.append(self.e_req[eid])
             self.f_pool.append(-1)
             self.f_attempts.append(self.e_attempts[eid])
             self.f_reason.append(_R_UNROUTABLE)
             self.f_at.append(now)
-            self.e_done[eid] = 1
             if self.tel is not None:
                 self.tel.record_fail(
-                    self.r_rid[ridx], now, "", "unroutable",
+                    self.r_rid[self.e_req[eid]], now, "", "unroutable",
                     self.e_attempts[eid],
                 )
             return
         if admission is not None:
             if (
                 admission.max_queue_depth is not None
-                and len(pool.queue) >= admission.max_queue_depth
+                and pool.queued >= admission.max_queue_depth
             ):
                 self._shed(
                     now, eid, reason=_R_SHED_DEPTH, pool=pool.index
                 )
                 return
-            budget = admission.budget_for(self.models[mid])
+            budget = self.wait_budgets[mid]
             if budget is not None:
-                estimate = self._load(pool) * self._latency(
-                    pool, mid, self._rung_for(pool, mid), 1
-                )
-                if estimate > budget:
+                rung = pool.rung
+                if rung and mid not in pool.rung_fns[rung - 1]:
+                    rung = 0
+                nominal = self.latency_memo.get((pool.index, mid, rung, 1))
+                if nominal is None:
+                    nominal = self._price(pool, mid, rung, 1)
+                if _load(pool) * nominal > budget:
                     self._shed(
                         now, eid, reason=_R_SHED_WAIT, pool=pool.index
                     )
                     return
-        self._place(now, eid, pool)
-
-    def _place(self, now: float, eid: int, pool: _ColPool) -> None:
-        self.e_in_queue[eid] = 1
+        self.e_stamp[eid] = next(self.stamps)
         self.e_pool[eid] = pool.index
-        pool.queue.append(eid)
+        pool.fifos[mid].append(eid)
+        pool.queued += 1
         if self.tel is not None:
+            rid = self.r_rid[self.e_req[eid]]
+            if hedge_pools is not None:
+                self.tel.record_hedge(rid, now, pool.spec.name)
             self.tel.record_admit(
-                self.r_rid[self.e_req[eid]], now, pool.spec.name,
-                self.e_attempts[eid], self.e_is_hedge[eid],
+                rid, now, pool.spec.name, self.e_attempts[eid],
+                self.e_is_hedge[eid],
             )
         if self.timeout_s is not None:
-            # Only timeouts read the token: a re-queue makes older stale.
-            self.e_token[eid] += 1
             self._push(
                 now + self.timeout_s, _TIMEOUT,
-                (eid, pool.index, self.e_token[eid]),
+                (eid, pool.index, self.e_stamp[eid]),
             )
-        self._dispatch(pool, now)
+        if pool.free_heap:
+            self._dispatch(pool, now)
 
     def _bucket_admits(self, now: float) -> bool:
-        admission = self.res.admission
+        admission = self.admission
         self.bucket_tokens = min(
             admission.burst,
             self.bucket_tokens
@@ -853,13 +848,17 @@ class _ColumnarState:
 
     def _cancel(self, eid: int, now: float) -> None:
         self.e_cancelled[eid] = 1
-        if self.e_in_queue[eid]:
-            self.e_in_queue[eid] = 0
-            pidx = self.e_pool[eid]
-            if pidx != -1:
-                self.pools[pidx].queue.remove(eid)
+        if self.e_stamp[eid]:
+            self._unqueue(eid)
         if self.tel is not None:
             self.tel.record_cancel(self.r_rid[self.e_req[eid]], now)
+
+    def _unqueue(self, eid: int) -> None:
+        """Take queued entry ``eid`` out of its pool's FIFO."""
+        pool = self.pools[self.e_pool[eid]]
+        pool.fifos[self.r_model[self.e_req[eid]]].remove(eid)
+        pool.queued -= 1
+        self.e_stamp[eid] = 0
 
     def _hedge_delay(self, mid: int) -> float | None:
         config = self.res.hedge
@@ -877,31 +876,20 @@ class _ColumnarState:
         )
         return ordered[index]
 
-    def _rung_for(self, pool: _ColPool, mid: int) -> int:
-        if pool.rung > 0 and mid in pool.rung_fns[pool.rung - 1]:
-            return pool.rung
-        return 0
-
-    def _latency(
+    def _price(
         self, pool: _ColPool, mid: int, rung: int, size: int
     ) -> float:
-        key = (pool.index, mid, rung, size)
-        value = self.latency_memo.get(key)
-        if value is None:
-            fn = (
-                pool.rung_fns[rung - 1][mid] if rung > 0
-                else pool.spec_fns[mid]
+        """Price a batch missing from ``latency_memo`` and memoize it."""
+        fn = pool.rung_fns[rung - 1][mid] if rung > 0 else pool.spec_fns[mid]
+        value = fn(size)
+        # ``nan < 0`` is False: check finiteness explicitly.
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(
+                f"pool {pool.spec.name!r}, model {self.models[mid]!r}, "
+                f"rung {rung}, batch size {size}: batch latency must be "
+                f"finite and non-negative, got {value!r}"
             )
-            value = fn(size)
-            # ``nan < 0`` is False: check finiteness explicitly.
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(
-                    f"pool {pool.spec.name!r}, model "
-                    f"{self.models[mid]!r}, rung {rung}, batch size "
-                    f"{size}: batch latency must be finite and "
-                    f"non-negative, got {value!r}"
-                )
-            self.latency_memo[key] = value
+        self.latency_memo[pool.index, mid, rung, size] = value
         return value
 
     def _observe_batch(
@@ -988,123 +976,107 @@ class _ColumnarState:
             )
         self._push(now + backoff, _RETRY, eid)
 
-    def _select_indices(
-        self, pool: _ColPool, sid: int
-    ) -> tuple[list[int], int]:
-        """Pick batch queue positions; returns ``(positions, model)``.
-
-        Implements :data:`repro.serving.fleet.SCHEDULING_POLICIES`;
-        never empty, as the chosen model always has a queued request.
-        """
-        queue = pool.queue
-        mode = pool.policy_mode
-        r_model = self.r_model
-        e_req = self.e_req
-        if mode == 2:
-            last = self.s_last_model[sid]
-            if last != -1:
-                picked = self._same_model(pool, last)
-                if picked:
-                    return picked, last
-        if mode == 1:
-            r_service = self.r_service
-            queued_since = self.e_queued_since
-            best = 0
-            ridx = e_req[queue[0]]
-            best_key = (r_service[ridx], queued_since[queue[0]])
-            for pos in range(1, len(queue)):
-                eid = queue[pos]
-                key = (r_service[e_req[eid]], queued_since[eid])
-                if key < best_key:
-                    best = pos
-                    best_key = key
-            mid = r_model[e_req[queue[best]]]
-        else:
-            mid = r_model[e_req[queue[0]]]
-        return self._same_model(pool, mid), mid
-
-    def _same_model(self, pool: _ColPool, mid: int) -> list[int]:
-        """FIFO same-model pick, one slot per request id (hedge dedup)."""
-        picked: list[int] = []
-        seen: set[int] = set()
-        max_batch = pool.max_batch
-        r_model = self.r_model
-        r_rid = self.r_rid
-        e_req = self.e_req
-        for pos, eid in enumerate(pool.queue):
-            if len(picked) == max_batch:
-                break
-            ridx = e_req[eid]
-            if r_model[ridx] != mid:
-                continue
-            rid = r_rid[ridx]
-            if rid in seen:
-                continue
-            seen.add(rid)
-            picked.append(pos)
-        return picked
-
     def _dispatch(self, pool: _ColPool, now: float) -> None:
-        queue = pool.queue
-        if not queue:
-            return
+        """Launch batches on the pool's free servers while it queues.
+
+        The pool's policy (:data:`repro.serving.fleet.SCHEDULING_POLICIES`)
+        picks a model; the batch is the first ``max_batch`` entries of
+        that model's FIFO, one per request: a hedge copy queued behind
+        its twin keeps its place.
+        """
         free_heap = pool.free_heap
-        s_alive = self.s_alive
-        s_active = self.s_active
-        s_batch = self.s_batch
-        b_state = self.b_state
-        b_probe = self.b_probe
-        in_queue = self.e_in_queue
-        tel = self.tel
-        while queue:
+        fifos = pool.fifos
+        e_stamp = self.e_stamp
+        e_req = self.e_req
+        while pool.queued:
             while free_heap:  # pop until one passes ``_sid_free``'s test
-                sid = heapq.heappop(free_heap)
+                sid = heappop(free_heap)
+                state = self.b_state[sid]
                 if (
-                    s_alive[sid] and s_active[sid] and s_batch[sid] is None
-                    and (b_state[sid] == 0
-                         or (b_state[sid] == 2 and not b_probe[sid]))
+                    self.s_alive[sid] and self.s_active[sid]
+                    and self.s_batch[sid] is None
+                    and (state == 0 or (state == 2 and not self.b_probe[sid]))
                 ):
                     break
             else:
                 return
-            indices, mid = self._select_indices(pool, sid)
-            batch = [queue.pop(pos) for pos in reversed(indices)]
-            batch.reverse()
-            for eid in batch:
-                in_queue[eid] = 0
-            rung = self._rung_for(pool, mid)
-            nominal = self._latency(pool, mid, rung, len(batch))
-            factor = 1.0
-            if self.has_stragglers:
-                windows = self.straggler_by_sid.get(sid)
-                if windows is not None:
-                    for at, until, slowdown in windows:
-                        if at <= now < until:
-                            factor = slowdown
-                            break
-            latency = nominal * factor
             last = self.s_last_model[sid]
-            if last != -1 and last != mid:
+            mode = pool.policy_mode
+            if mode == 2 and last != -1 and fifos[last]:
+                mid = last
+            elif mode == 1:
+                # The shortest service time, ties to the oldest entry.
+                r_service = self.r_service
+                queued_since = self.e_queued_since
+                best = None
+                for fifo in fifos:
+                    for eid in fifo:
+                        key = (
+                            r_service[e_req[eid]], queued_since[eid],
+                            e_stamp[eid],
+                        )
+                        if best is None or key < best:
+                            best = key
+                            head = eid
+                mid = self.r_model[e_req[head]]
+            else:
+                # The oldest queued entry's model: the lowest stamp.
+                head = -1
+                for fifo in fifos:
+                    if fifo and (
+                        head == -1 or e_stamp[fifo[0]] < e_stamp[head]
+                    ):
+                        head = fifo[0]
+                mid = self.r_model[e_req[head]]
+            fifo = fifos[mid]
+            eid = fifo.popleft()
+            e_stamp[eid] = 0
+            batch = [eid]
+            if fifo:
+                skipped = []
+                while fifo and len(batch) < pool.max_batch:
+                    eid = fifo.popleft()
+                    if self.e_twin[eid] in batch:
+                        skipped.append(eid)
+                        continue
+                    batch.append(eid)
+                    e_stamp[eid] = 0
+                if skipped:
+                    fifo.extendleft(reversed(skipped))
+            size = len(batch)
+            pool.queued -= size
+            rung = pool.rung
+            if rung and mid not in pool.rung_fns[rung - 1]:
+                rung = 0
+            nominal = self.latency_memo.get((pool.index, mid, rung, size))
+            if nominal is None:
+                nominal = self._price(pool, mid, rung, size)
+            latency = nominal
+            if self.has_stragglers:
+                for at, until, slowdown in self.straggler_by_sid.get(sid, ()):
+                    if at <= now < until:
+                        latency = nominal * slowdown
+                        break
+            if last != mid and last != -1:
                 latency += pool.spec.swap_cost_s
                 nominal += pool.spec.swap_cost_s
                 self.s_swaps[sid] += 1
-            s_batch[sid] = batch
+            self.s_batch[sid] = batch
             self.s_batch_start[sid] = now
             self.s_batch_model[sid] = mid
             self.s_batch_nominal[sid] = nominal
             self.s_batch_rung[sid] = rung
-            if tel is not None:
+            if self.tel is not None:
                 for eid in batch:
-                    tel.record_dispatch(
-                        self.r_rid[self.e_req[eid]], now,
-                        pool.spec.name, sid, len(batch), rung,
-                        self.e_is_hedge[eid],
+                    self.tel.record_dispatch(
+                        self.r_rid[e_req[eid]], now, pool.spec.name, sid,
+                        size, rung, self.e_is_hedge[eid],
                     )
             pool.busy_count += 1
-            if b_state[sid] == 2:
-                b_probe[sid] = 1
+            if state:  # half-open: this batch is its probe
+                self.b_probe[sid] = 1
             self.seq += 1
-            heapq.heappush(self.heap, (
+            heappush(self.heap, (
                 now + latency, self.seq, _FREE,
                 (sid, self.s_generation[sid]),
             ))
@@ -1133,6 +1105,12 @@ class _ColumnarState:
                     breaker_open_s += max(
                         0.0, makespan - self.b_opened_at[sid]
                     )
+        c_finish = np.asarray(self.c_finish, dtype=np.float64)
+        c_order = np.argsort(c_finish, kind="stable")
+        c_eid = np.asarray(self.c_eid, dtype=np.int64)[c_order]
+        c_server = np.asarray(self.c_server, dtype=np.int64)[c_order]
+        c_pool = np.asarray(self.s_pool, dtype=np.int64)[c_server]
+        c_rung = np.asarray(self.c_rung, dtype=np.int64)[c_order]
         stats = ResilienceStats(
             shed=len(self.sh_req),
             hedges_launched=self.hedges_launched,
@@ -1140,16 +1118,11 @@ class _ColumnarState:
             hedge_wasted_s=self.hedge_wasted_s,
             breaker_opens=breaker_opens,
             breaker_open_s=breaker_open_s,
-            rung_completions=tuple(self.rung_completions),
+            rung_completions=tuple(np.bincount(
+                c_rung, minlength=len(self.rung_quality)
+            ).tolist()),
             rung_changes=self.rung_changes,
         )
-
-        c_finish = np.asarray(self.c_finish, dtype=np.float64)
-        c_order = np.argsort(c_finish, kind="stable")
-        c_eid = np.asarray(self.c_eid, dtype=np.int64)[c_order]
-        c_server = np.asarray(self.c_server, dtype=np.int64)[c_order]
-        c_pool = np.asarray(self.s_pool, dtype=np.int64)[c_server]
-        c_rung = np.asarray(self.c_rung, dtype=np.int64)[c_order]
         f_at = np.asarray(self.f_at, dtype=np.float64)
         f_order = np.argsort(f_at, kind="stable")
         sh_at = np.asarray(self.sh_at, dtype=np.float64)

@@ -579,6 +579,17 @@ class FleetReport:
             ) from None
 
 
+def _reject_repeated_ids(request_ids: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the ids that occur more than once."""
+    ids = np.sort(request_ids)
+    repeated = ids[1:][ids[1:] == ids[:-1]]
+    if repeated.size:
+        raise ValueError(
+            f"request_ids must be unique; repeated: "
+            f"{np.unique(repeated)[:5].tolist()}"
+        )
+
+
 def simulate_fleet(
     requests: Sequence[Request] | RequestBatch | "TrafficTrace",
     pools: Sequence[PoolSpec],
@@ -605,7 +616,9 @@ def simulate_fleet(
     ``requests`` is a ``Sequence[Request]``, a columnar
     :class:`repro.serving.workload.RequestBatch`, or a replayable
     :class:`repro.serving.traffic.TrafficTrace` (its ``batch`` is
-    simulated without a copy).
+    simulated without a copy).  Request ids must be unique: hedge
+    de-duplication, retry jitter, telemetry spans and the report's
+    accounting all key on them, so a repeated id raises ``ValueError``.
 
     ``telemetry`` takes a fresh :class:`repro.obs.Telemetry`
     collector; the engine emits request spans, fleet events and metric
@@ -628,8 +641,10 @@ def simulate_fleet(
         raise ValueError("pool names must be unique")
     for spec in pools:
         machine_from_name(spec.machine)  # validate early
+    batch = as_request_batch(requests)
+    _reject_repeated_ids(batch.request_ids)
     state = _ColumnarState(
-        pools, retry, faults, autoscaler, resilience,
-        as_request_batch(requests), telemetry=telemetry, plan=plan,
+        pools, retry, faults, autoscaler, resilience, batch,
+        telemetry=telemetry, plan=plan,
     )
     return state.run()

@@ -6,6 +6,9 @@ The experiment battery also runs once per session (``results``), for
 ``tests/experiments`` and ``tests/golden`` alike.  The uncached battery
 (``uncached_battery``) starts in a subprocess as soon as its test is
 collected, so it runs on a second core beside the in-process tests.
+Every fleet run in the session must pass
+:func:`repro.serving.chaos.check_invariants`
+(``fleet_runs_pass_invariants``).
 
 Also registers the ``--update-golden`` flag used by ``tests/golden``
 to refresh the committed golden JSON files and ``EXPERIMENTS.md``
@@ -75,6 +78,32 @@ def pytest_addoption(parser):
         help="rewrite tests/golden/<experiment>.json and EXPERIMENTS.md "
         "from the current model instead of comparing against them",
     )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def fleet_runs_pass_invariants():
+    """Every fleet run of the session ends with ``check_invariants``.
+
+    The engine's run is wrapped, so each ``simulate_fleet`` call (the
+    in-process battery's included) raises on a violation instead of
+    returning a report that breaks the accounting.
+    """
+    from repro.serving.chaos import check_invariants
+    from repro.serving.columnar import _ColumnarState
+
+    run = _ColumnarState.run
+
+    def checked_run(state):
+        report = run(state)
+        verdict = check_invariants(
+            state.batch, report, brownout=state.res.brownout
+        )
+        assert verdict.ok, verdict.render()
+        return report
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ColumnarState, "run", checked_run)
+        yield
 
 
 @pytest.fixture(scope="session")

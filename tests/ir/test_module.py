@@ -1,11 +1,15 @@
 """Module tree, hooks and parameter-counting tests."""
 
+import gc
+
 import pytest
 
 from repro.ir.context import ExecutionContext
 from repro.ir.module import Module, Sequential
 from repro.ir.ops import Elementwise
 from repro.ir.tensor import TensorSpec, tensor
+from repro.models.registry import build_model
+from repro.profiler import profile_model
 
 
 class Leaf(Module):
@@ -123,6 +127,40 @@ class TestHooks:
             module.register_forward_hook(counting_hook)
         branch(ExecutionContext(), tensor(2))
         assert counts == {"Branch": 1, "left": 1, "right": 1}
+
+    def test_profile_without_hooks_walks_no_subtree(self, monkeypatch):
+        """With no hook registered, a cold profile never scans a
+        module's subtree for one."""
+        gc.collect()  # modules that earlier tests hooked are gone
+        walks = []
+        modules = Module.modules
+
+        def counting_modules(module):
+            walks.append(module.name)
+            return modules(module)
+
+        monkeypatch.setattr(Module, "modules", counting_modules)
+        result = profile_model(build_model("stable_diffusion@256"))
+        assert len(result.trace) > 0
+        assert walks == []
+
+    def test_hook_on_a_child_still_executes_its_parent(self):
+        """A hook registered after a parent's scan reaches the child,
+        and removing it leaves the parent replaying again."""
+        calls = []
+        branch = Branch()
+        ctx = ExecutionContext()
+        for _ in range(3):
+            branch(ctx, tensor(2))
+        remove = branch.left.register_forward_hook(
+            lambda module, ctx, args, output: calls.append(module.name)
+        )
+        branch(ctx, tensor(2))
+        assert calls == ["left"]
+        remove()
+        branch(ctx, tensor(2))
+        assert calls == ["left"]
+        assert not branch._subtree_has_hooks()
 
 
 class TestSequential:

@@ -365,6 +365,26 @@ class TestInvariants:
             "finite_times: makespan inf",
         )
 
+    def test_every_fleet_run_in_the_session_is_checked(self, monkeypatch):
+        """``tests/conftest.py`` checks each engine run: a run whose
+        report breaks an invariant fails the call that made it."""
+        from repro.serving.columnar import _ColumnarState
+
+        build = _ColumnarState._build_report
+        monkeypatch.setattr(
+            _ColumnarState, "_build_report",
+            lambda state, offered: dataclasses.replace(
+                build(state, offered), makespan_s=math.inf
+            ),
+        )
+        requests = generate_requests(
+            MIX, arrival_rate=2.0, duration_s=60.0, seed=3
+        )
+        with pytest.raises(
+            AssertionError, match="finite_times: makespan inf"
+        ):
+            self._run(requests, _pools())
+
 
 class TestShrinking:
     def test_shrinks_to_the_triggering_event(self):

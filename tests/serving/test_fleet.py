@@ -21,10 +21,10 @@ from repro.serving.slo import slo_report
 from repro.serving.workload import Request
 
 
-def burst(count, spacing, service=1.0, model="sd", start=0.0):
+def burst(count, spacing, service=1.0, model="sd", start=0.0, first_id=0):
     return [
         Request(
-            request_id=index,
+            request_id=first_id + index,
             arrival_s=start + index * spacing,
             model=model,
             service_s=service,
@@ -108,6 +108,16 @@ class TestPoolSpecValidation:
         with pytest.raises(ValueError):
             simulate_fleet(burst(1, 1.0), [spec])
 
+    def test_repeated_request_ids_rejected_at_simulate(self):
+        # Two bursts numbered from 0: ids 0-3 repeat.  Hedge dedup,
+        # retry jitter, spans and the invariants all key on the id.
+        requests = burst(10, 1.0) + burst(4, 2.5, start=0.5)
+        with pytest.raises(
+            ValueError,
+            match=r"request_ids must be unique; repeated: \[0, 1, 2, 3\]",
+        ):
+            simulate_fleet(requests, [pool()])
+
 
 class TestBasicFleet:
     def test_all_requests_complete(self):
@@ -169,7 +179,7 @@ class TestBasicFleet:
         sd_pool = pool(name="sd-only", models=("sd",))
         video_pool = pool(name="video-only", models=("mav",), service=4.0)
         requests = burst(10, 1.0, model="sd") + burst(
-            4, 2.5, model="mav", service=4.0
+            4, 2.5, model="mav", service=4.0, first_id=10
         )
         report = simulate_fleet(requests, [sd_pool, video_pool])
         assert report.pool_stats("sd-only").completed == 10

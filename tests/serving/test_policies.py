@@ -26,14 +26,15 @@ SERVICE_S = {
 
 def first_batch(
     policy, queue=QUEUE, *, max_batch=8, blocker="other",
-    faults=FAULT_FREE,
+    faults=FAULT_FREE, spacing_s=0.1,
 ):
     """Ids of the queued requests that start when the server frees at
     t=1.  ``blocker`` is the model of the 1 s request (id 9) the server
-    runs from t=0; ``None`` runs no blocker."""
+    runs from t=0; ``None`` runs no blocker.  The queued requests
+    arrive ``spacing_s`` apart (0 queues them all at t=0, in order)."""
     requests = [
         Request(
-            request_id=rid, arrival_s=0.1 * position, model=model,
+            request_id=rid, arrival_s=spacing_s * position, model=model,
             service_s=service,
         )
         for position, (rid, model, service) in enumerate(queue, 1)
@@ -96,6 +97,14 @@ class TestSjf:
         # queued before request 0, so it goes first.
         queue = ((2, "video", 4.0), (1, "b", 1.0), (0, "a", 1.0))
         assert first_batch("sjf", queue, max_batch=1) == [1]
+
+    def test_exact_tie_broken_by_queue_order(self):
+        # Equal service and equal arrival: request 1 ("b") queued
+        # first, so it goes before request 0 although "a" sorts first.
+        queue = ((2, "video", 4.0), (1, "b", 1.0), (0, "a", 1.0))
+        assert first_batch(
+            "sjf", queue, max_batch=1, spacing_s=0.0
+        ) == [1]
 
 
 class TestAffinity:

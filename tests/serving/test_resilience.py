@@ -32,10 +32,10 @@ from repro.serving.slo import slo_report
 from repro.serving.workload import Request
 
 
-def burst(count, spacing, service=1.0, model="sd", start=0.0):
+def burst(count, spacing, service=1.0, model="sd", start=0.0, first_id=0):
     return [
         Request(
-            request_id=index,
+            request_id=first_id + index,
             arrival_s=start + index * spacing,
             model=model,
             service_s=service,
@@ -251,7 +251,7 @@ class TestAdmissionControl:
         # Only "sd" has a budget; "muse" rides the same deep queue
         # unshed.
         requests = burst(8, 0.05, model="sd") + burst(
-            8, 0.05, model="muse", start=0.01
+            8, 0.05, model="muse", start=0.01, first_id=8
         )
         requests.sort(key=lambda r: r.arrival_s)
         config = ResilienceConfig(
@@ -585,7 +585,7 @@ class TestBrownout:
         # The ladder only re-prices "sd"; "muse" keeps nominal latency
         # and accrues no quality debt even when the pool is degraded.
         requests = burst(15, 0.02, model="sd") + burst(
-            15, 0.02, model="muse", start=0.01
+            15, 0.02, model="muse", start=0.01, first_id=15
         )
         requests.sort(key=lambda r: r.arrival_s)
         config = ResilienceConfig(brownout=ladder())
