@@ -14,7 +14,7 @@ The package is organized bottom-up:
 * :mod:`repro.profiler` — trace capture, operator breakdowns, speedup
   and sequence-length analyses, chrome-trace export.
 * :mod:`repro.analysis` — the paper's analytical frameworks (fleet,
-  Pareto, attention memory, Amdahl, scaling sweeps).
+  Pareto, attention memory, batching and scaling sweeps).
 * :mod:`repro.experiments` — one module per table/figure, with claim
   checks against the published values.
 

@@ -1,17 +1,9 @@
 """Analytical frameworks from the paper (Sections II, V, VI)."""
 
-from repro.analysis.amdahl import (
-    amdahl_speedup,
-    implied_module_speedup,
-    max_speedup,
-    required_module_speedup,
-)
 from repro.analysis.attention_memory import (
     BYTES_PER_PARAM,
-    MemoryScalingFit,
     cross_attention_matrix_shape,
     cumulative_unet_similarity_bytes,
-    memory_scaling_exponent,
     self_attention_matrix_shape,
     self_attention_seq_len,
     similarity_matrix_bytes,
@@ -23,13 +15,6 @@ from repro.analysis.fleet import (
     architecture_to_workload,
     summarize_fleet,
     synthesize_fleet,
-)
-from repro.analysis.video_trends import (
-    VideoProjection,
-    VideoWorkload,
-    movie_generation_gap,
-    project,
-    project_durations,
 )
 from repro.analysis.pareto import (
     FIGURE4_DATASET,
@@ -44,13 +29,6 @@ from repro.analysis.batching import (
     crossover_batch,
     sweep_batch_sizes,
 )
-from repro.analysis.sensitivity import (
-    SensitivityPoint,
-    SensitivityReport,
-    classify_constants,
-    sweep_constant,
-    tunable_fields,
-)
 from repro.analysis.scaling import (
     FrameScalingPoint,
     ImageScalingPoint,
@@ -63,38 +41,22 @@ from repro.analysis.scaling import (
 __all__ = [
     "BYTES_PER_PARAM",
     "BatchPoint",
-    "VideoProjection",
-    "VideoWorkload",
     "batching_efficiency",
     "crossover_batch",
-    "movie_generation_gap",
-    "project",
-    "project_durations",
     "sweep_batch_sizes",
-    "SensitivityPoint",
-    "SensitivityReport",
-    "classify_constants",
-    "sweep_constant",
-    "tunable_fields",
     "FIGURE4_DATASET",
     "FleetSummary",
     "FrameScalingPoint",
     "ImageScalingPoint",
-    "MemoryScalingFit",
     "ModelQualityPoint",
     "TrainingJob",
-    "amdahl_speedup",
     "architecture_to_workload",
     "best_architecture_at_size",
     "cross_attention_matrix_shape",
     "crossover_frames",
     "cumulative_unet_similarity_bytes",
-    "implied_module_speedup",
-    "max_speedup",
-    "memory_scaling_exponent",
     "pareto_frontier",
     "quality_per_parameter",
-    "required_module_speedup",
     "scaling_rate",
     "self_attention_matrix_shape",
     "self_attention_seq_len",

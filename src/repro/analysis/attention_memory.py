@@ -19,10 +19,6 @@ drop attention at high resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.ordered_sum import ordered_sum
-
 BYTES_PER_PARAM = 2  # FP16, as the paper assumes.
 
 
@@ -111,40 +107,3 @@ def stage_sequence_lengths(
         max(1, pixels // downsample_factor**stage)
         for stage in range(unet_depth + 1)
     ]
-
-
-@dataclass(frozen=True)
-class MemoryScalingFit:
-    """Power-law fit of memory vs latent side length."""
-
-    exponent: float
-    sizes: tuple[int, ...]
-    memories: tuple[float, ...]
-
-
-def memory_scaling_exponent(
-    sizes: list[int], text_encode: int = 0
-) -> MemoryScalingFit:
-    """Fit memory ~ L^k over a sweep of latent side lengths.
-
-    With no text term the paper's expression is exactly quartic (k = 4);
-    the text term softens small sizes.  Least-squares in log space.
-    """
-    import math
-
-    if len(sizes) < 2:
-        raise ValueError("need at least two sizes to fit an exponent")
-    memories = [
-        similarity_matrix_bytes(size, size, text_encode) for size in sizes
-    ]
-    logs_x = [math.log(size) for size in sizes]
-    logs_y = [math.log(memory) for memory in memories]
-    n = len(sizes)
-    mean_x = ordered_sum(logs_x) / n
-    mean_y = ordered_sum(logs_y) / n
-    slope = ordered_sum(
-        (x - mean_x) * (y - mean_y) for x, y in zip(logs_x, logs_y)
-    ) / ordered_sum((x - mean_x) ** 2 for x in logs_x)
-    return MemoryScalingFit(
-        exponent=slope, sizes=tuple(sizes), memories=tuple(memories)
-    )

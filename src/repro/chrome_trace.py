@@ -1,8 +1,8 @@
 """The one Chrome-trace writer: ``chrome://tracing`` / Perfetto JSON.
 
-The op and rank views (:mod:`repro.profiler.trace_export`) and the
-fleet view (:mod:`repro.obs.perfetto`) build their events here, so the
-record layouts and the seconds-to-microseconds conversion exist once.
+The op view (:mod:`repro.profiler.trace_export`) and the fleet view
+(:mod:`repro.obs.perfetto`) build their events here, so the record
+layouts and the seconds-to-microseconds conversion exist once.
 Constructors take seconds; the format's ``ts`` and ``dur`` are µs.
 """
 
@@ -58,17 +58,6 @@ def counter(
     return {
         "name": name, "cat": cat, "ph": "C", "pid": pid, "tid": 0,
         "ts": ts_s * 1e6, "args": {"value": value},
-    }
-
-
-def flow(
-    name: str, cat: str, flow_id: int, pid: int, tid: int, ts_s: float,
-    start: bool,
-) -> dict:
-    """A flow start (``"s"``) or end (``"f"``): an arrow between slices."""
-    return {
-        "name": name, "cat": cat, "ph": "s" if start else "f", "bp": "e",
-        "id": flow_id, "pid": pid, "tid": tid, "ts": ts_s * 1e6,
     }
 
 

@@ -13,8 +13,7 @@ argues the field is headed:
   a :class:`~repro.hw.spec.GPUSpec` with its interconnect;
 * :mod:`repro.distributed.sharding` /
   :mod:`repro.distributed.partition` — Megatron-style tensor
-  parallelism, batch-slicing data parallelism and stage-balanced
-  pipeline parallelism over recorded traces;
+  parallelism and batch-slicing data parallelism over recorded traces;
 * :mod:`repro.distributed.timeline` — per-device timelines with
   compute/communication overlap;
 * :mod:`repro.distributed.scaling` — strong/weak scaling sweeps;
@@ -53,11 +52,9 @@ from repro.distributed.partition import (
     DataParallel,
     DistributedPlan,
     PartitionStrategy,
-    PipelineParallel,
     PlanClass,
     TensorParallel,
     TraceClasses,
-    stage_boundaries,
     strategy_from_name,
     trace_classes,
 )
@@ -140,7 +137,6 @@ __all__ = [
     "PCIE_A100",
     "ParallelConfig",
     "PartitionStrategy",
-    "PipelineParallel",
     "PlanClass",
     "PlanPoint",
     "PlannerBasis",
@@ -176,7 +172,6 @@ __all__ = [
     "shard_op",
     "simulate_1f1b",
     "simulate_gpipe",
-    "stage_boundaries",
     "strategy_from_name",
     "strong_scaling",
     "tree_all_reduce_time",

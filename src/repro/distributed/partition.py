@@ -1,4 +1,4 @@
-"""Graph partitioners: data, tensor and pipeline parallelism.
+"""Graph partitioners: data and tensor parallelism.
 
 Each strategy consumes a single-device :class:`repro.ir.trace.Trace`
 (the symbolic operator graph a profiled model emits) and produces a
@@ -23,18 +23,17 @@ activation ops are sequence/element split.
 its batch share (ranks beyond the batch size idle).  Inference DP has
 no collectives — there are no gradients to reduce.
 
-**Pipeline parallelism** assigns contiguous trace segments to ranks,
-balancing segment execution time, with a send/recv of the boundary
-activation between consecutive stages.  :func:`stage_boundaries` is
-the one stage splitter; the planner uses it too.
+Pipeline parallelism lives in the planner
+(:func:`repro.distributed.planner.split_stages`), which splits a priced
+tensor-parallel axis into stages with :func:`split_cumulative`.
 
 Tensor-parallel roles are decided in one place, the per-trace class
 table (:func:`trace_classes`): every event maps to one distinct
 (op, role, collective, fold factor) class, so a partition or a priced
 axis shards and prices each class once.  The table reads the trace's
 rows in parts (:meth:`Trace.row_runs`), taking a closed replay's
-classes from its segment's own table; the data- and pipeline-parallel
-partitioners read :meth:`Trace.rows`.  No partitioner builds an event.
+classes from its segment's own table; the data-parallel partitioner
+reads :meth:`Trace.rows`.  No partitioner builds an event.
 
 Every split preserves total FLOPs exactly (see
 :mod:`repro.distributed.sharding`), which the partitioner tests verify
@@ -333,18 +332,6 @@ def split_cumulative(cumulative: Sequence[float], stages: int) -> list[int]:
     return boundaries
 
 
-def stage_boundaries(weights: Sequence[float], stages: int) -> list[int]:
-    """End index (exclusive) of each of the first ``stages - 1`` stages.
-
-    Balances contiguous stages by per-event weight with
-    :func:`split_cumulative`; raises ``ValueError`` when there are
-    more stages than events.  The running sum is strictly left to
-    right, as the planner's prefix arrays are.
-    """
-    cumulative = np.cumsum(np.asarray(weights, dtype=float))
-    return split_cumulative(cumulative, stages)
-
-
 @dataclass(frozen=True)
 class CommSpec:
     """One collective the sharded graph requires after an event.
@@ -363,21 +350,19 @@ class CommSpec:
 class PlanClass(NamedTuple):
     """One distinct kind of sharded event in a :class:`DistributedPlan`.
 
-    Every source event of a class shards, communicates and is staged
-    identically, so a class is sharded and priced once.
+    Every source event of a class shards and communicates identically,
+    so a class is sharded and priced once.
 
     Attributes:
         role: how the split was chosen.
         ops: per-rank operator shards (``None`` = rank idle).
         comm: collective required after each event, if any.
-        stage: owning pipeline stage (pipeline plans only).
         repeat: fold factor of the class' source events.
     """
 
     role: ShardRole
     ops: tuple[Op | None, ...]
     comm: CommSpec | None
-    stage: int
     repeat: int
 
 
@@ -386,7 +371,7 @@ class DistributedPlan:
     """A sharded operator graph, ready to be priced on a machine.
 
     Stored by class: ``classes`` holds one row per distinct (role,
-    shards, collective, stage, fold factor) and ``index`` the class of
+    shards, collective, fold factor) and ``index`` the class of
     every source event, in trace order.  Suite traces hold 20-35k
     events but a few hundred classes, so nothing here is per event but
     the index.
@@ -394,7 +379,6 @@ class DistributedPlan:
 
     strategy: str
     world: int
-    kind: str  # "spmd" (TP/DP) or "pipeline"
     source: Trace
     classes: tuple[PlanClass, ...]
     index: Sequence[int]
@@ -460,10 +444,6 @@ class PartitionStrategy:
         return f"{self.name}={self.world}"
 
 
-def _output_bytes(op: Op) -> float:
-    return op.write_bytes()
-
-
 class TensorParallel(PartitionStrategy):
     """Megatron-style tensor parallelism over the whole graph."""
 
@@ -492,14 +472,13 @@ class TensorParallel(PartitionStrategy):
                 short = "ar" if kind is CollectiveKind.ALL_REDUCE else "ag"
                 comm = CommSpec(
                     kind=kind,
-                    payload_bytes=_output_bytes(op),
+                    payload_bytes=op.write_bytes(),
                     label=f"{short}:{op.name}",
                 )
-            classes.append(PlanClass(role, shards, comm, 0, repeat))
+            classes.append(PlanClass(role, shards, comm, repeat))
         return DistributedPlan(
             strategy=self.describe(),
             world=self.world,
-            kind="spmd",
             source=trace,
             classes=tuple(classes),
             index=table.index,
@@ -542,71 +521,11 @@ class DataParallel(PartitionStrategy):
                     shards = tuple(shard_op(op, batch_role, weights))
                     shard_memo[op] = shards
                 cls = class_of[key] = len(classes)
-                classes.append(PlanClass(batch_role, shards, None, 0, repeat))
+                classes.append(PlanClass(batch_role, shards, None, repeat))
             append(cls)
         return DistributedPlan(
             strategy=self.describe(),
             world=self.world,
-            kind="spmd",
-            source=trace,
-            classes=tuple(classes),
-            index=index,
-        )
-
-
-class PipelineParallel(PartitionStrategy):
-    """Contiguous stage assignment balanced by execution time."""
-
-    name = "pp"
-
-    def partition(self, trace: Trace) -> DistributedPlan:
-        """Split the trace into ``world`` stages; link them with p2p.
-
-        One class per (op, fold factor, stage, boundary send); a stage's
-        last event sends its output to the next stage.  With more ranks
-        than events the trailing stages own nothing, and no activation
-        crosses into them.
-        """
-        n = len(trace)
-        if n == 0:
-            raise ValueError("cannot partition an empty trace")
-        world = self.world
-        # End (exclusive) of every populated stage but the last.
-        ends = stage_boundaries(trace.times_s(), min(world, n))
-        stage = 0
-        close = ends[0] if ends else n
-        class_of: dict[tuple[Op, int, int, bool], int] = {}
-        classes: list[PlanClass] = []
-        index: list[int] = []
-        append = index.append
-        for position, (_, op, _, _, repeat) in enumerate(trace.rows()):
-            if position == close:
-                stage += 1
-                close = ends[stage] if stage < len(ends) else n
-            send = position == close - 1 and close < n
-            key = (op, repeat, stage, send)
-            cls = class_of.get(key)
-            if cls is None:
-                ops: list[Op | None] = [None] * world
-                ops[stage] = op
-                comm = None
-                if send:
-                    comm = CommSpec(
-                        kind=CollectiveKind.SEND_RECV,
-                        payload_bytes=_output_bytes(op),
-                        label=f"p2p:{op.name}",
-                    )
-                cls = class_of[key] = len(classes)
-                classes.append(
-                    PlanClass(
-                        ShardRole.SEQUENCE, tuple(ops), comm, stage, repeat
-                    )
-                )
-            append(cls)
-        return DistributedPlan(
-            strategy=self.describe(),
-            world=world,
-            kind="pipeline",
             source=trace,
             classes=tuple(classes),
             index=index,
@@ -616,11 +535,9 @@ class PipelineParallel(PartitionStrategy):
 def strategy_from_name(
     name: str, world: int, *, batch: int = 1
 ) -> PartitionStrategy:
-    """Build a partition strategy from its short name (tp/dp/pp)."""
+    """Build a partition strategy from its short name (tp/dp)."""
     if name == "tp":
         return TensorParallel(world)
     if name == "dp":
         return DataParallel(world, batch=batch)
-    if name == "pp":
-        return PipelineParallel(world)
-    raise ValueError(f"unknown partition strategy {name!r}; known: tp, dp, pp")
+    raise ValueError(f"unknown partition strategy {name!r}; known: tp, dp")

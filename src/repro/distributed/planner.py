@@ -54,7 +54,6 @@ from repro.distributed.collectives import CollectiveKind
 from repro.distributed.partition import (
     TensorParallel,
     split_cumulative,
-    stage_boundaries,  # re-exported: the one stage splitter
     trace_classes,
 )
 from repro.distributed.registry import MachineSpec, machine_from_name

@@ -113,9 +113,8 @@ def build_timelines(
 ) -> DistributedTrace:
     """Price a plan on a machine and lay it out on per-device timelines.
 
-    SPMD plans (tensor/data parallel) advance all ranks together and
-    synchronize at every collective; pipeline plans chain stages with
-    point-to-point transfers.  Each plan class is priced once
+    All ranks advance together and synchronize at every collective.
+    Each plan class is priced once
     (:func:`price_classes`), then the plan's class index is walked in
     trace order, adding each event's times left to right; no event
     object is built.
@@ -129,12 +128,11 @@ def build_timelines(
         else (comm_s, comm_s * (1.0 - overlap), cls.comm.label)
         for cls, comm_s in zip(plan.classes, comms)
     ]
-    build = _build_pipeline if plan.kind == "pipeline" else _build_spmd
     return DistributedTrace(
         strategy=plan.strategy,
         world=plan.world,
         machine=machine,
-        timelines=build(plan, times, collectives, keep_entries),
+        timelines=_build_spmd(plan, times, collectives, keep_entries),
         overlap=overlap,
     )
 
@@ -149,8 +147,7 @@ def price_classes(
 
     The one place a sharded plan is priced: each shard is re-priced on
     the machine's GPU and each collective over the topology's bounding
-    link for the plan's world (a pipeline's boundary sends cross one
-    adjacent pair of ranks).  Both carry the class' fold
+    link for the plan's world.  Both carry the class' fold
     factor, multiplied as :meth:`KernelCost.scaled` does, so an
     unsharded op on the GPU that profiled it prices to its profiled
     float.  A rank that idles reads ``None``, as does a class with no
@@ -158,13 +155,11 @@ def price_classes(
     are memoized per op.
     """
     estimator = CostEstimator(machine.gpu, tuning)
-    comm_model = machine.topology.cost_model(
-        2 if plan.kind == "pipeline" else plan.world
-    )
+    comm_model = machine.topology.cost_model(plan.world)
     op_time: dict[Op, float] = {}
     times: list[tuple[float | None, ...]] = []
     comms: list[float | None] = []
-    for _, ops, comm, _, repeat in plan.classes:
+    for _, ops, comm, repeat in plan.classes:
         rank_times: list[float | None] = []
         for op in ops:
             if op is None:
@@ -244,57 +239,6 @@ def _build_spmd(
             entries=entries[rank],
         )
         for rank in ranks
-    ]
-
-
-def _build_pipeline(
-    plan: DistributedPlan,
-    class_times: list[tuple[float | None, ...]],
-    collectives: list[tuple[float, float, str] | None],
-    keep_entries: bool,
-) -> list[DeviceTimeline]:
-    world = plan.world
-    # Each class runs on its stage's rank alone.
-    stages = [
-        (cls.stage, class_times[number][cls.stage], cls.ops[cls.stage].name)
-        for number, cls in enumerate(plan.classes)
-    ]
-    entries: list[list[TimelineEntry]] = [[] for _ in range(world)]
-    compute = [0.0] * world
-    comm_s = [0.0] * world
-    exposed_s = [0.0] * world
-    ends = [0.0] * world
-    clock = 0.0  # single-sample latency: stages execute back to back
-    for cls in plan.index:
-        stage, time_s, name = stages[cls]
-        if keep_entries:
-            entries[stage].append(
-                TimelineEntry("compute", name, clock, time_s)
-            )
-        compute[stage] += time_s
-        clock += time_s
-        ends[stage] = clock
-        send = collectives[cls]
-        if send is not None:
-            comm_time, exposed, label = send
-            if keep_entries and exposed > 0:
-                entries[stage].append(
-                    TimelineEntry("comm", label, clock, exposed)
-                )
-            comm_s[stage] += comm_time
-            exposed_s[stage] += exposed
-            clock += exposed
-            ends[stage] = clock
-    return [
-        DeviceTimeline(
-            rank=rank,
-            compute_time_s=compute[rank],
-            comm_time_s=comm_s[rank],
-            exposed_comm_time_s=exposed_s[rank],
-            end_s=ends[rank],
-            entries=entries[rank],
-        )
-        for rank in range(world)
     ]
 
 

@@ -2,14 +2,7 @@
 
 from repro.hw.cache import CacheHierarchy, CacheStats, HierarchyStats, SetAssociativeCache
 from repro.hw.memory import CONTIGUOUS, AccessPattern, MemorySystem
-from repro.hw.roofline import (
-    RooflinePoint,
-    arithmetic_intensity,
-    attainable_performance,
-    classify_bound,
-    place,
-    roofline_curve,
-)
+from repro.hw.roofline import classify_bound
 from repro.hw.spec import (
     A100_40GB,
     A100_80GB,
@@ -36,13 +29,8 @@ __all__ = [
     "MI300X_192GB",
     "MemorySystem",
     "PRESETS",
-    "RooflinePoint",
     "SetAssociativeCache",
     "V100_32GB",
-    "arithmetic_intensity",
-    "attainable_performance",
     "classify_bound",
     "gpu_from_name",
-    "place",
-    "roofline_curve",
 ]

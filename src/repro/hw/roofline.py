@@ -9,99 +9,10 @@ models — because tens of denoising iterations reuse the same parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hw.spec import GPUSpec
 from repro.ir.dtypes import FP16, DType
-
-
-@dataclass(frozen=True)
-class RooflinePoint:
-    """One workload placed on a roofline.
-
-    Attributes:
-        name: workload label.
-        flops: total floating-point operations for the run.
-        bytes: bytes of traffic used for the intensity denominator (the
-            paper uses model capacity: parameter bytes).
-        attainable_flops: roofline-attainable FLOP/s at this intensity.
-        bound: ``"compute"`` or ``"memory"``.
-    """
-
-    name: str
-    flops: float
-    bytes: float
-    attainable_flops: float
-    bound: str
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        return self.flops / self.bytes
-
-
-def arithmetic_intensity(flops: float, bytes_moved: float) -> float:
-    """FLOPs per byte; raises on non-positive byte counts."""
-    if bytes_moved <= 0:
-        raise ValueError("bytes_moved must be positive")
-    return flops / bytes_moved
-
-
-def attainable_performance(
-    spec: GPUSpec, intensity: float, dtype: DType = FP16
-) -> float:
-    """Attainable FLOP/s at a given arithmetic intensity (the roofline)."""
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
-    return min(spec.peak_flops_for(dtype), intensity * spec.dram_bandwidth)
 
 
 def classify_bound(spec: GPUSpec, intensity: float, dtype: DType = FP16) -> str:
     """Whether a workload of this intensity is compute- or memory-bound."""
     return "compute" if intensity >= spec.ridge_point(dtype) else "memory"
-
-
-def place(
-    name: str,
-    flops: float,
-    bytes_moved: float,
-    spec: GPUSpec,
-    dtype: DType = FP16,
-) -> RooflinePoint:
-    """Place a workload on ``spec``'s roofline."""
-    intensity = arithmetic_intensity(flops, bytes_moved)
-    return RooflinePoint(
-        name=name,
-        flops=flops,
-        bytes=bytes_moved,
-        attainable_flops=attainable_performance(spec, intensity, dtype),
-        bound=classify_bound(spec, intensity, dtype),
-    )
-
-
-def roofline_curve(
-    spec: GPUSpec,
-    dtype: DType = FP16,
-    min_intensity: float = 0.125,
-    max_intensity: float = 16384.0,
-    points_per_decade: int = 8,
-) -> list[tuple[float, float]]:
-    """Sample (intensity, attainable FLOP/s) pairs for plotting the roof.
-
-    Intensities are sampled log-uniformly and always include the ridge
-    point so the bend renders exactly.
-    """
-    if min_intensity <= 0 or max_intensity <= min_intensity:
-        raise ValueError("need 0 < min_intensity < max_intensity")
-    import math
-
-    decades = math.log10(max_intensity / min_intensity)
-    count = max(2, int(decades * points_per_decade) + 1)
-    xs = [
-        min_intensity * (max_intensity / min_intensity) ** (i / (count - 1))
-        for i in range(count)
-    ]
-    ridge = spec.ridge_point(dtype)
-    if min_intensity < ridge < max_intensity:
-        xs.append(ridge)
-        xs.sort()
-    return [(x, attainable_performance(spec, x, dtype)) for x in xs]

@@ -2,22 +2,15 @@
 
 The IR layer gives the repository its ``torch``-shaped substrate:
 symbolic tensors (:mod:`repro.ir.tensor`), operators that know their own
-FLOPs and bytes (:mod:`repro.ir.ops`), a hookable module tree
-(:mod:`repro.ir.module`), and the execution context + trace machinery
-that turns a forward pass into a costed kernel timeline.
+FLOPs and bytes (:mod:`repro.ir.ops`), a module tree whose calls
+annotate each kernel with its module path and replay recorded
+subgraphs (:mod:`repro.ir.module`), and the execution context + trace
+machinery that turns a forward pass into a costed kernel timeline.
 """
 
 from repro.ir.context import AttentionImpl, ExecutionContext
 from repro.ir.dtypes import BF16, BOOL, FP8, FP16, FP32, INT8, INT32, INT64, TF32, DType, dtype_from_name
-from repro.ir.graph import (
-    TimeTreeNode,
-    modules_of_type,
-    parameter_hotspots,
-    render_time_tree,
-    time_tree,
-    tree_depth,
-)
-from repro.ir.module import Module, Sequential
+from repro.ir.module import Module
 from repro.ir.ops import (
     AttentionInfo,
     AttentionKind,
@@ -64,16 +57,9 @@ __all__ = [
     "KernelCost",
     "LayerNorm",
     "Module",
-    "TimeTreeNode",
-    "modules_of_type",
-    "parameter_hotspots",
-    "render_time_tree",
-    "time_tree",
-    "tree_depth",
     "Op",
     "OpCategory",
     "Resample",
-    "Sequential",
     "Softmax",
     "TF32",
     "TensorSpec",

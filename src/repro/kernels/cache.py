@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.hw.spec import GPUSpec
@@ -106,23 +106,6 @@ class KernelCostCache:
             table = self._machines[token] = {}
         return table
 
-    def get_or_compute(
-        self,
-        token: MachineToken,
-        op: "Op",
-        compute: Callable[["Op"], "KernelCost"],
-    ) -> "KernelCost":
-        """Cached cost of ``op`` under ``token``; prices it on a miss."""
-        table = self.bucket(token)
-        cost = table.get(op)
-        if cost is None:
-            self._misses += 1
-            cost = compute(op)
-            table[op] = cost
-        else:
-            self._hits += 1
-        return cost
-
     def count_hit(self) -> None:
         """Record a hit served from a bucket reference (fast path)."""
         self._hits += 1
@@ -150,12 +133,6 @@ class KernelCostCache:
         """Drop entries for any tuning paired with ``spec``'s name."""
         return self.invalidate_machine(spec.name)
 
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        self._machines.clear()
-        self._hits = 0
-        self._misses = 0
-
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> CacheStats:
@@ -175,8 +152,3 @@ GLOBAL_COST_CACHE = KernelCostCache()
 def cost_cache_stats() -> CacheStats:
     """Stats API: counters of the shared kernel-cost cache."""
     return GLOBAL_COST_CACHE.stats()
-
-
-def clear_cost_cache() -> None:
-    """Reset the shared kernel-cost cache (tests, ablations)."""
-    GLOBAL_COST_CACHE.clear()

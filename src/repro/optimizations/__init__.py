@@ -14,12 +14,6 @@ from repro.optimizations.flash_decoding import (
     FlashDecodingModel,
     compare_decode_attention,
 )
-from repro.optimizations.seqlen_buckets import (
-    SeqLenBucket,
-    SpecializationReport,
-    attention_time_by_seq_len,
-    evaluate_specialization,
-)
 from repro.optimizations.step_pods import (
     DemandBin,
     PodScheduleReport,
@@ -32,11 +26,7 @@ __all__ = [
     "DemandBin",
     "FlashDecodingModel",
     "PodScheduleReport",
-    "SeqLenBucket",
-    "SpecializationReport",
-    "attention_time_by_seq_len",
     "bandwidth_demand_profile",
     "compare_decode_attention",
-    "evaluate_specialization",
     "schedule_pods",
 ]

@@ -9,13 +9,7 @@ from repro.profiler.breakdown import (
     speedup_report,
     temporal_spatial_report,
 )
-from repro.profiler.diff import DiffEntry, TraceDiff, diff_traces, render_diff
 from repro.profiler.distributed import DistributedProfileResult, profile_sharded
-from repro.profiler.memory_timeline import (
-    MemorySample,
-    MemoryTimeline,
-    memory_timeline,
-)
 from repro.profiler.memory_footprint import (
     InferenceMemoryFootprint,
     estimate_inference_memory,
@@ -37,7 +31,6 @@ from repro.profiler.seqlen import (
 )
 from repro.profiler.trace_export import (
     CATEGORY_LANES,
-    distributed_to_chrome_trace,
     load_chrome_trace,
     parse_chrome_trace,
     to_chrome_trace,
@@ -46,16 +39,8 @@ from repro.profiler.trace_export import (
 __all__ = [
     "CATEGORY_LANES",
     "ComponentSummary",
-    "DiffEntry",
     "DistributedProfileResult",
-    "TraceDiff",
-    "diff_traces",
-    "distributed_to_chrome_trace",
-    "render_diff",
     "InferenceMemoryFootprint",
-    "MemorySample",
-    "MemoryTimeline",
-    "memory_timeline",
     "OperatorBreakdown",
     "ProfileResult",
     "estimate_inference_memory",

@@ -67,7 +67,7 @@ def profile_sharded(
 ) -> DistributedProfileResult:
     """Profile one inference sharded over ``world`` devices.
 
-    ``strategy`` is ``"tp"``, ``"dp"`` or ``"pp"``.  Distributed stacks
+    ``strategy`` is ``"tp"`` or ``"dp"``.  Distributed stacks
     run fused attention in practice, so the default ``attention_impl``
     is FLASH (unlike the single-device profiler, which defaults to the
     paper's baseline lowering).

@@ -1,9 +1,11 @@
 """Model profiler: runs a pipeline and captures its kernel trace.
 
 The analog of the paper's PyTorch-Profiler-plus-hooks framework
-(Section III, "Tools"): module scopes annotate which component emitted
-each kernel, and the resulting :class:`ProfileResult` feeds the
-breakdown, speedup and sequence-length analyses.
+(Section III, "Tools"): where the paper hooks each module's forward
+function, every :class:`~repro.ir.module.Module` call opens
+:meth:`ExecutionContext.module_scope`, which annotates the kernels it
+emits with the module path.  The resulting :class:`ProfileResult` feeds
+the breakdown, speedup and sequence-length analyses.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def profile_model(
     machine, attention impl, batch): repeated profiles of one
     configuration return the same :class:`ProfileResult` object.  The
     model runs once per (attention impl, batch): another machine or
-    tuning prices that recording (:meth:`repro.ir.trace.Trace.priced`),
-    and like a memo hit fires no module hooks.
+    tuning prices that recording (:meth:`repro.ir.trace.Trace.priced`)
+    without calling a module.
     """
     if not isinstance(batch, int) or batch < 1:
         raise ValueError(f"batch must be an int >= 1, got {batch!r}")

@@ -6,29 +6,18 @@ same ``chrome://tracing`` JSON event format (written by
 :mod:`repro.chrome_trace`) so they can be inspected in Perfetto or
 post-processed externally.
 
-Lane layout: single-GPU op traces get one named thread lane per
-operator category (attention, linear, conv, ...), so category
-breakdowns are visible at a glance instead of stacking every op on
-``tid 0``.  Distributed traces (:func:`distributed_to_chrome_trace`)
-get one lane per rank, with flow events stitching each collective's
-per-rank slices together so comm dependencies render as arrows.
+Lane layout: op traces get one named thread lane per operator
+category (attention, linear, conv, ...), so category breakdowns are
+visible at a glance instead of stacking every op on ``tid 0``.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
 from typing import Any
 
-from repro.chrome_trace import (
-    chrome_trace,
-    complete,
-    flow,
-    process_name,
-    thread_name,
-)
-from repro.distributed.timeline import DistributedTrace
+from repro.chrome_trace import chrome_trace, complete, process_name, thread_name
 from repro.ir.ops import OpCategory
 from repro.ir.trace import Trace
 
@@ -65,53 +54,6 @@ def to_chrome_trace(trace: Trace) -> dict:
         )
         for event in trace
     ]
-    return chrome_trace(events)
-
-
-def distributed_to_chrome_trace(trace: DistributedTrace) -> dict:
-    """Serialize a distributed trace with one lane per rank.
-
-    Compute and comm entries become ``"X"`` slices on their rank's
-    lane (``tid`` = rank).  The *k*-th comm entry with a given label is
-    the same collective wherever it appears, so when it shows up on
-    more than one rank (SPMD collectives; pipeline sends only live on
-    the sending rank) the slices are linked with ``"s"``/``"f"`` flow
-    events — rendered as arrows in Perfetto.  The lowest rank carrying
-    a collective starts its flow; every other rank ends it.  Requires
-    timelines built with ``keep_entries=True``.
-    """
-    events = [process_name(
-        0, f"{trace.strategy} x{trace.world} on {trace.machine.name}"
-    )]
-    events += [
-        thread_name(0, timeline.rank, f"rank {timeline.rank}")
-        for timeline in trace.timelines
-    ]
-    comm_counts = [
-        Counter(e.label for e in timeline.entries if e.kind == "comm")
-        for timeline in trace.timelines
-    ]
-    flow_ids: dict[tuple[str, int], int] = {}
-    for timeline in trace.timelines:
-        rank = timeline.rank
-        seen: Counter[str] = Counter()
-        for entry in timeline.entries:
-            events.append(complete(
-                entry.label, entry.kind, 0, rank, entry.start_s,
-                entry.duration_s, {"rank": rank},
-            ))
-            if entry.kind != "comm":
-                continue
-            seen[entry.label] += 1
-            key = (entry.label, seen[entry.label])
-            # Every rank with >= k comms of a label carries its k-th one.
-            if sum(count[key[0]] >= key[1] for count in comm_counts) > 1:
-                start = key not in flow_ids
-                flow_id = flow_ids.setdefault(key, len(flow_ids) + 1)
-                events.append(flow(
-                    entry.label, "comm-flow", flow_id, 0, rank,
-                    entry.start_s, start,
-                ))
     return chrome_trace(events)
 
 

@@ -1,4 +1,4 @@
-"""Chaos campaigns: seeded fault generation, invariants, shrinking.
+"""Chaos campaigns: seeded fault generation and invariants.
 
 A *campaign* is a reproducible set of correlated fault events over a
 failure-domain topology (:mod:`repro.serving.domains`).  This module
@@ -18,10 +18,7 @@ provides the harness around them:
   submitted request reaches exactly one terminal state, clocks are
   monotone per request, nothing terminates after the makespan,
   shed + completed + failed conserve the offered count, and quality
-  debt stays bounded by the brownout ladder;
-* :func:`shrink_campaign` — greedy ddmin-style minimization of a
-  failing campaign, so an invariant violation found under a 40-event
-  campaign comes back as the two events that actually trigger it.
+  debt stays bounded by the brownout ladder.
 
 Run ``python -m repro.serving.chaos`` for a self-contained smoke
 campaign (generate, round-trip the campaign file, compile, simulate
@@ -32,10 +29,10 @@ chaos gate.
 from __future__ import annotations
 
 import random
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -557,42 +554,6 @@ def check_invariants(
     return InvariantReport(
         checked=INVARIANTS, violations=tuple(violations)
     )
-
-
-# -- shrinking --------------------------------------------------------
-
-
-def shrink_campaign(
-    campaign: ChaosCampaign,
-    predicate: Callable[[ChaosCampaign], bool],
-) -> ChaosCampaign:
-    """Greedily minimize a failing campaign.
-
-    ``predicate(campaign)`` must return ``True`` (the failure
-    reproduces) on the input campaign; shrinking removes event chunks
-    — halves first, then ever-smaller slices down to single events —
-    keeping any removal that still reproduces.  Deterministic: chunk
-    order is fixed, so the same failing campaign always shrinks to
-    the same minimal one.  The result is 1-minimal per chunk size:
-    removing any single remaining event stops the failure.
-    """
-    if not predicate(campaign):
-        raise ValueError(
-            "predicate does not fail on the input campaign"
-        )
-    events = list(campaign.events)
-    chunk = max(1, len(events) // 2)
-    while chunk >= 1:
-        start = 0
-        while start < len(events):
-            trial = events[:start] + events[start + chunk:]
-            candidate = replace(campaign, events=tuple(trial))
-            if predicate(candidate):
-                events = trial
-            else:
-                start += chunk
-        chunk //= 2
-    return replace(campaign, events=tuple(events))
 
 
 # -- CLI smoke --------------------------------------------------------

@@ -402,8 +402,8 @@ class TierSloReport:
 
     Always contains one row per tier in
     :data:`repro.serving.traffic.TIER_NAMES` order, including tiers
-    with zero clients or zero requests (their percentiles are ``None``
-    and render ``—``).
+    with zero clients or zero requests (their percentiles are
+    ``None``).
     """
 
     per_tier: tuple[TierSlo, ...]
@@ -414,35 +414,6 @@ class TierSloReport:
             if entry.tier == name:
                 return entry
         raise ValueError(f"unknown tier {name!r}")
-
-    def render(self, *, title: str = "Per-tier SLO") -> str:
-        """Text table of the per-tier numbers (``—`` = no data)."""
-        rows = [
-            [
-                entry.tier,
-                entry.clients,
-                entry.offered,
-                _fmt(entry.p50_s),
-                _fmt(entry.p95_s),
-                _fmt(entry.p99_s),
-                _fmt(
-                    None if entry.goodput is None
-                    else entry.goodput * 100,
-                    ".1f",
-                ),
-                entry.shed,
-                entry.failed,
-            ]
-            for entry in self.per_tier
-        ]
-        return render_table(
-            [
-                "tier", "clients", "offered", "p50 s", "p95 s",
-                "p99 s", "goodput %", "shed", "failed",
-            ],
-            rows,
-            title=title,
-        )
 
 
 def tier_slo_report(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.analysis.attention_memory import (
     cross_attention_matrix_shape,
     cumulative_unet_similarity_bytes,
-    memory_scaling_exponent,
     self_attention_matrix_shape,
     self_attention_seq_len,
     similarity_matrix_bytes,
@@ -80,20 +79,6 @@ class TestStageSequenceLengths:
     def test_never_below_one(self):
         lengths = stage_sequence_lengths(2, 2, 4, 5)
         assert min(lengths) == 1
-
-
-class TestQuarticScaling:
-    def test_exponent_is_four_without_text(self):
-        fit = memory_scaling_exponent([16, 32, 64, 128], text_encode=0)
-        assert fit.exponent == pytest.approx(4.0, abs=0.01)
-
-    def test_text_term_softens_small_sizes(self):
-        fit = memory_scaling_exponent([8, 16, 32], text_encode=512)
-        assert 2.0 < fit.exponent < 4.0
-
-    def test_needs_two_sizes(self):
-        with pytest.raises(ValueError):
-            memory_scaling_exponent([64])
 
 
 @given(

@@ -1,15 +1,9 @@
-"""Amdahl, fleet and Pareto analysis tests."""
+"""Fleet and Pareto analysis tests."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.amdahl import (
-    amdahl_speedup,
-    implied_module_speedup,
-    max_speedup,
-    required_module_speedup,
-)
 from repro.analysis.fleet import (
     TrainingJob,
     architecture_to_workload,
@@ -24,58 +18,6 @@ from repro.analysis.pareto import (
     quality_per_parameter,
 )
 from repro.models.base import ModelArchitecture
-
-
-class TestAmdahl:
-    def test_no_fraction_no_speedup(self):
-        assert amdahl_speedup(0.0, 100.0) == 1.0
-
-    def test_full_fraction_full_speedup(self):
-        assert amdahl_speedup(1.0, 4.0) == pytest.approx(4.0)
-
-    def test_half_fraction_doubling(self):
-        assert amdahl_speedup(0.5, 2.0) == pytest.approx(4 / 3)
-
-    def test_ceiling(self):
-        assert max_speedup(0.5) == pytest.approx(2.0)
-
-    def test_required_inverts_amdahl(self):
-        speedup = amdahl_speedup(0.4, 3.0)
-        assert required_module_speedup(0.4, speedup) == pytest.approx(3.0)
-
-    def test_required_rejects_impossible_target(self):
-        with pytest.raises(ValueError, match="ceiling"):
-            required_module_speedup(0.5, 3.0)
-
-    def test_implied_module_speedup(self):
-        # 100s run, 40% attention, end-to-end drops to 80s:
-        # attention went 40s -> 20s = 2x.
-        assert implied_module_speedup(100.0, 80.0, 0.4) == pytest.approx(
-            2.0
-        )
-
-    def test_implied_rejects_over_saving(self):
-        with pytest.raises(ValueError):
-            implied_module_speedup(100.0, 50.0, 0.4)
-
-    @given(
-        fraction=st.floats(0.05, 0.95),
-        module=st.floats(1.0, 50.0),
-    )
-    def test_speedup_bounded_by_ceiling(self, fraction, module):
-        speedup = amdahl_speedup(fraction, module)
-        assert 1.0 <= speedup <= max_speedup(fraction) + 1e-9
-
-    @given(
-        fraction=st.floats(0.05, 0.95),
-        a=st.floats(1.0, 20.0),
-        b=st.floats(1.0, 20.0),
-    )
-    def test_monotone_in_module_speedup(self, fraction, a, b):
-        low, high = sorted((a, b))
-        assert amdahl_speedup(fraction, low) <= amdahl_speedup(
-            fraction, high
-        ) + 1e-12
 
 
 class TestFleet:

@@ -22,9 +22,7 @@ from repro.distributed.partition import (
     DataParallel,
     DistributedPlan,
     PartitionStrategy,
-    PipelineParallel,
     TensorParallel,
-    stage_boundaries,
     trace_classes,
 )
 from repro.distributed.planner import (
@@ -64,19 +62,17 @@ class ShardedEvent(NamedTuple):
         role: how the split was chosen.
         ops: per-rank operator shards (``None`` = rank idle).
         comm: collective required after this event, if any.
-        stage: owning pipeline stage (pipeline plans only).
     """
 
     source: TraceEvent
     role: ShardRole
     ops: tuple[Op | None, ...]
     comm: CommSpec | None
-    stage: int = 0
 
 
 def sharded_events(plan: DistributedPlan) -> list[ShardedEvent]:
     """Every source event with its class' shards, in trace order."""
-    heads = [cls[:4] for cls in plan.classes]
+    heads = [cls[:3] for cls in plan.classes]
     return [
         ShardedEvent(event, *heads[cls])
         for event, cls in zip(plan.source.events, plan.index)
@@ -91,8 +87,6 @@ def reference_events(
         return _tensor_parallel(strategy.world, trace)
     if isinstance(strategy, DataParallel):
         return _data_parallel(strategy.world, strategy.batch, trace)
-    if isinstance(strategy, PipelineParallel):
-        return _pipeline_parallel(strategy.world, trace)
     raise TypeError(f"no reference for {type(strategy).__name__}")
 
 
@@ -114,7 +108,7 @@ def _tensor_parallel(world: int, trace: Trace) -> list[ShardedEvent]:
                 payload_bytes=op.write_bytes(),
                 label=f"{short}:{op.name}",
             )
-        resolved.append((role, shards, comm, 0))
+        resolved.append((role, shards, comm))
     return [
         ShardedEvent(event, *resolved[cls])
         for event, cls in zip(trace.events, table.index)
@@ -130,39 +124,7 @@ def _data_parallel(world: int, batch: int, trace: Trace) -> list[ShardedEvent]:
         if shards is None:
             shards = tuple(shard_op(event.op, ShardRole.BATCH, weights))
             shard_cache[id(event.op)] = shards
-        sharded.append(ShardedEvent(event, ShardRole.BATCH, shards, None, 0))
-    return sharded
-
-
-def _pipeline_parallel(world: int, trace: Trace) -> list[ShardedEvent]:
-    events = trace.events
-    populated = min(world, len(events))
-    boundaries = stage_boundaries(
-        [event.cost.time_s for event in events], populated
-    )
-    boundaries += [len(events)] * (world - populated)
-    sharded = []
-    stage = 0
-    for index, event in enumerate(events):
-        while stage < world - 1 and index >= boundaries[stage]:
-            stage += 1
-        ops = [None] * world
-        ops[stage] = event.op
-        comm = None
-        is_stage_end = (
-            stage < world - 1
-            and index == boundaries[stage] - 1
-            and boundaries[stage] < len(events)
-        )
-        if is_stage_end:
-            comm = CommSpec(
-                kind=CollectiveKind.SEND_RECV,
-                payload_bytes=event.op.write_bytes(),
-                label=f"p2p:{event.op.name}",
-            )
-        sharded.append(
-            ShardedEvent(event, ShardRole.SEQUENCE, tuple(ops), comm, stage)
-        )
+        sharded.append(ShardedEvent(event, ShardRole.BATCH, shards, None))
     return sharded
 
 
@@ -213,14 +175,11 @@ def reference_timelines(
     keeps none.
     """
     estimator = CostEstimator(machine.gpu, DEFAULT_TUNING)
-    build = (
-        _pipeline if isinstance(strategy, PipelineParallel) else _spmd
-    )
     return DistributedTrace(
         strategy=strategy.describe(),
         world=strategy.world,
         machine=machine,
-        timelines=build(strategy.world, sharded, machine, estimator, overlap),
+        timelines=_spmd(strategy.world, sharded, machine, estimator, overlap),
         overlap=overlap,
     )
 
@@ -237,7 +196,7 @@ def _spmd(world, sharded, machine, estimator, overlap):
     clocks = [0.0] * world
     comm_s = 0.0
     exposed_s = 0.0
-    for source, _, ops, comm, _ in sharded:
+    for source, _, ops, comm in sharded:
         repeat = source.repeat
         shards = tuple_times.get(id(ops))
         if shards is None:
@@ -274,36 +233,6 @@ def _spmd(world, sharded, machine, estimator, overlap):
         timeline.end_s = clocks[rank]
     return timelines
 
-
-def _pipeline(world, sharded, machine, estimator, overlap):
-    comm_model = machine.topology.cost_model(2)
-    timelines = [DeviceTimeline(rank=rank) for rank in range(world)]
-    clock = 0.0
-    for event in sharded:
-        timeline = timelines[event.stage]
-        op = event.ops[event.stage]
-        repeat = event.source.repeat
-        base_s = estimator.estimate(op).time_s
-        time_s = base_s * repeat if repeat != 1 else base_s
-        timeline.entries.append(
-            TimelineEntry("compute", op.name, clock, time_s)
-        )
-        timeline.compute_time_s += time_s
-        clock += time_s
-        timeline.end_s = clock
-        if event.comm is not None:
-            estimate = comm_model.send_recv(event.comm.payload_bytes)
-            comm_time = estimate.time_s * repeat
-            exposed = comm_time * (1.0 - overlap)
-            if exposed > 0:
-                timeline.entries.append(
-                    TimelineEntry("comm", event.comm.label, clock, exposed)
-                )
-            timeline.comm_time_s += comm_time
-            timeline.exposed_comm_time_s += exposed
-            clock += exposed
-            timeline.end_s = clock
-    return timelines
 
 # The per-event views of a TPAxis: each class column gathered through
 # the axis' class index.
@@ -371,7 +300,7 @@ def bruteforce_axis(
         estimator = CostEstimator(machine.gpu, tuning)
         comm_model = machine.topology.cost_model(tp)
         for event in sharded_events(plan):
-            source, _, ops, spec, _ = event
+            source, _, ops, spec = event
             repeat = source.repeat
             op0 = ops[0]
             if op0 is None:

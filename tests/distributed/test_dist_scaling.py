@@ -140,7 +140,7 @@ class TestEntriesAreInert:
         trace = profile_model(
             build_model(name), gpu=machine.gpu, batch=batch
         ).trace
-        for strategy, world in (("tp", 2), ("tp", 8), ("dp", 4), ("pp", 3)):
+        for strategy, world in (("tp", 2), ("tp", 8), ("dp", 4)):
             plan = strategy_from_name(
                 strategy, world, batch=batch
             ).partition(trace)
@@ -158,16 +158,13 @@ class TestEntriesAreInert:
 class TestAcrossNodes:
     """Plans wider than one node price like the per-event reference.
 
-    A 16-rank collective runs over the network link, while a pipeline's
-    boundary sends always cross one adjacent pair of ranks, inside a
-    node.
+    A 16-rank collective runs over the network link.
     """
 
-    @pytest.mark.parametrize("strategy", ["tp", "pp"])
-    def test_sixteen_ranks_match_reference(self, strategy):
+    def test_sixteen_ranks_match_reference(self):
         machine = machine_from_name("dgx-a100-80g")
         trace = transformer_trace(blocks=2)
-        chosen = strategy_from_name(strategy, 16)
+        chosen = strategy_from_name("tp", 16)
         plan = chosen.partition(trace)
         reference = reference_timelines(
             chosen, reference_events(chosen, trace), machine

@@ -76,7 +76,7 @@ def test_one_rank_shards_are_the_source_ops(name):
         assert len(cls.ops) == 1 and cls.ops[0] is op
 
 
-@pytest.mark.parametrize("strategy", ["tp", "dp", "pp"])
+@pytest.mark.parametrize("strategy", ["tp", "dp"])
 def test_strong_scaling_one_rank_is_the_trace(strategy):
     model = build_model("stable_diffusion@256")
     trace = profile_model(

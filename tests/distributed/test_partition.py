@@ -1,5 +1,6 @@
 """Partition strategies: FLOPs invariants and collective placement."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 from repro.distributed.collectives import CollectiveKind
 from repro.distributed.partition import (
     DataParallel,
-    PipelineParallel,
     TensorParallel,
-    stage_boundaries,
+    split_cumulative,
     strategy_from_name,
 )
 from repro.ir.context import ExecutionContext
@@ -130,53 +130,6 @@ class TestDataParallel:
         assert "batch" in DataParallel(4, batch=8).describe()
 
 
-class TestPipelineParallel:
-    def test_total_flops_preserved(self):
-        trace = transformer_trace(blocks=4)
-        plan = PipelineParallel(4).partition(trace)
-        assert plan.total_flops() == pytest.approx(
-            trace.total_flops, rel=1e-6
-        )
-
-    def test_stages_are_contiguous(self):
-        plan = PipelineParallel(2).partition(transformer_trace(blocks=4))
-        stages = [event.stage for event in sharded_events(plan)]
-        assert stages == sorted(stages)
-        assert set(stages) == set(range(max(stages) + 1))
-
-    def test_stage_boundaries_emit_send_recv(self):
-        plan = PipelineParallel(2).partition(transformer_trace(blocks=4))
-        counts = plan.collective_counts()
-        assert counts.get(CollectiveKind.SEND_RECV, 0) >= 1
-
-    def test_more_ranks_than_events_emits_no_phantom_p2p(self):
-        # Regression: with world > len(events) the trailing stages own
-        # nothing, and the last populated event used to emit a
-        # SEND_RECV into the empty stage after it.
-        trace = transformer_trace(blocks=1)  # 6 events
-        plan = PipelineParallel(8).partition(trace)
-        populated = {event.stage for event in sharded_events(plan)}
-        sends = [
-            event for event in sharded_events(plan)
-            if event.comm is not None
-        ]
-        # One boundary per *populated* stage pair, none into the void.
-        assert len(sends) == len(populated) - 1
-        for event in sends:
-            assert event.stage + 1 in populated
-
-    def test_world_equal_to_events_keeps_all_boundaries(self):
-        trace = transformer_trace(blocks=1)  # 6 events
-        plan = PipelineParallel(6).partition(trace)
-        sends = sum(
-            1 for event in sharded_events(plan) if event.comm is not None
-        )
-        assert sends == 5
-        assert {event.stage for event in sharded_events(plan)} == set(
-            range(6)
-        )
-
-
 def timed_trace(times_s):
     """A trace of one 4096^3 GEMM, then elementwise ops, at given times."""
     events = []
@@ -194,23 +147,6 @@ def timed_trace(times_s):
         events.append(TraceEvent(index, f"m{index}", op, cost, start))
         start += time_s
     return Trace(events)
-
-
-class TestPipelineStagesNeverEmpty:
-    def test_heavy_first_event_still_feeds_every_stage(self):
-        # One 4.2 ms GEMM outweighs two stage shares.  The splitter
-        # used to close stages 0 and 1 at the same index, leaving stage
-        # 1 empty and sending stage 0's activation into it.
-        trace = timed_trace([4.2e-3, 4e-6, 4e-6, 4e-6])
-        plan = PipelineParallel(3).partition(trace)
-        assert [e.stage for e in sharded_events(plan)] == [0, 1, 2, 2]
-        sends = [e.stage for e in sharded_events(plan) if e.comm is not None]
-        assert sends == [0, 1]
-
-    def test_more_ranks_than_events_populate_a_stage_per_event(self):
-        trace = timed_trace([4.2e-3, 4e-6, 4e-6])
-        plan = PipelineParallel(5).partition(trace)
-        assert [e.stage for e in sharded_events(plan)] == [0, 1, 2]
 
 
 def greedy_boundaries(weights, stages):
@@ -238,6 +174,11 @@ def greedy_boundaries(weights, stages):
     return boundaries
 
 
+def split_weights(weights, stages):
+    """The planner's split of per-event weights into ``stages``."""
+    return split_cumulative(np.cumsum(np.asarray(weights, dtype=float)), stages)
+
+
 def assert_every_stage_owns_an_event(boundaries, n, stages):
     edges = [0] + boundaries + [n]
     assert len(edges) == stages + 1
@@ -246,7 +187,15 @@ def assert_every_stage_owns_an_event(boundaries, n, stages):
 
 class TestStageSplitter:
     def test_one_outweighing_event_closes_one_stage(self):
-        assert stage_boundaries([10.0, 1.0, 1.0, 1.0], 3) == [1, 2]
+        # One 4.2 ms GEMM outweighs two stage shares.  The splitter
+        # used to close stages 0 and 1 at the same index, leaving
+        # stage 1 empty.
+        assert split_weights([10.0, 1.0, 1.0, 1.0], 3) == [1, 2]
+        assert split_weights([4.2e-3, 4e-6, 4e-6, 4e-6], 3) == [1, 2]
+
+    def test_more_stages_than_events_rejected(self):
+        with pytest.raises(ValueError, match="more stages than events"):
+            split_weights([1.0, 1.0], 3)
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -262,7 +211,7 @@ class TestStageSplitter:
     )
     def test_bisection_matches_the_greedy_reference(self, weights, data):
         stages = data.draw(st.integers(1, len(weights)))
-        boundaries = stage_boundaries(weights, stages)
+        boundaries = split_weights(weights, stages)
         assert boundaries == greedy_boundaries(weights, stages)
         assert_every_stage_owns_an_event(boundaries, len(weights), stages)
 
@@ -271,13 +220,13 @@ class TestStrategyFactory:
     def test_known_names(self):
         assert isinstance(strategy_from_name("tp", 4), TensorParallel)
         assert isinstance(strategy_from_name("dp", 4), DataParallel)
-        assert isinstance(
-            strategy_from_name("pp", 4), PipelineParallel
-        )
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            strategy_from_name("zp", 4)
+        # Pipeline parallelism is the planner's (split_stages), not a
+        # partition strategy.
+        for name in ("zp", "pp"):
+            with pytest.raises(ValueError, match="known: tp, dp$"):
+                strategy_from_name(name, 4)
 
     def test_invalid_world_rejected(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.distributed.partition import (
-    DataParallel,
-    PipelineParallel,
-    TensorParallel,
-)
+from repro.distributed.partition import DataParallel, TensorParallel
 from repro.distributed.registry import machine_from_name
 from repro.distributed.scaling import strong_scaling, weak_scaling
 from repro.distributed.timeline import build_timelines
@@ -48,7 +44,7 @@ def test_plans_build_no_events(monkeypatch):
     ).trace
     assert built["TraceEvent"] == built["emit"] < len(trace) // 10
 
-    for strategy in ("tp", "dp", "pp"):
+    for strategy in ("tp", "dp"):
         strong_scaling(model, MACHINE, (1, 2, 3), strategy=strategy)
     # World 2 profiles a batch-2 trace: only its emissions build events.
     weak_scaling(model, MACHINE, (1, 2))
@@ -59,9 +55,7 @@ def test_plans_build_no_events(monkeypatch):
         assert result.source_trace is trace
     plans = [
         strategy.partition(trace)
-        for strategy in (
-            TensorParallel(4), DataParallel(2, batch=3), PipelineParallel(3)
-        )
+        for strategy in (TensorParallel(4), DataParallel(2, batch=3))
     ]
     for plan in plans:
         build_timelines(plan, MACHINE)

@@ -6,8 +6,7 @@ once and walks the index.  :mod:`tests.distributed.plan_reference`
 keeps the per-event partitioners and builders; here every strategy,
 world size, entry setting and overlap must give the same sharded events
 and the same timelines, float for float and entry for entry.  World 3
-splits unevenly, and a pipeline wider than its trace leaves trailing
-stages empty.
+splits unevenly.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from tests.distributed.plan_reference import (
 from tests.distributed.test_partition import timed_trace, transformer_trace
 
 MACHINE = machine_from_name("dgx-a100-80g")
-STRATEGIES = ("tp", "dp", "pp")
+STRATEGIES = ("tp", "dp")
 WORLDS = (1, 2, 3, 4, 8)
 OVERLAPS = (0.0, 0.5)
 # 0.5 scales exactly, so a reassociated exposed time (comm - comm * x
@@ -180,16 +179,6 @@ def test_aggregates_equal_per_event_sums(model_traces, name, world):
         assert list(plan.collective_counts().items()) == list(
             reference_collective_counts(sharded).items()
         )
-
-
-def test_pipeline_wider_than_its_trace_leaves_stages_empty():
-    trace = transformer_trace(blocks=1)  # 6 events
-    plan = strategy("pp", 8).partition(trace)
-    dist = build_timelines(plan, MACHINE)
-    assert [len(t.entries) > 0 for t in dist.timelines] == [True] * 6 + [
-        False
-    ] * 2
-    assert [t.end_s for t in dist.timelines[6:]] == [0.0, 0.0]
 
 
 def test_uneven_world_keeps_per_rank_clocks():

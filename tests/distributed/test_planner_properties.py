@@ -25,7 +25,6 @@ from repro.distributed.planner import (
     enumerate_configs,
     pareto_frontier,
     plan_parallelism,
-    stage_boundaries,
 )
 from repro.distributed.registry import machine_from_name
 from repro.distributed.timeline import build_timelines
@@ -370,9 +369,7 @@ class TestEnumeration:
             tp=2, pp=2, dp=2, microbatches=4, sequence_parallel=True
         ).label == "tp2-pp2-dp2-mb4-sp"
 
-    def test_stage_boundaries_reject_overdeep_pipelines(self):
-        with pytest.raises(ValueError, match="more stages than events"):
-            stage_boundaries([1.0, 1.0], 3)
+    def test_overdeep_pipelines_rejected(self):
         with pytest.raises(ValueError, match="exceeds the trace"):
             BASIS.cost_config(
                 ParallelConfig(pp=32), global_batch=GLOBAL_BATCH,

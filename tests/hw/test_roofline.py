@@ -1,54 +1,7 @@
-"""Roofline model tests."""
+"""Roofline bound classification tests."""
 
-import pytest
-
-from repro.hw.roofline import (
-    arithmetic_intensity,
-    attainable_performance,
-    classify_bound,
-    place,
-    roofline_curve,
-)
+from repro.hw.roofline import classify_bound
 from repro.hw.spec import A100_80GB
-from repro.ir.dtypes import FP32
-
-
-class TestArithmeticIntensity:
-    def test_basic_ratio(self):
-        assert arithmetic_intensity(100.0, 50.0) == 2.0
-
-    def test_zero_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            arithmetic_intensity(100.0, 0.0)
-
-
-class TestAttainable:
-    def test_memory_bound_region_scales_linearly(self):
-        low = attainable_performance(A100_80GB, 1.0)
-        high = attainable_performance(A100_80GB, 2.0)
-        assert high == pytest.approx(2 * low)
-
-    def test_compute_bound_region_is_flat(self):
-        ridge = A100_80GB.ridge_point()
-        at_ridge = attainable_performance(A100_80GB, ridge)
-        beyond = attainable_performance(A100_80GB, 100 * ridge)
-        assert at_ridge == pytest.approx(beyond)
-
-    def test_peak_reached_at_ridge(self):
-        ridge = A100_80GB.ridge_point()
-        assert attainable_performance(A100_80GB, ridge) == pytest.approx(
-            312e12
-        )
-
-    def test_fp32_roof_is_lower(self):
-        ridge = A100_80GB.ridge_point()
-        assert attainable_performance(
-            A100_80GB, 10 * ridge, FP32
-        ) < attainable_performance(A100_80GB, 10 * ridge)
-
-    def test_non_positive_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            attainable_performance(A100_80GB, 0.0)
 
 
 class TestClassify:
@@ -62,39 +15,3 @@ class TestClassify:
         assert classify_bound(
             A100_80GB, A100_80GB.ridge_point()
         ) == "compute"
-
-
-class TestPlace:
-    def test_point_fields(self):
-        point = place("sd", flops=1e15, bytes_moved=1e12, spec=A100_80GB)
-        assert point.arithmetic_intensity == pytest.approx(1000.0)
-        assert point.bound == "compute"
-        assert point.attainable_flops == pytest.approx(312e12)
-
-    def test_memory_bound_point(self):
-        point = place("llm", flops=1e12, bytes_moved=1e12, spec=A100_80GB)
-        assert point.bound == "memory"
-        assert point.attainable_flops == pytest.approx(
-            A100_80GB.dram_bandwidth
-        )
-
-
-class TestCurve:
-    def test_includes_ridge_point(self):
-        curve = roofline_curve(A100_80GB)
-        ridge = A100_80GB.ridge_point()
-        assert any(x == pytest.approx(ridge) for x, _ in curve)
-
-    def test_monotone_nondecreasing(self):
-        curve = roofline_curve(A100_80GB)
-        ys = [y for _, y in curve]
-        assert all(a <= b + 1e-6 for a, b in zip(ys, ys[1:]))
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            roofline_curve(A100_80GB, min_intensity=8.0, max_intensity=4.0)
-
-    def test_sorted_by_intensity(self):
-        curve = roofline_curve(A100_80GB)
-        xs = [x for x, _ in curve]
-        assert xs == sorted(xs)

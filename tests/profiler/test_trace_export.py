@@ -5,17 +5,11 @@ import json
 import pytest
 
 from repro.chrome_trace import write_chrome_trace
-from repro.distributed.partition import TensorParallel
-from repro.distributed.registry import machine_from_name
-from repro.distributed.timeline import build_timelines
 from repro.ir.context import ExecutionContext
 from repro.ir.ops import Elementwise, Gemm, OpCategory
-from repro.models.registry import build_model
-from repro.profiler import profile_sharded
 from repro.profiler.trace_export import (
     CATEGORY_LANES,
     category_times_from_records,
-    distributed_to_chrome_trace,
     load_chrome_trace,
     parse_chrome_trace,
     to_chrome_trace,
@@ -121,76 +115,3 @@ class TestRoundTrip:
     def test_metadata_events_ignored(self):
         payload = {"traceEvents": [{"ph": "M", "name": "gpu"}]}
         assert parse_chrome_trace(payload) == []
-
-
-@pytest.fixture(scope="module")
-def dist_trace():
-    model = build_model("stable_diffusion@256")
-    machine = machine_from_name("dgx-a100-80g")
-    source = profile_sharded(
-        model, machine=machine, world=1, keep_entries=False
-    ).source_trace
-    plan = TensorParallel(2).partition(source)
-    return build_timelines(plan, machine)
-
-
-class TestDistributedExport:
-    def test_one_lane_per_rank(self, dist_trace):
-        payload = distributed_to_chrome_trace(dist_trace)
-        slices = [
-            event for event in payload["traceEvents"]
-            if event.get("ph") == "X"
-        ]
-        assert {event["tid"] for event in slices} == {0, 1}
-        lane_names = {
-            event["tid"]: event["args"]["name"]
-            for event in payload["traceEvents"]
-            if event.get("ph") == "M" and event["name"] == "thread_name"
-        }
-        assert lane_names == {0: "rank 0", 1: "rank 1"}
-
-    def test_slices_cover_compute_and_comm(self, dist_trace):
-        payload = distributed_to_chrome_trace(dist_trace)
-        cats = {
-            event["cat"] for event in payload["traceEvents"]
-            if event.get("ph") == "X"
-        }
-        assert cats == {"compute", "comm"}
-
-    def test_flow_events_link_collectives_across_ranks(self, dist_trace):
-        payload = distributed_to_chrome_trace(dist_trace)
-        flows = [
-            event for event in payload["traceEvents"]
-            if event.get("ph") in ("s", "f")
-        ]
-        assert flows
-        by_id = {}
-        for event in flows:
-            by_id.setdefault(event["id"], []).append(event)
-        for group in by_id.values():
-            # Exactly one start, on rank 0; finishes on the other ranks.
-            starts = [e for e in group if e["ph"] == "s"]
-            assert len(starts) == 1
-            assert starts[0]["tid"] == 0
-            finishes = [e for e in group if e["ph"] == "f"]
-            assert len(finishes) == len(group) - 1
-            assert all(e["tid"] != 0 for e in finishes)
-            # SPMD collectives are synchronized: identical timestamps.
-            assert len({e["ts"] for e in group}) == 1
-            assert len({e["name"] for e in group}) == 1
-
-    def test_flow_ids_unique_per_collective(self, dist_trace):
-        payload = distributed_to_chrome_trace(dist_trace)
-        starts = [
-            event for event in payload["traceEvents"]
-            if event.get("ph") == "s"
-        ]
-        ids = [event["id"] for event in starts]
-        assert len(ids) == len(set(ids))
-
-    def test_file_round_trip(self, dist_trace, tmp_path):
-        path = write_chrome_trace(
-            distributed_to_chrome_trace(dist_trace), tmp_path / "dist.json"
-        )
-        payload = json.loads(path.read_text())
-        assert payload["traceEvents"]

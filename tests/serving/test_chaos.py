@@ -1,5 +1,5 @@
-"""Chaos harness tests: generation, serialization, invariants,
-shrinking — plus the hypothesis invariant gate over the engine."""
+"""Chaos harness tests: generation, serialization and invariants —
+plus the hypothesis invariant gate over the engine."""
 
 import dataclasses
 import json
@@ -22,7 +22,6 @@ from repro.serving.chaos import (
     load_campaign,
     loads_campaign,
     save_campaign,
-    shrink_campaign,
 )
 from repro.serving.domains import (
     NetworkPartition,
@@ -384,36 +383,6 @@ class TestInvariants:
             AssertionError, match="finite_times: makespan inf"
         ):
             self._run(requests, _pools())
-
-
-class TestShrinking:
-    def test_shrinks_to_the_triggering_event(self):
-        campaign = _campaign(seed=12)
-        assert len(campaign.events) > 2
-        target = campaign.events[len(campaign.events) // 2]
-
-        def failing(candidate):
-            return target in candidate.events
-
-        minimal = shrink_campaign(campaign, failing)
-        assert minimal.events == (target,)
-
-    def test_shrink_is_deterministic(self):
-        campaign = _campaign(seed=12)
-        wanted = {campaign.events[0], campaign.events[-1]}
-
-        def failing(candidate):
-            return wanted <= set(candidate.events)
-
-        one = shrink_campaign(campaign, failing)
-        two = shrink_campaign(campaign, failing)
-        assert one == two
-        assert set(one.events) == wanted
-
-    def test_requires_failing_input(self):
-        campaign = _campaign(seed=12)
-        with pytest.raises(ValueError):
-            shrink_campaign(campaign, lambda candidate: False)
 
 
 class TestCli:

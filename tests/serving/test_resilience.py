@@ -8,6 +8,7 @@ protection mechanism that loses requests is worse than none.
 
 import pytest
 
+from repro.obs import Telemetry
 from repro.serving.faults import (
     Crash,
     FaultSchedule,
@@ -497,15 +498,31 @@ class TestHedging:
             )
         )
         config = ResilienceConfig(hedge=HedgeConfig(delay_s=0.5))
+        telemetry = Telemetry()
         report = simulate_fleet(
             burst(6, 0.4),
             [pool(servers=2, max_batch=4)],
             faults=faults,
             resilience=config,
+            telemetry=telemetry,
         )
         conserve(report)
         ids = [r.request.request_id for r in report.completed]
         assert len(ids) == len(set(ids)) == 6
+        # A batch is one (pool, server, start) dispatch; each copy of a
+        # request records its own dispatch event.
+        batches: dict[tuple, list[int]] = {}
+        hedges = 0
+        for span in telemetry.log().spans:
+            for event in span.events:
+                if event.state == "dispatch":
+                    key = (event.attrs["pool"], event.attrs["server"],
+                           event.ts_s)
+                    batches.setdefault(key, []).append(span.request_id)
+                    hedges += event.attrs["hedge"]
+        assert hedges > 0
+        for key, members in batches.items():
+            assert len(members) == len(set(members)), key
 
 
 def ladder(step1=0.5, step2=0.25):

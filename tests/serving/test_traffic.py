@@ -698,18 +698,16 @@ class TestTierSloReport:
         assert sum(e.offered for e in tiers.per_tier) == len(trace)
         assert sum(e.clients for e in tiers.per_tier) == 40
 
-    def test_empty_trace_renders_all_dashes(self):
+    def test_empty_trace_reports_every_tier_without_data(self):
         trace = generate_traffic(
             population(n_clients=0), duration_s=60.0, seed=0
         )
         tiers = self.run_trace(trace)
+        assert tuple(e.tier for e in tiers.per_tier) == TIER_NAMES
         for entry in tiers.per_tier:
             assert entry.offered == 0
             assert entry.p50_s is None
             assert entry.goodput is None
-        rendered = tiers.render()
-        assert "—" in rendered
-        assert "heavy" in rendered and "light" in rendered
 
     def test_idle_tier_reported_not_skipped(self):
         # 2 clients: one heavy, one medium, zero light — the light row

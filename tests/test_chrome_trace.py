@@ -1,10 +1,10 @@
 """The one Chrome-trace writer: pinned view bytes and the import graph.
 
 Each view is pinned by the SHA-256 of ``json.dumps`` of its payload,
-recorded before the three views shared a writer.  The inputs give the
-same bytes on every platform: the op and rank views render hand-built
-traces whose costs and intervals are literals, and the fleet view
-renders the committed telemetry example.
+recorded before the views shared a writer.  The inputs give the same
+bytes on every platform: the op view renders a hand-built trace whose
+costs and intervals are literals, and the fleet view renders the
+committed telemetry example.
 """
 
 import hashlib
@@ -15,25 +15,15 @@ import sys
 from pathlib import Path
 
 from repro.chrome_trace import write_chrome_trace
-from repro.distributed.registry import machine_from_name
-from repro.distributed.timeline import (
-    DeviceTimeline,
-    DistributedTrace,
-    TimelineEntry,
-)
 from repro.ir.ops import Elementwise, Gemm, Softmax
 from repro.ir.trace import KernelCost, Trace, TraceEvent
 from repro.obs import load_telemetry, telemetry_to_chrome_trace
-from repro.profiler.trace_export import (
-    distributed_to_chrome_trace,
-    to_chrome_trace,
-)
+from repro.profiler.trace_export import to_chrome_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 TELEMETRY = ROOT / "examples" / "traces" / "telemetry_small.jsonl"
 
 OP_VIEW = "94493706cc51fab7306fdafb7b504bbf75cefdb7b6ad51913d6209990a6a31dc"
-RANK_VIEW = "af6426db713406abdbef2a91aabd374d9e90caa9b3c029357cbb57af8409c007"
 FLEET_VIEW = "9cb3f8633307788479854818f00b6538cb3d93712d2d0098b0186da03a5f0024"
 
 
@@ -59,59 +49,13 @@ def op_trace():
     ])
 
 
-def rank_trace():
-    """Two ranks: one all-reduce on both, one pipeline send on rank 0."""
-    return DistributedTrace(
-        strategy="tensor-parallel", world=2,
-        machine=machine_from_name("dgx-a100-80g"),
-        timelines=[
-            DeviceTimeline(rank=0, entries=[
-                TimelineEntry("compute", "proj", 0.0, 1.5e-04),
-                TimelineEntry("comm", "all_reduce", 1.5e-04, 5.0e-05),
-                TimelineEntry("comm", "send", 2.0e-04, 2.5e-05),
-            ]),
-            DeviceTimeline(rank=1, entries=[
-                TimelineEntry("compute", "proj", 0.0, 1.25e-04),
-                TimelineEntry("comm", "all_reduce", 1.5e-04, 5.0e-05),
-            ]),
-        ],
-        overlap=0.0,
-    )
-
-
 class TestPinnedBytes:
     def test_op_view(self):
         assert _digest(to_chrome_trace(op_trace())) == OP_VIEW
 
-    def test_rank_view(self):
-        payload = distributed_to_chrome_trace(rank_trace())
-        assert _digest(payload) == RANK_VIEW
-        # The collective on both ranks gets one flow; the send none.
-        flows = [e for e in payload["traceEvents"] if e["ph"] in "sf"]
-        assert [(e["name"], e["ph"], e["tid"]) for e in flows] == [
-            ("all_reduce", "s", 0), ("all_reduce", "f", 1),
-        ]
-
     def test_fleet_view(self):
         log = load_telemetry(TELEMETRY)
         assert _digest(telemetry_to_chrome_trace(log)) == FLEET_VIEW
-
-
-def test_flows_link_the_kth_comm_of_a_label():
-    """Rank 0 runs a second all-reduce that rank 1 lacks: no flow."""
-    trace = rank_trace()
-    trace.timelines[0].entries.append(
-        TimelineEntry("comm", "all_reduce", 2.5e-04, 5.0e-05)
-    )
-    trace.timelines[1].entries.append(
-        TimelineEntry("comm", "send", 2.5e-04, 2.5e-05)
-    )
-    payload = distributed_to_chrome_trace(trace)
-    flows = [e for e in payload["traceEvents"] if e["ph"] in "sf"]
-    assert [(e["name"], e["ph"], e["tid"], e["id"]) for e in flows] == [
-        ("all_reduce", "s", 0, 1), ("send", "s", 0, 2),
-        ("all_reduce", "f", 1, 1), ("send", "f", 1, 2),
-    ]
 
 
 def test_written_file_is_the_json_of_the_view(tmp_path):

@@ -10,6 +10,10 @@ may import only the ``[project]`` dependencies, which a plain
 ``pip install .`` installs; the other directories may also import the
 extras (``pip install -e ".[dev]"``).  ``pyproject.toml`` is read with a
 regex because :mod:`tomllib` needs Python 3.11.
+
+The same scan also requires every module under ``src/repro`` to be
+import-reachable from an entry point, so that no whole module goes
+dead.
 """
 
 import ast
@@ -19,6 +23,15 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SCANNED = ("src", "tests", "benchmarks", "tools", "examples")
+# What a user or CI runs: every file under these directories, the three
+# ``python -m`` CLIs and the chaos smoke.
+ENTRY_DIRS = ("examples", "tools", "benchmarks")
+ENTRY_MODULES = (
+    "repro.experiments.__main__",
+    "repro.profiler.__main__",
+    "repro.obs.__main__",
+    "repro.serving.chaos",
+)
 FIRST_PARTY = {"repro", "tests"}
 # Directories whose imports must resolve without the extras.
 RUNTIME_ONLY = {"src"}
@@ -140,3 +153,102 @@ def test_sibling_modules_resolve(tmp_path):
     assert is_sibling(importer, "helpers")
     assert is_sibling(importer, "package")
     assert not is_sibling(importer, "missing")
+
+
+def module_files(src: Path) -> dict[str, Path]:
+    """Dotted name of every module under ``src`` (a package by the name
+    of its ``__init__.py``'s folder) -> its file."""
+    files = {}
+    for path in sorted(src.rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        files[".".join(parts)] = path
+    return files
+
+
+def import_statements(path: Path) -> list[tuple[str, dict[str, str]]]:
+    """``(module, {bound name: imported name})`` of every absolute
+    import in ``path``; ``import a.b`` reads ``("a.b", {})``."""
+    statements = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            statements += [(alias.name, {}) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            statements.append((node.module, {
+                alias.asname or alias.name: alias.name
+                for alias in node.names
+            }))
+    return statements
+
+
+def reachable_modules(src: Path, entry_files: list[Path],
+                      entry_modules: tuple[str, ...]) -> set[str]:
+    """Modules under ``src`` that the entry points import, transitively.
+
+    ``import a.b`` reaches ``a.b`` (a package with all it imports).  A
+    ``from pkg import name`` reaches the submodule ``pkg.name`` if there
+    is one; else it follows ``pkg/__init__.py``'s re-export of ``name``
+    to the module that defines it, and only that one.
+    """
+    files = module_files(src)
+    statements = {name: import_statements(path) for name, path in files.items()}
+
+    def defining_module(module: str, name: str) -> str:
+        if f"{module}.{name}" in files:
+            return f"{module}.{name}"
+        if files[module].name == "__init__.py":
+            for source, bound in statements[module]:
+                if name in bound and source in files:
+                    return defining_module(source, bound[name])
+        return module
+
+    reached: set[str] = set()
+    followed: set[str] = set()
+
+    def follow(imports: list[tuple[str, dict[str, str]]]) -> None:
+        for module, bound in imports:
+            if module not in files:
+                continue
+            targets = [defining_module(module, name) for name in bound.values()]
+            for target in targets or [module]:
+                reached.add(target)
+                whole = not bound or files[target].name != "__init__.py"
+                if whole and target not in followed:
+                    followed.add(target)
+                    follow(statements[target])
+
+    for path in entry_files:
+        follow(import_statements(path))
+    follow([(module, {}) for module in entry_modules])
+    return reached
+
+
+def test_every_src_module_is_reachable_from_an_entry_point():
+    files = module_files(REPO / "src")
+    entry_files = [
+        path for root in ENTRY_DIRS for path in sorted((REPO / root).rglob("*.py"))
+    ]
+    reached = reachable_modules(REPO / "src", entry_files, ENTRY_MODULES)
+    unreached = sorted(
+        name for name, path in files.items()
+        if name not in reached
+        and path.name not in ("__init__.py", "__main__.py")
+    )
+    assert not unreached, (
+        f"no entry point imports these src/ modules: {unreached}"
+    )
+
+
+def test_a_re_exported_name_reaches_only_its_module(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from pkg.used import name as alias\nfrom pkg.unused import other\n"
+    )
+    (package / "used.py").write_text("import pkg.deep\nname = 1\n")
+    (package / "deep.py").write_text("")
+    (package / "unused.py").write_text("other = 2\n")
+    entry = tmp_path / "entry.py"
+    entry.write_text("def main():\n    from pkg import alias\n")
+    assert reachable_modules(tmp_path, [entry], ()) == {"pkg.used", "pkg.deep"}
