@@ -5,9 +5,11 @@ Plans store one row per kernel class and a per-event class index, and
 This module keeps the form they replaced: each partitioner builds one
 :class:`ShardedEvent` per source event from the built events, and the
 builders price and advance every event on its own.  Likewise
-:func:`bruteforce_axis` prices a planner axis event by event and
-:func:`bruteforce_cost` costs a config from such an axis.  The tests
-require the class form to reproduce it float for float.
+:func:`bruteforce_axis` prices a planner axis event by event,
+:func:`bruteforce_stages` splits such an axis into pipeline stages in
+one pass over its events and :func:`bruteforce_cost` costs a config
+from such an axis.  The tests require the class form to reproduce it
+float for float.
 """
 
 from __future__ import annotations
@@ -358,6 +360,68 @@ def bruteforce_axis(
         act_peak_shard=act_peak,
         max_comm_payload=max_payload,
     )
+
+
+def greedy_boundaries(weights, stages):
+    """Plain greedy reference for
+    :func:`repro.distributed.partition.split_cumulative`: one pass over
+    the per-event weights, at most one stage close per event."""
+    n = len(weights)
+    total = 0.0
+    for w in weights:  # left to right: sum() is compensated from 3.12
+        total += w
+    boundaries = []
+    cumulative = 0.0
+    target = 1
+    for index, w in enumerate(weights):
+        cumulative += w
+        remaining = n - (index + 1)
+        if (
+            target < stages
+            and remaining >= stages - target
+            and (
+                cumulative >= total * target / stages
+                or remaining == stages - target
+            )
+        ):
+            boundaries.append(index + 1)
+            target += 1
+    return boundaries
+
+
+def bruteforce_stages(
+    trace: Trace,
+    axis: TPAxis,
+    pp: int,
+    sequence_parallel: bool,
+    machine: MachineSpec,
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-event reference for :func:`repro.distributed.planner.split_stages`.
+
+    Weighs every event by its step of the axis' prefix, closes the
+    stages with :func:`greedy_boundaries` and reads each boundary
+    activation from the trace event that ends its stage, not through a
+    class index.  ``axis`` is :func:`bruteforce_axis`'s over ``trace``.
+    """
+    n = len(trace.events)
+    if pp > n:
+        raise ValueError("more stages than events")
+    acc = (axis.acc_sp if sequence_parallel else axis.acc).tolist()
+    weights = [acc[i + 1] - acc[i] for i in range(n)]
+    edges = [0, *greedy_boundaries(weights, pp), n]
+    p2p_model = machine.topology.cost_model(2)
+    stage_times: list[float] = []
+    p2p_times: list[float] = []
+    for start, end in zip(edges, edges[1:]):
+        stage_times.append(acc[end] - acc[start])
+        if end == n:
+            p2p_times.append(0.0)
+            continue
+        payload = float(trace.events[end - 1].op.write_bytes())
+        if sequence_parallel:
+            payload = payload / axis.tp
+        p2p_times.append(p2p_model.send_recv(payload).time_s)
+    return tuple(stage_times), tuple(p2p_times)
 
 
 def bruteforce_cost(

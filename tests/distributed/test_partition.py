@@ -15,7 +15,10 @@ from repro.distributed.partition import (
 from repro.ir.context import ExecutionContext
 from repro.ir.ops import Elementwise, FusedAttention, Gemm, OpCategory
 from repro.ir.trace import KernelCost, Trace, TraceEvent
-from tests.distributed.plan_reference import sharded_events
+from tests.distributed.plan_reference import (
+    greedy_boundaries,
+    sharded_events,
+)
 
 
 def transformer_trace(blocks: int = 2, repeat: int = 1):
@@ -147,31 +150,6 @@ def timed_trace(times_s):
         events.append(TraceEvent(index, f"m{index}", op, cost, start))
         start += time_s
     return Trace(events)
-
-
-def greedy_boundaries(weights, stages):
-    """Plain greedy reference: one pass, at most one close per event."""
-    n = len(weights)
-    total = 0.0
-    for w in weights:  # left to right: sum() is compensated from 3.12
-        total += w
-    boundaries = []
-    cumulative = 0.0
-    target = 1
-    for index, w in enumerate(weights):
-        cumulative += w
-        remaining = n - (index + 1)
-        if (
-            target < stages
-            and remaining >= stages - target
-            and (
-                cumulative >= total * target / stages
-                or remaining == stages - target
-            )
-        ):
-            boundaries.append(index + 1)
-            target += 1
-    return boundaries
 
 
 def split_weights(weights, stages):

@@ -6,7 +6,11 @@ once and walks the index.  :mod:`tests.distributed.plan_reference`
 keeps the per-event partitioners and builders; here every strategy,
 world size, entry setting and overlap must give the same sharded events
 and the same timelines, float for float and entry for entry.  World 3
-splits unevenly.
+splits unevenly.  Pipeline parallelism is the planner's:
+:func:`split_stages` over a class-priced :func:`build_axis` must give
+the per-event reference's stage and boundary times
+(:func:`bruteforce_stages` over :func:`bruteforce_axis`), and a
+pipeline deeper than its trace is refused.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import gc
 import pytest
 
 from repro.distributed.partition import strategy_from_name
+from repro.distributed.planner import build_axis, split_stages
 from repro.distributed.registry import machine_from_name
 from repro.distributed.timeline import build_timelines
 from repro.ir.context import AttentionImpl, ExecutionContext
@@ -23,6 +28,8 @@ from repro.ir.ops import Gemm
 from repro.models.registry import build_model
 from repro.profiler.profiler import profile_model
 from tests.distributed.plan_reference import (
+    bruteforce_axis,
+    bruteforce_stages,
     reference_collective_counts,
     reference_comm_payload_bytes,
     reference_events,
@@ -35,6 +42,7 @@ from tests.distributed.test_partition import timed_trace, transformer_trace
 MACHINE = machine_from_name("dgx-a100-80g")
 STRATEGIES = ("tp", "dp")
 WORLDS = (1, 2, 3, 4, 8)
+PIPELINE_DEPTHS = (1, 2, 3, 4, 8)
 OVERLAPS = (0.0, 0.5)
 # 0.5 scales exactly, so a reassociated exposed time (comm - comm * x
 # for comm * (1 - x)) reads the same there; 0.3 rounds and tells them
@@ -189,3 +197,76 @@ def test_uneven_world_keeps_per_rank_clocks():
     computes = [t.compute_time_s for t in dist.timelines]
     assert len(set(computes)) > 1
     assert dist.compute_time_s == computes[0]
+
+
+def assert_stages_match_reference(trace, axis, reference, pp) -> None:
+    for sequence_parallel in (False, True):
+        if pp > len(trace.events):
+            with pytest.raises(ValueError, match="more stages than events"):
+                split_stages(axis, pp, sequence_parallel, MACHINE)
+            continue
+        stage_times, p2p_times = split_stages(
+            axis, pp, sequence_parallel, MACHINE
+        )
+        assert (stage_times, p2p_times) == bruteforce_stages(
+            trace, reference, pp, sequence_parallel, MACHINE
+        ), (pp, sequence_parallel)
+        assert len(stage_times) == len(p2p_times) == pp
+        assert p2p_times[-1] == 0.0
+
+
+# The toy traces carry costs of their own, which a tp = 1 axis
+# re-prices and the reference reads verbatim; they split tp >= 2 axes.
+@pytest.mark.parametrize("pp", PIPELINE_DEPTHS)
+@pytest.mark.parametrize("tp", (2, 4))
+@pytest.mark.parametrize("toy", sorted(TOY_TRACES))
+def test_toy_pipeline_stages(toy, tp, pp):
+    trace = TOY_TRACES[toy]()
+    assert_stages_match_reference(
+        trace, build_axis(trace, tp, MACHINE),
+        bruteforce_axis(trace, tp, MACHINE), pp,
+    )
+
+
+@pytest.fixture(scope="module")
+def model_axes(model_traces):
+    """``{(model, tp): (axis, per-event reference axis)}``, built on
+    first use and shared by every pipeline depth."""
+    axes = {}
+
+    def get(model, tp):
+        if (model, tp) not in axes:
+            trace = model_traces[model]
+            axes[model, tp] = (
+                build_axis(trace, tp, MACHINE),
+                bruteforce_axis(trace, tp, MACHINE),
+            )
+        return axes[model, tp]
+
+    return get
+
+
+@pytest.mark.parametrize("pp", PIPELINE_DEPTHS)
+@pytest.mark.parametrize(
+    "model", ["stable_diffusion@256", "muse", "make_a_video"]
+)
+def test_flash_pipeline_stages(model_traces, model_axes, model, pp):
+    # Profiled on the machine's GPU, so tp = 1 re-prices to the trace.
+    for tp in (1, 2):
+        axis, reference = model_axes(model, tp)
+        assert_stages_match_reference(
+            model_traces[model], axis, reference, pp
+        )
+
+
+def test_heavy_first_event_still_feeds_every_stage():
+    # One 4096^3 GEMM outweighs every stage share; the split still
+    # gives each of the three stages an event, so none is empty and
+    # both boundaries send an activation.
+    trace = timed_trace([4.2e-3, 4e-6, 4e-6, 4e-6])
+    stage_times, p2p_times = split_stages(
+        build_axis(trace, 2, MACHINE), 3, False, MACHINE
+    )
+    assert all(time > 0.0 for time in stage_times)
+    assert stage_times[0] > stage_times[1] + stage_times[2]
+    assert p2p_times[0] > 0.0 and p2p_times[1] > 0.0
